@@ -20,8 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import MASS_SCALED, Vec3, VertexAddress, check_word, word_matrix
-from .measures import KUSUOKA, MeasureCoeffs, measure_of_cell
+from .core import (
+    MASS_SCALED,
+    IntRow,
+    Vec3,
+    VertexAddress,
+    check_word,
+    lex_word,
+    row_children,
+    row_walk,
+)
+from .measures import KUSUOKA, MeasureCoeffs, children_triple_via_refine, measure_of_cell
 from .derivatives import rn_derivative
 
 #: A weight triple: three rationals summing to one.
@@ -35,12 +44,14 @@ def b_from_mass(word: str) -> BVector:
     """Weight triple of a cell from the column sums of its mass product.
 
     Weight j is 1/6 plus half the j-th column's share of the total entry
-    sum.  The empty word gives the barycenter (1/3, 1/3, 1/3).
+    sum.  The empty word gives the barycenter (1/3, 1/3, 1/3).  The column
+    sums are the row (1, 1, 1) walked along the word by the integer kernel;
+    the share is scale-free, so the scale is never formed.
     """
-    mat = word_matrix("mass", word)
-    cols = tuple(mat[0][j] + mat[1][j] + mat[2][j] for j in range(3))
+    check_word(word)
+    cols = row_walk((1, 1, 1), word)
     total = cols[0] + cols[1] + cols[2]
-    return tuple(Fraction(1, 6) + col / (2 * total) for col in cols)  # type: ignore[return-value]
+    return tuple(Fraction(1, 6) + Fraction(col, 2 * total) for col in cols)  # type: ignore[return-value]
 
 
 def b_step(b: BVector, j: int) -> BVector:
@@ -80,14 +91,18 @@ def b_from_kusuoka(word: str) -> BVector:
     Weight j measures how much of the cell's Kusuoka mass the j-th child
     holds, recentered and scaled so a uniform split gives the barycenter:
     b_j = 1/3 + (5/4)(ratio_j - 1/3).
+
+    The child masses come from ``children_triple_via_refine``, the
+    ``Fraction`` refine recursion, and the cell's own mass is their sum, so
+    no word longer than ``word`` is formed.  This route shares no arithmetic
+    with ``b_from_mass`` (the integer mass-generator kernel) nor with
+    ``b_from_word`` (the one-letter recursion on the triple).
     """
-    check_word(word)
-    parent = measure_of_cell(KUSUOKA, word)
-    out = []
-    for j in range(3):
-        ratio = measure_of_cell(KUSUOKA, word + str(j)) / parent
-        out.append(_THIRD + Fraction(5, 4) * (ratio - _THIRD))
-    return tuple(out)  # type: ignore[return-value]
+    children = children_triple_via_refine(KUSUOKA, word)
+    parent = children[0] + children[1] + children[2]
+    return tuple(  # type: ignore[return-value]
+        _THIRD + Fraction(5, 4) * (x / parent - _THIRD) for x in children
+    )
 
 
 def weighted_average_gap(c: MeasureCoeffs, word: str) -> Fraction:
@@ -155,13 +170,25 @@ def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     yield from walk("", _CENTER)
 
 
-def _colsum_step(row: tuple[int, int, int], j: int) -> tuple[int, int, int]:
-    m = MASS_SCALED[j]
-    return (
-        row[0] * m[0][0] + row[1] * m[1][0] + row[2] * m[2][0],
-        row[0] * m[0][1] + row[1] * m[1][1] + row[2] * m[2][1],
-        row[0] * m[0][2] + row[1] * m[1][2] + row[2] * m[2][2],
-    )
+#: Levels ``scan_bounds`` expands breadth-first, one ``row_children`` call
+#: per level, before it moves depth-first to the next block root; memory
+#: stays bounded by one block of at most 3**BOUNDS_BLOCK_LEVELS rows a level.
+BOUNDS_BLOCK_LEVELS = 5
+
+
+def _first_offender(rows: list[IntRow]) -> Optional[int]:
+    """Index of the first column-sum row failing a ``scan_bounds`` test."""
+    for i, (c0, c1, c2) in enumerate(rows):
+        total = c0 + c1 + c2
+        if (total + 3 * c0 <= 0 or c0 >= total
+                or total + 3 * c1 <= 0 or c1 >= total
+                or total + 3 * c2 <= 0 or c2 >= total):
+            return i
+        e2 = c0 * c1 + c1 * c2 + c0 * c2
+        # the disk test from e2: sum (3c_j - T)^2 == 6 T^2 - 18 e2
+        if 6 * total * total - 18 * e2 >= 6 * total * total or e2 <= 0:
+            return i
+    return None
 
 
 def scan_bounds(max_level: int) -> Optional[str]:
@@ -171,33 +198,43 @@ def scan_bounds(max_level: int) -> Optional[str]:
     arithmetic on the scaled column sums (c_0, c_1, c_2) with total T:
 
     * 0 < b_j < 2/3          (as 0 < T + 3c_j and c_j < T),
-    * sum (b_j - 1/3)^2 < 1/6  (as sum (3c_j - T)^2 < 6 T^2),
-    * c_0c_1 + c_1c_2 + c_0c_2 > 0  (the column-sum cone that feeds the
-      induction behind the first two).
+    * sum (b_j - 1/3)^2 < 1/6  (as sum (3c_j - T)^2 < 6 T^2, evaluated as
+      6 T^2 - 18 e2 with e2 = c_0c_1 + c_1c_2 + c_0c_2),
+    * e2 > 0  (the column-sum cone that feeds the induction behind the
+      first two).
 
-    Returns the first offending word in lexicographic-by-prefix order, or
-    None when every word passes.
+    Each mass generator scales the form e2 by exactly 9 (M_j A M_j^T == 9 A
+    for its matrix A), so every level-m row has e2 == 3 * 9^m; the tests
+    are still evaluated on every word, which is what makes the scan a check.
+
+    Returns the lexicographically first offending word (a prefix sorts
+    before its extensions; nothing below an offender is visited), or None
+    when every word passes.  Levels are expanded in blocks of
+    ``BOUNDS_BLOCK_LEVELS``; inside a block an offender cuts off every row
+    after it, so deeper blocks are entered only under smaller words, and a
+    deeper offender replaces a shallower one only because it sorts first.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
 
-    def walk(row: tuple[int, int, int], budget: int) -> Optional[str]:
-        c0, c1, c2 = row
-        total = c0 + c1 + c2
-        for cj in row:
-            if total + 3 * cj <= 0 or cj >= total:
-                return ""
-        lhs = sum((3 * cj - total) ** 2 for cj in row)
-        if lhs >= 6 * total * total:
-            return ""
-        if c0 * c1 + c1 * c2 + c0 * c2 <= 0:
-            return ""
-        if budget == 0:
-            return None
-        for j in (0, 1, 2):
-            hit = walk(_colsum_step(row, j), budget - 1)
-            if hit is not None:
-                return str(j) + hit
-        return None
+    def block(root: str, row: IntRow, levels: int) -> Optional[str]:
+        # the first block takes the remainder, so every deeper one is full
+        span = (levels - 1) % BOUNDS_BLOCK_LEVELS + 1
+        first: Optional[str] = None
+        rows = [row]
+        for t in range(span):
+            i = _first_offender(rows)
+            if i is not None:
+                # later rows on this level, and everything below the
+                # offender, sort after it
+                first, rows = root + lex_word(i, t), rows[:i]
+            if t + 1 < levels:
+                rows = row_children(rows, MASS_SCALED)
+        if levels > span:
+            for i, r in enumerate(rows):
+                hit = block(root + lex_word(i, span), r, levels - span)
+                if hit is not None:
+                    return hit
+        return first
 
-    return walk((1, 1, 1), max_level)
+    return block("", (1, 1, 1), max_level + 1)

@@ -27,6 +27,17 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_ROUTES = 3
 
+#: Size arguments are bounded before any work starts; outside the bounds the
+#: command exits 2.  An edge profile at depth d holds 2^d + 1 exact values,
+#: a level scan 3^m rows.
+EDGE_DEPTH_MAX = 16
+BVECTOR_LEVEL_MAX = 12
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be between {lo} and {hi}, got {value}")
+
 
 # ---------------------------------------------------------------------------
 # output plumbing
@@ -130,6 +141,7 @@ def _bvector_by(method: str, word: str):
 
 def cmd_bvector(args: argparse.Namespace) -> int:
     if args.level is not None:
+        _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
         rows = [("word", "b0", "b1", "b2", "b0_f", "b1_f", "b2_f")]
         for word, b in bv.enumerate_bvectors(args.level):
             if args.method == "all" and _bvector_by("all", word) is None:
@@ -151,6 +163,7 @@ def cmd_bvector(args: argparse.Namespace) -> int:
 
 
 def cmd_edge_profile(args: argparse.Namespace) -> int:
+    _check_range("--depth", args.depth, 1, EDGE_DEPTH_MAX)
     c = parse_coeffs(args.coeffs)
     try:
         j, k = (int(part) for part in args.edge.split(","))
@@ -212,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["matrix", "recursion", "kusuoka", "all"], default="all",
                    help="computation route; 'all' checks the three routes agree")
     p.add_argument("--level", type=int, default=None,
-                   help="emit a CSV of every word at this level instead of one triple")
+                   help=f"emit a CSV of every word at this level (0..{BVECTOR_LEVEL_MAX}) "
+                        "instead of one triple")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
     p.set_defaults(func=cmd_bvector)
 
@@ -220,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="three comma-separated rationals")
     p.add_argument("--word", default="", help="cell whose edge is profiled")
     p.add_argument("--edge", default="1,2", help="two distinct corners, e.g. 1,2")
-    p.add_argument("--depth", type=int, default=6, help="dyadic subdivision depth along the edge")
+    p.add_argument("--depth", type=int, default=6,
+                   help=f"dyadic subdivision depth along the edge (1..{EDGE_DEPTH_MAX})")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
     p.set_defaults(func=cmd_edge_profile)
 

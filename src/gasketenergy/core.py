@@ -20,6 +20,7 @@ to share across threads and processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -73,19 +74,6 @@ def mat3(rows: Iterable[Iterable]) -> Mat3:
 MAT_IDENTITY: Mat3 = mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def vec_add(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def vec_sub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def vec_scale(s, u: Vec3) -> Vec3:
-    s = Fraction(s)
-    return (s * u[0], s * u[1], s * u[2])
-
-
 def vec_dot(u: Vec3, v: Vec3) -> Fraction:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -94,42 +82,21 @@ def vec_sum(u: Vec3) -> Fraction:
     return u[0] + u[1] + u[2]
 
 
-def vec_float(u: Vec3) -> tuple[float, float, float]:
-    """Float projection -- the one lossy operation on exact data."""
-    return (float(u[0]), float(u[1]), float(u[2]))
-
-
 def mat_vec(m: Mat3, v: Vec3) -> Vec3:
     return (vec_dot(m[0], v), vec_dot(m[1], v), vec_dot(m[2], v))
 
 
-def vec_mat(v: Vec3, m: Mat3) -> Vec3:
-    """Row vector times matrix."""
-    return (
-        v[0] * m[0][0] + v[1] * m[1][0] + v[2] * m[2][0],
-        v[0] * m[0][1] + v[1] * m[1][1] + v[2] * m[2][1],
-        v[0] * m[0][2] + v[1] * m[1][2] + v[2] * m[2][2],
-    )
-
-
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    """Matrix product; exact on ``Fraction`` and on plain ``int`` entries."""
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
         for i in range(3)
     )  # type: ignore[return-value]
 
 
-def mat_transpose(m: Mat3) -> Mat3:
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))  # type: ignore[return-value]
-
-
 def mat_scale(s, m: Mat3) -> Mat3:
     s = Fraction(s)
     return tuple(tuple(s * x for x in row) for row in m)  # type: ignore[return-value]
-
-
-def mat_float(m: Mat3) -> tuple[tuple[float, float, float], ...]:
-    return tuple(tuple(float(x) for x in row) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +177,74 @@ MASS_DEN = 15
 REFINE_DEN = 75
 MASS_SCALED = tuple(_int_scaled(m, MASS_DEN) for m in MASS_GENERATORS)
 REFINE_SCALED = tuple(_int_scaled(m, REFINE_DEN) for m in REFINE_GENERATORS)
+
+
+# ---------------------------------------------------------------------------
+# integer row kernel
+# ---------------------------------------------------------------------------
+#
+# Every exact hot path carries an integer row ``r`` and a known scale ``s``
+# (the true row is ``r / s``) and steps it by one scaled generator per
+# letter; the scale picks up the family denominator once per letter.  A
+# single ``Fraction`` is built from the final row, so no gcd is taken along
+# the way.
+
+IntRow = tuple[int, int, int]
+IntMat = tuple[IntRow, IntRow, IntRow]
+
+
+def int_row(v: Vec3) -> tuple[IntRow, int]:
+    """Integer numerators of a rational triple over their least common
+    denominator: ``(row, den)`` with ``v == row / den``."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den  # type: ignore[return-value]
+
+
+def row_step(row: IntRow, g: IntMat) -> IntRow:
+    """One letter: the row vector times a scaled generator, ``row . g``."""
+    r0, r1, r2 = row
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
+    return (
+        r0 * g00 + r1 * g10 + r2 * g20,
+        r0 * g01 + r1 * g11 + r2 * g21,
+        r0 * g02 + r1 * g12 + r2 * g22,
+    )
+
+
+def row_walk(row: IntRow, word: str, gens: Iterable[IntMat] = MASS_SCALED) -> IntRow:
+    """``row_step`` along every letter of ``word``, first letter first."""
+    gens = tuple(gens)
+    for ch in word:
+        row = row_step(row, gens[int(ch)])
+    return row
+
+
+def lex_word(index: int, length: int) -> str:
+    """The word at ``index`` among all ``length``-letter words in
+    lexicographic order: the base-3 digits of ``index``."""
+    letters = []
+    for _ in range(length):
+        index, d = divmod(index, 3)
+        letters.append(LETTERS[d])
+    return "".join(reversed(letters))
+
+
+def row_children(rows: Iterable[IntRow], gens: Iterable[IntMat] = MASS_SCALED) -> list[IntRow]:
+    """Every row stepped by every generator, row-major: child ``3*i + j`` of
+    a full family is row ``i`` stepped by letter ``j``.
+
+    For rows listed in lexicographic word order the children come out in
+    lexicographic word order too, so a whole tree level is one call.
+    ``gens`` may be any subfamily (the two letters of an edge, say); the
+    children then follow the order of ``gens``.
+    """
+    cols = [tuple(g[i][j] for j in range(3) for i in range(3)) for g in gens]
+    return [
+        (r0 * a + r1 * b + r2 * c, r0 * d + r1 * e + r2 * f, r0 * g + r1 * h + r2 * i)
+        for r0, r1, r2 in rows
+        for a, b, c, d, e, f, g, h, i in cols
+    ]
+
 
 _FAMILIES: Mapping[str, tuple[Mat3, Mat3, Mat3]] = {
     "mass": MASS_GENERATORS,

@@ -17,35 +17,39 @@ left-to-right edge monotonicity check, and the Laplacian rescaling factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import (
+    LETTERS,
+    MASS_DEN,
     MASS_SCALED,
     REFINE_DEN,
     REFINE_SCALED,
+    WORD_MAX_LEN,
+    IntRow,
     Vec3,
     Mat3,
     VertexAddress,
     check_word,
+    int_row,
+    lex_word,
     mat_mul,
     mat_scale,
-    mat_vec,
-    vec_dot,
-    vec_sum,
+    row_children,
+    row_step,
+    row_walk,
     word_matrix,
 )
 from .harmonic import Harmonic, measure_coeffs
 from .measures import (
-    KUSUOKA,
     MeasureCoeffs,
     children_triple,
     is_positive,
     measure_of_cell,
-    subtree_coeffs,
+    subtree_row,
 )
 
 #: Limit rows: row j annihilates exactly the measures whose derivative
@@ -73,16 +77,29 @@ RANK1_LIMITS: tuple[Mat3, Mat3, Mat3] = tuple(
     for j in range(3)
 )  # type: ignore[assignment]
 
+_LIMIT_INT = tuple(tuple(int(x) for x in row) for row in LIMIT_ROWS)
+
 # Pairing the limit row with a children triple equals (up to the factor 4
 # that cancels in the quotient) pairing the *subtree coefficients* with these
-# integer corner weights; they are 6x the (2/3, 1/6, 1/6) weight vector.
+# integer corner weights w_k; they are 6x the (2/3, 1/6, 1/6) weight vector.
+# Each scaled mass generator maps them to the same edge vector,
+# MASS_SCALED[j] . w_k == MASS_SCALED[k] . w_j == 9 (e_j + e_k) for j != k,
+# which is junction continuity in integers: the derivative at the midpoint
+# of edge {j, k} of a cell with subtree row r and Kusuoka row q is
+# (r_j + r_k) / (q_j + q_k), whichever child it is read from.
 _CORNER_WEIGHTS_INT = ((4, 1, 1), (1, 4, 1), (1, 1, 4))
 
-_CORNER_WEIGHTS: tuple[Vec3, Vec3, Vec3] = (
-    (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6)),
-    (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6)),
-    (Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)),
-)
+
+def _dot(u: IntRow, v: IntRow) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cell_rows(c: MeasureCoeffs, word: str) -> tuple[IntRow, IntRow]:
+    """Integer subtree rows of ``c`` and of the Kusuoka measure on one common
+    scale, so a ratio of two of their pairings is a derivative value."""
+    check_word(word)
+    start, den = int_row(c)
+    return row_walk(start, word), row_walk((den, den, den), word)
 
 
 def rn_derivative(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
@@ -101,19 +118,25 @@ def _derivative_raw(c: MeasureCoeffs, word: str, corner: int) -> Fraction:
     Junction vertices have two spellings; this does not canonicalize, so
     tests can confirm the two sides agree.
     """
-    row = LIMIT_ROWS[corner]
-    x = children_triple(c, word)
-    xi = children_triple(KUSUOKA, word)
-    return vec_dot(row, x) / vec_dot(row, xi)
+    lim = _LIMIT_INT[corner]
+    r, q = _cell_rows(c, word)
+    # both children triples up to one common factor: s + 2 r_j
+    s, t = sum(r), sum(q)
+    num = _dot(lim, (s + 2 * r[0], s + 2 * r[1], s + 2 * r[2]))
+    den = _dot(lim, (t + 2 * q[0], t + 2 * q[1], t + 2 * q[2]))
+    return Fraction(num, den)
 
 
 def rn_derivative_via_mass(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
-    """Independent route: transposed mass product against corner weights."""
+    """Second closed form: transposed mass product against corner weights.
+
+    It walks the same integer rows as ``rn_derivative`` and differs only in
+    the final pairing, so agreement checks the pairing, not the walk.
+    """
     v = vertex.canonical()
-    weights = _CORNER_WEIGHTS[v.corner]
-    num = vec_dot(subtree_coeffs(c, v.word), weights)
-    den = vec_dot(subtree_coeffs(KUSUOKA, v.word), weights)
-    return num / den
+    weights = _CORNER_WEIGHTS_INT[v.corner]
+    r, q = _cell_rows(c, v.word)
+    return Fraction(_dot(r, weights), _dot(q, weights))
 
 
 def basis_ratio(i: int, vertex: VertexAddress) -> Fraction:
@@ -173,16 +196,12 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     if letter not in (0, 1, 2):
         raise ValueError(f"letter must be 0, 1 or 2, got {letter!r}")
     check_word(word + str(letter) * depth)
-    r = subtree_coeffs(c, word)
-    m = MASS_SCALED[letter]
+    row, scale = subtree_row(c, word)
+    g = MASS_SCALED[letter]
     values = []
     for _ in range(depth + 1):
-        values.append(2 * vec_sum(r))
-        r = (
-            (r[0] * m[0][0] + r[1] * m[1][0] + r[2] * m[2][0]) / 15,
-            (r[0] * m[0][1] + r[1] * m[1][1] + r[2] * m[2][1]) / 15,
-            (r[0] * m[0][2] + r[1] * m[1][2] + r[2] * m[2][2]) / 15,
-        )
+        values.append(Fraction(2 * sum(row), scale))
+        row, scale = row_step(row, g), scale * MASS_DEN
     if len(values) >= 2 and values[-2] != 0:
         ratio = float(values[-1] / values[-2])
     else:
@@ -221,6 +240,17 @@ class ScanResult(NamedTuple):
     argmax: VertexAddress
 
 
+#: Tree levels a scan expands breadth-first, one ``row_children`` call per
+#: level, before it moves depth-first to the next block root.  A block holds
+#: at most 3**SCAN_BLOCK_LEVELS rows per level, so memory stays bounded by
+#: one block whatever the depth.
+SCAN_BLOCK_LEVELS = 5
+
+#: Edges {j, k} of a cell, j < k; the midpoint of edge {j, k} of cell ``w``
+#: has the canonical address ``w + j : k``.
+_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
 def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult:
     """Extrema of the derivative over the vertices strictly inside the
     addressed cell, down to ``depth`` levels of subdivision, with witnesses.
@@ -232,81 +262,55 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     integer rows; values are compared by cross-multiplication, so the whole
     scan is exact.  Witnesses are canonical addresses, ties broken
     lexicographically.
+
+    Every interior vertex down to ``depth`` is the midpoint of exactly one
+    edge of exactly one subcell less than ``depth`` levels down, so each is
+    evaluated once, as (r_j + r_k) / (q_j + q_k) from that subcell's rows
+    (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
+    Subcells are expanded in blocks of ``SCAN_BLOCK_LEVELS`` levels.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
     if depth < 1:
         raise ValueError("scan_extrema needs depth >= 1; the cell has no interior vertices at depth 0")
-    check_word(word)
-    den = math.lcm(*(x.denominator for x in c))
-    r0 = tuple(int(x * den) for x in c)
-    k0 = (den, den, den)  # same scale as r0 so the ratio is unchanged
-    for ch in word:
-        r0 = _row_step(r0, int(ch))
-        k0 = _row_step(k0, int(ch))
+    r0, q0 = _cell_rows(c, word)
 
-    # candidates carried as (numerator, positive denominator, canonical key)
-    best_min: Optional[tuple[int, int, tuple[str, int]]] = None
-    best_max: Optional[tuple[int, int, tuple[str, int]]] = None
-    base = len(word)
+    # running extrema as (numerator, positive denominator, canonical key),
+    # seeded with the midpoint of the cell's edge {0, 1}
+    lo_n = hi_n = r0[0] + r0[1]
+    lo_d = hi_d = q0[0] + q0[1]
+    lo_key = hi_key = (word + "0", 1)
 
-    stack = [(word, r0, k0, depth)]
+    stack = [(word, r0, q0, depth)]
     while stack:
-        w, r, k, budget = stack.pop()
-        u = w[base:]
-        for corner in (0, 1, 2):
-            if not u or u == str(corner) * len(u):
-                continue  # this spelling names a corner of the scanned cell
-            wt = _CORNER_WEIGHTS_INT[corner]
-            num = wt[0] * r[0] + wt[1] * r[1] + wt[2] * r[2]
-            dnm = wt[0] * k[0] + wt[1] * k[1] + wt[2] * k[2]
-            key: Optional[tuple[str, int]] = None
-            if best_min is None or _less(num, dnm, best_min[0], best_min[1]):
-                key = _addr_key(w, corner)
-                best_min = (num, dnm, key)
-            elif _equal(num, dnm, best_min[0], best_min[1]):
-                key = _addr_key(w, corner)
-                if key < best_min[2]:
-                    best_min = (num, dnm, key)
-            if best_max is None or _less(best_max[0], best_max[1], num, dnm):
-                key = key if key is not None else _addr_key(w, corner)
-                best_max = (num, dnm, key)
-            elif _equal(num, dnm, best_max[0], best_max[1]):
-                key = key if key is not None else _addr_key(w, corner)
-                if key < best_max[2]:
-                    best_max = (num, dnm, key)
-        if budget > 0:
-            for j in (2, 1, 0):
-                stack.append((w + str(j), _row_step(r, j), _row_step(k, j), budget - 1))
-    assert best_min is not None and best_max is not None
+        root, r, q, levels = stack.pop()
+        rs, qs = [r], [q]
+        span = (levels - 1) % SCAN_BLOCK_LEVELS + 1  # deeper blocks are full
+        for t in range(span):
+            for i, (ri, qi) in enumerate(zip(rs, qs)):
+                for j, k in _EDGES:
+                    num, dnm = ri[j] + ri[k], qi[j] + qi[k]
+                    a, b = num * lo_d, lo_n * dnm
+                    if a <= b:
+                        key = (root + lex_word(i, t) + LETTERS[j], k)
+                        if a < b or key < lo_key:
+                            lo_n, lo_d, lo_key = num, dnm, key
+                    a, b = num * hi_d, hi_n * dnm
+                    if a >= b:
+                        key = (root + lex_word(i, t) + LETTERS[j], k)
+                        if a > b or key < hi_key:
+                            hi_n, hi_d, hi_key = num, dnm, key
+            if t + 1 < levels:
+                rs, qs = row_children(rs), row_children(qs)
+        if levels > span:
+            for i in reversed(range(len(rs))):
+                stack.append((root + lex_word(i, span), rs[i], qs[i], levels - span))
     return ScanResult(
-        Fraction(best_min[0], best_min[1]),
-        Fraction(best_max[0], best_max[1]),
-        VertexAddress(*best_min[2]),
-        VertexAddress(*best_max[2]),
+        Fraction(lo_n, lo_d),
+        Fraction(hi_n, hi_d),
+        VertexAddress(*lo_key),
+        VertexAddress(*hi_key),
     )
-
-
-def _row_step(r: tuple[int, int, int], j: int) -> tuple[int, int, int]:
-    m = MASS_SCALED[j]
-    return (
-        r[0] * m[0][0] + r[1] * m[1][0] + r[2] * m[2][0],
-        r[0] * m[0][1] + r[1] * m[1][1] + r[2] * m[2][1],
-        r[0] * m[0][2] + r[1] * m[1][2] + r[2] * m[2][2],
-    )
-
-
-def _less(a_num: int, a_den: int, b_num: int, b_den: int) -> bool:
-    return a_num * b_den < b_num * a_den
-
-
-def _equal(a_num: int, a_den: int, b_num: int, b_den: int) -> bool:
-    return a_num * b_den == b_num * a_den
-
-
-def _addr_key(word: str, corner: int):
-    v = VertexAddress(word, corner).canonical()
-    return (v.word, v.corner)
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +328,31 @@ def edge_profile(
     Returns (position, value) pairs at the two endpoints and at every dyadic
     edge vertex p/2^n with n <= depth.  Position runs from 0 at the first
     edge corner to 1 at the second.
+
+    The subcells along the edge (words over the two edge letters) are walked
+    one level per ``row_children`` call, sharing every prefix; the vertex at
+    (2i+1)/2^n is the midpoint of the edge of the i-th subcell on level n-1.
     """
     j, k = edge
     if j == k or j not in (0, 1, 2) or k not in (0, 1, 2):
         raise ValueError(f"edge must name two distinct corners, got {edge!r}")
     check_word(word)
-    out = [
-        (Fraction(0), rn_derivative(c, VertexAddress(word, j))),
-        (Fraction(1), rn_derivative(c, VertexAddress(word, k))),
-    ]
+    if len(word) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
+        raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
+    grid = 1 << max(depth, 0)
+    out: list = [None] * (grid + 1)
+    out[0] = (Fraction(0), rn_derivative(c, VertexAddress(word, j)))
+    out[grid] = (Fraction(1), rn_derivative(c, VertexAddress(word, k)))
+    r, q = _cell_rows(c, word)
+    rs, qs = [r], [q]
+    gens = (MASS_SCALED[j], MASS_SCALED[k])
     for n in range(1, depth + 1):
-        # interior halving pattern: each bit sends the interval toward j or k
-        for bits in range(1 << (n - 1)):
-            u = "".join(str(k) if (bits >> (n - 2 - t)) & 1 else str(j) for t in range(n - 1))
-            pos = Fraction(2 * bits + 1, 1 << n)
-            vertex = VertexAddress(word + u + str(j), k)
-            out.append((pos, rn_derivative(c, vertex)))
-    out.sort(key=lambda item: item[0])
+        stride = grid >> n
+        for i, (r, q) in enumerate(zip(rs, qs)):
+            pos = (2 * i + 1) * stride
+            out[pos] = (Fraction(pos, grid), Fraction(r[j] + r[k], q[j] + q[k]))
+        if n < depth:
+            rs, qs = row_children(rs, gens), row_children(qs, gens)
     return out
 
 
@@ -371,8 +383,8 @@ def monotone_left_right(m: int) -> bool:
 # margin quantity along the bottom edge
 # ---------------------------------------------------------------------------
 
-_MARGIN_ROW: Vec3 = LIMIT_ROWS[2]
-_MARGIN_COL: Vec3 = (Fraction(1), Fraction(1), Fraction(3))
+_MARGIN_ROW: IntRow = _LIMIT_INT[2]
+_MARGIN_COL: IntRow = (1, 1, 3)
 
 
 def edge_margin(word: str) -> Fraction:
@@ -382,15 +394,8 @@ def edge_margin(word: str) -> Fraction:
     check_word(word)
     if "0" in word:
         raise ValueError("edge_margin is defined for words over letters {1,2} only")
-    row = _MARGIN_ROW
-    for ch in word:
-        g = REFINE_SCALED[int(ch)]
-        row = (
-            (row[0] * g[0][0] + row[1] * g[1][0] + row[2] * g[2][0]) / REFINE_DEN,
-            (row[0] * g[0][1] + row[1] * g[1][1] + row[2] * g[2][1]) / REFINE_DEN,
-            (row[0] * g[0][2] + row[1] * g[1][2] + row[2] * g[2][2]) / REFINE_DEN,
-        )
-    return vec_dot(row, _MARGIN_COL)
+    row = row_walk(_MARGIN_ROW, word, REFINE_SCALED)
+    return Fraction(_dot(row, _MARGIN_COL), REFINE_DEN ** len(word))
 
 
 def edge_margin_closed_form(m: int) -> Fraction:
@@ -427,15 +432,8 @@ def operator_norm_scan(m: int) -> Fraction:
                 best = norm
             continue
         for g in REFINE_SCALED:
-            stack.append((_imat_mul(mat, g), budget - 1))
+            stack.append((mat_mul(mat, g), budget - 1))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
-
-
-def _imat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3))
-        for i in range(3)
-    )
 
 
 def rank1_deviation(j: int, n: int) -> float:

@@ -110,15 +110,6 @@ def _apply_B_arrays(j: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     return c * u - s * v, s * u + c * v
 
 
-def b_to_polar(b: Sequence[float]) -> tuple[float, float]:
-    """Polar coordinates of a weight triple around the barycenter."""
-    return DiskPoint.from_b(b).to_polar()
-
-
-def polar_to_b(r: float, theta: float) -> tuple[float, float, float]:
-    return DiskPoint.from_polar(r, theta).to_b()
-
-
 # ---------------------------------------------------------------------------
 # circle restrictions
 # ---------------------------------------------------------------------------

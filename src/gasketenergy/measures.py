@@ -21,16 +21,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    MASS_SCALED,
+    MASS_DEN,
     REFINE_GENERATORS,
+    LETTERS,
+    IntRow,
     Vec3,
     check_word,
     format_rational,
+    int_row,
     mat_vec,
     parse_rational,
-    vec_dot,
+    row_children,
+    row_walk,
     vec_sum,
-    word_matrix,
 )
 
 MeasureCoeffs = Vec3
@@ -39,7 +42,9 @@ CellTriple = Vec3
 #: Coefficients of the Kusuoka measure (total mass 6).
 KUSUOKA: MeasureCoeffs = (Fraction(1), Fraction(1), Fraction(1))
 
-_LEVEL1_MASSES: Vec3 = (Fraction(2), Fraction(2), Fraction(2))
+_BASIS: tuple[MeasureCoeffs, ...] = tuple(
+    tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)  # type: ignore[misc]
+)
 
 
 def parse_coeffs(text: str) -> MeasureCoeffs:
@@ -62,9 +67,17 @@ def total_mass(c: MeasureCoeffs) -> Fraction:
 # cell evaluation
 # ---------------------------------------------------------------------------
 
+def subtree_row(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
+    """``subtree_coeffs`` as an integer row and its scale: ``(row, scale)``
+    with ``subtree_coeffs(c, word) == row / scale``."""
+    check_word(word)
+    row, den = int_row(c)
+    return row_walk(row, word), den * MASS_DEN ** len(word)
+
+
 def basis_masses(word: str) -> Vec3:
     """Masses the three corner measures give to the addressed cell."""
-    return mat_vec(word_matrix("mass", word), _LEVEL1_MASSES)
+    return tuple(measure_of_cell(e, word) for e in _BASIS)  # type: ignore[return-value]
 
 
 def subtree_coeffs(c: MeasureCoeffs, word: str) -> MeasureCoeffs:
@@ -73,26 +86,22 @@ def subtree_coeffs(c: MeasureCoeffs, word: str) -> MeasureCoeffs:
     The triple ``r`` with ``r . basis_masses(u) = measure_of_cell(c, word + u)``
     for every suffix ``u`` -- i.e. the transpose word product applied to ``c``.
     """
-    check_word(word)
-    r = c
-    for ch in word:
-        m = MASS_SCALED[int(ch)]
-        r = (
-            (r[0] * m[0][0] + r[1] * m[1][0] + r[2] * m[2][0]) / 15,
-            (r[0] * m[0][1] + r[1] * m[1][1] + r[2] * m[2][1]) / 15,
-            (r[0] * m[0][2] + r[1] * m[1][2] + r[2] * m[2][2]) / 15,
-        )
-    return r
+    row, scale = subtree_row(c, word)
+    return tuple(Fraction(x, scale) for x in row)  # type: ignore[return-value]
 
 
 def measure_of_cell(c: MeasureCoeffs, word: str) -> Fraction:
-    return vec_dot(c, basis_masses(word))
+    """Mass of the addressed cell: twice the sum of its subtree coefficients
+    (every basis measure gives the whole gasket mass 2)."""
+    row, scale = subtree_row(c, word)
+    return Fraction(2 * sum(row), scale)
 
 
 def children_triple(c: MeasureCoeffs, word: str) -> CellTriple:
     """Masses of the three children of the addressed cell (mass route)."""
-    r = subtree_coeffs(c, word)
-    return level1_from_coeffs(r)
+    row, scale = subtree_row(c, word)
+    s = sum(row)
+    return tuple(Fraction(2 * (s + 2 * x), 5 * scale) for x in row)  # type: ignore[return-value]
 
 
 def children_triple_via_refine(c: MeasureCoeffs, word: str) -> CellTriple:
@@ -163,28 +172,21 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     """
     if total_mass(c) < 0:
         return ""
-    den = math.lcm(*(x.denominator for x in c))
-    start = tuple(int(x * den) for x in c)
-    # rows carry integer numerators of subtree_coeffs, scaled by den*15^depth
-    frontier: list[tuple[str, tuple[int, int, int]]] = [("", start)]
+    start, _ = int_row(c)
+    # rows carry integer numerators of subtree_coeffs, scaled by den*15^depth;
+    # each level is expanded in one call, so children come in word order
+    words, rows = [""], [start]
     for _ in range(max_depth):
-        next_frontier: list[tuple[str, tuple[int, int, int]]] = []
-        for word, r in frontier:
-            for j in (0, 1, 2):
-                m = MASS_SCALED[j]
-                rj = (
-                    r[0] * m[0][0] + r[1] * m[1][0] + r[2] * m[2][0],
-                    r[0] * m[0][1] + r[1] * m[1][1] + r[2] * m[2][1],
-                    r[0] * m[0][2] + r[1] * m[1][2] + r[2] * m[2][2],
-                )
-                mass = rj[0] + rj[1] + rj[2]
-                if mass < 0:
-                    return word + str(j)
-                if rj[0] * rj[1] + rj[1] * rj[2] + rj[0] * rj[2] >= 0:
-                    continue  # positive inside: nothing negative below
-                next_frontier.append((word + str(j), rj))
-        frontier = next_frontier
-        if not frontier:
+        next_words, next_rows = [], []
+        for i, r in enumerate(row_children(rows)):
+            if r[0] + r[1] + r[2] < 0:
+                return words[i // 3] + LETTERS[i % 3]
+            if r[0] * r[1] + r[1] * r[2] + r[0] * r[2] >= 0:
+                continue  # positive inside: nothing negative below
+            next_words.append(words[i // 3] + LETTERS[i % 3])
+            next_rows.append(r)
+        words, rows = next_words, next_rows
+        if not rows:
             return None
     return None
 

@@ -117,3 +117,12 @@ def test_enumeration_is_lexicographic_and_complete():
 def test_enumeration_rejects_negative_depth():
     with pytest.raises(ValueError):
         list(enumerate_bvectors(-1))
+
+
+def test_three_routes_agree_on_a_64_letter_word():
+    """The Kusuoka route reads the child masses of the cell itself, so a
+    word at the length cap needs no 65-letter child word."""
+    word = ("0121102201" * 7)[:64]
+    b = b_from_mass(word)
+    assert b == b_from_word(word) == b_from_kusuoka(word)
+    assert sum(b) == 1

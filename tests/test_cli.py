@@ -148,3 +148,34 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def test_bvector_accepts_a_64_letter_word(capsys):
+    word = ("2011021" * 10)[:64]
+    code, out, err = run(capsys, "bvector", "--word", word)
+    assert code == 0, err
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge-profile", "--coeffs", "1,0,0", "--depth", "40"],
+    ["edge-profile", "--coeffs", "1,0,0", "--depth", "17"],
+    ["edge-profile", "--coeffs", "1,0,0", "--depth", "0"],
+    ["edge-profile", "--coeffs", "1,0,0", "--depth", "-3"],
+    ["edge-profile", "--coeffs", "1,0,0", "--word", "0" * 60, "--depth", "5"],
+    ["bvector", "--level", "13"],
+    ["bvector", "--level", "40"],
+    ["bvector", "--level", "-1"],
+])
+def test_size_arguments_are_bounded_before_any_work(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_size_bounds_are_inclusive(capsys):
+    code, out, _ = run(capsys, "edge-profile", "--coeffs", "1,0,0", "--word", "0" * 59, "--depth", "5")
+    assert code == 0 and len(out.splitlines()) == 2**5 + 2
+    code, out, _ = run(capsys, "bvector", "--level", "0")
+    assert code == 0 and out.splitlines()[1].startswith(",1/3,1/3,1/3,")

@@ -1,0 +1,48 @@
+"""CLI stdout, byte for byte, against outputs captured before the integer
+row kernel replaced the ``Fraction`` word products.
+
+Each ``tests/golden/<name>.out`` holds the stdout of ``gasketenergy`` on the
+argv listed under ``<name>`` below.  The set mirrors the README commands at
+small sizes; to extend it, add a case and write its file from a checkout
+whose output is trusted.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gasketenergy.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "measure_whole": ["measure", "--coeffs", "1,1,1", "--word", ""],
+    "measure_0": ["measure", "--coeffs", "1,0,0", "--word", "0"],
+    "measure_00": ["measure", "--coeffs", "1,1,1", "--word", "00"],
+    "measure_signed_long": ["measure", "--coeffs=-3/4,5/2,1/3", "--word", "0120210122101201"],
+    "derivative_corner": ["derivative", "--coeffs", "1,0,0", "--vertex", ":0"],
+    "derivative_midpoint": ["derivative", "--coeffs", "1,0,0", "--vertex", "1:2"],
+    "derivative_signed_long": ["derivative", "--coeffs=2/3,-1,7/5", "--vertex", "21001220120:1"],
+    "bvector_01": ["bvector", "--word", "01"],
+    "bvector_long": ["bvector", "--word", "0122011020121102"],
+    "bvector_level3": ["bvector", "--level", "3"],
+    "edge_profile_depth6": ["edge-profile", "--coeffs", "1,0,0", "--depth", "6"],
+    "edge_profile_word_edge": ["edge-profile", "--coeffs", "3,1/2,-1", "--word", "02",
+                               "--edge", "2,0", "--depth", "5"],
+    "verify_core": ["verify", "--suite", "core", "--max-depth", "3"],
+    "verify_measures": ["verify", "--suite", "measures", "--max-depth", "2"],
+    "verify_derivatives": ["verify", "--suite", "derivatives", "--max-depth", "2"],
+    "verify_bvectors": ["verify", "--suite", "bvectors", "--max-depth", "2"],
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
