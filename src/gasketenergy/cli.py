@@ -244,19 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = ifs_sub.add_parser("angular", help="angular distribution of the level-m weight cloud")
     q.add_argument("--level", type=int, default=11, help="enumeration depth m")
-    q.add_argument("--slices", type=int, default=100, help="number of angular bins")
+    q.add_argument("--slices", type=int, default=100,
+                   help=f"number of angular bins (1..{dy.BINS_MAX})")
     q.add_argument("--arc", choices=["full", "third", "sixth"], default="third",
                    help="reporting arc; points are folded in by the rotation symmetry")
     _common_ifs_flags(q)
 
     q = ifs_sub.add_parser("radial", help="radial distribution of the level-m weight cloud")
     q.add_argument("--level", type=int, default=11, help="enumeration depth m")
-    q.add_argument("--bins", type=int, default=300, help="number of radial bins")
+    q.add_argument("--bins", type=int, default=300,
+                   help=f"number of radial bins (1..{dy.BINS_MAX})")
     _common_ifs_flags(q)
 
     q = ifs_sub.add_parser("orbit", help="boundary-circle orbit histogram")
     q.add_argument("--iters", type=int, default=14, help="number of map iterations")
-    q.add_argument("--bins", type=int, default=800, help="number of angular bins")
+    q.add_argument("--bins", type=int, default=800,
+                   help=f"number of angular bins (1..{dy.BINS_MAX})")
     q.add_argument("--arc", choices=["full", "third", "sixth"], default="sixth",
                    help="reporting arc; points are folded in by the symmetries")
     _common_ifs_flags(q)
@@ -270,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_ifs_flags(q: argparse.ArgumentParser) -> None:
-    q.add_argument("--jobs", type=int, default=1, help="worker processes for the enumeration")
+    q.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at least 1; capped at the CPU count)")
     q.add_argument("--format", choices=["csv", "svg"], default="csv")
     q.add_argument("--output", default=None, help="write to this path instead of stdout")
     q.set_defaults(func=cmd_ifs)

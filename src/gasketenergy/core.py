@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 
@@ -59,10 +58,6 @@ def format_rational(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # vectors and matrices (plain tuples; row-major)
 # ---------------------------------------------------------------------------
-
-def vec3(a, b, c) -> Vec3:
-    return (Fraction(a), Fraction(b), Fraction(c))
-
 
 def mat3(rows: Iterable[Iterable]) -> Mat3:
     out = tuple(tuple(Fraction(x) for x in row) for row in rows)

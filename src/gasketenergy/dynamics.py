@@ -20,7 +20,9 @@ tests pin these floats against it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -83,31 +85,58 @@ class DiskPoint(NamedTuple):
         return math.hypot(self.x, self.y)
 
 
-def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
-    """Image of a disk point under the letter-j subdivision map.
-
-    Rejects points beyond the closed disk by more than 1e-9.
-    """
+def _check_letter(j: int) -> None:
     if j not in (0, 1, 2):
         raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
-    x, y = float(p[0]), float(p[1])
-    if x * x + y * y > 1.0 + 1e-9:
-        raise ValueError("point outside the closed disk")
-    c, s = _COS_ROT[j], _SIN_ROT[j]
-    # rotate the letter's axis onto the x-axis, apply the letter-0 map, rotate back
-    u, v = c * x + s * y, -s * x + c * y
-    den = 4.0 * u + 5.0
-    u, v = (5.0 * u + 4.0) / den, 3.0 * v / den
-    return DiskPoint(c * u - s * v, s * u + c * v)
 
 
 def _apply_B_arrays(j: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The letter-j disk map, elementwise (plain floats work too): rotate the
+    letter's axis onto the x-axis, apply the letter-0 map, rotate back."""
     c, s = _COS_ROT[j], _SIN_ROT[j]
     u = c * x + s * y
     v = -s * x + c * y
     den = 4.0 * u + 5.0
     u, v = (5.0 * u + 4.0) / den, 3.0 * v / den
     return c * u - s * v, s * u + c * v
+
+
+def _wrap_array(t: np.ndarray) -> np.ndarray:
+    """Elementwise ``_wrap``, exact for |t| < 3pi (one turn is added or taken away)."""
+    t = t - TWO_PI * (t > math.pi)
+    return t + TWO_PI * (t <= -math.pi)
+
+
+def _circle_map_array(j: int, theta: np.ndarray) -> np.ndarray:
+    """The letter-j circle map, elementwise, not wrapped to (-pi, pi].
+
+    The letter-0 form is 2*atan((1/3)tan(t/2)), written with atan2 so the odd
+    2pi-periodic continuation through pi is automatic; the other letters
+    conjugate by +-(2pi/3).  The shifted angle t is reduced to (-pi, pi] first,
+    exactly for |theta| < 7pi/3 (every output of this map), else up to rounding.
+    """
+    h = _wrap_array(theta - _ROT[j]) / 2.0
+    g = 2.0 * np.arctan2(np.sin(h), 3.0 * np.cos(h))
+    return g + _ROT[j]
+
+
+def _circle_map_inverse_array(j: int, alpha: np.ndarray) -> np.ndarray:
+    """Inverse of ``_circle_map_array``: the letter-0 form is 2*atan(3*tan(t/2))."""
+    h = _wrap_array(alpha - _ROT[j]) / 2.0
+    g = 2.0 * np.arctan2(3.0 * np.sin(h), np.cos(h))
+    return g + _ROT[j]
+
+
+def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
+    """Image of a disk point under the letter-j subdivision map.
+
+    Rejects points beyond the closed disk by more than 1e-9.
+    """
+    _check_letter(j)
+    x, y = float(p[0]), float(p[1])
+    if x * x + y * y > 1.0 + 1e-9:
+        raise ValueError("point outside the closed disk")
+    return DiskPoint(*_apply_B_arrays(j, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +150,21 @@ def _wrap(t: float) -> float:
 
 
 def circle_map(j: int, theta: float) -> float:
-    """Boundary restriction of the letter-j map, as an angle in (-pi, pi].
-
-    The letter-0 form is 2*atan((1/3)tan(theta/2)), written with atan2 so the
-    odd 2pi-periodic continuation through pi is automatic; the other letters
-    conjugate by +-(2pi/3).
-    """
-    if j not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
-    t = _wrap(theta - _ROT[j])
-    g = 2.0 * math.atan2(math.sin(t / 2.0), 3.0 * math.cos(t / 2.0))
-    return _wrap(g + _ROT[j])
+    """Boundary restriction of the letter-j map, as an angle in (-pi, pi]."""
+    _check_letter(j)
+    return _wrap(float(_circle_map_array(j, theta)))
 
 
 def circle_map_inverse(j: int, alpha: float) -> float:
-    """Inverse boundary map: the letter-0 form is 2*atan(3*tan(alpha/2))."""
-    if j not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
-    t = _wrap(alpha - _ROT[j])
-    g = 2.0 * math.atan2(3.0 * math.sin(t / 2.0), math.cos(t / 2.0))
-    return _wrap(g + _ROT[j])
+    """Inverse boundary map, as an angle in (-pi, pi]."""
+    _check_letter(j)
+    return _wrap(float(_circle_map_inverse_array(j, alpha)))
 
 
 def circle_map_deriv(j: int, theta: float) -> float:
     """Derivative of the boundary map: 3/(5 + 4cos(theta - offset)); positive."""
-    if j not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
+    _check_letter(j)
     return 3.0 / (5.0 + 4.0 * math.cos(theta - _ROT[j]))
-
-
-def _circle_map_array(j: int, theta: np.ndarray) -> np.ndarray:
-    t = theta - _ROT[j]
-    g = 2.0 * np.arctan2(np.sin(t / 2.0), 3.0 * np.cos(t / 2.0))
-    return g + _ROT[j]
 
 
 def gamma_residual(r: float, theta: float, j: int) -> float:
@@ -201,45 +212,72 @@ def triangle_check(p: Sequence[float]) -> TriangleReport:
 # ---------------------------------------------------------------------------
 
 LEVEL_LIMIT = 16
+#: Largest bin (or slice) count any histogram accepts.
+BINS_MAX = 100_000
+#: Each counting task takes a block of ``_BLOCK_POINTS`` contiguous frontier
+#: points through the last ``_TASK_LEVELS`` levels (27 * 3^8 = 3^11 leaves).
+_TASK_LEVELS = 8
+_BLOCK_POINTS = 27
+#: The barycenter, and the level-1 point of the word "0" where the subtree-0
+#: cloud of the histograms starts; one row per coordinate.
+_ORIGIN = np.zeros((2, 1))
+_SUBTREE0 = np.array(_apply_B_arrays(0, *_ORIGIN))
+
+
+def _check_level(name: str, m: int) -> None:
+    if m < 0 or m > LEVEL_LIMIT:
+        raise ValueError(f"{name} must be between 0 and {LEVEL_LIMIT}")
+
+
+def _descend(step, state: np.ndarray, levels: int) -> np.ndarray:
+    """All images of the points (one row per coordinate) under the words of the
+    given length, by the kernel ``step(j, *rows)``; children in word order."""
+    for _ in range(levels):
+        children = [np.reshape(step(j, *state), state.shape) for j in (0, 1, 2)]
+        state = np.stack(children, axis=-1).reshape(len(state), -1)
+    return state
+
+
+def _blocks(step, state: np.ndarray, levels: int) -> list:
+    """Descend all but the last ``_TASK_LEVELS`` levels once and cut the frontier
+    into contiguous blocks, each with the levels left; an empty frontier still
+    gives one (empty) block, so counts keep their length."""
+    top = max(levels - _TASK_LEVELS, 0)
+    state = _descend(step, state, top)
+    size = max(state.shape[1], 1)
+    return [(step, state[:, i:i + _BLOCK_POINTS], levels - top)
+            for i in range(0, size, _BLOCK_POINTS)]
 
 
 def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     """All 3^m level-m weight triples, floats, in lexicographic word order."""
-    if m < 0 or m > LEVEL_LIMIT:
-        raise ValueError(f"level must be between 0 and {LEVEL_LIMIT}")
-
-    def step(b: tuple[float, float, float], j: int) -> tuple[float, float, float]:
-        k, l = (j + 1) % 3, (j + 2) % 3
-        den = 12.0 * b[j] + 1.0
-        out = [0.0, 0.0, 0.0]
-        out[j] = 9.0 * b[j] / den
-        out[k] = (2.0 * b[j] + 2.0 * b[k] - b[l]) / den
-        out[l] = (2.0 * b[j] - b[k] + 2.0 * b[l]) / den
-        return (out[0], out[1], out[2])
-
-    def walk(b: tuple[float, float, float], depth: int) -> Iterator[tuple[float, float, float]]:
-        if depth == 0:
-            yield b
-            return
-        for j in (0, 1, 2):
-            yield from walk(step(b, j), depth - 1)
-
-    yield from walk((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), m)
+    _check_level("level", m)
+    for step, block, levels in _blocks(_apply_B_arrays, _ORIGIN, m):
+        x, y = _descend(step, block, levels)
+        for p in zip(x.tolist(), y.tolist()):
+            yield DiskPoint(*p).to_b()
 
 
-def _descend(x: np.ndarray, y: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Apply all words of the given length to a cloud, children in letter order."""
-    for _ in range(levels):
-        parts = [_apply_B_arrays(j, x, y) for j in (0, 1, 2)]
-        x = np.stack([px for px, _ in parts], axis=1).reshape(-1)
-        y = np.stack([py for _, py in parts], axis=1).reshape(-1)
-    return x, y
+def _worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes worth starting: no more than the tasks or the CPUs."""
+    return min(jobs, tasks, cpus or 1)
 
 
-def _subtree0_cloud(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-disk cloud of the 3^(m-1) level-m words starting with letter 0."""
-    x0, y0 = _apply_B_arrays(0, np.zeros(1), np.zeros(1))
-    return _descend(x0, y0, m - 1)
+def _count_block(count, task) -> np.ndarray:
+    step, block, levels = task
+    return count(*_descend(step, block, levels))
+
+
+def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray:
+    """``count(*leaves)`` summed over the blocks.  Each point runs the same
+    elementwise float chain whatever the blocks or workers, so neither
+    changes the counts."""
+    tasks = _blocks(step, state, levels)
+    workers = _worker_count(jobs, len(tasks), os.cpu_count())
+    if workers == 1:
+        return sum(map(partial(_count_block, count), tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(partial(_count_block, count), tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +316,14 @@ def _check_arc(arc: str) -> float:
     return _ARC_SPANS[arc]
 
 
+def _check_sizes(level_name: str, m: int, name: str, bins: int, jobs: int) -> None:
+    _check_level(level_name, m)
+    if bins < 1 or bins > BINS_MAX:
+        raise ValueError(f"{name} must be between 1 and {BINS_MAX}, got {bins}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _bin_counts(t: np.ndarray, span: float, bins: int) -> np.ndarray:
     idx = np.floor(t * (bins / span)).astype(np.int64)
     np.clip(idx, 0, bins - 1, out=idx)
@@ -293,6 +339,21 @@ def _fold_angles(theta: np.ndarray, arc: str) -> np.ndarray:
     if arc == "sixth":
         t = np.minimum(t, THIRD_TURN - t)
     return t
+
+
+def _arc_counts(theta: np.ndarray, arc: str, bins: int) -> np.ndarray:
+    return _bin_counts(_fold_angles(theta, arc), _ARC_SPANS[arc], bins)
+
+
+def _angular_counts(x: np.ndarray, y: np.ndarray, arc: str, slices: int) -> np.ndarray:
+    theta = np.arctan2(y, x)
+    if arc == "full" and slices % 3:
+        return sum(_arc_counts(theta + rot, arc, slices) for rot in _ROT)
+    return _arc_counts(theta, arc, slices)
+
+
+def _radial_counts(x: np.ndarray, y: np.ndarray, bins: int) -> np.ndarray:
+    return _bin_counts(np.hypot(x, y) * DISK_RADIUS_B, DISK_RADIUS_B, bins)
 
 
 def _edges(span: float, bins: int) -> tuple[float, ...]:
@@ -311,28 +372,17 @@ def angular_histogram(m: int, slices: int = 100, arc: str = "third", jobs: int =
     rotated copies are binned directly.
     """
     span = _check_arc(arc)
-    if slices < 1:
-        raise ValueError("slices must be positive")
-    if m < 0 or m > LEVEL_LIMIT:
-        raise ValueError(f"level must be between 0 and {LEVEL_LIMIT}")
-    if m == 0:
-        counts = np.zeros(slices, dtype=np.int64)
-        counts[0] = 1  # the barycenter sits at angle 0
-        return Histogram(_edges(span, slices), tuple(int(c) for c in counts), NORM_MEAN_ONE)
-
-    x, y = _cloud_for(m, jobs)
-    theta = np.arctan2(y, x)
-    if arc == "full" and slices % 3 == 0:
-        sub = _bin_counts(np.mod(theta, TWO_PI), span, slices)
+    _check_sizes("level", m, "slices", slices, jobs)
+    if m == 0:  # the barycenter alone, at angle 0
+        return Histogram(_edges(span, slices), (1,) + (0,) * (slices - 1), NORM_MEAN_ONE)
+    count = partial(_angular_counts, arc=arc, slices=slices)
+    counts = _count(_apply_B_arrays, _SUBTREE0, m - 1, count, jobs)
+    if arc != "full":
+        counts = 3 * counts
+    elif slices % 3 == 0:
         k = slices // 3
-        counts = sub + np.roll(sub, k) + np.roll(sub, 2 * k)
-    elif arc == "full":
-        counts = sum(
-            _bin_counts(np.mod(theta + rot, TWO_PI), span, slices) for rot in _ROT
-        )
-    else:
-        counts = 3 * _bin_counts(_fold_angles(theta, arc), span, slices)
-    return Histogram(_edges(span, slices), tuple(int(c) for c in counts), NORM_MEAN_ONE)
+        counts = counts + np.roll(counts, k) + np.roll(counts, 2 * k)
+    return Histogram(_edges(span, slices), tuple(counts.tolist()), NORM_MEAN_ONE)
 
 
 def radial_histogram(m: int, bins: int = 300, jobs: int = 1) -> Histogram:
@@ -341,18 +391,12 @@ def radial_histogram(m: int, bins: int = 300, jobs: int = 1) -> Histogram:
     Values are reported as ratios of the total count.  Radii are rotation
     invariant, so the subtree-0 counts are simply tripled.
     """
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    if m < 0 or m > LEVEL_LIMIT:
-        raise ValueError(f"level must be between 0 and {LEVEL_LIMIT}")
-    if m == 0:
-        counts = np.zeros(bins, dtype=np.int64)
-        counts[0] = 1
-        return Histogram(_edges(DISK_RADIUS_B, bins), tuple(int(c) for c in counts), NORM_RATIO)
-    x, y = _cloud_for(m, jobs)
-    r = np.hypot(x, y) * DISK_RADIUS_B
-    counts = 3 * _bin_counts(r, DISK_RADIUS_B, bins)
-    return Histogram(_edges(DISK_RADIUS_B, bins), tuple(int(c) for c in counts), NORM_RATIO)
+    _check_sizes("level", m, "bins", bins, jobs)
+    if m == 0:  # the barycenter alone, at radius 0
+        return Histogram(_edges(DISK_RADIUS_B, bins), (1,) + (0,) * (bins - 1), NORM_RATIO)
+    count = partial(_radial_counts, bins=bins)
+    counts = 3 * _count(_apply_B_arrays, _SUBTREE0, m - 1, count, jobs)
+    return Histogram(_edges(DISK_RADIUS_B, bins), tuple(counts.tolist()), NORM_RATIO)
 
 
 def boundary_orbit_histogram(
@@ -371,63 +415,15 @@ def boundary_orbit_histogram(
     circle lands in the report.
     """
     span = _check_arc(arc)
-    if iters < 0 or iters > LEVEL_LIMIT:
-        raise ValueError(f"iters must be between 0 and {LEVEL_LIMIT}")
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    _check_sizes("iters", iters, "bins", bins, jobs)
     angles = []
     for sx, sy in seeds:
         if abs(sx * sx + sy * sy - 1.0) > 1e-9:
             raise ValueError(f"seed ({sx}, {sy}) is not on the boundary circle")
         angles.append(math.atan2(sy, sx))
-
-    if jobs > 1 and iters >= 1:
-        tasks = [(a, j, iters - 1, bins, arc) for a in angles for j in (0, 1, 2)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_orbit_partial, tasks))
-        counts = np.sum(partials, axis=0)
-    else:
-        counts = np.zeros(bins, dtype=np.int64)
-        for a in angles:
-            theta = np.array([a])
-            for _ in range(iters):
-                theta = np.concatenate([_circle_map_array(j, theta) for j in (0, 1, 2)])
-            counts += _bin_counts(_fold_angles(theta, arc), span, bins)
-    return Histogram(_edges(span, bins), tuple(int(c) for c in counts), NORM_MEAN_ONE)
-
-
-def _orbit_partial(task: tuple[float, int, int, int, str]) -> np.ndarray:
-    seed_angle, first, depth, bins, arc = task
-    theta = _circle_map_array(first, np.array([seed_angle]))
-    for _ in range(depth):
-        theta = np.concatenate([_circle_map_array(j, theta) for j in (0, 1, 2)])
-    return _bin_counts(_fold_angles(theta, arc), _ARC_SPANS[arc], bins)
-
-
-def _cloud_for(m: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subtree-0 cloud, optionally built by parallel sub-subtrees.
-
-    The per-point float values do not depend on the partitioning - each
-    point runs the same operation chain - so any job count gives identical
-    histograms.
-    """
-    if jobs > 1 and m >= 3:
-        tasks = [(w, m) for w in ("00", "01", "02")]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_cloud_partial, tasks))
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-    return _subtree0_cloud(m)
-
-
-def _cloud_partial(task: tuple[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    prefix, m = task
-    x, y = np.zeros(1), np.zeros(1)
-    for ch in prefix:
-        x, y = _apply_B_arrays(int(ch), x, y)
-    return _descend(x, y, m - len(prefix))
+    count = partial(_arc_counts, arc=arc, bins=bins)
+    counts = _count(_circle_map_array, np.array([angles], dtype=float), iters, count, jobs)
+    return Histogram(_edges(span, bins), tuple(counts.tolist()), NORM_MEAN_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +450,7 @@ def invariant_density_residual(values: Sequence[float]) -> float:
     fp = np.concatenate([f, f[:1]])
     image = np.zeros(n)
     for j in (0, 1, 2):
-        t = grid - _ROT[j]
-        pre = 2.0 * np.arctan2(3.0 * np.sin(t / 2.0), np.cos(t / 2.0)) + _ROT[j]
+        pre = _circle_map_inverse_array(j, grid)
         weight = 3.0 / (5.0 - 4.0 * np.cos(grid - _ROT[j]))
         image += np.interp(np.mod(pre, TWO_PI), xp, fp) * weight
     image /= 3.0

@@ -475,17 +475,10 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
     bad = None
     for w in words:
         exact = tuple(float(t) for t in bv.b_from_mass(w))
-        approx = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+        p = dy.DiskPoint(0.0, 0.0)
         for ch in w:
-            j = int(ch)
-            k2, l2 = (j + 1) % 3, (j + 2) % 3
-            den = 12.0 * approx[j] + 1.0
-            nxt = [0.0, 0.0, 0.0]
-            nxt[j] = 9.0 * approx[j] / den
-            nxt[k2] = (2.0 * approx[j] + 2.0 * approx[k2] - approx[l2]) / den
-            nxt[l2] = (2.0 * approx[j] - approx[k2] + 2.0 * approx[l2]) / den
-            approx = (nxt[0], nxt[1], nxt[2])
-        if max(abs(a - e) for a, e in zip(approx, exact)) > 1e-10:
+            p = dy.apply_B(int(ch), p)
+        if max(abs(a - e) for a, e in zip(p.to_b(), exact)) > 1e-10:
             bad = w
     yield ("dynamics.float-exact-agreement", bad is None,
            f"float recursion tracks exact weights at level {level} (100 words)"

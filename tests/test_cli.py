@@ -2,6 +2,7 @@
 
 import pytest
 
+from gasketenergy import dynamics as dy
 from gasketenergy.cli import main
 
 
@@ -166,8 +167,19 @@ def test_bvector_accepts_a_64_letter_word(capsys):
     ["bvector", "--level", "13"],
     ["bvector", "--level", "40"],
     ["bvector", "--level", "-1"],
+    ["ifs", "angular", "--slices", "10000000000"],
+    ["ifs", "angular", "--level", "0", "--slices", "0"],
+    ["ifs", "radial", "--bins", "100001"],
+    ["ifs", "orbit", "--bins", "10000000000"],
+    ["ifs", "angular", "--jobs", "0"],
+    ["ifs", "radial", "--level", "0", "--jobs", "-1"],
+    ["ifs", "orbit", "--jobs", "0"],
 ])
-def test_size_arguments_are_bounded_before_any_work(capsys, argv):
+def test_size_arguments_are_bounded_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("a histogram descended before its bounds were checked")
+
+    monkeypatch.setattr(dy, "_descend", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -179,3 +191,5 @@ def test_size_bounds_are_inclusive(capsys):
     assert code == 0 and len(out.splitlines()) == 2**5 + 2
     code, out, _ = run(capsys, "bvector", "--level", "0")
     assert code == 0 and out.splitlines()[1].startswith(",1/3,1/3,1/3,")
+    code, out, _ = run(capsys, "ifs", "radial", "--level", "1", "--bins", "100000")
+    assert code == 0 and len(out.splitlines()) == 100000 + 1

@@ -221,3 +221,38 @@ def test_residual_rejects_bad_input():
 def test_density_from_angular_requires_circular_arc():
     with pytest.raises(ValueError):
         dy.density_from_angular(dy.angular_histogram(3, slices=10, arc="sixth"))
+
+
+def _histogram_counts(jobs):
+    """Counts of every histogram shape whose code paths differ, plus the
+    enumerated level cloud."""
+    out = [dy.angular_histogram(11, slices=s, arc=arc, jobs=jobs).counts
+           for arc in ("full", "third", "sixth") for s in (30, 31)]
+    out.append(dy.radial_histogram(11, bins=40, jobs=jobs).counts)
+    out += [dy.boundary_orbit_histogram(iters=10, bins=50, arc=arc, jobs=jobs).counts
+            for arc in ("full", "third", "sixth")]
+    out.append(list(dy.enumerate_level(5)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_counts():
+    return _histogram_counts(jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("task_levels, block", [(8, 1), (8, 3), (8, 10**9), (6, 2)])
+def test_counts_do_not_depend_on_the_blocks(monkeypatch, default_counts, jobs, task_levels, block):
+    """With 8 task levels the level-11 and orbit-10 frontiers hold 9 and 27
+    points, so blocks of 1 and 3 split them and 10^9 takes each whole."""
+    monkeypatch.setattr(dy, "_TASK_LEVELS", task_levels)
+    monkeypatch.setattr(dy, "_BLOCK_POINTS", block)
+    assert _histogram_counts(jobs) == default_counts
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus():
+    assert dy._worker_count(1, 27, 8) == 1
+    assert dy._worker_count(2, 27, 8) == 2
+    assert dy._worker_count(10**9, 27, 8) == 8
+    assert dy._worker_count(10**9, 3, 8) == 3
+    assert dy._worker_count(4, 27, None) == 1

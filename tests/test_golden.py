@@ -1,5 +1,7 @@
-"""CLI stdout, byte for byte, against outputs captured before the integer
-row kernel replaced the ``Fraction`` word products.
+"""CLI stdout, byte for byte, against outputs captured before a refactor:
+the exact commands before the integer row kernel replaced the ``Fraction``
+word products, the ``ifs`` and dynamics ``verify`` commands before every
+histogram moved onto one chunked counter.
 
 Each ``tests/golden/<name>.out`` holds the stdout of ``gasketenergy`` on the
 argv listed under ``<name>`` below.  The set mirrors the README commands at
@@ -33,6 +35,12 @@ CASES = {
     "verify_measures": ["verify", "--suite", "measures", "--max-depth", "2"],
     "verify_derivatives": ["verify", "--suite", "derivatives", "--max-depth", "2"],
     "verify_bvectors": ["verify", "--suite", "bvectors", "--max-depth", "2"],
+    "ifs_angular_full99": ["ifs", "angular", "--level", "7", "--arc", "full", "--slices", "99"],
+    "ifs_angular_svg": ["ifs", "angular", "--level", "6", "--slices", "10", "--format", "svg"],
+    "ifs_radial_level6": ["ifs", "radial", "--level", "6", "--bins", "20"],
+    "ifs_orbit_jobs2": ["ifs", "orbit", "--iters", "6", "--bins", "50", "--arc", "sixth",
+                        "--jobs", "2"],
+    "verify_dynamics": ["verify", "--suite", "dynamics", "--max-depth", "2"],
 }
 
 
