@@ -110,10 +110,6 @@ MASS_GENERATORS: tuple[Mat3, Mat3, Mat3] = (
     _over(15, ((2, -1, 2), (-1, 2, 2), (0, 0, 9))),
 )
 
-#: Eigenvalues shared by every refine generator, largest-to-smallest rate of
-#: appearance in mass decay: 1/15 (uniform part), 3/5 (dominant), 1/5.
-REFINE_EIGENVALUES: Vec3 = (Fraction(1, 15), Fraction(3, 5), Fraction(1, 5))
-
 _REFINE_DIAG: Mat3 = mat3(
     ((Fraction(1, 15), 0, 0), (0, Fraction(3, 5), 0), (0, 0, Fraction(1, 5)))
 )
@@ -246,8 +242,6 @@ _FAMILIES: Mapping[str, tuple[Mat3, Mat3, Mat3]] = {
     "refine": REFINE_GENERATORS,
 }
 
-_FAMILY_ALIASES = {"m": "mass", "mass": "mass", "e": "refine", "refine": "refine"}
-
 
 def check_word(word: str) -> str:
     """Validate an address word: characters in '012', length at most 64."""
@@ -261,13 +255,6 @@ def check_word(word: str) -> str:
     return word
 
 
-def family_generators(family: str) -> tuple[Mat3, Mat3, Mat3]:
-    key = _FAMILY_ALIASES.get(str(family).lower())
-    if key is None:
-        raise ValueError(f"unknown matrix family {family!r} (use 'mass' or 'refine')")
-    return _FAMILIES[key]
-
-
 def word_matrix(family: str, word: str) -> Mat3:
     """Left-to-right product of the family's generators along ``word``.
 
@@ -276,8 +263,10 @@ def word_matrix(family: str, word: str) -> Mat3:
     which end of the word acts first on cells is a question for the callers
     that attach geometric meaning to each family.
     """
-    gens = family_generators(family)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown matrix family {family!r} (use 'mass' or 'refine')")
     check_word(word)
+    gens = _FAMILIES[family]
     out = MAT_IDENTITY
     for ch in word:
         out = mat_mul(out, gens[int(ch)])
@@ -330,10 +319,6 @@ class VertexAddress:
         if not sep or not corner.isdigit():
             raise ValueError(f"vertex address must look like '<word>:<corner>', got {text!r}")
         return cls(word, int(corner))
-
-
-def canonicalize(vertex: VertexAddress) -> VertexAddress:
-    return vertex.canonical()
 
 
 def all_vertices(level: int) -> set[VertexAddress]:

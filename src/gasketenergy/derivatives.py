@@ -1,7 +1,7 @@
 """Derivatives of energy measures against the Kusuoka measure, at vertices.
 
 The derivative of a coefficient-triple measure at an addressed vertex has two
-independent exact closed forms:
+exact closed forms:
 
 * pair the children triple of the vertex's cell with the vertex corner's
   *limit row* (the row of the rank-1 limit of the scaled refine powers), or
@@ -9,8 +9,9 @@ independent exact closed forms:
   products and pair with the corner weight vector (2/3 at the corner, 1/6 at
   the other two).
 
-Both give the same rational; the second is what the fast scans use, carried
-as scaled integer rows.  Also here: the decay of cell masses toward a vertex
+Both give the same rational but are not independent: both read the integer
+rows of ``_cell_rows`` and differ only in the final pairing (an independent
+route is ROADMAP item 1).  Also here: the decay of cell masses toward a vertex
 (with its two-rate classification), the edge restriction profile, the
 left-to-right edge monotonicity check, and the Laplacian rescaling factors.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import (
     LETTERS,
@@ -36,7 +37,6 @@ from .core import (
     check_word,
     int_row,
     lex_word,
-    mat_mul,
     mat_scale,
     row_children,
     row_step,
@@ -48,7 +48,6 @@ from .measures import (
     MeasureCoeffs,
     children_triple,
     is_positive,
-    measure_of_cell,
     subtree_row,
 )
 
@@ -171,27 +170,24 @@ def skew_energy_gap(h: Harmonic, word: str = "") -> Fraction:
 
 class DecayClass(Enum):
     GENERIC = "generic"        # consecutive mass ratio tends to 3/5
-    DEGENERATE = "degenerate"  # ratio tends to 1/15 (skew cells)
-    UNCLASSIFIED = "unclassified"
+    DEGENERATE = "degenerate"  # ratio is exactly 1/15 (skew cells)
+    UNCLASSIFIED = "unclassified"  # every mass is zero
 
 
 @dataclass(frozen=True)
 class DecayReport:
     values: tuple[Fraction, ...]
-    fitted_ratio: float
     classification: DecayClass
-
-
-_CLASSIFY_TOL = 1e-6
 
 
 def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> DecayReport:
     """Masses of the nested cells obtained by repeating ``letter`` inside
-    the addressed cell, for 0..depth repeats, with the tail ratio fitted.
+    the addressed cell, for 0..depth repeats, with their decay class.
 
-    The masses follow a two-rate law (rates 3/5 and 1/15); which one the
-    tail sees depends on whether the measure's skew pairing at ``letter``
-    vanishes on the cell.
+    The masses follow the two-rate law of ``decay_two_term``, whose 3/5
+    coefficient is ``axis_gap / 8``: the tail decays at 3/5 unless the
+    measure's skew pairing at ``letter`` vanishes on the cell, and then at
+    exactly 1/15; the class does not depend on ``depth``.
     """
     if letter not in (0, 1, 2):
         raise ValueError(f"letter must be 0, 1 or 2, got {letter!r}")
@@ -202,17 +198,13 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     for _ in range(depth + 1):
         values.append(Fraction(2 * sum(row), scale))
         row, scale = row_step(row, g), scale * MASS_DEN
-    if len(values) >= 2 and values[-2] != 0:
-        ratio = float(values[-1] / values[-2])
-    else:
-        ratio = float("nan")
-    if abs(ratio - 3 / 5) <= _CLASSIFY_TOL:
+    if axis_gap(c, word, letter) != 0:
         cls = DecayClass.GENERIC
-    elif abs(ratio - 1 / 15) <= _CLASSIFY_TOL:
+    elif values[0] != 0:  # values[m] == values[0] / 15**m
         cls = DecayClass.DEGENERATE
     else:
         cls = DecayClass.UNCLASSIFIED
-    return DecayReport(tuple(values), ratio, cls)
+    return DecayReport(tuple(values), cls)
 
 
 def decay_two_term(c: MeasureCoeffs, word: str, letter: int, m: int) -> Fraction:
@@ -359,24 +351,21 @@ def edge_profile(
 def monotone_left_right(m: int) -> bool:
     """Check the left-to-right growth of the corner-2 mass along the bottom.
 
-    Enumerates the 2^m bottom-edge cells (words over letters {1,2}) in their
-    geometric order and confirms the corner-2 masses never decrease, and that
-    every edge margin is at least the margin of the all-1s word.
+    Walks the 2^m bottom-edge cells (words over letters {1,2}) level by level
+    in their geometric order and confirms the corner-2 masses never decrease,
+    and that every edge margin is at least the margin of the all-1s word.
+    Rows on one level share one scale, so integer numerators are compared.
     """
     if m < 0 or m > 12:
         raise ValueError("monotone_left_right supports 0 <= m <= 12")
-    e2 = (Fraction(0), Fraction(0), Fraction(1))
-    floor_margin = edge_margin("1" * m)
-    prev: Optional[Fraction] = None
-    for bits in range(1 << m):
-        w = "".join("2" if (bits >> (m - 1 - t)) & 1 else "1" for t in range(m))
-        value = measure_of_cell(e2, w)
-        if prev is not None and value < prev:
-            return False
-        prev = value
-        if edge_margin(w) < floor_margin:
-            return False
-    return True
+    masses, margins = [(0, 0, 1)], [_MARGIN_ROW]
+    for _ in range(m):
+        masses = row_children(masses, (MASS_SCALED[1], MASS_SCALED[2]))
+        margins = row_children(margins, (REFINE_SCALED[1], REFINE_SCALED[2]))
+    sums = [sum(r) for r in masses]
+    floor = _dot(margins[0], _MARGIN_COL)  # the all-1s word comes first
+    return (all(a <= b for a, b in zip(sums, sums[1:]))
+            and all(_dot(r, _MARGIN_COL) >= floor for r in margins))
 
 
 # ---------------------------------------------------------------------------
@@ -415,37 +404,27 @@ def operator_norm_scan(m: int) -> Fraction:
     """Max over all level-m refine word products of the scaled column norm.
 
     The scale (5/3 per level) compensates the dominant eigenrate, so the
-    sequence stays bounded; the scan reports the exact per-level max.
+    sequence stays bounded; the scan reports the exact per-level max.  Row
+    i of the level-m products is unit row i walked level by level.
     """
     if m < 0 or m > 10:
         raise ValueError("operator_norm_scan supports 0 <= m <= 10")
-    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    best = 0
-    stack = [(ident, m)]
-    while stack:
-        mat, budget = stack.pop()
-        if budget == 0:
-            norm = max(
-                abs(mat[0][c]) + abs(mat[1][c]) + abs(mat[2][c]) for c in range(3)
-            )
-            if norm > best:
-                best = norm
-            continue
-        for g in REFINE_SCALED:
-            stack.append((mat_mul(mat, g), budget - 1))
+    levels = [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]]
+    for _ in range(m):
+        levels = [row_children(rows, REFINE_SCALED) for rows in levels]
+    best = max(abs(a[c]) + abs(b[c]) + abs(d[c]) for a, b, d in zip(*levels) for c in range(3))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
 
 
-def rank1_deviation(j: int, n: int) -> float:
-    """Float column-norm distance between the scaled n-th refine power and
+def rank1_deviation(j: int, n: int) -> Fraction:
+    """Exact column-norm distance between the scaled n-th refine power and
     its rank-1 limit."""
     power = word_matrix("refine", str(j) * n)
     scaled = mat_scale(Fraction(5, 3) ** n, power)
-    diff = [
-        [float(scaled[r][c] - RANK1_LIMITS[j][r][c]) for c in range(3)]
-        for r in range(3)
-    ]
-    return max(sum(abs(diff[r][c]) for r in range(3)) for c in range(3))
+    return max(
+        sum(abs(scaled[r][c] - RANK1_LIMITS[j][r][c]) for r in range(3))
+        for c in range(3)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -236,21 +236,13 @@ def decompose_positive(c: MeasureCoeffs):
 
     disc = sigma1 * sigma1 - 3 * sigma2  # > 0 here (equality iff uniform)
     root = _rational_sqrt(disc)
-    if root is not None:
-        s_minus = (-sigma1 - root) / 3
-        s_plus = (-sigma1 + root) / 3
-        scale = sigma1 / root
-        p = tuple(scale * (-(ci + s_minus)) for ci in c)
-        q = tuple(scale * (ci + s_plus) for ci in c)
-        t = (sigma1 - root) / (2 * sigma1)
-        return t, p, q
-
-    s1, rt = float(sigma1), math.sqrt(float(disc))
-    cf = [float(x) for x in c]
-    scale = s1 / rt
-    s_minus = (-s1 - rt) / 3.0
-    s_plus = (-s1 + rt) / 3.0
-    p = tuple(scale * (-(ci + s_minus)) for ci in cf)
-    q = tuple(scale * (ci + s_plus) for ci in cf)
-    t = (s1 - rt) / (2.0 * s1)
+    if root is None:
+        # then each step below is the float operation on the rounded operands
+        root = math.sqrt(disc)
+    s_minus = (-sigma1 - root) / 3
+    s_plus = (-sigma1 + root) / 3
+    scale = sigma1 / root
+    p = tuple(scale * (-(ci + s_minus)) for ci in c)
+    q = tuple(scale * (ci + s_plus) for ci in c)
+    t = (sigma1 - root) / (2 * sigma1)
     return t, p, q

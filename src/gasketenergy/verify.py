@@ -25,7 +25,6 @@ from .core import (
     REFINE_SCALED,
     VertexAddress,
     all_vertices,
-    canonicalize,
     mat_mul,
     word_matrix,
 )
@@ -42,7 +41,6 @@ from .harmonic import (
     measure_coeffs,
 )
 from .measures import (
-    KUSUOKA,
     children_triple,
     children_triple_via_refine,
     cone_value,
@@ -98,7 +96,7 @@ def core_suite(max_depth: int) -> Iterator[Check]:
                 v = VertexAddress(w, corner)
                 c1 = v.canonical()
                 count += 1
-                if c1 != c1.canonical() or canonicalize(v) != c1:
+                if c1 != c1.canonical():
                     bad = v
     yield ("core.canonical-idempotent", bad is None,
            f"{count} spellings through level {level}" if bad is None else f"counterexample {bad}")
@@ -345,10 +343,10 @@ def derivatives_suite(max_depth: int) -> Iterator[Check]:
         prev_norm = None
         for n in range(1, 13):
             d = dv.rank1_deviation(j, n)
-            if prev_norm is not None and d > prev_norm + 1e-15:
+            if prev_norm is not None and d > prev_norm:
                 bad = (j, n)
             prev_norm = d
-        if prev_norm > 1e-3:
+        if prev_norm > Fraction(1, 1000):
             bad = (j, "slow")
     yield ("derivatives.rank1-convergence", bad is None,
            "scaled powers approach their rank-1 limits monotonically"
@@ -415,8 +413,10 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
             p = dy.apply_B(j, (math.cos(t), math.sin(t)))
             diff = abs(dy._wrap(math.atan2(p.y, p.x) - dy.circle_map(j, t)))
             worst = max(worst, diff)
-    yield ("dynamics.circle-agreement", worst < 1e-12,
-           f"disk and circle forms agree on the boundary (worst {worst:.2e})")
+    ok = worst < 1e-12
+    shown = "below 1e-12" if ok else f"{worst:.2e}"  # the digits follow numpy's arctan2 path
+    yield ("dynamics.circle-agreement", ok,
+           f"disk and circle forms agree on the boundary (worst {shown})")
 
     pts = rng.uniform(-1, 1, (100000, 2))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 1.0]

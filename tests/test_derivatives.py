@@ -25,8 +25,8 @@ from gasketenergy.derivatives import (
     skew_energy_gap,
     _derivative_raw,
 )
-from gasketenergy.harmonic import Harmonic, measure_coeffs
-from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell
+from gasketenergy.harmonic import Harmonic
+from gasketenergy.measures import KUSUOKA, measure_of_cell
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 triples = st.tuples(rationals, rationals, rationals)
@@ -150,6 +150,16 @@ def test_decay_degenerate_is_exact_one_fifteenth():
         assert b == a / 15
 
 
+@pytest.mark.parametrize("depth", [0, 5])
+def test_decay_class_is_exact_at_every_depth(depth):
+    """The class comes from the 3/5 coefficient, not from a fitted ratio, so
+    short sequences are classified too."""
+    assert decay_sequence(KUSUOKA, "", 0, depth).classification is DecayClass.GENERIC
+    assert decay_sequence(E[0], "1", 2, depth).classification is DecayClass.DEGENERATE
+    zero = (ZERO, ZERO, ZERO)
+    assert decay_sequence(zero, "", 0, depth).classification is DecayClass.UNCLASSIFIED
+
+
 @given(triples, words, letters, st.integers(min_value=0, max_value=8))
 @settings(max_examples=40)
 def test_two_term_oracle_matches_sequence(c, word, letter, m):
@@ -219,8 +229,9 @@ def test_operator_norm_scan_frozen_and_bounded():
 def test_rank1_powers_converge():
     for j in range(3):
         deviations = [rank1_deviation(j, n) for n in range(1, 13)]
-        assert all(b <= a + 1e-15 for a, b in zip(deviations, deviations[1:]))
-        assert deviations[-1] < 1e-3
+        assert all(type(d) is Fraction for d in deviations)
+        assert all(b <= a for a, b in zip(deviations, deviations[1:]))
+        assert deviations[-1] < Fraction(1, 1000)
 
 
 def test_q_factor_frozen():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasketenergy import dynamics as dy
-from gasketenergy.bvectors import b_from_mass, enumerate_bvectors
+from gasketenergy.bvectors import enumerate_bvectors
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 # Radii in weight-space units: the disk boundary sits at 1/sqrt(6).

@@ -1,0 +1,67 @@
+"""The exact modules hold no floats.
+
+``core``, ``harmonic``, ``measures``, ``derivatives`` and ``bvectors`` may
+not hold a float literal, name ``float`` or call a ``math`` function other
+than the integer ones.  The one allowed site is the body of
+``measures.decompose_positive``, whose irrational branch takes a float
+square root.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gasketenergy
+
+SRC = Path(gasketenergy.__file__).parent
+EXACT_MODULES = ("core", "harmonic", "measures", "derivatives", "bvectors")
+INTEGER_MATH = {"lcm", "gcd", "isqrt"}
+ALLOWED = {("measures", "decompose_positive")}
+
+
+def float_sites(tree: ast.AST, module: str) -> list[str]:
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (module, node.name) in ALLOWED:
+            allowed.update(id(n) for n in ast.walk(node))
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            sites.append(f"line {node.lineno}: names float")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr not in INTEGER_MATH):
+            sites.append(f"line {node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            sites.extend(f"line {node.lineno}: from math import {a.name}"
+                         for a in node.names if a.name not in INTEGER_MATH)
+    return sites
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_module_holds_no_floats(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert float_sites(tree, module) == []
+
+
+def test_guard_sees_each_kind_of_site():
+    source = (
+        "import math\n"
+        "from math import sqrt\n"
+        "x: float = 0.5\n"
+        "y = math.pi + math.isqrt(4)\n"
+        "def decompose_positive(c):\n"
+        "    return math.sqrt(2.0)\n"
+    )
+    assert sorted(float_sites(ast.parse(source), "measures")) == [
+        "line 2: from math import sqrt",
+        "line 3: literal 0.5",
+        "line 3: names float",
+        "line 4: math.pi",
+    ]
+    # outside the allowed body the square root and its literal count too
+    assert len(float_sites(ast.parse(source), "core")) == 6

@@ -4,7 +4,9 @@ it checked against the depth-first walks they replaced.
 The reference walks below are the previous implementations, kept here
 verbatim in substance: every vertex evaluated from its own root-to-leaf
 rows (``scan_extrema``), one root-to-leaf derivative per edge vertex
-(``edge_profile``), and a preorder recursion (``scan_bounds``).
+(``edge_profile``), a preorder recursion (``scan_bounds``), a depth-first
+stack of matrix products (``operator_norm_scan``) and one root-to-leaf mass
+and margin per bottom-edge cell (``monotone_left_right``).
 """
 
 import itertools
@@ -20,6 +22,7 @@ from gasketenergy import bvectors as bv
 from gasketenergy import derivatives as dv
 from gasketenergy.core import (
     MASS_SCALED,
+    REFINE_DEN,
     REFINE_SCALED,
     VertexAddress,
     lex_word,
@@ -29,7 +32,7 @@ from gasketenergy.core import (
     row_walk,
     word_matrix,
 )
-from gasketenergy.measures import KUSUOKA, is_positive, subtree_coeffs
+from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
 
 ONE, ZERO = Fraction(1), Fraction(0)
 E = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
@@ -321,3 +324,46 @@ def test_scan_bounds_true_family_matches_reference():
     for level in range(8):
         assert bv.scan_bounds(level) is None
         assert reference_scan_bounds(MASS_SCALED, level) is None
+
+
+# ---------------------------------------------------------------------------
+# operator_norm_scan and monotone_left_right against the walks they replaced
+# ---------------------------------------------------------------------------
+
+def reference_operator_norm_scan(m):
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    best = 0
+    stack = [(ident, m)]
+    while stack:
+        mat, budget = stack.pop()
+        if budget == 0:
+            norm = max(abs(mat[0][c]) + abs(mat[1][c]) + abs(mat[2][c]) for c in range(3))
+            best = max(best, norm)
+            continue
+        for g in REFINE_SCALED:
+            stack.append((mat_mul(mat, g), budget - 1))
+    return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
+
+
+def reference_monotone_left_right(m):
+    floor_margin = dv.edge_margin("1" * m)
+    prev = None
+    for bits in range(1 << m):
+        w = "".join("2" if (bits >> (m - 1 - t)) & 1 else "1" for t in range(m))
+        value = measure_of_cell(E[2], w)
+        if prev is not None and value < prev:
+            return False
+        prev = value
+        if dv.edge_margin(w) < floor_margin:
+            return False
+    return True
+
+
+def test_operator_norm_scan_equals_reference():
+    for m in range(10):
+        assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
+
+
+def test_monotone_left_right_equals_reference():
+    for m in range(13):
+        assert dv.monotone_left_right(m) == reference_monotone_left_right(m), m

@@ -140,6 +140,14 @@ def test_decompose_irrational_case_is_numerically_tight():
     assert abs(float(cone_value(tuple(Fraction(x).limit_denominator(10**12) for x in p)))) < 1e-9
 
 
+def test_decompose_irrational_floats_frozen():
+    """Bit-for-bit float entries of one irrational split."""
+    assert repr(decompose_positive((Fraction(1), Fraction(2), Fraction(3)))) == (
+        "(0.3556624327025936, (5.464101615137755, 2.0, -1.4641016151377548), "
+        "(-1.4641016151377555, 1.9999999999999993, 5.464101615137754))"
+    )
+
+
 def test_decompose_rejects_non_positive_input():
     with pytest.raises(ValueError):
         decompose_positive((Fraction(1), Fraction(1), Fraction(-1)))
