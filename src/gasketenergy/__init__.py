@@ -13,3 +13,7 @@ Subpackages by role:
 """
 
 __version__ = "0.1.0"
+
+#: Largest bin (or slice) count any histogram accepts.  It lives here, not in
+#: ``dynamics``, so the ``ifs`` help text can name it without loading numpy.
+BINS_MAX = 100_000

@@ -6,26 +6,32 @@ chart.  Everything is controlled by flags, and the same arguments always
 produce byte-identical output, whatever the parallelism degree.
 
 Exit codes: 0 success, 1 invariant failure (``verify``), 2 argument error,
-3 internal cross-route disagreement.
+3 internal cross-route disagreement, 141 the reader closed stdout early (the
+status of a filter killed by SIGPIPE, as in ``... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from . import BINS_MAX
 from .core import VertexAddress, check_word, format_rational
 from .derivatives import edge_profile, rn_derivative, rn_derivative_via_mass
 from .measures import measure_of_cell, parse_coeffs
 from . import bvectors as bv
-from . import dynamics as dy
 from .verify import SUITES, run_suites
+
+if TYPE_CHECKING:
+    from . import dynamics as dy
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_ROUTES = 3
+EXIT_PIPE = 141
 
 #: Size arguments are bounded before any work starts; outside the bounds the
 #: command exits 2.  An edge profile at depth d holds 2^d + 1 exact values,
@@ -178,6 +184,8 @@ def cmd_edge_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_ifs(args: argparse.Namespace) -> int:
+    from . import dynamics as dy  # the only command that needs numpy
+
     if args.mode == "angular":
         hist = dy.angular_histogram(args.level, slices=args.slices, arc=args.arc, jobs=args.jobs)
         _emit_histogram(hist, "rad", "mean_one_density", args.format, args.output,
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ifs_sub.add_parser("angular", help="angular distribution of the level-m weight cloud")
     q.add_argument("--level", type=int, default=11, help="enumeration depth m")
     q.add_argument("--slices", type=int, default=100,
-                   help=f"number of angular bins (1..{dy.BINS_MAX})")
+                   help=f"number of angular bins (1..{BINS_MAX})")
     q.add_argument("--arc", choices=["full", "third", "sixth"], default="third",
                    help="reporting arc; points are folded in by the rotation symmetry")
     _common_ifs_flags(q)
@@ -253,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = ifs_sub.add_parser("radial", help="radial distribution of the level-m weight cloud")
     q.add_argument("--level", type=int, default=11, help="enumeration depth m")
     q.add_argument("--bins", type=int, default=300,
-                   help=f"number of radial bins (1..{dy.BINS_MAX})")
+                   help=f"number of radial bins (1..{BINS_MAX})")
     _common_ifs_flags(q)
 
     q = ifs_sub.add_parser("orbit", help="boundary-circle orbit histogram")
     q.add_argument("--iters", type=int, default=14, help="number of map iterations")
     q.add_argument("--bins", type=int, default=800,
-                   help=f"number of angular bins (1..{dy.BINS_MAX})")
+                   help=f"number of angular bins (1..{BINS_MAX})")
     q.add_argument("--arc", choices=["full", "third", "sixth"], default="sixth",
                    help="reporting arc; points are folded in by the symmetries")
     _common_ifs_flags(q)
@@ -284,10 +292,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so the flush at
+        # interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

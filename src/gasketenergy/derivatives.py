@@ -355,6 +355,11 @@ def monotone_left_right(m: int) -> bool:
     in their geometric order and confirms the corner-2 masses never decrease,
     and that every edge margin is at least the margin of the all-1s word.
     Rows on one level share one scale, so integer numerators are compared.
+
+    Neither claim survives deep subdivision: the masses first descend at
+    m = 3, and the margin floor fails from m = 4 on (``edge_margin("1121")``
+    = 242/1125 < ``edge_margin("1111")`` = 392/1125), so the result is True
+    exactly for m <= 2 and the floor never decides it.
     """
     if m < 0 or m > 12:
         raise ValueError("monotone_left_right supports 0 <= m <= 12")

@@ -27,6 +27,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import BINS_MAX
+
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
 #: b-space radius of the weight disk; unit-disk radius 1 corresponds to this.
@@ -212,8 +214,6 @@ def triangle_check(p: Sequence[float]) -> TriangleReport:
 # ---------------------------------------------------------------------------
 
 LEVEL_LIMIT = 16
-#: Largest bin (or slice) count any histogram accepts.
-BINS_MAX = 100_000
 #: Each counting task takes a block of ``_BLOCK_POINTS`` contiguous frontier
 #: points through the last ``_TASK_LEVELS`` levels (27 * 3^8 = 3^11 leaves).
 _TASK_LEVELS = 8

@@ -15,10 +15,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import bvectors as bv
-from . import dynamics as dy
 from .core import (
     MASS_GENERATORS,
     REFINE_GENERATORS,
@@ -405,6 +402,10 @@ def bvectors_suite(max_depth: int) -> Iterator[Check]:
 
 
 def dynamics_suite(max_depth: int) -> Iterator[Check]:
+    import numpy as np  # the float suite alone loads numpy
+
+    from . import dynamics as dy
+
     rng = np.random.default_rng(_SEED + 5)
 
     worst = 0.0
@@ -499,6 +500,8 @@ def run_suites(suite: str, max_depth: int = 4, echo: Callable[[str], None] = pri
     """Run one named suite (or ``all``); return True iff every check passed."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    if max_depth < 1:
+        raise ValueError(f"--max-depth must be at least 1, got {max_depth}")
     names = list(SUITES) if suite == "all" else [suite]
     all_ok = True
     for name in names:

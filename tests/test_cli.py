@@ -1,4 +1,9 @@
-"""Command-line surface: output shapes, exit codes, determinism."""
+"""Command-line surface: output shapes, exit codes, determinism, imports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +179,8 @@ def test_bvector_accepts_a_64_letter_word(capsys):
     ["ifs", "angular", "--jobs", "0"],
     ["ifs", "radial", "--level", "0", "--jobs", "-1"],
     ["ifs", "orbit", "--jobs", "0"],
+    ["verify", "--suite", "all", "--max-depth", "0"],
+    ["verify", "--suite", "core", "--max-depth", "-3"],
 ])
 def test_size_arguments_are_bounded_before_any_work(capsys, monkeypatch, argv):
     def no_work(*args):
@@ -193,3 +200,59 @@ def test_size_bounds_are_inclusive(capsys):
     assert code == 0 and out.splitlines()[1].startswith(",1/3,1/3,1/3,")
     code, out, _ = run(capsys, "ifs", "radial", "--level", "1", "--bins", "100000")
     assert code == 0 and len(out.splitlines()) == 100000 + 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # Unbuffered stdout writes straight to the raw file, which drops the rest
+    # of a partial write silently instead of raising; run buffered, as a
+    # shell pipeline does.
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # about 240 kB of CSV, several pipe buffers
+    proc = _python("-m", "gasketenergy.cli", "ifs", "angular", "--level", "8", "--slices", "5000",
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"bin_lo_rad,")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+IMPORT_GUARD = """
+import contextlib, io, sys
+import gasketenergy.cli as cli
+loaded = [m for m in ("numpy", "gasketenergy.dynamics", "concurrent.futures") if m in sys.modules]
+assert not loaded, f"import gasketenergy.cli loaded {loaded}"
+for argv in (["measure", "--coeffs", "1,1,1", "--word", "01"],
+             ["derivative", "--coeffs", "1,0,0", "--vertex", "1:2"],
+             ["bvector", "--word", "012"],
+             ["bvector", "--level", "2"],
+             ["edge-profile", "--coeffs", "1,0,0", "--depth", "3"],
+             ["verify", "--suite", "core", "--max-depth", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+"""
+
+
+def test_exact_commands_load_no_numpy():
+    proc = _python("-c", IMPORT_GUARD, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+
+
+def test_dynamics_imports_no_exact_module():
+    code = "import sys, gasketenergy.dynamics; assert 'gasketenergy.core' not in sys.modules"
+    proc = _python("-c", code, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()

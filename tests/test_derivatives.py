@@ -1,5 +1,6 @@
 """Derivatives at vertices: closed forms, scans, decay, edge structure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,20 @@ def test_left_right_monotonicity_holds_only_at_shallow_depth():
     assert monotone_left_right(2)
     assert not monotone_left_right(3)
     assert not monotone_left_right(4)
+
+
+def test_margin_floor_fails_from_depth_four():
+    """The all-1s word has the smallest bottom-edge margin only through depth
+    3; from depth 4 on two or more words over {1,2} lie below it."""
+    assert edge_margin("1111") == Fraction(392, 1125)
+    assert edge_margin("1121") == edge_margin("1211") == Fraction(242, 1125)
+    below = []
+    for m in range(7):
+        floor = edge_margin("1" * m)
+        below.append([w for w in map("".join, itertools.product("12", repeat=m))
+                      if edge_margin(w) < floor])
+    assert [len(ws) for ws in below] == [0, 0, 0, 0, 2, 10, 32]
+    assert below[4] == ["1121", "1211"]
 
 
 def test_left_right_values_at_depth_three_frozen():

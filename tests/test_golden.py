@@ -6,6 +6,11 @@ before the exact modules dropped their floats.  One line was re-captured on
 purpose: ``dynamics.circle-agreement`` prints its bound on PASS rather than
 its worst error, whose last digits follow numpy's ``arctan2`` code path.
 
+The ``help_*`` files hold ``--help`` text at ``COLUMNS=80``, captured while
+``dynamics`` still defined ``BINS_MAX`` and ``cli`` imported it at module
+level; argparse's layout can differ between Python versions, so these four
+follow the interpreter the suite runs on.
+
 Each ``tests/golden/<name>.out`` holds the stdout of ``gasketenergy`` on the
 argv listed under ``<name>`` below.  The set mirrors the README commands at
 small sizes; to extend it, add a case and write its file from a checkout
@@ -45,6 +50,10 @@ CASES = {
     "ifs_orbit_jobs2": ["ifs", "orbit", "--iters", "6", "--bins", "50", "--arc", "sixth",
                         "--jobs", "2"],
     "verify_dynamics": ["verify", "--suite", "dynamics", "--max-depth", "2"],
+    "help_ifs_angular": ["ifs", "angular", "--help"],
+    "help_ifs_radial": ["ifs", "radial", "--help"],
+    "help_ifs_orbit": ["ifs", "orbit", "--help"],
+    "help_verify": ["verify", "--help"],
 }
 
 
@@ -53,8 +62,12 @@ def test_every_golden_file_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_stdout_matches_golden(name, capsys):
-    code = main(CASES[name])
+def test_cli_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(CASES[name])
+    except SystemExit as exc:  # --help prints, then exits 0
+        code = exc.code
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.out").read_bytes()
