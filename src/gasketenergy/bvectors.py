@@ -12,7 +12,8 @@ is computable by three independent exact routes:
 Route agreement is one of this package's strongest end-to-end checks.  The
 triples live in a disk of squared radius 1/6 around the barycenter; the
 bounds are strict at every finite word and sharp only in the limit, which
-``scan_bounds`` verifies wholesale with integer arithmetic.
+``scan_bounds`` verifies wholesale with integer arithmetic on the column-sum
+rows of every word, walked by the shared block walk ``core.subtree_levels``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .core import (
     VertexAddress,
     check_word,
     lex_word,
-    row_children,
     row_walk,
+    subtree_levels,
 )
 from .measures import KUSUOKA, MeasureCoeffs, children_triple_via_refine, measure_of_cell
 from .derivatives import rn_derivative
@@ -170,12 +171,6 @@ def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     yield from walk("", _CENTER)
 
 
-#: Levels ``scan_bounds`` expands breadth-first, one ``row_children`` call
-#: per level, before it moves depth-first to the next block root; memory
-#: stays bounded by one block of at most 3**BOUNDS_BLOCK_LEVELS rows a level.
-BOUNDS_BLOCK_LEVELS = 5
-
-
 def _first_offender(rows: list[IntRow]) -> Optional[int]:
     """Index of the first column-sum row failing a ``scan_bounds`` test."""
     for i, (c0, c1, c2) in enumerate(rows):
@@ -207,34 +202,17 @@ def scan_bounds(max_level: int) -> Optional[str]:
     for its matrix A), so every level-m row has e2 == 3 * 9^m; the tests
     are still evaluated on every word, which is what makes the scan a check.
 
-    Returns the lexicographically first offending word (a prefix sorts
-    before its extensions; nothing below an offender is visited), or None
-    when every word passes.  Levels are expanded in blocks of
-    ``BOUNDS_BLOCK_LEVELS``; inside a block an offender cuts off every row
-    after it, so deeper blocks are entered only under smaller words, and a
-    deeper offender replaces a shallower one only because it sorts first.
+    Returns the lexicographically first offending word, or None when every
+    word passes.  The rows come from the block walk ``core.subtree_levels``;
+    the answer is the least of each walked level's first offender, which is
+    the lexicographically first offender because a prefix sorts before its
+    extensions.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-
-    def block(root: str, row: IntRow, levels: int) -> Optional[str]:
-        # the first block takes the remainder, so every deeper one is full
-        span = (levels - 1) % BOUNDS_BLOCK_LEVELS + 1
-        first: Optional[str] = None
-        rows = [row]
-        for t in range(span):
-            i = _first_offender(rows)
-            if i is not None:
-                # later rows on this level, and everything below the
-                # offender, sort after it
-                first, rows = root + lex_word(i, t), rows[:i]
-            if t + 1 < levels:
-                rows = row_children(rows, MASS_SCALED)
-        if levels > span:
-            for i, r in enumerate(rows):
-                hit = block(root + lex_word(i, span), r, levels - span)
-                if hit is not None:
-                    return hit
-        return first
-
-    return block("", (1, 1, 1), max_level + 1)
+    hits = []
+    for root, t, (rows,) in subtree_levels("", ((1, 1, 1),), max_level + 1, MASS_SCALED):
+        i = _first_offender(rows)
+        if i is not None:
+            hits.append(root + lex_word(i, t))
+    return min(hits, default=None)

@@ -18,8 +18,8 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import BINS_MAX
-from .core import VertexAddress, check_word, format_rational
-from .derivatives import edge_profile, rn_derivative, rn_derivative_via_mass
+from .core import VertexAddress, check_word, format_rational, lex_word
+from .derivatives import edge_profile, rn_derivative, rn_derivative_via_refine
 from .measures import measure_of_cell, parse_coeffs
 from . import bvectors as bv
 from .verify import SUITES, run_suites
@@ -51,7 +51,16 @@ def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
 
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only sink such as io.StringIO
+            sys.stdout.write(text)
+            return
+        # An unbuffered raw file may take only part of a write; the loop
+        # hands it the rest, so a closed pipe raises instead of truncating.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[out.write(data):]
         return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -116,7 +125,7 @@ def cmd_derivative(args: argparse.Namespace) -> int:
     c = parse_coeffs(args.coeffs)
     vertex = VertexAddress.parse(args.vertex)
     value = rn_derivative(c, vertex)
-    other = rn_derivative_via_mass(c, vertex)
+    other = rn_derivative_via_refine(c, vertex)
     if value != other:
         print(
             f"routes-disagree at {vertex}: {format_rational(value)} vs {format_rational(other)}",
@@ -134,23 +143,32 @@ _B_ROUTES = {
 }
 
 
-def _bvector_by(method: str, word: str):
-    """The weight triple for one word, or None when 'all' routes disagree."""
-    if method != "all":
+def _bvector_by(method: str, word: str, b=None):
+    """The weight triple for one word, or None when 'all' routes disagree.
+
+    ``b`` is the recursion route's triple for ``word`` when the caller has
+    it already.
+    """
+    if method in ("matrix", "kusuoka"):
         return _B_ROUTES[method](word)
-    triples = {name: route(word) for name, route in _B_ROUTES.items()}
-    first = triples["matrix"]
-    if any(t != first for t in triples.values()):
+    if b is None:
+        b = _B_ROUTES["recursion"](word)
+    if method == "all" and any(_B_ROUTES[m](word) != b for m in ("matrix", "kusuoka")):
         return None
-    return first
+    return b
 
 
 def cmd_bvector(args: argparse.Namespace) -> int:
     if args.level is not None:
         _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
         rows = [("word", "b0", "b1", "b2", "b0_f", "b1_f", "b2_f")]
-        for word, b in bv.enumerate_bvectors(args.level):
-            if args.method == "all" and _bvector_by("all", word) is None:
+        if args.method in ("matrix", "kusuoka"):  # no recursion triple is needed
+            pairs = ((lex_word(i, args.level), None) for i in range(3 ** args.level))
+        else:
+            pairs = bv.enumerate_bvectors(args.level)
+        for word, b in pairs:
+            b = _bvector_by(args.method, word, b)
+            if b is None:
                 print(f"routes-disagree at {word!r}", file=sys.stderr)
                 return EXIT_ROUTES
             rows.append(

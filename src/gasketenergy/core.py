@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -235,6 +235,36 @@ def row_children(rows: Iterable[IntRow], gens: Iterable[IntMat] = MASS_SCALED) -
         for r0, r1, r2 in rows
         for a, b, c, d, e, f, g, h, i in cols
     ]
+
+
+#: Levels per block of ``subtree_levels``; memory stays bounded by one block,
+#: at most 3**BLOCK_LEVELS rows per level and family, whatever the depth.
+BLOCK_LEVELS = 5
+
+
+def subtree_levels(word: str, rows: Sequence[IntRow], levels: int,
+                   gens: Sequence[IntMat] = MASS_SCALED) -> Iterator[tuple[str, int, list]]:
+    """Block walk over the cells ``word + u`` with ``len(u) < levels``.
+
+    Yields ``(root, t, level)`` where ``level[f][i]`` is ``rows[f]`` walked
+    to the cell ``root + lex_word(i, t)``; each cell appears exactly once.
+    Blocks of ``BLOCK_LEVELS`` levels are expanded breadth-first, one
+    ``row_children`` call per level and family, and visited depth-first in
+    lexicographic order of their roots; the first block takes the remainder,
+    so every deeper block is full.  ``levels < 1`` yields nothing.
+    """
+    stack = [(word, tuple(rows), levels)] if levels >= 1 else []
+    while stack:
+        root, tops, left = stack.pop()
+        span = (left - 1) % BLOCK_LEVELS + 1
+        level = [[r] for r in tops]
+        for t in range(span):
+            yield root, t, level
+            if t + 1 < left:
+                level = [row_children(fam, gens) for fam in level]
+        if left > span:
+            for i in reversed(range(len(level[0]))):
+                stack.append((root + lex_word(i, span), tuple(fam[i] for fam in level), left - span))
 
 
 _FAMILIES: Mapping[str, tuple[Mat3, Mat3, Mat3]] = {

@@ -1,19 +1,21 @@
 """Derivatives of energy measures against the Kusuoka measure, at vertices.
 
 The derivative of a coefficient-triple measure at an addressed vertex has two
-exact closed forms:
+exact routes that share no arithmetic:
 
-* pair the children triple of the vertex's cell with the vertex corner's
-  *limit row* (the row of the rank-1 limit of the scaled refine powers), or
-* push the coefficient triple down the cell word with the transposed mass
-  products and pair with the corner weight vector (2/3 at the corner, 1/6 at
-  the other two).
+* ``rn_derivative`` walks integer subtree rows of the measure and of the
+  Kusuoka measure down the cell word with the scaled mass generators and
+  pairs them with the vertex corner's weights (2/3 at the corner, 1/6 at
+  the other two), and
+* ``rn_derivative_via_refine`` pairs the corner's *limit row* (the row of
+  the rank-1 limit of the scaled refine powers) with the two children
+  triples from the ``Fraction`` refine recursion.
 
-Both give the same rational but are not independent: both read the integer
-rows of ``_cell_rows`` and differ only in the final pairing (an independent
-route is ROADMAP item 1).  Also here: the decay of cell masses toward a vertex
-(with its two-rate classification), the edge restriction profile, the
-left-to-right edge monotonicity check, and the Laplacian rescaling factors.
+The ``derivative`` command and ``verify`` compare the two.  Also here: the
+vertex scan over a cell's interior (on the block walk of
+``core.subtree_levels``), the decay of cell masses toward a vertex (with its
+two-rate classification), the edge restriction profile, the left-to-right
+edge monotonicity check, and the Laplacian rescaling factors.
 """
 
 from __future__ import annotations
@@ -41,12 +43,16 @@ from .core import (
     row_children,
     row_step,
     row_walk,
+    subtree_levels,
+    vec_dot,
     word_matrix,
 )
 from .harmonic import Harmonic, measure_coeffs
 from .measures import (
+    KUSUOKA,
     MeasureCoeffs,
     children_triple,
+    children_triple_via_refine,
     is_positive,
     subtree_row,
 )
@@ -76,11 +82,11 @@ RANK1_LIMITS: tuple[Mat3, Mat3, Mat3] = tuple(
     for j in range(3)
 )  # type: ignore[assignment]
 
-_LIMIT_INT = tuple(tuple(int(x) for x in row) for row in LIMIT_ROWS)
-
 # Pairing the limit row with a children triple equals (up to the factor 4
 # that cancels in the quotient) pairing the *subtree coefficients* with these
 # integer corner weights w_k; they are 6x the (2/3, 1/6, 1/6) weight vector.
+# (The children triple of subtree row r is s + 2 r_j up to one factor, with
+# s = sum r, and 14(s + 2r_c) - (s + 2r_j) - (s + 2r_k) == 10 (w_c . r).)
 # Each scaled mass generator maps them to the same edge vector,
 # MASS_SCALED[j] . w_k == MASS_SCALED[k] . w_j == 9 (e_j + e_k) for j != k,
 # which is junction continuity in integers: the derivative at the midpoint
@@ -101,41 +107,53 @@ def _cell_rows(c: MeasureCoeffs, word: str) -> tuple[IntRow, IntRow]:
     return row_walk(start, word), row_walk((den, den, den), word)
 
 
+def _corner_value(r: IntRow, q: IntRow, corner: int) -> Fraction:
+    """Derivative at one corner of a cell, from the cell's two rows."""
+    weights = _CORNER_WEIGHTS_INT[corner]
+    return Fraction(_dot(r, weights), _dot(q, weights))
+
+
 def rn_derivative(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
     """Exact derivative of the measure ``c`` against Kusuoka at a vertex.
 
-    Computed from the limit-row closed form on the vertex's canonical cell;
-    the denominator is strictly positive for every cell.
+    Computed from the corner-weight closed form on the vertex's canonical
+    cell; the denominator is strictly positive for every cell.
     """
     v = vertex.canonical()
     return _derivative_raw(c, v.word, v.corner)
 
 
 def _derivative_raw(c: MeasureCoeffs, word: str, corner: int) -> Fraction:
-    """Limit-row form evaluated on one particular spelling of a vertex.
+    """Corner-weight form evaluated on one particular spelling of a vertex.
 
     Junction vertices have two spellings; this does not canonicalize, so
     tests can confirm the two sides agree.
     """
-    lim = _LIMIT_INT[corner]
-    r, q = _cell_rows(c, word)
-    # both children triples up to one common factor: s + 2 r_j
-    s, t = sum(r), sum(q)
-    num = _dot(lim, (s + 2 * r[0], s + 2 * r[1], s + 2 * r[2]))
-    den = _dot(lim, (t + 2 * q[0], t + 2 * q[1], t + 2 * q[2]))
-    return Fraction(num, den)
+    return _corner_value(*_cell_rows(c, word), corner)
 
 
 def rn_derivative_via_mass(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
-    """Second closed form: transposed mass product against corner weights.
+    """The same value as ``rn_derivative``, which it calls.
 
-    It walks the same integer rows as ``rn_derivative`` and differs only in
-    the final pairing, so agreement checks the pairing, not the walk.
+    The transposed-mass form it once computed is the integer pairing that
+    ``rn_derivative`` now uses, so it is no second route; the name stays
+    because the benchmark's point queries call it.
+    """
+    return rn_derivative(c, vertex)
+
+
+def rn_derivative_via_refine(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
+    """Independent route: the corner's limit row paired with the children
+    triples of ``c`` and of the Kusuoka measure.
+
+    The triples come from ``children_triple_via_refine``, the ``Fraction``
+    refine recursion, which shares no arithmetic with the integer mass walk
+    behind ``rn_derivative``; agreement of the two checks that walk.
     """
     v = vertex.canonical()
-    weights = _CORNER_WEIGHTS_INT[v.corner]
-    r, q = _cell_rows(c, v.word)
-    return Fraction(_dot(r, weights), _dot(q, weights))
+    lim = LIMIT_ROWS[v.corner]
+    num = vec_dot(lim, children_triple_via_refine(c, v.word))
+    return num / vec_dot(lim, children_triple_via_refine(KUSUOKA, v.word))
 
 
 def basis_ratio(i: int, vertex: VertexAddress) -> Fraction:
@@ -232,12 +250,6 @@ class ScanResult(NamedTuple):
     argmax: VertexAddress
 
 
-#: Tree levels a scan expands breadth-first, one ``row_children`` call per
-#: level, before it moves depth-first to the next block root.  A block holds
-#: at most 3**SCAN_BLOCK_LEVELS rows per level, so memory stays bounded by
-#: one block whatever the depth.
-SCAN_BLOCK_LEVELS = 5
-
 #: Edges {j, k} of a cell, j < k; the midpoint of edge {j, k} of cell ``w``
 #: has the canonical address ``w + j : k``.
 _EDGES = ((0, 1), (0, 2), (1, 2))
@@ -259,7 +271,7 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     edge of exactly one subcell less than ``depth`` levels down, so each is
     evaluated once, as (r_j + r_k) / (q_j + q_k) from that subcell's rows
     (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
-    Subcells are expanded in blocks of ``SCAN_BLOCK_LEVELS`` levels.
+    Subcells come from the block walk ``core.subtree_levels``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
@@ -273,30 +285,20 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     lo_d = hi_d = q0[0] + q0[1]
     lo_key = hi_key = (word + "0", 1)
 
-    stack = [(word, r0, q0, depth)]
-    while stack:
-        root, r, q, levels = stack.pop()
-        rs, qs = [r], [q]
-        span = (levels - 1) % SCAN_BLOCK_LEVELS + 1  # deeper blocks are full
-        for t in range(span):
-            for i, (ri, qi) in enumerate(zip(rs, qs)):
-                for j, k in _EDGES:
-                    num, dnm = ri[j] + ri[k], qi[j] + qi[k]
-                    a, b = num * lo_d, lo_n * dnm
-                    if a <= b:
-                        key = (root + lex_word(i, t) + LETTERS[j], k)
-                        if a < b or key < lo_key:
-                            lo_n, lo_d, lo_key = num, dnm, key
-                    a, b = num * hi_d, hi_n * dnm
-                    if a >= b:
-                        key = (root + lex_word(i, t) + LETTERS[j], k)
-                        if a > b or key < hi_key:
-                            hi_n, hi_d, hi_key = num, dnm, key
-            if t + 1 < levels:
-                rs, qs = row_children(rs), row_children(qs)
-        if levels > span:
-            for i in reversed(range(len(rs))):
-                stack.append((root + lex_word(i, span), rs[i], qs[i], levels - span))
+    for root, t, (rs, qs) in subtree_levels(word, (r0, q0), depth):
+        for i, (ri, qi) in enumerate(zip(rs, qs)):
+            for j, k in _EDGES:
+                num, dnm = ri[j] + ri[k], qi[j] + qi[k]
+                a, b = num * lo_d, lo_n * dnm
+                if a <= b:
+                    key = (root + lex_word(i, t) + LETTERS[j], k)
+                    if a < b or key < lo_key:
+                        lo_n, lo_d, lo_key = num, dnm, key
+                a, b = num * hi_d, hi_n * dnm
+                if a >= b:
+                    key = (root + lex_word(i, t) + LETTERS[j], k)
+                    if a > b or key < hi_key:
+                        hi_n, hi_d, hi_key = num, dnm, key
     return ScanResult(
         Fraction(lo_n, lo_d),
         Fraction(hi_n, hi_d),
@@ -333,9 +335,9 @@ def edge_profile(
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
     grid = 1 << max(depth, 0)
     out: list = [None] * (grid + 1)
-    out[0] = (Fraction(0), rn_derivative(c, VertexAddress(word, j)))
-    out[grid] = (Fraction(1), rn_derivative(c, VertexAddress(word, k)))
     r, q = _cell_rows(c, word)
+    out[0] = (Fraction(0), _corner_value(r, q, j))
+    out[grid] = (Fraction(1), _corner_value(r, q, k))
     rs, qs = [r], [q]
     gens = (MASS_SCALED[j], MASS_SCALED[k])
     for n in range(1, depth + 1):
@@ -377,7 +379,7 @@ def monotone_left_right(m: int) -> bool:
 # margin quantity along the bottom edge
 # ---------------------------------------------------------------------------
 
-_MARGIN_ROW: IntRow = _LIMIT_INT[2]
+_MARGIN_ROW: IntRow = tuple(int(x) for x in LIMIT_ROWS[2])  # type: ignore[assignment]
 _MARGIN_COL: IntRow = (1, 1, 3)
 
 
@@ -410,14 +412,17 @@ def operator_norm_scan(m: int) -> Fraction:
 
     The scale (5/3 per level) compensates the dominant eigenrate, so the
     sequence stays bounded; the scan reports the exact per-level max.  Row
-    i of the level-m products is unit row i walked level by level.
+    i of a level-m product is unit row i walked along its word; only the
+    leaf level of the block walk is read.
     """
     if m < 0 or m > 10:
         raise ValueError("operator_norm_scan supports 0 <= m <= 10")
-    levels = [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]]
-    for _ in range(m):
-        levels = [row_children(rows, REFINE_SCALED) for rows in levels]
-    best = max(abs(a[c]) + abs(b[c]) + abs(d[c]) for a, b, d in zip(*levels) for c in range(3))
+    best = 0
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for root, t, level in subtree_levels("", units, m + 1, REFINE_SCALED):
+        if len(root) + t == m:
+            best = max(best, max(abs(a[c]) + abs(b[c]) + abs(d[c])
+                                 for a, b, d in zip(*level) for c in range(3)))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
 
 

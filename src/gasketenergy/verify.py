@@ -278,7 +278,7 @@ def derivatives_suite(max_depth: int) -> Iterator[Check]:
     bad = None
     for c in basis:
         for v in verts:
-            if dv.rn_derivative(c, v) != dv.rn_derivative_via_mass(c, v):
+            if dv.rn_derivative(c, v) != dv.rn_derivative_via_refine(c, v):
                 bad = (c, str(v))
     yield ("derivatives.route-equality", bad is None,
            f"both closed forms agree at {len(verts)} vertices"

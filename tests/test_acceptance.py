@@ -76,7 +76,7 @@ def test_criterion_03_derivative_boundary_and_routes():
     vertices = all_vertices(6)
     for c in E:
         for v in vertices:
-            assert dv.rn_derivative(c, v) == dv.rn_derivative_via_mass(c, v), str(v)
+            assert dv.rn_derivative(c, v) == dv.rn_derivative_via_refine(c, v), str(v)
 
     for w in words_through(5):
         for i, j in itertools.permutations((0, 1, 2), 2):

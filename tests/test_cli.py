@@ -3,10 +3,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gasketenergy import bvectors as bv
+from gasketenergy import cli
+from gasketenergy import derivatives as dv
 from gasketenergy import dynamics as dy
 from gasketenergy.cli import main
 
@@ -43,6 +47,20 @@ def test_derivative_examples(capsys):
         assert out.rstrip().endswith("routes-agree")
 
 
+def test_derivative_routes_disagree_on_a_corrupted_walk(capsys, monkeypatch):
+    """The second route does not read the integer row walk, so a fault there exits 3."""
+    walk = dv.row_walk
+
+    def corrupted(row, word, gens=dv.MASS_SCALED):
+        r0, r1, r2 = walk(row, word, gens)
+        return r0 + 1, r1, r2
+
+    monkeypatch.setattr(dv, "row_walk", corrupted)
+    code, out, err = run(capsys, "derivative", "--coeffs", "1,2,3", "--vertex", "01:2")
+    assert code == 3 and out == ""
+    assert err.startswith("routes-disagree at 01:2: ")
+
+
 def test_bvector_single_word(capsys):
     code, out, _ = run(capsys, "bvector", "--word", "0", "--method", "all")
     assert code == 0
@@ -67,6 +85,29 @@ def test_bvector_level_scan_csv(capsys):
     assert lines[0] == "word,b0,b1,b2,b0_f,b1_f,b2_f"
     assert lines[1].startswith("00,27/41,7/41,7/41,")
     assert len(lines) == 10
+
+
+def test_bvector_level_checks_the_triple_it_prints(capsys, monkeypatch):
+    enumerate_bvectors = bv.enumerate_bvectors
+
+    def corrupted(m):
+        for word, b in enumerate_bvectors(m):
+            yield word, ((b[0] + 1, b[1] - 1, b[2]) if word == "12" else b)
+
+    monkeypatch.setattr(bv, "enumerate_bvectors", corrupted)
+    code, out, err = run(capsys, "bvector", "--level", "2")
+    assert code == 3 and out == ""
+    assert err == "routes-disagree at '12'\n"
+
+
+def test_bvector_level_prints_the_chosen_route(capsys, monkeypatch):
+    monkeypatch.setitem(cli._B_ROUTES, "matrix", lambda word: (Fraction(1), Fraction(0), Fraction(0)))
+    code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "matrix")
+    assert code == 0
+    assert out.splitlines()[1:] == [w + ",1,0,0,1.0,0.0,0.0" for w in ("00", "01", "02", "10", "11", "12",
+                                                                      "20", "21", "22")]
+    code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "recursion")
+    assert out.splitlines()[1].startswith("00,27/41,7/41,7/41,")
 
 
 def test_edge_profile_csv(capsys):
@@ -205,20 +246,19 @@ def test_size_bounds_are_inclusive(capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _python(*args, **kwargs):
+def _python(*args, unbuffered=False, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    # Unbuffered stdout writes straight to the raw file, which drops the rest
-    # of a partial write silently instead of raising; run buffered, as a
-    # shell pipeline does.
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
-def test_closed_pipe_exits_141_without_a_traceback():
+def _close_pipe_early(unbuffered):
     # about 240 kB of CSV, several pipe buffers
     proc = _python("-m", "gasketenergy.cli", "ifs", "angular", "--level", "8", "--slices", "5000",
-                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                   unbuffered=unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -226,6 +266,16 @@ def test_closed_pipe_exits_141_without_a_traceback():
     assert proc.wait(timeout=60) == 141
     assert first.startswith(b"bin_lo_rad,")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    _close_pipe_early(unbuffered=False)
+
+
+def test_closed_unbuffered_pipe_exits_141():
+    """Unbuffered stdout is a raw file that may take only part of a write;
+    the output is not cut short silently with exit 0."""
+    _close_pipe_early(unbuffered=True)
 
 
 IMPORT_GUARD = """

@@ -22,6 +22,7 @@ from gasketenergy.derivatives import (
     rank1_deviation,
     rn_derivative,
     rn_derivative_via_mass,
+    rn_derivative_via_refine,
     scan_extrema,
     skew_energy_gap,
     _derivative_raw,
@@ -64,8 +65,9 @@ def test_adjacent_midpoint_is_half_from_both_sides():
 @given(triples, words, letters)
 @settings(max_examples=60)
 def test_two_closed_forms_agree_everywhere(c, word, corner):
+    """The integer walk and the refine route share no arithmetic."""
     v = VertexAddress(word, corner)
-    assert rn_derivative(c, v) == rn_derivative_via_mass(c, v)
+    assert rn_derivative(c, v) == rn_derivative_via_mass(c, v) == rn_derivative_via_refine(c, v)
 
 
 @given(words, letters)

@@ -1,5 +1,6 @@
-"""The integer row kernel: its exact identities, and the block scans built on
-it checked against the depth-first walks they replaced.
+"""The integer row kernel: its exact identities, the block walk
+``core.subtree_levels``, and the scans built on it checked against the
+depth-first walks they replaced.
 
 The reference walks below are the previous implementations, kept here
 verbatim in substance: every vertex evaluated from its own root-to-leaf
@@ -12,6 +13,7 @@ and margin per bottom-edge cell (``monotone_left_right``).
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gasketenergy import bvectors as bv
+from gasketenergy import core
 from gasketenergy import derivatives as dv
 from gasketenergy.core import (
     MASS_SCALED,
@@ -30,6 +33,7 @@ from gasketenergy.core import (
     row_children,
     row_step,
     row_walk,
+    subtree_levels,
     word_matrix,
 )
 from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
@@ -83,6 +87,39 @@ def test_row_children_of_a_subfamily_follow_its_order():
 def test_row_step_matches_one_letter_walk():
     for j in range(3):
         assert row_step((5, -7, 11), MASS_SCALED[j]) == row_walk((5, -7, 11), str(j))
+
+
+# ---------------------------------------------------------------------------
+# the block walk every exact scan shares
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@pytest.mark.parametrize("word", ["", "12"])
+def test_subtree_levels_visits_every_cell_once(monkeypatch, block, word):
+    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
+    tops = ((3, -1, 2), (1, 1, 1))
+    for levels in range(1, 8):
+        seen = []
+        for root, t, level in subtree_levels(word, tops, levels):
+            assert [len(fam) for fam in level] == [3**t, 3**t]
+            for i in range(3**t):
+                cell = root + lex_word(i, t)
+                assert [fam[i] for fam in level] == [row_walk(r, cell[len(word):]) for r in tops]
+                seen.append(cell)
+        assert sorted(seen) == sorted(word + u for n in range(levels) for u in words_of(n))
+        assert len(seen) == len(set(seen)), (block, levels)
+
+
+def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_LEVELS", 2)
+    roots = [root for root, t, _ in subtree_levels("", ((1, 1, 1),), 5) if t == 0]
+    # the first block takes the remainder; roots come depth-first, in word order
+    assert roots == sorted([""] + words_of(1) + words_of(3))
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_subtree_levels_of_no_levels_is_empty(levels):
+    assert list(subtree_levels("0", ((1, 1, 1),), levels)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +239,7 @@ def test_scan_extrema_equals_reference(c):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(dv, "SCAN_BLOCK_LEVELS", block)
+    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
     for c in (E[0], SCAN_MEASURES[-1]):
         for depth in (1, 4, 7):
             assert dv.scan_extrema(c, "1", depth) == reference_scan_extrema(c, "1", depth)
@@ -305,7 +342,7 @@ def test_scan_bounds_returns_the_lexicographically_first_offender(monkeypatch, g
 
 @pytest.mark.parametrize("block", [1, 2, 4])
 def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(bv, "BOUNDS_BLOCK_LEVELS", block)
+    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
     monkeypatch.setattr(bv, "MASS_SCALED", PLANTED_FAMILIES[0])
     for level in (0, 3, 9):
         assert bv.scan_bounds(level) == reference_scan_bounds(PLANTED_FAMILIES[0], level)
@@ -362,6 +399,24 @@ def reference_monotone_left_right(m):
 def test_operator_norm_scan_equals_reference():
     for m in range(10):
         assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_operator_norm_scan_does_not_depend_on_the_block_size(monkeypatch, block):
+    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
+    for m in (0, 1, 4, 7):
+        assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
+
+
+def test_operator_norm_scan_memory_is_bounded_by_one_block():
+    """The walk holds one block, not a whole level (about 39 MB at m = 10)."""
+    tracemalloc.start()
+    try:
+        dv.operator_norm_scan(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_monotone_left_right_equals_reference():
