@@ -19,13 +19,14 @@ rows of every word, walked by the shared block walk ``core.subtree_levels``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional
 
 from .core import (
     MASS_SCALED,
-    IntRow,
     Vec3,
     VertexAddress,
+    array_children,
     check_word,
     lex_word,
     row_walk,
@@ -171,48 +172,97 @@ def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     yield from walk("", _CENTER)
 
 
-def _first_offender(rows: list[IntRow]) -> Optional[int]:
-    """Index of the first column-sum row failing a ``scan_bounds`` test."""
-    for i, (c0, c1, c2) in enumerate(rows):
-        total = c0 + c1 + c2
-        if (total + 3 * c0 <= 0 or c0 >= total
-                or total + 3 * c1 <= 0 or c1 >= total
-                or total + 3 * c2 <= 0 or c2 >= total):
-            return i
-        e2 = c0 * c1 + c1 * c2 + c0 * c2
-        # the disk test from e2: sum (3c_j - T)^2 == 6 T^2 - 18 e2
-        if 6 * total * total - 18 * e2 >= 6 * total * total or e2 <= 0:
-            return i
-    return None
+#: Level arrays run as ``int64`` when every row entry stays below this bound
+#: in absolute value: the limb test of ``_e2_positive`` is exact there and no
+#: sum ``scan_bounds`` forms comes near 2**63.  Larger rows run on
+#: ``dtype=object`` arrays of Python ints.
+INT64_ROW_BOUND = 2**45
+#: Rows stepped per ``array_children`` call of ``scan_bounds``: one matrix
+#: product makes ``3 * BOUNDS_BLOCK_ROWS`` child rows.
+BOUNDS_BLOCK_ROWS = 3**7
+
+_LIMB = 23
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _e2_positive(c0, c1, c2):
+    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``), exact
+    on ``int64`` arrays with every |c_j| < 2**45 and on ``object`` arrays.
+
+    Each factor splits into limbs ``x = h * 2**23 + l`` with ``0 <= l < 2**23``;
+    the products' limbs add up to ``H * 2**46 + M * 2**23 + L`` with every
+    partial sum below 2**49.  Carrying ``L`` into ``M`` and ``M`` into ``H``
+    leaves ``0 <= M, L < 2**23``, so the sign is ``H``'s unless ``H == 0``,
+    when it is positive iff ``M`` or ``L`` is nonzero.  Python ints need no
+    limbs, so ``object`` arrays take the product directly.
+    """
+    s = c0 + c1
+    if s.dtype == object:
+        return c0 * c1 + c2 * s > 0
+    h0, h1, h2, hs = c0 >> _LIMB, c1 >> _LIMB, c2 >> _LIMB, s >> _LIMB
+    l0, l1, l2, ls = c0 & _LIMB_MASK, c1 & _LIMB_MASK, c2 & _LIMB_MASK, s & _LIMB_MASK
+    hi = h0 * h1 + h2 * hs
+    mid = h0 * l1 + l0 * h1 + h2 * ls + l2 * hs
+    lo = l0 * l1 + l2 * ls
+    mid = mid + (lo >> _LIMB)
+    hi = hi + (mid >> _LIMB)
+    return (hi > 0) | ((hi == 0) & (((mid & _LIMB_MASK) | (lo & _LIMB_MASK)) != 0))
+
+
+def _first_offender(rows) -> Optional[int]:
+    """Index of the first column-sum row failing a ``scan_bounds`` test, or
+    None; ``rows`` is an ``(n, 3)`` array from ``array_children`` or a list
+    of integer rows (taken as Python ints)."""
+    import numpy as np
+
+    c = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object).reshape(-1, 3)
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    total = c0 + c1 + c2
+    bad = ~_e2_positive(c0, c1, c2)
+    for cj in (c0, c1, c2):
+        bad |= (total + 3 * cj <= 0) | (cj >= total)
+    return int(bad.argmax()) if bad.any() else None
 
 
 def scan_bounds(max_level: int) -> Optional[str]:
     """Exhaustively verify the strict weight bounds up to a level.
 
-    For every word of length <= max_level checks, in pure integer
+    For every word of length <= max_level checks, in exact integer
     arithmetic on the scaled column sums (c_0, c_1, c_2) with total T:
 
     * 0 < b_j < 2/3          (as 0 < T + 3c_j and c_j < T),
-    * sum (b_j - 1/3)^2 < 1/6  (as sum (3c_j - T)^2 < 6 T^2, evaluated as
-      6 T^2 - 18 e2 with e2 = c_0c_1 + c_1c_2 + c_0c_2),
-    * e2 > 0  (the column-sum cone that feeds the induction behind the
-      first two).
+    * sum (b_j - 1/3)^2 < 1/6  (as sum (3c_j - T)^2 < 6 T^2).
 
-    Each mass generator scales the form e2 by exactly 9 (M_j A M_j^T == 9 A
-    for its matrix A), so every level-m row has e2 == 3 * 9^m; the tests
-    are still evaluated on every word, which is what makes the scan a check.
+    In column-sum form the disk test and the column-sum cone test (the one
+    that feeds the induction behind the bounds) coincide: sum (3c_j - T)^2
+    == 6 T^2 - 18 e2 with e2 = c_0c_1 + c_1c_2 + c_0c_2, so both read
+    e2 > 0, and it is evaluated once.  Each mass generator scales e2 by
+    exactly 9 (M_j A M_j^T == 9 A for its matrix A), so every level-m row
+    has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
+    what makes the scan a check.
+
+    The rows are walked as numpy level arrays by ``core.subtree_levels``
+    with ``core.array_children``.  Before any work the largest entry is
+    bounded by max|row_0| * g^max_level, g the largest absolute column sum
+    of the generators (13^12 < 2**45 for the mass family); the arrays are
+    ``int64`` when that bound is below ``INT64_ROW_BOUND`` and ``object``
+    otherwise, so every answer is exact and no level is refused.
 
     Returns the lexicographically first offending word, or None when every
-    word passes.  The rows come from the block walk ``core.subtree_levels``;
-    the answer is the least of each walked level's first offender, which is
-    the lexicographically first offender because a prefix sorts before its
+    word passes: the least of each block's first offender, which is the
+    lexicographically first offender because a prefix sorts before its
     extensions.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
+    gens, top = MASS_SCALED, (1, 1, 1)
+    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
+    big = max(map(abs, top)) * max(growth, 1) ** max_level >= INT64_ROW_BOUND
+    step = partial(array_children, dtype="object" if big else "int64")
     hits = []
-    for root, t, (rows,) in subtree_levels("", ((1, 1, 1),), max_level + 1, MASS_SCALED):
+    for depth, start, (rows,) in subtree_levels("", (top,), max_level + 1, gens, step,
+                                                BOUNDS_BLOCK_ROWS):
         i = _first_offender(rows)
         if i is not None:
-            hits.append(root + lex_word(i, t))
+            hits.append(lex_word(start + i, depth))
     return min(hits, default=None)

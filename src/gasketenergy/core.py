@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -237,34 +237,62 @@ def row_children(rows: Iterable[IntRow], gens: Iterable[IntMat] = MASS_SCALED) -
     ]
 
 
-#: Levels per block of ``subtree_levels``; memory stays bounded by one block,
-#: at most 3**BLOCK_LEVELS rows per level and family, whatever the depth.
-BLOCK_LEVELS = 5
+def array_children(rows, gens: Sequence[IntMat], dtype: str):
+    """``row_children`` on a numpy array: an ``(n, 3)`` array (or a list of
+    rows) in, the ``(len(gens) * n, 3)`` array of children out, in the same
+    order, by one matrix product.
+
+    ``dtype="int64"`` is exact only while no entry or partial sum leaves the
+    ``int64`` range, which the caller proves from its generators before the
+    walk; ``dtype="object"`` holds Python ints and is always exact.  numpy
+    is imported here, so importing this module does not load it.
+    """
+    import numpy as np
+
+    cols = np.array([[g[i][j] for g in gens for j in range(3)] for i in range(3)], dtype=dtype)
+    return (np.asarray(rows, dtype=dtype) @ cols).reshape(-1, 3)
+
+
+#: Rows stepped per ``step`` call of ``subtree_levels`` unless the caller
+#: passes its own count: a yielded block holds at most ``3 * BLOCK_ROWS``
+#: rows per family, whatever the depth.
+BLOCK_ROWS = 81
 
 
 def subtree_levels(word: str, rows: Sequence[IntRow], levels: int,
-                   gens: Sequence[IntMat] = MASS_SCALED) -> Iterator[tuple[str, int, list]]:
+                   gens: Sequence[IntMat] = MASS_SCALED,
+                   step: Callable = row_children,
+                   block_rows: Optional[int] = None) -> Iterator[tuple[int, int, list]]:
     """Block walk over the cells ``word + u`` with ``len(u) < levels``.
 
-    Yields ``(root, t, level)`` where ``level[f][i]`` is ``rows[f]`` walked
-    to the cell ``root + lex_word(i, t)``; each cell appears exactly once.
-    Blocks of ``BLOCK_LEVELS`` levels are expanded breadth-first, one
-    ``row_children`` call per level and family, and visited depth-first in
-    lexicographic order of their roots; the first block takes the remainder,
-    so every deeper block is full.  ``levels < 1`` yields nothing.
+    Yields ``(depth, start, level)`` where ``level[f][i]`` is ``rows[f]``
+    walked to the cell ``word + lex_word(start + i, depth)``: a block is a
+    run of cells that are consecutive in word order on one level, and each
+    cell lies in exactly one block.  ``step(fam, gens)`` maps a block of
+    rows to their children in ``row_children`` order; it is called on at
+    most ``block_rows`` (default ``BLOCK_ROWS``, read when the walk runs)
+    rows at a time, and ``array_children`` works as well as the default,
+    since the walk only slices blocks and takes their length.
+
+    A level near the root that fits in one call is expanded whole; below
+    that the walk goes depth-first, block by block in word order, and holds
+    at most one block per level.  ``levels < 1`` yields nothing.
     """
-    stack = [(word, tuple(rows), levels)] if levels >= 1 else []
+    per = BLOCK_ROWS if block_rows is None else block_rows
+    if levels < 1:
+        return
+    level = [[r] for r in rows]
+    yield 0, 0, level
+    stack = [(0, 0, level)] if levels > 1 else []  # yielded blocks with children still to walk
     while stack:
-        root, tops, left = stack.pop()
-        span = (left - 1) % BLOCK_LEVELS + 1
-        level = [[r] for r in tops]
-        for t in range(span):
-            yield root, t, level
-            if t + 1 < left:
-                level = [row_children(fam, gens) for fam in level]
-        if left > span:
-            for i in reversed(range(len(level[0]))):
-                stack.append((root + lex_word(i, span), tuple(fam[i] for fam in level), left - span))
+        depth, start, level = stack.pop()
+        if len(level[0]) > per:
+            stack.append((depth, start + per, [fam[per:] for fam in level]))
+            level = [fam[:per] for fam in level]
+        kids = [step(fam, gens) for fam in level]
+        yield depth + 1, 3 * start, kids
+        if depth + 2 < levels:
+            stack.append((depth + 1, 3 * start, kids))
 
 
 _FAMILIES: Mapping[str, tuple[Mat3, Mat3, Mat3]] = {

@@ -285,20 +285,27 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     lo_d = hi_d = q0[0] + q0[1]
     lo_key = hi_key = (word + "0", 1)
 
-    for root, t, (rs, qs) in subtree_levels(word, (r0, q0), depth):
+    # Within one block the loop meets keys in increasing order (rows in word
+    # order, then edges (0,1), (0,2), (1,2)), so after a block's first tie
+    # or improvement every later tie in that block has the larger key: at
+    # most one tie key per block and extremum is built.
+    for d, start, (rs, qs) in subtree_levels(word, (r0, q0), depth):
+        lo_open = hi_open = True
         for i, (ri, qi) in enumerate(zip(rs, qs)):
             for j, k in _EDGES:
                 num, dnm = ri[j] + ri[k], qi[j] + qi[k]
                 a, b = num * lo_d, lo_n * dnm
-                if a <= b:
-                    key = (root + lex_word(i, t) + LETTERS[j], k)
+                if a < b or (a == b and lo_open):
+                    key = (word + lex_word(start + i, d) + LETTERS[j], k)
                     if a < b or key < lo_key:
                         lo_n, lo_d, lo_key = num, dnm, key
+                    lo_open = False
                 a, b = num * hi_d, hi_n * dnm
-                if a >= b:
-                    key = (root + lex_word(i, t) + LETTERS[j], k)
+                if a > b or (a == b and hi_open):
+                    key = (word + lex_word(start + i, d) + LETTERS[j], k)
                     if a > b or key < hi_key:
                         hi_n, hi_d, hi_key = num, dnm, key
+                    hi_open = False
     return ScanResult(
         Fraction(lo_n, lo_d),
         Fraction(hi_n, hi_d),
@@ -419,8 +426,8 @@ def operator_norm_scan(m: int) -> Fraction:
         raise ValueError("operator_norm_scan supports 0 <= m <= 10")
     best = 0
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for root, t, level in subtree_levels("", units, m + 1, REFINE_SCALED):
-        if len(root) + t == m:
+    for depth, _, level in subtree_levels("", units, m + 1, REFINE_SCALED):
+        if depth == m:
             best = max(best, max(abs(a[c]) + abs(b[c]) + abs(d[c])
                                  for a, b, d in zip(*level) for c in range(3)))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m

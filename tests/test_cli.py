@@ -301,6 +301,17 @@ def test_exact_commands_load_no_numpy():
     assert proc.returncode == 0, err.decode()
 
 
+def test_exact_modules_import_no_numpy():
+    """``scan_bounds`` loads numpy when it first runs, not at import time."""
+    code = ("import sys\n"
+            "import gasketenergy.core, gasketenergy.harmonic, gasketenergy.measures\n"
+            "import gasketenergy.derivatives, gasketenergy.bvectors\n"
+            "assert 'numpy' not in sys.modules, 'an exact module loaded numpy'\n")
+    proc = _python("-c", code, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()
+
+
 def test_dynamics_imports_no_exact_module():
     code = "import sys, gasketenergy.dynamics; assert 'gasketenergy.core' not in sys.modules"
     proc = _python("-c", code, stderr=subprocess.PIPE)

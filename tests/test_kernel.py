@@ -96,14 +96,15 @@ def test_row_step_matches_one_letter_walk():
 @pytest.mark.parametrize("block", [1, 2, 3, 4])
 @pytest.mark.parametrize("word", ["", "12"])
 def test_subtree_levels_visits_every_cell_once(monkeypatch, block, word):
-    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
     tops = ((3, -1, 2), (1, 1, 1))
     for levels in range(1, 8):
         seen = []
-        for root, t, level in subtree_levels(word, tops, levels):
-            assert [len(fam) for fam in level] == [3**t, 3**t]
-            for i in range(3**t):
-                cell = root + lex_word(i, t)
+        for depth, start, level in subtree_levels(word, tops, levels):
+            n = len(level[0])
+            assert [len(fam) for fam in level] == [n, n] and 0 < n <= 3 * block
+            for i in range(n):
+                cell = word + lex_word(start + i, depth)
                 assert [fam[i] for fam in level] == [row_walk(r, cell[len(word):]) for r in tops]
                 seen.append(cell)
         assert sorted(seen) == sorted(word + u for n in range(levels) for u in words_of(n))
@@ -111,10 +112,22 @@ def test_subtree_levels_visits_every_cell_once(monkeypatch, block, word):
 
 
 def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
-    monkeypatch.setattr(core, "BLOCK_LEVELS", 2)
-    roots = [root for root, t, _ in subtree_levels("", ((1, 1, 1),), 5) if t == 0]
-    # the first block takes the remainder; roots come depth-first, in word order
-    assert roots == sorted([""] + words_of(1) + words_of(3))
+    """Blocks come depth-first in word order: their first cells ascend."""
+    monkeypatch.setattr(core, "BLOCK_ROWS", 2)
+    firsts = [lex_word(start, depth) for depth, start, _ in subtree_levels("", ((1, 1, 1),), 5)]
+    assert firsts[:4] == ["", "0", "00", "000"]
+    assert firsts == sorted(set(firsts)) and len(firsts) > 5  # more blocks than levels
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_array_children_equal_row_children(dtype):
+    rows = [(3, -1, 2), (0, 7, -5), (1, 1, 1)]
+    for gens in (MASS_SCALED, REFINE_SCALED, (MASS_SCALED[2], MASS_SCALED[0])):
+        out = core.array_children(rows, gens, dtype)
+        assert out.dtype == dtype
+        assert [tuple(int(x) for x in row) for row in out] == row_children(rows, gens)
+        assert [tuple(int(x) for x in row) for row in core.array_children(out, gens, dtype)] \
+            == row_children(row_children(rows, gens), gens)
 
 
 @pytest.mark.parametrize("levels", [0, -1])
@@ -239,8 +252,8 @@ def test_scan_extrema_equals_reference(c):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
-    for c in (E[0], SCAN_MEASURES[-1]):
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
+    for c in (E[0], SCAN_MEASURES[-1], KUSUOKA):
         for depth in (1, 4, 7):
             assert dv.scan_extrema(c, "1", depth) == reference_scan_extrema(c, "1", depth)
 
@@ -340,12 +353,71 @@ def test_scan_bounds_returns_the_lexicographically_first_offender(monkeypatch, g
         assert bv.scan_bounds(level) == reference_scan_bounds(gens, level), level
 
 
-@pytest.mark.parametrize("block", [1, 2, 4])
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
 def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
+    monkeypatch.setattr(bv, "BOUNDS_BLOCK_ROWS", block)
     monkeypatch.setattr(bv, "MASS_SCALED", PLANTED_FAMILIES[0])
     for level in (0, 3, 9):
         assert bv.scan_bounds(level) == reference_scan_bounds(PLANTED_FAMILIES[0], level)
+
+
+def recorded_dtypes(monkeypatch):
+    """Patch ``bv.array_children`` to record the dtype of every step."""
+    seen = set()
+
+    def spy(rows, gens, dtype):
+        seen.add(dtype)
+        return core.array_children(rows, gens, dtype)
+
+    monkeypatch.setattr(bv, "array_children", spy)
+    return seen
+
+
+def test_scan_bounds_runs_int64_under_the_budget(monkeypatch):
+    dtypes = recorded_dtypes(monkeypatch)
+    assert bv.scan_bounds(12) is None  # 13**12 < 2**45
+    assert dtypes == {"int64"}
+
+
+@pytest.mark.parametrize("gens", PLANTED_FAMILIES)
+def test_scan_bounds_object_path_matches_reference(monkeypatch, gens):
+    """Over the budget (patched down to 13**2) the same scan runs on Python ints."""
+    monkeypatch.setattr(bv, "INT64_ROW_BOUND", 13**2)
+    monkeypatch.setattr(bv, "MASS_SCALED", gens)
+    dtypes = recorded_dtypes(monkeypatch)
+    for level in range(11):
+        assert bv.scan_bounds(level) == reference_scan_bounds(gens, level), level
+    assert dtypes == {"int64", "object"}
+
+
+def limb_rows(rng):
+    """Rows at the edge of the int64 budget, on the rim, off the cone, and zero."""
+    top = 2**45 - 1
+    rows = [(0, 0, 0), (top, top, top), (-top, -top, -top), (top, -top, top), (top, top, -top)]
+    rows += [(5 << k, 20 << k, -4 << k) for k in range(39)]  # e2 == 0
+    rows += [(-4 << k, 5 << k, 20 << k) for k in range(39)]
+    rows += [(-(5 << k), -(20 << k), 4 << k) for k in range(39)]
+    for _ in range(4000):
+        bits = rng.choice((4, 23, 24, 44, 45))
+        row = tuple(rng.randrange(-(2**bits) + 1, 2**bits) for _ in range(3))
+        rows += [row, (row[0], row[1], -row[0] * row[1] // (row[0] + row[1] or 1))]
+    for _ in range(2000):  # e2 within a few units of zero
+        a, b = rng.randrange(1, 2**22), rng.randrange(1, 2**22)
+        c = -(a * b) // (a + b)
+        rows += [(a, b, c + d) for d in (-1, 0, 1)]
+    return [r for r in rows if max(map(abs, r)) < 2**45]
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_limb_sign_test_matches_python_ints(dtype):
+    import numpy as np
+
+    rows = limb_rows(random.Random(2_345))
+    c = np.array(rows, dtype=dtype)
+    got = bv._e2_positive(c[:, 0], c[:, 1], c[:, 2])
+    want = [e2(row) > 0 for row in rows]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
 
 
 def test_bound_tests_are_strict_on_the_disk_rim():
@@ -403,7 +475,7 @@ def test_operator_norm_scan_equals_reference():
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_operator_norm_scan_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(core, "BLOCK_LEVELS", block)
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
     for m in (0, 1, 4, 7):
         assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
 
