@@ -23,23 +23,27 @@ from functools import partial
 from typing import Iterator, Optional
 
 from .core import (
+    INT64_ROW_BOUND,
     MASS_SCALED,
+    IntRow,
     Vec3,
     VertexAddress,
     array_children,
+    array_dtype,
     check_word,
+    int_row,
     lex_word,
+    limb_sign,
     row_walk,
     subtree_levels,
 )
-from .measures import KUSUOKA, MeasureCoeffs, children_triple_via_refine, measure_of_cell
+from .measures import KUSUOKA, MeasureCoeffs, children_row_via_refine, measure_of_cell
 from .derivatives import rn_derivative
 
 #: A weight triple: three rationals summing to one.
 BVector = Vec3
 
 _THIRD = Fraction(1, 3)
-_CENTER: BVector = (_THIRD, _THIRD, _THIRD)
 
 
 def b_from_mass(word: str) -> BVector:
@@ -56,35 +60,52 @@ def b_from_mass(word: str) -> BVector:
     return tuple(Fraction(1, 6) + Fraction(col, 2 * total) for col in cols)  # type: ignore[return-value]
 
 
+def _b_step_int(p: IntRow, j: int) -> IntRow:
+    """One letter of the weight recursion on projective integer numerators:
+    with b = p / sum(p), the child triple is the returned row over its sum."""
+    k, l = (j + 1) % 3, (j + 2) % 3
+    out = [0, 0, 0]
+    out[j] = 9 * p[j]
+    out[k] = 2 * p[j] + 2 * p[k] - p[l]
+    out[l] = 2 * p[j] - p[k] + 2 * p[l]
+    return tuple(out)  # type: ignore[return-value]
+
+
+def _unit_triple(p: IntRow) -> BVector:
+    total = p[0] + p[1] + p[2]
+    return tuple(Fraction(x, total) for x in p)  # type: ignore[return-value]
+
+
 def b_step(b: BVector, j: int) -> BVector:
     """Weight triple of the j-th child cell from the parent's triple.
 
-    Accepts any exact unit-sum triple.  The denominator is 12*b_j + 1, which
-    never vanishes on the closed disk of valid triples; a triple far enough
+    Accepts any exact unit-sum triple.  In rationals the step is
+    b_j -> 9 b_j / (12 b_j + 1), b_k -> (2 b_j + 2 b_k - b_l) / (12 b_j + 1)
+    and b_l -> (2 b_j - b_k + 2 b_l) / (12 b_j + 1); it runs as
+    ``_b_step_int`` on the triple's integer numerators, whose new sum is the
+    denominator 12 b_j + 1 times the old one.  That denominator never
+    vanishes on the closed disk of valid triples; a triple far enough
     outside it raises.
     """
     if j not in (0, 1, 2):
         raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
     if b[0] + b[1] + b[2] != 1:
         raise ValueError("b_step needs a unit-sum triple")
-    k, l = (j + 1) % 3, (j + 2) % 3
-    den = 12 * b[j] + 1
-    if den == 0:
+    p = _b_step_int(int_row(b)[0], j)
+    if p[0] + p[1] + p[2] == 0:
         raise ValueError("degenerate denominator: triple lies outside the weight disk")
-    out = [Fraction(0)] * 3
-    out[j] = 9 * b[j] / den
-    out[k] = (2 * b[j] + 2 * b[k] - b[l]) / den
-    out[l] = (2 * b[j] - b[k] + 2 * b[l]) / den
-    return tuple(out)  # type: ignore[return-value]
+    return _unit_triple(p)
 
 
 def b_from_word(word: str) -> BVector:
-    """Iterate ``b_step`` along the word from the barycenter (second route)."""
+    """Iterate ``b_step`` along the word from the barycenter (second route):
+    ``_b_step_int`` from (1, 1, 1), with one ``Fraction`` per weight at the
+    end."""
     check_word(word)
-    b = _CENTER
+    p = (1, 1, 1)
     for ch in word:
-        b = b_step(b, int(ch))
-    return b
+        p = _b_step_int(p, int(ch))
+    return _unit_triple(p)
 
 
 def b_from_kusuoka(word: str) -> BVector:
@@ -92,19 +113,19 @@ def b_from_kusuoka(word: str) -> BVector:
 
     Weight j measures how much of the cell's Kusuoka mass the j-th child
     holds, recentered and scaled so a uniform split gives the barycenter:
-    b_j = 1/3 + (5/4)(ratio_j - 1/3).
+    b_j = 1/3 + (5/4)(ratio_j - 1/3), that is (15 x_j - P) / (12 P) for
+    child masses x and their sum P.
 
-    The child masses come from ``children_triple_via_refine``, the
-    ``Fraction`` refine recursion, and the cell's own mass is their sum, so
-    no word longer than ``word`` is formed.  This route shares no arithmetic
-    with ``b_from_mass`` (the integer mass-generator kernel) nor with
-    ``b_from_word`` (the one-letter recursion on the triple).
+    The child masses come from ``children_row_via_refine``, the refine
+    recursion on integer numerators, and the cell's own mass is their sum,
+    so no word longer than ``word`` is formed and the common scale cancels.
+    This route shares no arithmetic with ``b_from_mass`` (the integer
+    mass-generator kernel) nor with ``b_from_word`` (the one-letter
+    recursion on the triple).
     """
-    children = children_triple_via_refine(KUSUOKA, word)
-    parent = children[0] + children[1] + children[2]
-    return tuple(  # type: ignore[return-value]
-        _THIRD + Fraction(5, 4) * (x / parent - _THIRD) for x in children
-    )
+    x, _ = children_row_via_refine(KUSUOKA, word)
+    parent = x[0] + x[1] + x[2]
+    return tuple(Fraction(15 * v - parent, 12 * parent) for v in x)  # type: ignore[return-value]
 
 
 def weighted_average_gap(c: MeasureCoeffs, word: str) -> Fraction:
@@ -156,57 +177,34 @@ def disk_radius_sq(b: BVector) -> Fraction:
 def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     """All level-m (word, weight triple) pairs in lexicographic word order.
 
-    Exact; computed by recursion along the enumeration tree, so each step is
-    a handful of small-denominator operations.
+    Exact; computed by ``_b_step_int`` along the enumeration tree from
+    (1, 1, 1), so each step is a few integer operations shared by every
+    extension of the word, and one ``Fraction`` per weight is built at the
+    leaves.
     """
     if m < 0:
         raise ValueError("depth must be nonnegative")
 
-    def walk(word: str, b: BVector) -> Iterator[tuple[str, BVector]]:
+    def walk(word: str, p: IntRow) -> Iterator[tuple[str, BVector]]:
         if len(word) == m:
-            yield word, b
+            yield word, _unit_triple(p)
             return
         for j in (0, 1, 2):
-            yield from walk(word + str(j), b_step(b, j))
+            yield from walk(word + str(j), _b_step_int(p, j))
 
-    yield from walk("", _CENTER)
+    yield from walk("", (1, 1, 1))
 
 
-#: Level arrays run as ``int64`` when every row entry stays below this bound
-#: in absolute value: the limb test of ``_e2_positive`` is exact there and no
-#: sum ``scan_bounds`` forms comes near 2**63.  Larger rows run on
-#: ``dtype=object`` arrays of Python ints.
-INT64_ROW_BOUND = 2**45
 #: Rows stepped per ``array_children`` call of ``scan_bounds``: one matrix
 #: product makes ``3 * BOUNDS_BLOCK_ROWS`` child rows.
 BOUNDS_BLOCK_ROWS = 3**7
 
-_LIMB = 23
-_LIMB_MASK = (1 << _LIMB) - 1
-
 
 def _e2_positive(c0, c1, c2):
-    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``), exact
-    on ``int64`` arrays with every |c_j| < 2**45 and on ``object`` arrays.
-
-    Each factor splits into limbs ``x = h * 2**23 + l`` with ``0 <= l < 2**23``;
-    the products' limbs add up to ``H * 2**46 + M * 2**23 + L`` with every
-    partial sum below 2**49.  Carrying ``L`` into ``M`` and ``M`` into ``H``
-    leaves ``0 <= M, L < 2**23``, so the sign is ``H``'s unless ``H == 0``,
-    when it is positive iff ``M`` or ``L`` is nonzero.  Python ints need no
-    limbs, so ``object`` arrays take the product directly.
-    """
-    s = c0 + c1
-    if s.dtype == object:
-        return c0 * c1 + c2 * s > 0
-    h0, h1, h2, hs = c0 >> _LIMB, c1 >> _LIMB, c2 >> _LIMB, s >> _LIMB
-    l0, l1, l2, ls = c0 & _LIMB_MASK, c1 & _LIMB_MASK, c2 & _LIMB_MASK, s & _LIMB_MASK
-    hi = h0 * h1 + h2 * hs
-    mid = h0 * l1 + l0 * h1 + h2 * ls + l2 * hs
-    lo = l0 * l1 + l2 * ls
-    mid = mid + (lo >> _LIMB)
-    hi = hi + (mid >> _LIMB)
-    return (hi > 0) | ((hi == 0) & (((mid & _LIMB_MASK) | (lo & _LIMB_MASK)) != 0))
+    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by
+    ``core.limb_sign``: exact on ``object`` arrays and on ``int64`` arrays
+    with every |c_j| < ``INT64_ROW_BOUND``, so that |c0 + c1| < 2**60."""
+    return limb_sign(c0, c1, c2, c0 + c1) > 0
 
 
 def _first_offender(rows) -> Optional[int]:
@@ -242,11 +240,12 @@ def scan_bounds(max_level: int) -> Optional[str]:
     what makes the scan a check.
 
     The rows are walked as numpy level arrays by ``core.subtree_levels``
-    with ``core.array_children``.  Before any work the largest entry is
-    bounded by max|row_0| * g^max_level, g the largest absolute column sum
-    of the generators (13^12 < 2**45 for the mass family); the arrays are
-    ``int64`` when that bound is below ``INT64_ROW_BOUND`` and ``object``
-    otherwise, so every answer is exact and no level is refused.
+    with ``core.array_children``.  Before any work ``core.array_dtype``
+    bounds the largest entry by max|row_0| * g^max_level, g the largest
+    absolute column sum of the generators (13^15 < 2**59 for the mass
+    family); the arrays are ``int64`` when that bound is below
+    ``INT64_ROW_BOUND`` and ``object`` otherwise, so every answer is exact
+    and no level is refused.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -256,9 +255,7 @@ def scan_bounds(max_level: int) -> Optional[str]:
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     gens, top = MASS_SCALED, (1, 1, 1)
-    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
-    big = max(map(abs, top)) * max(growth, 1) ** max_level >= INT64_ROW_BOUND
-    step = partial(array_children, dtype="object" if big else "int64")
+    step = partial(array_children, dtype=array_dtype((top,), gens, max_level, INT64_ROW_BOUND))
     hits = []
     for depth, start, (rows,) in subtree_levels("", (top,), max_level + 1, gens, step,
                                                 BOUNDS_BLOCK_ROWS):

@@ -253,6 +253,65 @@ def array_children(rows, gens: Sequence[IntMat], dtype: str):
     return (np.asarray(rows, dtype=dtype) @ cols).reshape(-1, 3)
 
 
+#: ``limb_sign`` is exact on ``int64`` arrays whose factors all lie strictly
+#: between ``-LIMB_BOUND`` and ``LIMB_BOUND``.
+LIMB_BOUND = 2**60
+#: Level arrays run as ``int64`` when every row entry stays below this bound
+#: in absolute value: a sum of two entries is then a valid ``limb_sign``
+#: factor, and the scans form no sum above six entries (< 2**63).  Larger
+#: rows run on ``dtype=object`` arrays of Python ints.
+INT64_ROW_BOUND = LIMB_BOUND // 2
+
+_LIMB = 30
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def limb_sign(a, b, c, d):
+    """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
+
+    ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
+    or ints.  ``object`` arrays hold Python ints, which take the products
+    directly.  ``int64`` products need not fit, so each factor splits into
+    limbs ``x = h * 2**30 + l`` with ``0 <= l < 2**30``.  With every
+    |factor| < ``LIMB_BOUND`` = 2**60, |h| <= 2**30 and the limb sums are
+
+    * ``lo = l_a l_b + l_c l_d``, below 2**61,
+    * ``mid = h_a l_b + l_a h_b + h_c l_d + l_c h_d``, below 2**62,
+    * ``hi = h_a h_b + h_c h_d``, at most 2**61,
+
+    and the carries of ``lo`` into ``mid`` and of ``mid`` into ``hi`` add
+    less than 2**33, so no sum leaves ``int64``.  After them the low 30 bits
+    of ``mid`` and ``lo`` are all that is left below ``hi * 2**60``, so the
+    sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
+    nonzero.
+    """
+    if a.dtype == object:
+        v = a * b + c * d
+        return (v > 0).astype("int8") - (v < 0)
+    ha, hb, hc, hd = a >> _LIMB, b >> _LIMB, c >> _LIMB, d >> _LIMB
+    la, lb, lc, ld = a & _LIMB_MASK, b & _LIMB_MASK, c & _LIMB_MASK, d & _LIMB_MASK
+    lo = la * lb + lc * ld
+    mid = ha * lb + la * hb + hc * ld + lc * hd + (lo >> _LIMB)
+    hi = ha * hb + hc * hd + (mid >> _LIMB)
+    rest = ((mid | lo) & _LIMB_MASK) != 0
+    return ((hi > 0) | ((hi == 0) & rest)).astype("int8") - (hi < 0)
+
+
+def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int,
+                bound: int = INT64_ROW_BOUND) -> str:
+    """``"int64"`` when ``rows`` walked ``levels >= 0`` letters by ``gens``
+    provably keep every entry and partial sum below ``bound``, ``"object"``
+    otherwise.
+
+    The proof is max|row| * g**levels < bound, with g the largest absolute
+    column sum of the generators: one step grows no entry or partial sum by
+    more than a factor g.
+    """
+    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
+    top = max(abs(x) for row in rows for x in row)
+    return "int64" if top * max(growth, 1) ** levels < bound else "object"
+
+
 #: Rows stepped per ``step`` call of ``subtree_levels`` unless the caller
 #: passes its own count: a yielded block holds at most ``3 * BLOCK_ROWS``
 #: rows per family, whatever the depth.

@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
+    INT64_ROW_BOUND,
     LETTERS,
     MASS_DEN,
     MASS_SCALED,
@@ -36,9 +38,12 @@ from .core import (
     Vec3,
     Mat3,
     VertexAddress,
+    array_children,
+    array_dtype,
     check_word,
     int_row,
     lex_word,
+    limb_sign,
     mat_scale,
     row_children,
     row_step,
@@ -255,6 +260,13 @@ class ScanResult(NamedTuple):
 _EDGES = ((0, 1), (0, 2), (1, 2))
 
 
+#: Rows stepped per ``array_children`` call of ``scan_extrema``: one matrix
+#: product per family makes ``3 * SCAN_BLOCK_ROWS`` child rows.
+SCAN_BLOCK_ROWS = 3**7
+_EDGE_FIRST = [j for j, _ in _EDGES]
+_EDGE_SECOND = [k for _, k in _EDGES]
+
+
 def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult:
     """Extrema of the derivative over the vertices strictly inside the
     addressed cell, down to ``depth`` levels of subdivision, with witnesses.
@@ -271,47 +283,91 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     edge of exactly one subcell less than ``depth`` levels down, so each is
     evaluated once, as (r_j + r_k) / (q_j + q_k) from that subcell's rows
     (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
-    Subcells come from the block walk ``core.subtree_levels``.
+
+    Subcells come from the block walk ``core.subtree_levels`` as numpy level
+    arrays (``core.array_children``), ``int64`` when ``core.array_dtype``
+    proves before any work that no row entry reaches ``INT64_ROW_BOUND`` and
+    ``object`` otherwise.  Each block's midpoint ratios are compared with
+    the running extremum by one ``core.limb_sign`` pass; see ``_least``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
     if depth < 1:
         raise ValueError("scan_extrema needs depth >= 1; the cell has no interior vertices at depth 0")
+    import numpy as np
+
     r0, q0 = _cell_rows(c, word)
-
+    dtype = array_dtype((r0, q0), MASS_SCALED, depth - 1, INT64_ROW_BOUND)
     # running extrema as (numerator, positive denominator, canonical key),
-    # seeded with the midpoint of the cell's edge {0, 1}
-    lo_n = hi_n = r0[0] + r0[1]
-    lo_d = hi_d = q0[0] + q0[1]
-    lo_key = hi_key = (word + "0", 1)
+    # seeded with the midpoint of the cell's edge {0, 1}; the maximum is
+    # kept as the least of the negated values
+    lo = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
+    hi = (-lo[0], lo[1], lo[2])
+    step = partial(array_children, dtype=dtype)
+    for d, start, (rs, qs) in subtree_levels(word, (r0, q0), depth, MASS_SCALED, step,
+                                             SCAN_BLOCK_ROWS):
+        rs, qs = np.asarray(rs, dtype=dtype), np.asarray(qs, dtype=dtype)
+        # entry 3 i + e is the midpoint of edge e of the block's cell i, so
+        # entries rise in key order
+        num = (rs[:, _EDGE_FIRST] + rs[:, _EDGE_SECOND]).ravel()
+        dnm = (qs[:, _EDGE_FIRST] + qs[:, _EDGE_SECOND]).ravel()
 
-    # Within one block the loop meets keys in increasing order (rows in word
-    # order, then edges (0,1), (0,2), (1,2)), so after a block's first tie
-    # or improvement every later tie in that block has the larger key: at
-    # most one tie key per block and extremum is built.
-    for d, start, (rs, qs) in subtree_levels(word, (r0, q0), depth):
-        lo_open = hi_open = True
-        for i, (ri, qi) in enumerate(zip(rs, qs)):
-            for j, k in _EDGES:
-                num, dnm = ri[j] + ri[k], qi[j] + qi[k]
-                a, b = num * lo_d, lo_n * dnm
-                if a < b or (a == b and lo_open):
-                    key = (word + lex_word(start + i, d) + LETTERS[j], k)
-                    if a < b or key < lo_key:
-                        lo_n, lo_d, lo_key = num, dnm, key
-                    lo_open = False
-                a, b = num * hi_d, hi_n * dnm
-                if a > b or (a == b and hi_open):
-                    key = (word + lex_word(start + i, d) + LETTERS[j], k)
-                    if a > b or key < hi_key:
-                        hi_n, hi_d, hi_key = num, dnm, key
-                    hi_open = False
+        def key(i: int) -> tuple[str, int]:
+            j, k = _EDGES[i % 3]
+            return word + lex_word(start + i // 3, d) + LETTERS[j], k
+
+        lo = _least(lo, num, dnm, key)
+        hi = _least(hi, -num, dnm, key)
     return ScanResult(
-        Fraction(lo_n, lo_d),
-        Fraction(hi_n, hi_d),
-        VertexAddress(*lo_key),
-        VertexAddress(*hi_key),
+        Fraction(lo[0], lo[1]),
+        Fraction(-hi[0], hi[1]),
+        VertexAddress(*lo[2]),
+        VertexAddress(*hi[2]),
     )
+
+
+def _least(best, num, dnm, key):
+    """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
+    (every ``dnm > 0``): the least ratio, and among equal ratios the least
+    key, where ``key(i)`` is the key of entry ``i`` and rises with ``i``.
+
+    One ``limb_sign`` pass compares the block with n / d.  If some entries
+    lie below it, the first least of those wins outright; otherwise the
+    first entry equal to it, if any, offers its key.  No loop runs per
+    entry, and an all-equal block (the Kusuoka measure) costs one pass.
+    """
+    n, d, k = best
+    s = limb_sign(num, d, -n, dnm)  # sign of num / dnm - n / d
+    below = (s < 0).nonzero()[0]
+    if below.size:
+        i = int(below[_first_least(num[below], dnm[below])])
+        return int(num[i]), int(dnm[i]), key(i)
+    ties = s == 0
+    if ties.any():
+        tie = key(int(ties.argmax()))
+        if tie < k:
+            return n, d, tie
+    return best
+
+
+def _first_least(num, dnm) -> int:
+    """Index of the least ratio ``num / dnm`` (every ``dnm > 0``), the first
+    one among equals, in about log2(len) array passes.
+
+    Each pass compares entries 2p and 2p + 1 by ``limb_sign`` and keeps the
+    lesser, the left one on ties; an odd last entry passes through.  The
+    kept indices stay in increasing order, so the left one is always the
+    earlier.
+    """
+    import numpy as np
+
+    idx = np.arange(len(num))
+    while len(idx) > 1:
+        m = len(idx) // 2 * 2
+        a, b = idx[0:m:2], idx[1:m:2]
+        s = limb_sign(num[b], dnm[a], -num[a], dnm[b])  # sign of ratio b - ratio a
+        idx = np.concatenate((np.where(s < 0, b, a), idx[m:]))
+    return int(idx[0])
 
 
 # ---------------------------------------------------------------------------

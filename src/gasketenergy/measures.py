@@ -22,14 +22,14 @@ from typing import Optional
 
 from .core import (
     MASS_DEN,
-    REFINE_GENERATORS,
+    REFINE_DEN,
+    REFINE_SCALED,
     LETTERS,
     IntRow,
     Vec3,
     check_word,
     format_rational,
     int_row,
-    mat_vec,
     parse_rational,
     row_children,
     row_walk,
@@ -105,17 +105,31 @@ def children_triple(c: MeasureCoeffs, word: str) -> CellTriple:
 
 
 def children_triple_via_refine(c: MeasureCoeffs, word: str) -> CellTriple:
-    """Same triple by the refine recursion -- the cross-check route.
+    """Same triple by the refine recursion -- the cross-check route."""
+    x, scale = children_row_via_refine(c, word)
+    return tuple(Fraction(v, scale) for v in x)  # type: ignore[return-value]
+
+
+def children_row_via_refine(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
+    """The refine recursion on integer numerators: ``(row, scale)`` with
+    ``children_triple_via_refine(c, word) == row / scale``.
 
     Appending a letter to the cell word left-multiplies the triple by that
     letter's refine generator, so letters are folded in reading order with
-    the generator acting on the left.
+    the scaled generator acting on the left (a column step, unlike the row
+    steps of the mass walk) and the scale picks up ``REFINE_DEN`` per letter.
     """
     check_word(word)
-    x = level1_from_coeffs(c)
+    x, scale = int_row(level1_from_coeffs(c))
     for ch in word:
-        x = mat_vec(REFINE_GENERATORS[int(ch)], x)
-    return x
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = REFINE_SCALED[int(ch)]
+        x0, x1, x2 = x
+        x = (
+            g00 * x0 + g01 * x1 + g02 * x2,
+            g10 * x0 + g11 * x1 + g12 * x2,
+            g20 * x0 + g21 * x1 + g22 * x2,
+        )
+    return x, scale * REFINE_DEN ** len(word)
 
 
 def level1_from_coeffs(c: MeasureCoeffs) -> CellTriple:

@@ -59,6 +59,40 @@ def test_step_rejects_non_unit_sums():
         b_step((THIRD, THIRD, THIRD + 1), 0)
 
 
+def test_step_rejects_a_vanishing_denominator():
+    with pytest.raises(ValueError, match="degenerate"):
+        b_step((Fraction(-1, 12), Fraction(1, 2), Fraction(7, 12)), 0)  # 12 b_0 + 1 == 0
+
+
+def rational_step(b, j):
+    """The weight step in rationals, as ``b_step`` states it."""
+    k, l = (j + 1) % 3, (j + 2) % 3
+    den = 12 * b[j] + 1
+    out = [None] * 3
+    out[j] = 9 * b[j] / den
+    out[k] = (2 * b[j] + 2 * b[k] - b[l]) / den
+    out[l] = (2 * b[j] - b[k] + 2 * b[l]) / den
+    return tuple(out)
+
+
+@given(rationals, rationals, st.integers(min_value=0, max_value=2))
+def test_step_equals_the_rational_formula(x, y, j):
+    b = (x, y, 1 - x - y)
+    if 12 * b[j] + 1 != 0:
+        assert b_step(b, j) == rational_step(b, j)
+
+
+def test_integer_walks_equal_the_rational_step_walk():
+    """``enumerate_bvectors`` and ``b_from_word`` against the ``Fraction``
+    walk they replaced."""
+    level = [("", (THIRD, THIRD, THIRD))]
+    for m in range(1, 6):
+        level = [(w + str(j), rational_step(b, j)) for w, b in level for j in range(3)]
+        assert list(enumerate_bvectors(m)) == level
+    for w, b in level:
+        assert b_from_word(w) == b
+
+
 @given(st.integers(min_value=0, max_value=2))
 def test_step_from_center_frozen(j):
     out = b_step((THIRD, THIRD, THIRD), j)

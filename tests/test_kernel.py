@@ -252,10 +252,74 @@ def test_scan_extrema_equals_reference(c):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(core, "BLOCK_ROWS", block)
+    monkeypatch.setattr(dv, "SCAN_BLOCK_ROWS", block)
     for c in (E[0], SCAN_MEASURES[-1], KUSUOKA):
         for depth in (1, 4, 7):
             assert dv.scan_extrema(c, "1", depth) == reference_scan_extrema(c, "1", depth)
+
+
+def recorded_dtypes(monkeypatch, module):
+    """Patch ``module.array_children`` to record the dtype of every step."""
+    seen = set()
+
+    def spy(rows, gens, dtype):
+        seen.add(dtype)
+        return core.array_children(rows, gens, dtype)
+
+    monkeypatch.setattr(module, "array_children", spy)
+    return seen
+
+
+def test_scan_extrema_object_path_matches_reference(monkeypatch):
+    """Over the budget (patched down to 13**3) the same scan runs on Python ints."""
+    monkeypatch.setattr(dv, "INT64_ROW_BOUND", 13**3)
+    dtypes = recorded_dtypes(monkeypatch, dv)
+    for c in SCAN_MEASURES:
+        for word in SCAN_WORDS:
+            for depth in range(1, 9):
+                assert dv.scan_extrema(c, word, depth) == reference_scan_extrema(c, word, depth), (c, word, depth)
+    assert dtypes == {"int64", "object"}
+
+
+def test_scan_extrema_budget_covers_both_families(monkeypatch):
+    """(1/7, 0, 0) has rows (1, 0, 0) and Kusuoka rows (7, 7, 7): one level
+    of growth 13 keeps the first under 50 but not the second."""
+    monkeypatch.setattr(dv, "INT64_ROW_BOUND", 50)
+    dtypes = recorded_dtypes(monkeypatch, dv)
+    c = (Fraction(1, 7), ZERO, ZERO)
+    assert dv.scan_extrema(c, "", 2) == reference_scan_extrema(c, "", 2)
+    assert dtypes == {"object"}
+
+
+#: ``scan_extrema`` results captured from the list-walk implementation that
+#: the array scan replaced: (min, max, argmin, argmax) per (c, word, depth).
+DEEP_SCANS = {
+    (("7/3", "4/3", "2"), "", 9): ("17005/10662", "222403/101886", "1201120:2", "02020120:2"),
+    (("7/3", "4/3", "2"), "21", 10): ("497035/311637", "5036555/2307318", "211000022011:2", "212011201000:2"),
+    (("-1/2", "8/5", "8"), "", 9): ("687459/1440980", "195971/35060", "011000210:1", "202110001:2"),
+    (("-1/2", "8/5", "8"), "21", 10): ("20944211/43901060", "1965835379/351695855",
+                                      "210001200021:2", "212022122110:1"),
+    (("2", "-4/3", "4"), "", 9): ("0", "3150625/1012701", "10:1", "021222000:1"),
+    (("2", "-4/3", "4"), "21", 10): ("1/19339203", "23493409/7551453", "210010111201:2", "212000101221:2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_SCANS), ids=str)
+def test_deep_scan_extrema_equal_the_captured_results(monkeypatch, case):
+    c, word, depth = case
+    dtypes = recorded_dtypes(monkeypatch, dv)
+    lo, hi, argmin, argmax = DEEP_SCANS[case]
+    got = dv.scan_extrema(tuple(map(Fraction, c)), word, depth)
+    assert got == (Fraction(lo), Fraction(hi), VertexAddress.parse(argmin), VertexAddress.parse(argmax))
+    assert dtypes == {"int64"}
+
+
+def test_kusuoka_scan_ties_everywhere():
+    """Every vertex has derivative 1, so the least key, the midpoint 0:1 of
+    the first edge, witnesses both extrema."""
+    first = VertexAddress("0", 1)
+    assert dv.scan_extrema(KUSUOKA, "", 10) == (ONE, ONE, first, first)
+    assert dv.scan_extrema(KUSUOKA, "21", 6) == (ONE, ONE, VertexAddress("210", 1), VertexAddress("210", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +425,8 @@ def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
         assert bv.scan_bounds(level) == reference_scan_bounds(PLANTED_FAMILIES[0], level)
 
 
-def recorded_dtypes(monkeypatch):
-    """Patch ``bv.array_children`` to record the dtype of every step."""
-    seen = set()
-
-    def spy(rows, gens, dtype):
-        seen.add(dtype)
-        return core.array_children(rows, gens, dtype)
-
-    monkeypatch.setattr(bv, "array_children", spy)
-    return seen
-
-
 def test_scan_bounds_runs_int64_under_the_budget(monkeypatch):
-    dtypes = recorded_dtypes(monkeypatch)
+    dtypes = recorded_dtypes(monkeypatch, bv)
     assert bv.scan_bounds(12) is None  # 13**12 < 2**45
     assert dtypes == {"int64"}
 
@@ -384,7 +436,7 @@ def test_scan_bounds_object_path_matches_reference(monkeypatch, gens):
     """Over the budget (patched down to 13**2) the same scan runs on Python ints."""
     monkeypatch.setattr(bv, "INT64_ROW_BOUND", 13**2)
     monkeypatch.setattr(bv, "MASS_SCALED", gens)
-    dtypes = recorded_dtypes(monkeypatch)
+    dtypes = recorded_dtypes(monkeypatch, bv)
     for level in range(11):
         assert bv.scan_bounds(level) == reference_scan_bounds(gens, level), level
     assert dtypes == {"int64", "object"}
@@ -418,6 +470,50 @@ def test_limb_sign_test_matches_python_ints(dtype):
     want = [e2(row) > 0 for row in rows]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
+
+
+def limb_quads(rng):
+    """Factor quadruples (a, b, c, d) with every |x| < ``core.LIMB_BOUND``:
+    the extremes, mixed signs, cancelling products, zero and rim rows."""
+    top = core.LIMB_BOUND - 1
+    quads = [(0, 0, 0, 0), (top, top, -top, top), (top, top, top, top), (-top, top, -top, top),
+             (top, -top, 0, 5), (top, top - 1, -(top - 1), top), (top, 1 << 30, -(1 << 30), top)]
+    limit = core.INT64_ROW_BOUND
+    for k in range(60):  # rim rows (5, 20, -4) * 2**k have e2 == 0: a = c0, b = c1, c = c2, d = c0 + c1
+        for row in ((5 << k, 20 << k, -4 << k), (-(5 << k), -(20 << k), 4 << k)):
+            if max(map(abs, row)) < limit:
+                for delta in (-1, 0, 1):
+                    quads.append((row[0], row[1], row[2] + delta, row[0] + row[1]))
+    for _ in range(6000):
+        bits = [rng.choice((1, 29, 30, 31, 45, 59, 60)) for _ in range(2)]
+        a, b = (rng.randrange(-(2**n) + 1, 2**n) for n in bits)
+        quads += [(a, b, -b, a), (a, b, -b, a + rng.choice((-1, 1))), (a, b, -a, b), (a, 0, 0, b)]
+        c, d = (rng.randrange(-top, top + 1) for _ in range(2))
+        quads.append((a, b, c, d))
+    return [q for q in quads if max(map(abs, q)) <= top]
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_limb_sign_matches_python_ints_at_its_bound(dtype):
+    import numpy as np
+
+    quads = limb_quads(random.Random(6_061))
+    a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*quads))
+    got = core.limb_sign(a, b, c, d)
+    want = [(x > 0) - (x < 0) for x in (p * q + r * t for p, q, r, t in quads)]
+    assert got.dtype == np.int8 and got.tolist() == want
+    assert {-1, 0, 1} <= set(want) and max(abs(x) for q in quads for x in q) == core.LIMB_BOUND - 1
+    # one scalar pair, as the scans pass the running extremum
+    assert core.limb_sign(a, 3, -5, d).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
+
+
+def test_array_dtype_proves_the_budget_before_any_work():
+    one = ((1, 1, 1),)
+    assert core.array_dtype(one, MASS_SCALED, 15) == "int64"  # 13**15 < 2**59
+    assert core.array_dtype(one, MASS_SCALED, 16) == "object"
+    assert core.array_dtype(one, MASS_SCALED, 13) == "int64"  # scan_bounds(13)
+    assert core.array_dtype(((2, -7, 1),), MASS_SCALED, 0, 7) == "object"
+    assert core.array_dtype(((2, -6, 1),), MASS_SCALED, 0, 7) == "int64"
 
 
 def test_bound_tests_are_strict_on_the_disk_rim():

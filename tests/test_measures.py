@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasketenergy.core import REFINE_GENERATORS, mat_vec
 from gasketenergy.harmonic import BASIS, Harmonic, cell_energy, measure_coeffs
 from gasketenergy.measures import (
     KUSUOKA,
@@ -66,6 +67,16 @@ def test_children_sum_to_parent(c, word):
 @settings(max_examples=60)
 def test_two_subdivision_routes_agree(c, word):
     assert children_triple(c, word) == children_triple_via_refine(c, word)
+
+
+@given(triples, st.text(alphabet="012", max_size=12))
+@settings(max_examples=60)
+def test_refine_route_equals_the_fraction_fold(c, word):
+    """The integer refine walk against the ``Fraction`` fold it replaced."""
+    x = level1_from_coeffs(c)
+    for ch in word:
+        x = mat_vec(REFINE_GENERATORS[int(ch)], x)
+    assert children_triple_via_refine(c, word) == x
 
 
 def test_level1_helper_matches_children_of_root():
