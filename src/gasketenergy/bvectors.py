@@ -19,17 +19,13 @@ rows of every word, walked by the shared block walk ``core.subtree_levels``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Iterator, Optional
 
 from .core import (
-    INT64_ROW_BOUND,
     MASS_SCALED,
     IntRow,
     Vec3,
     VertexAddress,
-    array_children,
-    array_dtype,
     check_word,
     int_row,
     lex_word,
@@ -195,26 +191,17 @@ def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     yield from walk("", (1, 1, 1))
 
 
-#: Rows stepped per ``array_children`` call of ``scan_bounds``: one matrix
-#: product makes ``3 * BOUNDS_BLOCK_ROWS`` child rows.
-BOUNDS_BLOCK_ROWS = 3**7
-
-
 def _e2_positive(c0, c1, c2):
     """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by
     ``core.limb_sign``: exact on ``object`` arrays and on ``int64`` arrays
-    with every |c_j| < ``INT64_ROW_BOUND``, so that |c0 + c1| < 2**60."""
+    with every |c_j| < 2**59, so that |c0 + c1| < 2**60."""
     return limb_sign(c0, c1, c2, c0 + c1) > 0
 
 
 def _first_offender(rows) -> Optional[int]:
     """Index of the first column-sum row failing a ``scan_bounds`` test, or
-    None; ``rows`` is an ``(n, 3)`` array from ``array_children`` or a list
-    of integer rows (taken as Python ints)."""
-    import numpy as np
-
-    c = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object).reshape(-1, 3)
-    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    None; ``rows`` is an ``(n, 3)`` block array of ``core.subtree_levels``."""
+    c0, c1, c2 = rows[:, 0], rows[:, 1], rows[:, 2]
     total = c0 + c1 + c2
     bad = ~_e2_positive(c0, c1, c2)
     for cj in (c0, c1, c2):
@@ -239,13 +226,12 @@ def scan_bounds(max_level: int) -> Optional[str]:
     has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
     what makes the scan a check.
 
-    The rows are walked as numpy level arrays by ``core.subtree_levels``
-    with ``core.array_children``.  Before any work ``core.array_dtype``
-    bounds the largest entry by max|row_0| * g^max_level, g the largest
-    absolute column sum of the generators (13^15 < 2**59 for the mass
-    family); the arrays are ``int64`` when that bound is below
-    ``INT64_ROW_BOUND`` and ``object`` otherwise, so every answer is exact
-    and no level is refused.
+    The rows are walked as numpy level arrays by ``core.subtree_levels``,
+    which picks their dtype itself before any work: it bounds the largest
+    entry by max|row_0| * g^max_level, g the largest absolute column sum of
+    the generators (13^15 < 2**59 for the mass family), and runs ``int64``
+    under 2**59 and ``object`` otherwise, so every answer is exact and no
+    level is refused.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -254,11 +240,8 @@ def scan_bounds(max_level: int) -> Optional[str]:
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    gens, top = MASS_SCALED, (1, 1, 1)
-    step = partial(array_children, dtype=array_dtype((top,), gens, max_level, INT64_ROW_BOUND))
     hits = []
-    for depth, start, (rows,) in subtree_levels("", (top,), max_level + 1, gens, step,
-                                                BOUNDS_BLOCK_ROWS):
+    for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         i = _first_offender(rows)
         if i is not None:
             hits.append(lex_word(start + i, depth))

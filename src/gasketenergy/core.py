@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -243,9 +243,9 @@ def array_children(rows, gens: Sequence[IntMat], dtype: str):
     order, by one matrix product.
 
     ``dtype="int64"`` is exact only while no entry or partial sum leaves the
-    ``int64`` range, which the caller proves from its generators before the
-    walk; ``dtype="object"`` holds Python ints and is always exact.  numpy
-    is imported here, so importing this module does not load it.
+    ``int64`` range, which ``subtree_levels`` proves by ``array_dtype``
+    before its walk; ``dtype="object"`` holds Python ints and is always
+    exact.  numpy is imported here, so importing this module does not load it.
     """
     import numpy as np
 
@@ -297,50 +297,47 @@ def limb_sign(a, b, c, d):
     return ((hi > 0) | ((hi == 0) & rest)).astype("int8") - (hi < 0)
 
 
-def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int,
-                bound: int = INT64_ROW_BOUND) -> str:
+def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> str:
     """``"int64"`` when ``rows`` walked ``levels >= 0`` letters by ``gens``
-    provably keep every entry and partial sum below ``bound``, ``"object"``
-    otherwise.
+    provably keep every entry and partial sum below ``INT64_ROW_BOUND``
+    (read when called), ``"object"`` otherwise.
 
-    The proof is max|row| * g**levels < bound, with g the largest absolute
-    column sum of the generators: one step grows no entry or partial sum by
-    more than a factor g.
+    The proof is max|row| * g**levels < INT64_ROW_BOUND, with g the largest
+    absolute column sum of the generators: one step grows no entry or
+    partial sum by more than a factor g.
     """
     growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
     top = max(abs(x) for row in rows for x in row)
-    return "int64" if top * max(growth, 1) ** levels < bound else "object"
+    return "int64" if top * max(growth, 1) ** levels < INT64_ROW_BOUND else "object"
 
 
-#: Rows stepped per ``step`` call of ``subtree_levels`` unless the caller
-#: passes its own count: a yielded block holds at most ``3 * BLOCK_ROWS``
-#: rows per family, whatever the depth.
-BLOCK_ROWS = 81
+#: Rows stepped per ``array_children`` call of ``subtree_levels``: a yielded
+#: block holds at most ``3 * BLOCK_ROWS`` rows per family, whatever the depth.
+BLOCK_ROWS = 3**7
 
 
-def subtree_levels(word: str, rows: Sequence[IntRow], levels: int,
-                   gens: Sequence[IntMat] = MASS_SCALED,
-                   step: Callable = row_children,
-                   block_rows: Optional[int] = None) -> Iterator[tuple[int, int, list]]:
-    """Block walk over the cells ``word + u`` with ``len(u) < levels``.
+def subtree_levels(rows: Sequence[IntRow], levels: int,
+                   gens: Sequence[IntMat] = MASS_SCALED) -> Iterator[tuple[int, int, list]]:
+    """Block walk over the words ``u`` with ``len(u) < levels``.
 
     Yields ``(depth, start, level)`` where ``level[f][i]`` is ``rows[f]``
-    walked to the cell ``word + lex_word(start + i, depth)``: a block is a
-    run of cells that are consecutive in word order on one level, and each
-    cell lies in exactly one block.  ``step(fam, gens)`` maps a block of
-    rows to their children in ``row_children`` order; it is called on at
-    most ``block_rows`` (default ``BLOCK_ROWS``, read when the walk runs)
-    rows at a time, and ``array_children`` works as well as the default,
-    since the walk only slices blocks and takes their length.
+    walked along ``lex_word(start + i, depth)``: a block is a run of words
+    consecutive in word order on one level, and each word lies in exactly
+    one block.  Each ``level[f]``, the root block's too, is an ``(n, 3)``
+    numpy array of the one dtype ``array_dtype`` proves for the deepest
+    level before any work.  Blocks are stepped by ``array_children``, at
+    most ``BLOCK_ROWS`` (read when the walk runs) rows at a time.
 
     A level near the root that fits in one call is expanded whole; below
     that the walk goes depth-first, block by block in word order, and holds
     at most one block per level.  ``levels < 1`` yields nothing.
     """
-    per = BLOCK_ROWS if block_rows is None else block_rows
     if levels < 1:
         return
-    level = [[r] for r in rows]
+    import numpy as np
+
+    dtype, per = array_dtype(rows, gens, levels - 1), BLOCK_ROWS
+    level = [np.array([r], dtype=dtype) for r in rows]
     yield 0, 0, level
     stack = [(0, 0, level)] if levels > 1 else []  # yielded blocks with children still to walk
     while stack:
@@ -348,7 +345,7 @@ def subtree_levels(word: str, rows: Sequence[IntRow], levels: int,
         if len(level[0]) > per:
             stack.append((depth, start + per, [fam[per:] for fam in level]))
             level = [fam[:per] for fam in level]
-        kids = [step(fam, gens) for fam in level]
+        kids = [array_children(fam, gens, dtype) for fam in level]
         yield depth + 1, 3 * start, kids
         if depth + 2 < levels:
             stack.append((depth + 1, 3 * start, kids))

@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .core import (
-    INT64_ROW_BOUND,
     LETTERS,
     MASS_DEN,
     MASS_SCALED,
@@ -38,8 +36,6 @@ from .core import (
     Vec3,
     Mat3,
     VertexAddress,
-    array_children,
-    array_dtype,
     check_word,
     int_row,
     lex_word,
@@ -214,6 +210,8 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     """
     if letter not in (0, 1, 2):
         raise ValueError(f"letter must be 0, 1 or 2, got {letter!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     check_word(word + str(letter) * depth)
     row, scale = subtree_row(c, word)
     g = MASS_SCALED[letter]
@@ -258,11 +256,6 @@ class ScanResult(NamedTuple):
 #: Edges {j, k} of a cell, j < k; the midpoint of edge {j, k} of cell ``w``
 #: has the canonical address ``w + j : k``.
 _EDGES = ((0, 1), (0, 2), (1, 2))
-
-
-#: Rows stepped per ``array_children`` call of ``scan_extrema``: one matrix
-#: product per family makes ``3 * SCAN_BLOCK_ROWS`` child rows.
-SCAN_BLOCK_ROWS = 3**7
 _EDGE_FIRST = [j for j, _ in _EDGES]
 _EDGE_SECOND = [k for _, k in _EDGES]
 
@@ -285,28 +278,22 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
 
     Subcells come from the block walk ``core.subtree_levels`` as numpy level
-    arrays (``core.array_children``), ``int64`` when ``core.array_dtype``
-    proves before any work that no row entry reaches ``INT64_ROW_BOUND`` and
-    ``object`` otherwise.  Each block's midpoint ratios are compared with
-    the running extremum by one ``core.limb_sign`` pass; see ``_least``.
+    arrays of the dtype the walk proves for itself (``int64`` while no row
+    entry can reach 2**59, Python ints otherwise).  Each block's midpoint
+    ratios are compared with the running extremum by one ``core.limb_sign``
+    pass; see ``_least``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
     if depth < 1:
         raise ValueError("scan_extrema needs depth >= 1; the cell has no interior vertices at depth 0")
-    import numpy as np
-
     r0, q0 = _cell_rows(c, word)
-    dtype = array_dtype((r0, q0), MASS_SCALED, depth - 1, INT64_ROW_BOUND)
     # running extrema as (numerator, positive denominator, canonical key),
     # seeded with the midpoint of the cell's edge {0, 1}; the maximum is
     # kept as the least of the negated values
     lo = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
     hi = (-lo[0], lo[1], lo[2])
-    step = partial(array_children, dtype=dtype)
-    for d, start, (rs, qs) in subtree_levels(word, (r0, q0), depth, MASS_SCALED, step,
-                                             SCAN_BLOCK_ROWS):
-        rs, qs = np.asarray(rs, dtype=dtype), np.asarray(qs, dtype=dtype)
+    for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
         # entry 3 i + e is the midpoint of edge e of the block's cell i, so
         # entries rise in key order
         num = (rs[:, _EDGE_FIRST] + rs[:, _EDGE_SECOND]).ravel()
@@ -394,9 +381,11 @@ def edge_profile(
     if j == k or j not in (0, 1, 2) or k not in (0, 1, 2):
         raise ValueError(f"edge must name two distinct corners, got {edge!r}")
     check_word(word)
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if len(word) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
-    grid = 1 << max(depth, 0)
+    grid = 1 << depth
     out: list = [None] * (grid + 1)
     r, q = _cell_rows(c, word)
     out[0] = (Fraction(0), _corner_value(r, q, j))
@@ -470,22 +459,28 @@ def edge_margin_closed_form(m: int) -> Fraction:
 # scaled operator norms
 # ---------------------------------------------------------------------------
 
+_REFINE_TRANSPOSED = tuple(tuple(zip(*g)) for g in REFINE_SCALED)
+
+
 def operator_norm_scan(m: int) -> Fraction:
     """Max over all level-m refine word products of the scaled column norm.
 
     The scale (5/3 per level) compensates the dominant eigenrate, so the
-    sequence stays bounded; the scan reports the exact per-level max.  Row
-    i of a level-m product is unit row i walked along its word; only the
-    leaf level of the block walk is read.
+    sequence stays bounded; the scan reports the exact per-level max.
+    Column c of a level-m product is unit row c walked by the transposed
+    generators along the reversed word, and every word is walked, so three
+    one-family block walks of ``core.subtree_levels`` over the transposes
+    give the max from their leaf levels.  The transposes' largest absolute
+    column sum is 53, so the walk proves ``int64`` through m = 10
+    (53**10 < 2**59).
     """
     if m < 0 or m > 10:
         raise ValueError("operator_norm_scan supports 0 <= m <= 10")
     best = 0
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for depth, _, level in subtree_levels("", units, m + 1, REFINE_SCALED):
-        if depth == m:
-            best = max(best, max(abs(a[c]) + abs(b[c]) + abs(d[c])
-                                 for a, b, d in zip(*level) for c in range(3)))
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        for depth, _, (rows,) in subtree_levels((unit,), m + 1, _REFINE_TRANSPOSED):
+            if depth == m:
+                best = max(best, int(abs(rows).sum(axis=1).max()))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
 
 

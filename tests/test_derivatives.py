@@ -163,6 +163,13 @@ def test_decay_class_is_exact_at_every_depth(depth):
     assert decay_sequence(zero, "", 0, depth).classification is DecayClass.UNCLASSIFIED
 
 
+def test_decay_rejects_negative_depth():
+    """Every measure is refused alike, before any work."""
+    for c in ((ZERO, ZERO, ZERO), KUSUOKA, E[0]):
+        with pytest.raises(ValueError, match="depth"):
+            decay_sequence(c, "", 1, -1)
+
+
 @given(triples, words, letters, st.integers(min_value=0, max_value=8))
 @settings(max_examples=40)
 def test_two_term_oracle_matches_sequence(c, word, letter, m):
@@ -179,6 +186,14 @@ def test_edge_profile_frozen_symmetric():
         (Fraction(3, 4), Fraction(1, 14)),
         (Fraction(1), Fraction(1, 6)),
     ]
+
+
+def test_edge_profile_rejects_negative_depth():
+    """Depth 0 gives the two endpoints (see ``tests/test_kernel.py``); a
+    negative depth is refused rather than read as 0."""
+    for depth in (-1, -5):
+        with pytest.raises(ValueError, match="depth"):
+            edge_profile(E[0], "1", (0, 2), depth)
 
 
 def test_edge_profile_positions_are_dyadic_and_sorted():

@@ -1,10 +1,14 @@
-"""The exact modules hold no floats.
+"""The exact modules hold no floats, and only ``core`` decides how the block
+walk runs.
 
 ``core``, ``harmonic``, ``measures``, ``derivatives`` and ``bvectors`` may
 not hold a float literal, name ``float`` or call a ``math`` function other
 than the integer ones.  The one allowed site is the body of
 ``measures.decompose_positive``, whose irrational branch takes a float
 square root.
+
+No module but ``core`` names the array step, the dtype proof, its bound or
+the block size: the scans take all of them from ``core.subtree_levels``.
 """
 
 import ast
@@ -65,3 +69,36 @@ def test_guard_sees_each_kind_of_site():
     ]
     # outside the allowed body the square root and its literal count too
     assert len(float_sites(ast.parse(source), "core")) == 6
+
+
+WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS"}
+
+
+def walk_names(tree: ast.AST) -> set[str]:
+    """The names in ``WALK_NAMES`` that ``tree`` uses, imports or assigns."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef)):
+            found.add(node.name)
+    return found & WALK_NAMES
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "core"))
+def test_only_core_names_the_walk_knobs(module):
+    assert walk_names(ast.parse((SRC / f"{module}.py").read_text())) == set()
+
+
+def test_walk_guard_sees_each_kind_of_name():
+    source = (
+        "from .core import array_children as step\n"
+        "import gasketenergy.core as core\n"
+        "n = core.BLOCK_ROWS\n"
+        "INT64_ROW_BOUND = 7\n"
+        "def array_dtype(): pass\n"
+        "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
+    )
+    assert walk_names(ast.parse(source)) == WALK_NAMES

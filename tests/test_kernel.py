@@ -96,16 +96,18 @@ def test_row_step_matches_one_letter_walk():
 @pytest.mark.parametrize("block", [1, 2, 3, 4])
 @pytest.mark.parametrize("word", ["", "12"])
 def test_subtree_levels_visits_every_cell_once(monkeypatch, block, word):
+    """Walked from the rows of cell ``word``, the walk visits its subcells."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     tops = ((3, -1, 2), (1, 1, 1))
+    roots = [row_walk(r, word) for r in tops]
     for levels in range(1, 8):
         seen = []
-        for depth, start, level in subtree_levels(word, tops, levels):
+        for depth, start, level in subtree_levels(roots, levels):
             n = len(level[0])
             assert [len(fam) for fam in level] == [n, n] and 0 < n <= 3 * block
             for i in range(n):
                 cell = word + lex_word(start + i, depth)
-                assert [fam[i] for fam in level] == [row_walk(r, cell[len(word):]) for r in tops]
+                assert [tuple(int(x) for x in fam[i]) for fam in level] == [row_walk(r, cell) for r in tops]
                 seen.append(cell)
         assert sorted(seen) == sorted(word + u for n in range(levels) for u in words_of(n))
         assert len(seen) == len(set(seen)), (block, levels)
@@ -114,7 +116,7 @@ def test_subtree_levels_visits_every_cell_once(monkeypatch, block, word):
 def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
     """Blocks come depth-first in word order: their first cells ascend."""
     monkeypatch.setattr(core, "BLOCK_ROWS", 2)
-    firsts = [lex_word(start, depth) for depth, start, _ in subtree_levels("", ((1, 1, 1),), 5)]
+    firsts = [lex_word(start, depth) for depth, start, _ in subtree_levels(((1, 1, 1),), 5)]
     assert firsts[:4] == ["", "0", "00", "000"]
     assert firsts == sorted(set(firsts)) and len(firsts) > 5  # more blocks than levels
 
@@ -132,7 +134,22 @@ def test_array_children_equal_row_children(dtype):
 
 @pytest.mark.parametrize("levels", [0, -1])
 def test_subtree_levels_of_no_levels_is_empty(levels):
-    assert list(subtree_levels("0", ((1, 1, 1),), levels)) == []
+    assert list(subtree_levels(((1, 1, 1),), levels)) == []
+
+
+@pytest.mark.parametrize("bound, dtype", [(2**59, "int64"), (13**3, "object")])
+def test_subtree_levels_yields_arrays_of_one_dtype(monkeypatch, bound, dtype):
+    """Every block, the root block included, is an ``(n, 3)`` array of the
+    dtype the walk proved for its deepest level."""
+    import numpy as np
+
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+    blocks = list(subtree_levels(((3, -1, 2), (1, 1, 1)), 6))
+    assert blocks[0][0] == 0 and len(blocks) > 6
+    for _, _, level in blocks:
+        for fam in level:
+            assert isinstance(fam, np.ndarray) and fam.dtype == dtype and fam.shape[1:] == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +269,29 @@ def test_scan_extrema_equals_reference(c):
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(dv, "SCAN_BLOCK_ROWS", block)
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
     for c in (E[0], SCAN_MEASURES[-1], KUSUOKA):
         for depth in (1, 4, 7):
             assert dv.scan_extrema(c, "1", depth) == reference_scan_extrema(c, "1", depth)
 
 
-def recorded_dtypes(monkeypatch, module):
-    """Patch ``module.array_children`` to record the dtype of every step."""
+def recorded_dtypes(monkeypatch):
+    """Patch ``core.array_children`` to record the dtype of every step."""
     seen = set()
+    real = core.array_children
 
     def spy(rows, gens, dtype):
         seen.add(dtype)
-        return core.array_children(rows, gens, dtype)
+        return real(rows, gens, dtype)
 
-    monkeypatch.setattr(module, "array_children", spy)
+    monkeypatch.setattr(core, "array_children", spy)
     return seen
 
 
 def test_scan_extrema_object_path_matches_reference(monkeypatch):
     """Over the budget (patched down to 13**3) the same scan runs on Python ints."""
-    monkeypatch.setattr(dv, "INT64_ROW_BOUND", 13**3)
-    dtypes = recorded_dtypes(monkeypatch, dv)
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
+    dtypes = recorded_dtypes(monkeypatch)
     for c in SCAN_MEASURES:
         for word in SCAN_WORDS:
             for depth in range(1, 9):
@@ -284,8 +302,8 @@ def test_scan_extrema_object_path_matches_reference(monkeypatch):
 def test_scan_extrema_budget_covers_both_families(monkeypatch):
     """(1/7, 0, 0) has rows (1, 0, 0) and Kusuoka rows (7, 7, 7): one level
     of growth 13 keeps the first under 50 but not the second."""
-    monkeypatch.setattr(dv, "INT64_ROW_BOUND", 50)
-    dtypes = recorded_dtypes(monkeypatch, dv)
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 50)
+    dtypes = recorded_dtypes(monkeypatch)
     c = (Fraction(1, 7), ZERO, ZERO)
     assert dv.scan_extrema(c, "", 2) == reference_scan_extrema(c, "", 2)
     assert dtypes == {"object"}
@@ -307,7 +325,7 @@ DEEP_SCANS = {
 @pytest.mark.parametrize("case", sorted(DEEP_SCANS), ids=str)
 def test_deep_scan_extrema_equal_the_captured_results(monkeypatch, case):
     c, word, depth = case
-    dtypes = recorded_dtypes(monkeypatch, dv)
+    dtypes = recorded_dtypes(monkeypatch)
     lo, hi, argmin, argmax = DEEP_SCANS[case]
     got = dv.scan_extrema(tuple(map(Fraction, c)), word, depth)
     assert got == (Fraction(lo), Fraction(hi), VertexAddress.parse(argmin), VertexAddress.parse(argmax))
@@ -419,24 +437,24 @@ def test_scan_bounds_returns_the_lexicographically_first_offender(monkeypatch, g
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4])
 def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
-    monkeypatch.setattr(bv, "BOUNDS_BLOCK_ROWS", block)
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
     monkeypatch.setattr(bv, "MASS_SCALED", PLANTED_FAMILIES[0])
     for level in (0, 3, 9):
         assert bv.scan_bounds(level) == reference_scan_bounds(PLANTED_FAMILIES[0], level)
 
 
 def test_scan_bounds_runs_int64_under_the_budget(monkeypatch):
-    dtypes = recorded_dtypes(monkeypatch, bv)
-    assert bv.scan_bounds(12) is None  # 13**12 < 2**45
+    dtypes = recorded_dtypes(monkeypatch)
+    assert bv.scan_bounds(12) is None  # 13**12 < 2**59
     assert dtypes == {"int64"}
 
 
 @pytest.mark.parametrize("gens", PLANTED_FAMILIES)
 def test_scan_bounds_object_path_matches_reference(monkeypatch, gens):
     """Over the budget (patched down to 13**2) the same scan runs on Python ints."""
-    monkeypatch.setattr(bv, "INT64_ROW_BOUND", 13**2)
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**2)
     monkeypatch.setattr(bv, "MASS_SCALED", gens)
-    dtypes = recorded_dtypes(monkeypatch, bv)
+    dtypes = recorded_dtypes(monkeypatch)
     for level in range(11):
         assert bv.scan_bounds(level) == reference_scan_bounds(gens, level), level
     assert dtypes == {"int64", "object"}
@@ -507,22 +525,29 @@ def test_limb_sign_matches_python_ints_at_its_bound(dtype):
     assert core.limb_sign(a, 3, -5, d).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
 
 
-def test_array_dtype_proves_the_budget_before_any_work():
+def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
     assert core.array_dtype(one, MASS_SCALED, 15) == "int64"  # 13**15 < 2**59
     assert core.array_dtype(one, MASS_SCALED, 16) == "object"
     assert core.array_dtype(one, MASS_SCALED, 13) == "int64"  # scan_bounds(13)
-    assert core.array_dtype(((2, -7, 1),), MASS_SCALED, 0, 7) == "object"
-    assert core.array_dtype(((2, -6, 1),), MASS_SCALED, 0, 7) == "int64"
+    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 10) == "object"  # 75**10 > 2**59
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 7)
+    assert core.array_dtype(((2, -7, 1),), MASS_SCALED, 0) == "object"
+    assert core.array_dtype(((2, -6, 1),), MASS_SCALED, 0) == "int64"
 
 
 def test_bound_tests_are_strict_on_the_disk_rim():
     """(5, 20, -4) has e2 == 0 (weights (2/7, 9/14, 1/14), on the rim) and
     passes the coordinate tests, so only the disk and cone tests reject it."""
+    import numpy as np
+
+    def rows(*r):
+        return np.array(r, dtype=object)
+
     assert e2((5, 20, -4)) == 0
-    assert bv._first_offender([(1, 1, 1), (41, 7, 7)]) is None
-    assert bv._first_offender([(1, 1, 1), (5, 20, -4), (1, 0, 0)]) == 1
-    assert bv._first_offender([(1, 0, 0)]) == 0  # c_0 == T: weight 2/3
+    assert bv._first_offender(rows((1, 1, 1), (41, 7, 7))) is None
+    assert bv._first_offender(rows((1, 1, 1), (5, 20, -4), (1, 0, 0))) == 1
+    assert bv._first_offender(rows((1, 0, 0))) == 0  # c_0 == T: weight 2/3
 
 
 def test_scan_bounds_true_family_matches_reference():
@@ -564,9 +589,14 @@ def reference_monotone_left_right(m):
     return True
 
 
-def test_operator_norm_scan_equals_reference():
-    for m in range(10):
+def test_operator_norm_scan_equals_reference(monkeypatch):
+    """Up to the cap m = 10 the walk over the transposes (column sums up to
+    53, 53**10 < 2**59) steps in int64; the untransposed family
+    (75**10 > 2**59) would need Python ints at m = 10."""
+    dtypes = recorded_dtypes(monkeypatch)
+    for m in range(11):
         assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
+    assert dtypes == {"int64"}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -577,7 +607,13 @@ def test_operator_norm_scan_does_not_depend_on_the_block_size(monkeypatch, block
 
 
 def test_operator_norm_scan_memory_is_bounded_by_one_block():
-    """The walk holds one block, not a whole level (about 39 MB at m = 10)."""
+    """The walk holds one block, not a whole level (about 39 MB at m = 10).
+
+    numpy is imported first: its one-time module load (about 6 MB traced)
+    is not the walk's memory, and would count only when this test runs
+    before any other that loads numpy."""
+    import numpy  # noqa: F401
+
     tracemalloc.start()
     try:
         dv.operator_norm_scan(10)
