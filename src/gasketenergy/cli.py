@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import BINS_MAX
-from .core import VertexAddress, check_word, format_rational, lex_word
+from .core import VertexAddress, format_rational, lex_word
 from .derivatives import edge_profile, rn_derivative, rn_derivative_via_refine
 from .measures import measure_of_cell, parse_coeffs
 from . import bvectors as bv
@@ -115,7 +115,6 @@ def _emit_histogram(hist: dy.Histogram, unit: str, value_name: str, fmt: str,
 
 def cmd_measure(args: argparse.Namespace) -> int:
     c = parse_coeffs(args.coeffs)
-    check_word(args.word)
     value = measure_of_cell(c, args.word)
     print(f"{format_rational(value)} {float(value)!r}")
     return EXIT_OK
@@ -176,7 +175,6 @@ def cmd_bvector(args: argparse.Namespace) -> int:
             )
         _emit(_csv(rows), args.output)
         return EXIT_OK
-    check_word(args.word)
     b = _bvector_by(args.method, args.word)
     if b is None:
         print(f"routes-disagree at {args.word!r}", file=sys.stderr)

@@ -437,11 +437,7 @@ class VertexAddress:
 
 def all_vertices(level: int) -> set[VertexAddress]:
     """All distinct vertices of the level-``level`` graph, canonical forms."""
-    out: set[VertexAddress] = set()
-    words = [""]
-    for _ in range(level):
-        words = [w + ch for w in words for ch in LETTERS]
-    for w in words:
-        for c in (0, 1, 2):
-            out.add(VertexAddress(w, c).canonical())
-    return out
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    return {VertexAddress(lex_word(i, level), c).canonical()
+            for i in range(3 ** level) for c in (0, 1, 2)}

@@ -50,6 +50,7 @@ from .core import (
 )
 from .harmonic import Harmonic, measure_coeffs
 from .measures import (
+    BASIS_COEFFS,
     KUSUOKA,
     MeasureCoeffs,
     children_triple,
@@ -96,10 +97,6 @@ RANK1_LIMITS: tuple[Mat3, Mat3, Mat3] = tuple(
 _CORNER_WEIGHTS_INT = ((4, 1, 1), (1, 4, 1), (1, 1, 4))
 
 
-def _dot(u: IntRow, v: IntRow) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _cell_rows(c: MeasureCoeffs, word: str) -> tuple[IntRow, IntRow]:
     """Integer subtree rows of ``c`` and of the Kusuoka measure on one common
     scale, so a ratio of two of their pairings is a derivative value."""
@@ -111,7 +108,7 @@ def _cell_rows(c: MeasureCoeffs, word: str) -> tuple[IntRow, IntRow]:
 def _corner_value(r: IntRow, q: IntRow, corner: int) -> Fraction:
     """Derivative at one corner of a cell, from the cell's two rows."""
     weights = _CORNER_WEIGHTS_INT[corner]
-    return Fraction(_dot(r, weights), _dot(q, weights))
+    return Fraction(vec_dot(r, weights), vec_dot(q, weights))
 
 
 def rn_derivative(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
@@ -159,8 +156,9 @@ def rn_derivative_via_refine(c: MeasureCoeffs, vertex: VertexAddress) -> Fractio
 
 def basis_ratio(i: int, vertex: VertexAddress) -> Fraction:
     """Derivative of the i-th corner measure against Kusuoka (in [0, 1])."""
-    e = tuple(Fraction(1) if k == i else Fraction(0) for k in range(3))
-    return rn_derivative(e, vertex)  # type: ignore[arg-type]
+    if i not in (0, 1, 2):
+        raise ValueError(f"corner must be 0, 1 or 2, got {i!r}")
+    return rn_derivative(BASIS_COEFFS[i], vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +420,9 @@ def monotone_left_right(m: int) -> bool:
         masses = row_children(masses, (MASS_SCALED[1], MASS_SCALED[2]))
         margins = row_children(margins, (REFINE_SCALED[1], REFINE_SCALED[2]))
     sums = [sum(r) for r in masses]
-    floor = _dot(margins[0], _MARGIN_COL)  # the all-1s word comes first
+    floor = vec_dot(margins[0], _MARGIN_COL)  # the all-1s word comes first
     return (all(a <= b for a, b in zip(sums, sums[1:]))
-            and all(_dot(r, _MARGIN_COL) >= floor for r in margins))
+            and all(vec_dot(r, _MARGIN_COL) >= floor for r in margins))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +441,7 @@ def edge_margin(word: str) -> Fraction:
     if "0" in word:
         raise ValueError("edge_margin is defined for words over letters {1,2} only")
     row = row_walk(_MARGIN_ROW, word, REFINE_SCALED)
-    return Fraction(_dot(row, _MARGIN_COL), REFINE_DEN ** len(word))
+    return Fraction(vec_dot(row, _MARGIN_COL), REFINE_DEN ** len(word))
 
 
 def edge_margin_closed_form(m: int) -> Fraction:

@@ -139,6 +139,8 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
 
 def harmonic_vertex_values(h: Harmonic, m: int) -> dict[VertexAddress, Fraction]:
     """The level-``m`` vertex assignment induced by a harmonic function."""
+    if m < 0:
+        raise ValueError("level must be nonnegative")
     out: dict[VertexAddress, Fraction] = {}
     stack: list[tuple[str, Harmonic]] = [("", h)]
     while stack:

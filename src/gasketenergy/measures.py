@@ -42,7 +42,8 @@ CellTriple = Vec3
 #: Coefficients of the Kusuoka measure (total mass 6).
 KUSUOKA: MeasureCoeffs = (Fraction(1), Fraction(1), Fraction(1))
 
-_BASIS: tuple[MeasureCoeffs, ...] = tuple(
+#: The corner measures themselves: BASIS_COEFFS[i] is 1 at i and 0 elsewhere.
+BASIS_COEFFS: tuple[MeasureCoeffs, ...] = tuple(
     tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)  # type: ignore[misc]
 )
 
@@ -77,7 +78,7 @@ def subtree_row(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
 
 def basis_masses(word: str) -> Vec3:
     """Masses the three corner measures give to the addressed cell."""
-    return tuple(measure_of_cell(e, word) for e in _BASIS)  # type: ignore[return-value]
+    return tuple(measure_of_cell(e, word) for e in BASIS_COEFFS)  # type: ignore[return-value]
 
 
 def subtree_coeffs(c: MeasureCoeffs, word: str) -> MeasureCoeffs:
@@ -182,8 +183,11 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
 
     Returns ``None`` when every cell down to ``max_depth`` has nonnegative
     mass.  Subtrees whose restricted coefficients already satisfy the cone
-    test are skipped -- every cell below them is nonnegative.
+    test are skipped -- every cell below them is nonnegative.  Raises
+    ``ValueError`` for ``max_depth < 0``.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if total_mass(c) < 0:
         return ""
     start, _ = int_row(c)

@@ -2,9 +2,10 @@
 
 Each suite re-checks the properties its module promises - exact route
 agreements, strict bounds, symmetry, self-similarity - at a size controlled
-by ``max_depth``, printing one PASS/FAIL line per property.  Counterexample
-words or vertices ride along in the line so a failure is immediately
-reproducible.  All randomness is seeded; two runs print identical bytes.
+by ``max_depth``, printing one PASS/FAIL line per property.  A failing
+check reports its first offending word, vertex or triple in scan order, and
+its scan stops there, so a failure is immediately reproducible.  All
+randomness is seeded; two runs print identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bvectors as bv
 from .core import (
@@ -31,13 +32,14 @@ from .harmonic import (
     SymmetryKind,
     cell_energy,
     classify_symmetry,
-    energy_inner,
     graph_energy,
     harmonic_vertex_values,
     level0_energy,
     measure_coeffs,
+    total_energy_identity,
 )
 from .measures import (
+    BASIS_COEFFS,
     children_triple,
     children_triple_via_refine,
     cone_value,
@@ -55,18 +57,32 @@ _SEED = 20240817
 Check = tuple[str, bool, str]
 
 
+def _check(name: str, detail: str, failures: Iterable[object]) -> Check:
+    """PASS with ``detail`` when ``failures`` yields nothing, else FAIL with
+    its first item as the counterexample; the scan stops at that item."""
+    for first in failures:
+        return (name, False, f"counterexample {first}")
+    return (name, True, detail)
+
+
 def _words(up_to: int) -> Iterator[str]:
-    for n in range(up_to + 1):
-        for tup in itertools.product("012", repeat=n):
-            yield "".join(tup)
+    return ("".join(t) for n in range(up_to + 1) for t in itertools.product("012", repeat=n))
+
+
+def _rand_word(rng: random.Random, up_to: int) -> str:
+    return "".join(rng.choice("012") for _ in range(rng.randint(0, up_to)))
 
 
 def _rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 4))
 
 
-def _rand_harmonic(rng: random.Random) -> Harmonic:
-    return Harmonic(_rand_fraction(rng), _rand_fraction(rng), _rand_fraction(rng))
+def _rand_coeffs(rng: random.Random):
+    return tuple(_rand_fraction(rng) for _ in range(3))
+
+
+def _harmonics(rng: random.Random, n: int) -> Iterator[Harmonic]:
+    return (Harmonic(*_rand_coeffs(rng)) for _ in range(n))
 
 
 def _rand_positive_coeffs(rng: random.Random):
@@ -84,44 +100,26 @@ def _rand_positive_coeffs(rng: random.Random):
 def core_suite(max_depth: int) -> Iterator[Check]:
     level = min(max_depth, 6)
 
-    bad = None
-    count = 0
-    for n in range(level + 1):
-        for tup in itertools.product("012", repeat=n):
-            w = "".join(tup)
-            for corner in (0, 1, 2):
-                v = VertexAddress(w, corner)
-                c1 = v.canonical()
-                count += 1
-                if c1 != c1.canonical():
-                    bad = v
-    yield ("core.canonical-idempotent", bad is None,
-           f"{count} spellings through level {level}" if bad is None else f"counterexample {bad}")
+    spellings = (VertexAddress(w, k) for w in _words(level) for k in (0, 1, 2))
+    yield _check("core.canonical-idempotent",
+                 f"{3 * (3 ** (level + 1) - 1) // 2} spellings through level {level}",
+                 (v for v in spellings if (c := v.canonical()) != c.canonical()))
 
-    bad = None
-    for w in _words(level - 1 if level else 0):
-        for i, j in itertools.permutations((0, 1, 2), 2):
-            a = VertexAddress(w + str(i), j).canonical()
-            b = VertexAddress(w + str(j), i).canonical()
-            if a != b:
-                bad = (w, i, j)
-    yield ("core.junction-pairing", bad is None,
-           "both spellings of every junction agree" if bad is None else f"counterexample {bad}")
+    yield _check("core.junction-pairing", "both spellings of every junction agree",
+                 ((w, i, j) for w in _words(max(level - 1, 0))
+                  for i, j in itertools.permutations((0, 1, 2), 2)
+                  if VertexAddress(w + str(i), j).canonical()
+                  != VertexAddress(w + str(j), i).canonical()))
 
     n = len(all_vertices(level))
     expect = (3 ** (level + 1) + 3) // 2
     yield ("core.vertex-count", n == expect, f"level {level}: {n} canonical vertices (expect {expect})")
 
     rng = random.Random(_SEED)
-    bad = None
-    for _ in range(200):
-        u = "".join(rng.choice("012") for _ in range(rng.randint(0, 5)))
-        v = "".join(rng.choice("012") for _ in range(rng.randint(0, 5)))
-        for fam in ("mass", "refine"):
-            if word_matrix(fam, u + v) != mat_mul(word_matrix(fam, u), word_matrix(fam, v)):
-                bad = (fam, u, v)
-    yield ("core.word-matrix-product", bad is None,
-           "200 random splits, both families" if bad is None else f"counterexample {bad}")
+    splits = ((_rand_word(rng, 5), _rand_word(rng, 5)) for _ in range(200))
+    yield _check("core.word-matrix-product", "200 random splits, both families",
+                 ((fam, u, v) for u, v in splits for fam in ("mass", "refine")
+                  if word_matrix(fam, u + v) != mat_mul(word_matrix(fam, u), word_matrix(fam, v))))
 
     ok = True
     for j, gen in enumerate(REFINE_GENERATORS):
@@ -142,36 +140,18 @@ def harmonic_suite(max_depth: int) -> Iterator[Check]:
     level = min(max_depth, 5)
     rng = random.Random(_SEED + 1)
 
-    bad = None
-    for _ in range(50):
-        h = _rand_harmonic(rng)
-        e0 = level0_energy(h)
-        for m in range(1, level + 1):
-            if graph_energy(harmonic_vertex_values(h, m), m) != e0:
-                bad = (h, m)
-    yield ("harmonic.renormalized-energy-constant", bad is None,
-           f"50 random harmonics, levels 1..{level}" if bad is None else f"counterexample {bad}")
+    yield _check("harmonic.renormalized-energy-constant", f"50 random harmonics, levels 1..{level}",
+                 ((h, m) for h in _harmonics(rng, 50) for m in range(1, level + 1)
+                  if graph_energy(harmonic_vertex_values(h, m), m) != level0_energy(h)))
 
-    bad = None
-    for _ in range(500):
-        u, v = _rand_harmonic(rng), _rand_harmonic(rng)
-        if 2 * sum(measure_coeffs(u, v)) != energy_inner(u, v):
-            bad = (u, v)
-    yield ("harmonic.bilinear-total", bad is None,
-           "500 random pairs: twice the coefficient sum is the energy pairing"
-           if bad is None else f"counterexample {bad}")
+    draws = _harmonics(rng, 1000)
+    yield _check("harmonic.bilinear-total",
+                 "500 random pairs: twice the coefficient sum is the energy pairing",
+                 (pair for pair in zip(draws, draws) if not total_energy_identity(*pair)))
 
-    bad = None
-    for _ in range(30):
-        h = _rand_harmonic(rng)
-        for w in _words(min(level, 3)):
-            whole = cell_energy(h, w)
-            parts = sum(cell_energy(h, w + str(j)) for j in range(3))
-            if whole != parts:
-                bad = (h, w)
-    yield ("harmonic.cell-additivity", bad is None,
-           "cell energy splits exactly over the three children"
-           if bad is None else f"counterexample {bad}")
+    yield _check("harmonic.cell-additivity", "cell energy splits exactly over the three children",
+                 ((h, w) for h in _harmonics(rng, 30) for w in _words(min(level, 3))
+                  if cell_energy(h, w) != sum(cell_energy(h, w + str(j)) for j in range(3))))
 
     ok = classify_symmetry(Harmonic.of(1, 1, 1)).kind is SymmetryKind.CONSTANT
     ok = ok and classify_symmetry(Harmonic.of(1, 0, 0)).kind is SymmetryKind.SYMMETRIC
@@ -188,217 +168,143 @@ def harmonic_suite(max_depth: int) -> Iterator[Check]:
 def measures_suite(max_depth: int) -> Iterator[Check]:
     level = min(max_depth, 5)
     rng = random.Random(_SEED + 2)
-    coeff_sets = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ] + [tuple(_rand_fraction(rng) for _ in range(3)) for _ in range(5)]
+    coeff_sets = list(BASIS_COEFFS) + [_rand_coeffs(rng) for _ in range(5)]
 
-    bad = None
-    for c in coeff_sets:
-        for w in _words(level):
-            if children_triple(c, w) != children_triple_via_refine(c, w):
-                bad = (c, w)
-    yield ("measures.cross-route", bad is None,
-           f"mass and refine routes agree through level {level}"
-           if bad is None else f"counterexample {bad}")
+    yield _check("measures.cross-route", f"mass and refine routes agree through level {level}",
+                 ((c, w) for c in coeff_sets for w in _words(level)
+                  if children_triple(c, w) != children_triple_via_refine(c, w)))
 
-    bad = None
-    for i, h in enumerate(BASIS):
-        for w in _words(min(level, 4)):
-            e = tuple(Fraction(1 if k == i else 0) for k in range(3))
-            if measure_of_cell(e, w) != cell_energy(h, w):
-                bad = (i, w)
-    yield ("measures.energy-oracle", bad is None,
-           "cell masses equal restricted harmonic energies"
-           if bad is None else f"counterexample {bad}")
+    yield _check("measures.energy-oracle", "cell masses equal restricted harmonic energies",
+                 ((i, w) for i in range(3) for w in _words(min(level, 4))
+                  if measure_of_cell(BASIS_COEFFS[i], w) != cell_energy(BASIS[i], w)))
 
-    bad = None
-    for c in coeff_sets:
-        for w in _words(level - 1 if level else 0):
-            if measure_of_cell(c, w) != sum(measure_of_cell(c, w + str(j)) for j in range(3)):
-                bad = (c, w)
-    yield ("measures.additivity", bad is None,
-           "cell mass splits exactly over children" if bad is None else f"counterexample {bad}")
+    yield _check("measures.additivity", "cell mass splits exactly over children",
+                 ((c, w) for c in coeff_sets for w in _words(max(level - 1, 0))
+                  if measure_of_cell(c, w) != sum(measure_of_cell(c, w + str(j)) for j in range(3))))
 
-    bad = None
-    for w in _words(min(level, 4)):
-        for j in range(3):
-            if selfsim_identity_gap(w, j) != 0:
-                bad = (w, j)
-    yield ("measures.self-similar-identity", bad is None,
-           "one-letter self-similarity gap vanishes" if bad is None else f"counterexample {bad}")
+    yield _check("measures.self-similar-identity", "one-letter self-similarity gap vanishes",
+                 ((w, j) for w in _words(min(level, 4)) for j in range(3)
+                  if selfsim_identity_gap(w, j) != 0))
 
-    bad = None
-    for _ in range(500):
-        h = _rand_harmonic(rng)
-        c = measure_coeffs(h, h)
-        if cone_value(c) != 0 or not is_positive(c):
-            bad = h
-    yield ("measures.single-harmonic-cone", bad is None,
-           "500 random harmonics sit exactly on the cone boundary"
-           if bad is None else f"counterexample {bad}")
+    yield _check("measures.single-harmonic-cone",
+                 "500 random harmonics sit exactly on the cone boundary",
+                 (h for h in _harmonics(rng, 500)
+                  if cone_value(c := measure_coeffs(h, h)) != 0 or not is_positive(c)))
 
-    bad = None
-    for _ in range(50):
-        c = _rand_positive_coeffs(rng)
-        if find_negative_cell(c, max_depth=min(level + 2, 7)) is not None:
-            bad = c
-    for _ in range(50):
-        c = tuple(_rand_fraction(rng) for _ in range(3))
-        if is_positive(c) or total_mass(c) <= 0:
-            continue
-        w = find_negative_cell(c, max_depth=10)
-        if w is None or measure_of_cell(c, w) >= 0:
-            bad = c
-    yield ("measures.positivity-scan", bad is None,
-           "positive triples have no negative cell; exterior ones yield a witness"
-           if bad is None else f"counterexample {bad}")
+    def positivity_misses():
+        for _ in range(50):
+            c = _rand_positive_coeffs(rng)
+            if find_negative_cell(c, max_depth=min(level + 2, 7)) is not None:
+                yield c
+        for c in (_rand_coeffs(rng) for _ in range(50)):
+            if not is_positive(c) and total_mass(c) > 0:
+                w = find_negative_cell(c, max_depth=10)
+                if w is None or measure_of_cell(c, w) >= 0:
+                    yield c
+    yield _check("measures.positivity-scan",
+                 "positive triples have no negative cell; exterior ones yield a witness",
+                 positivity_misses())
 
-    bad = None
-    for _ in range(100):
-        c = _rand_positive_coeffs(rng)
-        t, p, q = decompose_positive(c)
-        mix = tuple(t * pi + (1 - t) * qi for pi, qi in zip(p, q))
-        err = max(abs(float(mi) - float(ci)) for mi, ci in zip(mix, c))
-        onb = max(abs(float(cone_value(p))), abs(float(cone_value(q))))
-        if err > 1e-9 or onb > 1e-9 or not 0 <= t <= 1:
-            bad = (c, err, onb)
-    yield ("measures.boundary-decomposition", bad is None,
-           "positive triples split into two boundary pieces"
-           if bad is None else f"counterexample {bad}")
+    def split_misses():
+        for _ in range(100):
+            c = _rand_positive_coeffs(rng)
+            t, p, q = decompose_positive(c)
+            mix = tuple(t * pi + (1 - t) * qi for pi, qi in zip(p, q))
+            err = max(abs(float(mi) - float(ci)) for mi, ci in zip(mix, c))
+            onb = max(abs(float(cone_value(p))), abs(float(cone_value(q))))
+            if err > 1e-9 or onb > 1e-9 or not 0 <= t <= 1:
+                yield (c, err, onb)
+    yield _check("measures.boundary-decomposition",
+                 "positive triples split into two boundary pieces", split_misses())
 
 
 def derivatives_suite(max_depth: int) -> Iterator[Check]:
     level = min(max_depth, 6)
     rng = random.Random(_SEED + 3)
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(3)) for i in range(3)]
 
-    verts = all_vertices(level)
-    bad = None
-    for c in basis:
-        for v in verts:
-            if dv.rn_derivative(c, v) != dv.rn_derivative_via_refine(c, v):
-                bad = (c, str(v))
-    yield ("derivatives.route-equality", bad is None,
-           f"both closed forms agree at {len(verts)} vertices"
-           if bad is None else f"counterexample {bad}")
+    verts = sorted(all_vertices(level))
+    yield _check("derivatives.route-equality", f"both closed forms agree at {len(verts)} vertices",
+                 ((c, str(v)) for c in BASIS_COEFFS for v in verts
+                  if dv.rn_derivative(c, v) != dv.rn_derivative_via_refine(c, v)))
 
-    bad = None
-    for w in _words(level - 1 if level else 0):
-        for i, j in itertools.permutations((0, 1, 2), 2):
-            for c in basis:
-                a = dv._derivative_raw(c, w + str(i), j)
-                b = dv._derivative_raw(c, w + str(j), i)
-                if a != b:
-                    bad = (w, i, j)
-    yield ("derivatives.junction-two-sided", bad is None,
-           "junction value agrees from both cell sides"
-           if bad is None else f"counterexample {bad}")
+    yield _check("derivatives.junction-two-sided", "junction value agrees from both cell sides",
+                 ((w, i, j) for w in _words(max(level - 1, 0))
+                  for i, j in itertools.permutations((0, 1, 2), 2) for c in BASIS_COEFFS
+                  if dv._derivative_raw(c, w + str(i), j) != dv._derivative_raw(c, w + str(j), i)))
 
-    bad = None
-    for v in verts:
-        vals = [dv.basis_ratio(i, v) for i in range(3)]
-        if sum(vals) != 1 or any(x < 0 or x > 1 for x in vals):
-            bad = str(v)
-    yield ("derivatives.basis-partition", bad is None,
-           "the three basis derivatives are in [0,1] and sum to 1"
-           if bad is None else f"counterexample {bad}")
+    yield _check("derivatives.basis-partition",
+                 "the three basis derivatives are in [0,1] and sum to 1",
+                 (str(v) for v in verts
+                  if sum(d := [dv.basis_ratio(i, v) for i in range(3)]) != 1
+                  or min(d) < 0 or max(d) > 1))
 
-    bad = None
-    for _ in range(20):
-        c = _rand_positive_coeffs(rng)
-        s = dv.scan_extrema(c, "", min(level, 6))
-        if not (s.maximum < Fraction(2, 3) * sum(c)) or s.minimum < 0:
-            bad = c
-    prev = None
-    for d in range(1, min(level, 6) + 1):
-        s = dv.scan_extrema(basis[0], "", d)
-        if prev is not None and (s.minimum > prev[0] or s.maximum < prev[1]):
-            bad = ("monotone-depth", d)
-        prev = (s.minimum, s.maximum)
-    yield ("derivatives.scan-bounds", bad is None,
-           "interior scans stay strictly below 2/3 of total mass"
-           if bad is None else f"counterexample {bad}")
+    def scan_misses():
+        for _ in range(20):
+            c = _rand_positive_coeffs(rng)
+            s = dv.scan_extrema(c, "", min(level, 6))
+            if not (s.maximum < Fraction(2, 3) * sum(c)) or s.minimum < 0:
+                yield c
+        scans = [dv.scan_extrema(BASIS_COEFFS[0], "", d) for d in range(1, min(level, 6) + 1)]
+        yield from (("monotone-depth", d) for d, s, t in zip(itertools.count(2), scans, scans[1:])
+                    if t.minimum > s.minimum or t.maximum < s.maximum)
+    yield _check("derivatives.scan-bounds",
+                 "interior scans stay strictly below 2/3 of total mass", scan_misses())
 
-    bad = None
-    for _ in range(200):
-        h = _rand_harmonic(rng)
-        for w in _words(min(level, 3)):
-            g = dv.skew_energy_gap(h, w)
-            if g < 0:
-                bad = (h, w)
-    h = Harmonic.of(0, 1, -1)  # skew about corner 0: the gap must vanish
-    if dv.skew_energy_gap(h, "") != 0:
-        bad = ("skew", h)
-    yield ("derivatives.skew-gap-nonnegative", bad is None,
-           "pairing gap >= 0 with equality on skew cells"
-           if bad is None else f"counterexample {bad}")
+    def gap_misses():
+        yield from ((h, w) for h in _harmonics(rng, 200) for w in _words(min(level, 3))
+                    if dv.skew_energy_gap(h, w) < 0)
+        h = Harmonic.of(0, 1, -1)  # skew about corner 0: the gap must vanish
+        if dv.skew_energy_gap(h, "") != 0:
+            yield ("skew", h)
+    yield _check("derivatives.skew-gap-nonnegative",
+                 "pairing gap >= 0 with equality on skew cells", gap_misses())
 
-    bad = None
-    for j in range(3):
-        prev_norm = None
-        for n in range(1, 13):
-            d = dv.rank1_deviation(j, n)
-            if prev_norm is not None and d > prev_norm:
-                bad = (j, n)
-            prev_norm = d
-        if prev_norm > Fraction(1, 1000):
-            bad = (j, "slow")
-    yield ("derivatives.rank1-convergence", bad is None,
-           "scaled powers approach their rank-1 limits monotonically"
-           if bad is None else f"counterexample {bad}")
+    def rank1_misses():
+        for j in range(3):
+            devs = [dv.rank1_deviation(j, n) for n in range(1, 13)]
+            yield from ((j, n) for n in range(2, 13) if devs[n - 1] > devs[n - 2])
+            if devs[-1] > Fraction(1, 1000):
+                yield (j, "slow")
+    yield _check("derivatives.rank1-convergence",
+                 "scaled powers approach their rank-1 limits monotonically", rank1_misses())
 
-    bad = None
-    for m in range(min(max_depth + 4, 10) + 1):
-        if dv.edge_margin("1" * m) != dv.edge_margin_closed_form(m):
-            bad = m
-    yield ("derivatives.margin-closed-form", bad is None,
-           "all-1s margins match the three-rate closed form"
-           if bad is None else f"counterexample m={bad}")
+    yield _check("derivatives.margin-closed-form",
+                 "all-1s margins match the three-rate closed form",
+                 (f"m={m}" for m in range(min(max_depth + 4, 10) + 1)
+                  if dv.edge_margin("1" * m) != dv.edge_margin_closed_form(m)))
 
 
 def bvectors_suite(max_depth: int) -> Iterator[Check]:
     level = min(max_depth, 8)
     rng = random.Random(_SEED + 4)
 
-    bad = None
-    for w in _words(level):
-        a = bv.b_from_mass(w)
-        if a != bv.b_from_word(w) or a != bv.b_from_kusuoka(w) or sum(a) != 1:
-            bad = w
-    yield ("bvectors.three-routes", bad is None,
-           f"all routes agree on every word through level {level}"
-           if bad is None else f"counterexample {bad!r}")
+    yield _check("bvectors.three-routes", f"all routes agree on every word through level {level}",
+                 (repr(w) for w in _words(level)
+                  if (b := bv.b_from_mass(w)) != bv.b_from_word(w)
+                  or b != bv.b_from_kusuoka(w) or sum(b) != 1))
 
-    hit = bv.scan_bounds(min(max_depth + 2, 10))
-    yield ("bvectors.strict-bounds", hit is None,
-           f"0 < b_j < 2/3 and disk radius < 1/6 through level {min(max_depth + 2, 10)}"
-           if hit is None else f"counterexample {hit!r}")
+    depth = min(max_depth + 2, 10)
+    yield _check("bvectors.strict-bounds",
+                 f"0 < b_j < 2/3 and disk radius < 1/6 through level {depth}",
+                 (repr(hit) for hit in [bv.scan_bounds(depth)] if hit is not None))
 
-    bad = None
-    coeff_sets = [tuple(Fraction(1 if k == i else 0) for k in range(3)) for i in range(3)]
-    coeff_sets += [tuple(_rand_fraction(rng) for _ in range(3)) for _ in range(10)]
-    for c in coeff_sets:
-        for w in _words(min(level, 4)):
-            if bv.weighted_average_gap(c, w) != 0:
-                bad = (c, w)
-    yield ("bvectors.averaging-identity", bad is None,
-           "cell averages equal corner weighted averages, signed measures included"
-           if bad is None else f"counterexample {bad}")
+    coeff_sets = list(BASIS_COEFFS) + [_rand_coeffs(rng) for _ in range(10)]
+    yield _check("bvectors.averaging-identity",
+                 "cell averages equal corner weighted averages, signed measures included",
+                 ((c, w) for c in coeff_sets for w in _words(min(level, 4))
+                  if bv.weighted_average_gap(c, w) != 0))
 
-    bad = None
-    prev = None
-    for m in range(13):
-        r = bv.disk_radius_sq(bv.closed_form_b(m))
-        if r >= Fraction(1, 6) or (prev is not None and r <= prev):
-            bad = m
-        prev = r
-        if bv.closed_form_b(m) != bv.b_from_mass("0" * min(m, 10)) and m <= 10:
-            bad = m
-    yield ("bvectors.sharpness-trend", bad is None,
-           "repeated-0 radii increase strictly toward 1/6 and match the closed form"
-           if bad is None else f"counterexample m={bad}")
+    def trend_misses():
+        prev = None
+        for m in range(13):
+            r = bv.disk_radius_sq(bv.closed_form_b(m))
+            if (r >= Fraction(1, 6) or (prev is not None and r <= prev)
+                    or m <= 10 and bv.closed_form_b(m) != bv.b_from_mass("0" * m)):
+                yield f"m={m}"
+            prev = r
+    yield _check("bvectors.sharpness-trend",
+                 "repeated-0 radii increase strictly toward 1/6 and match the closed form",
+                 trend_misses())
 
 
 def dynamics_suite(max_depth: int) -> Iterator[Check]:
@@ -473,17 +379,17 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
 
     level = min(max_depth + 2, 8)
     words = ["".join(random.Random(_SEED + 6 + i).choices("012", k=level)) for i in range(100)]
-    bad = None
-    for w in words:
-        exact = tuple(float(t) for t in bv.b_from_mass(w))
-        p = dy.DiskPoint(0.0, 0.0)
-        for ch in w:
-            p = dy.apply_B(int(ch), p)
-        if max(abs(a - e) for a, e in zip(p.to_b(), exact)) > 1e-10:
-            bad = w
-    yield ("dynamics.float-exact-agreement", bad is None,
-           f"float recursion tracks exact weights at level {level} (100 words)"
-           if bad is None else f"counterexample {bad!r}")
+
+    def drifts():
+        for w in words:
+            exact = tuple(float(t) for t in bv.b_from_mass(w))
+            p = dy.DiskPoint(0.0, 0.0)
+            for ch in w:
+                p = dy.apply_B(int(ch), p)
+            if max(abs(a - e) for a, e in zip(p.to_b(), exact)) > 1e-10:
+                yield repr(w)
+    yield _check("dynamics.float-exact-agreement",
+                 f"float recursion tracks exact weights at level {level} (100 words)", drifts())
 
 
 SUITES: dict[str, Callable[[int], Iterator[Check]]] = {

@@ -12,6 +12,7 @@ from gasketenergy import bvectors as bv
 from gasketenergy import cli
 from gasketenergy import derivatives as dv
 from gasketenergy import dynamics as dy
+from gasketenergy import verify
 from gasketenergy.cli import main
 
 
@@ -176,6 +177,42 @@ def test_verify_suite_passes(capsys):
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_reports_the_first_counterexample_and_exits_one(capsys, monkeypatch):
+    real = verify.children_triple_via_refine
+
+    def corrupted(c, word):
+        x = real(c, word)
+        return (x[0] + 1,) + x[1:] if word.startswith("1") else x
+
+    monkeypatch.setattr(verify, "children_triple_via_refine", corrupted)
+    code, out, _ = run(capsys, "verify", "--suite", "measures", "--max-depth", "2")
+    assert code == 1
+    first, *rest = out.splitlines()
+    # the first failing (coefficients, word) pair in scan order, not the last
+    assert first == ("FAIL  measures.cross-route: counterexample "
+                     "((Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), '1')")
+    assert rest and all(line.startswith("PASS") for line in rest)
+
+
+def test_check_stops_at_the_first_counterexample():
+    def failures():
+        yield ("w", 0)
+        raise AssertionError("the scan went past its first counterexample")
+
+    assert verify._check("x.y", "fine", failures()) == ("x.y", False, "counterexample ('w', 0)")
+    assert verify._check("x.y", "fine", iter(())) == ("x.y", True, "fine")
+
+
+def test_bad_words_exit_two_with_the_routes_message(capsys):
+    expect = "error: invalid letter '3' in word '03'\n"
+    assert run(capsys, "measure", "--coeffs", "1,1,1", "--word", "03")[::2] == (2, expect)
+    for method in ("matrix", "recursion", "kusuoka", "all"):
+        code, out, err = run(capsys, "bvector", "--word", "03", "--method", method)
+        assert (code, out, err) == (2, "", expect)
+    code, _, err = run(capsys, "bvector", "--word", "0" * 65)
+    assert code == 2 and err == "error: word length 65 exceeds the cap 64\n"
 
 
 def test_parse_errors_exit_two(capsys):

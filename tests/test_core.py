@@ -138,6 +138,11 @@ def test_vertex_counts(level, count):
     assert len(all_vertices(level)) == count
 
 
+def test_all_vertices_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="nonnegative"):
+        all_vertices(-1)
+
+
 def test_all_vertices_are_canonical():
     for v in all_vertices(3):
         assert v.canonical() == v

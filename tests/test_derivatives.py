@@ -78,6 +78,12 @@ def test_basis_ratios_partition_unity(word, corner):
     assert all(0 <= x <= 1 for x in vals)
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_basis_ratio_rejects_a_corner_outside_0_to_2(i):
+    with pytest.raises(ValueError, match="corner must be 0, 1 or 2"):
+        basis_ratio(i, VertexAddress("01", 2))
+
+
 @given(triples, triples, words, letters)
 @settings(max_examples=40)
 def test_derivative_is_linear_in_the_measure(c, d, word, corner):

@@ -9,6 +9,8 @@ square root.
 
 No module but ``core`` names the array step, the dtype proof, its bound or
 the block size: the scans take all of them from ``core.subtree_levels``.
+
+``verify`` forms a FAIL line's counterexample text only in ``_check``.
 """
 
 import ast
@@ -102,3 +104,26 @@ def test_walk_guard_sees_each_kind_of_name():
         "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
     )
     assert walk_names(ast.parse(source)) == WALK_NAMES
+
+
+def lines_outside(source: str, function: str, needle: str) -> list[int]:
+    """Line numbers of ``needle`` in ``source`` outside the named function."""
+    node = next(n for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return [i for i, line in enumerate(source.splitlines(), 1)
+            if needle in line and not node.lineno <= i <= node.end_lineno]
+
+
+def test_only_check_forms_the_verdict():
+    source = (SRC / "verify.py").read_text()
+    assert lines_outside(source, "_check", "counterexample") == []
+
+
+def test_verdict_guard_sees_a_copy_outside_check():
+    source = (
+        "def _check(name, detail, failures):\n"
+        "    return (name, False, f'counterexample {failures}')\n"
+        "def suite():\n"
+        "    yield ('x', False, 'counterexample 3')\n"
+    )
+    assert lines_outside(source, "_check", "counterexample") == [4]

@@ -142,3 +142,8 @@ def test_centered_offsets_classify_skew(c, a):
 @given(harmonics)
 def test_harmonic_text_round_trip(h):
     assert parse_harmonic(format_harmonic(h)) == h
+
+
+def test_vertex_values_reject_a_negative_level():
+    with pytest.raises(ValueError, match="nonnegative"):
+        harmonic_vertex_values(Harmonic.of(1, 0, 0), -1)

@@ -128,6 +128,14 @@ def test_exterior_triple_yields_negative_witness():
     assert measure_of_cell(c, w) < 0
 
 
+def test_find_negative_cell_rejects_a_negative_depth():
+    c = (Fraction(3), Fraction(-1), Fraction(0))
+    assert find_negative_cell(c, max_depth=5) == "11"
+    for depth in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_negative_cell(c, max_depth=depth)
+
+
 def test_decompose_uniform_measure_exactly():
     t, p, q = decompose_positive(KUSUOKA)
     assert t == Fraction(1, 2)
