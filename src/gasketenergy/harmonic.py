@@ -3,8 +3,9 @@
 A harmonic function is determined by its values at the three outer corners;
 its value at every other junction vertex follows from the one-level averaging
 rule (each edge midpoint takes 2/5 of either endpoint value plus 1/5 of the
-opposite corner value).  That makes the representation exact: every operation
-here stays in rationals.
+opposite corner value).  That makes the representation exact.  Extension
+runs on integer numerators over one common scale in its own loop, shared with
+no other route, and builds one ``Fraction`` per output entry at the end.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import (
-    Vec3,
-    VertexAddress,
-    check_word,
-    parse_rational,
-    format_rational,
-    vec_sum,
-)
+from .core import (IntRow, Vec3, VertexAddress, check_word, int_row, parse_rational,
+                   format_rational, vec_sum)
 
 
 class Harmonic(NamedTuple):
@@ -34,9 +29,6 @@ class Harmonic(NamedTuple):
     @classmethod
     def of(cls, a, b, c) -> "Harmonic":
         return cls(Fraction(a), Fraction(b), Fraction(c))
-
-    def boundary(self) -> Vec3:
-        return (self.v0, self.v1, self.v2)
 
     def is_constant(self) -> bool:
         return self.v0 == self.v1 == self.v2
@@ -62,16 +54,25 @@ def format_harmonic(h: Harmonic) -> str:
     return ",".join(format_rational(v) for v in h)
 
 
-def _one_level(b: Vec3, letter: int) -> Vec3:
-    v0, v1, v2 = b
-    m01 = Fraction(2, 5) * (v0 + v1) + Fraction(1, 5) * v2
-    m02 = Fraction(2, 5) * (v0 + v2) + Fraction(1, 5) * v1
-    m12 = Fraction(2, 5) * (v1 + v2) + Fraction(1, 5) * v0
+def _one_level_int(x: IntRow, letter: int) -> IntRow:
+    """One letter of the extension on integer numerators: with boundary
+    values x / s, the child's are the returned row over 5 s."""
+    x0, x1, x2 = x
+    m01, m02, m12 = 2 * (x0 + x1) + x2, 2 * (x0 + x2) + x1, 2 * (x1 + x2) + x0
     if letter == 0:
-        return (v0, m01, m02)
+        return (5 * x0, m01, m02)
     if letter == 1:
-        return (m01, v1, m12)
-    return (m02, m12, v2)
+        return (m01, 5 * x1, m12)
+    return (m02, m12, 5 * x2)
+
+
+def _cell_row(h: Harmonic, word: str) -> tuple[IntRow, int]:
+    """``(x, s)`` with ``extend_to_cell(h, word) == x / s``."""
+    check_word(word)
+    x, den = int_row(h)
+    for ch in word:
+        x = _one_level_int(x, int(ch))
+    return x, den * 5 ** len(word)
 
 
 def extend_to_cell(h: Harmonic, word: str) -> Harmonic:
@@ -80,16 +81,14 @@ def extend_to_cell(h: Harmonic, word: str) -> Harmonic:
     Letters apply left to right: the first letter picks the child of the
     whole gasket, each later letter descends one more level.
     """
-    check_word(word)
-    b: Vec3 = tuple(Fraction(v) for v in h)  # type: ignore[assignment]
-    for ch in word:
-        b = _one_level(b, int(ch))
-    return Harmonic(*b)
+    x, s = _cell_row(h, word)
+    return Harmonic(Fraction(x[0], s), Fraction(x[1], s), Fraction(x[2], s))
 
 
 def vertex_value(h: Harmonic, vertex: VertexAddress) -> Fraction:
     """Exact value of ``h`` at an addressed vertex (any representation)."""
-    return extend_to_cell(h, vertex.word)[vertex.corner]
+    x, s = _cell_row(h, vertex.word)
+    return Fraction(x[vertex.corner], s)
 
 
 def level0_energy(h: Harmonic) -> Fraction:
@@ -141,16 +140,18 @@ def harmonic_vertex_values(h: Harmonic, m: int) -> dict[VertexAddress, Fraction]
     """The level-``m`` vertex assignment induced by a harmonic function."""
     if m < 0:
         raise ValueError("level must be nonnegative")
+    row, den = int_row(h)
+    scale = den * 5 ** m
     out: dict[VertexAddress, Fraction] = {}
-    stack: list[tuple[str, Harmonic]] = [("", h)]
+    stack: list[tuple[str, IntRow]] = [("", row)]
     while stack:
-        word, hb = stack.pop()
+        word, x = stack.pop()
         if len(word) == m:
             for corner in (0, 1, 2):
-                out[VertexAddress(word, corner).canonical()] = hb[corner]
+                out[VertexAddress(word, corner).canonical()] = Fraction(x[corner], scale)
         else:
-            for ch in "012":
-                stack.append((word + ch, Harmonic(*_one_level(hb.boundary(), int(ch)))))
+            for letter in (0, 1, 2):
+                stack.append((word + str(letter), _one_level_int(x, letter)))
     return out
 
 
@@ -161,8 +162,9 @@ def cell_energy(h: Harmonic, word: str) -> Fraction:
     the level-0 energy of the restricted boundary triple, scaled up by the
     conductance factor (5/3) per level.
     """
-    check_word(word)
-    return Fraction(5, 3) ** len(word) * level0_energy(extend_to_cell(h, word))
+    (x0, x1, x2), s = _cell_row(h, word)
+    energy = (x0 - x1) ** 2 + (x1 - x2) ** 2 + (x0 - x2) ** 2
+    return Fraction(energy * 5 ** len(word), s * s * 3 ** len(word))
 
 
 def oscillation(h: Harmonic, word: str) -> Fraction:
@@ -180,20 +182,15 @@ def measure_coeffs(u: Harmonic, v: Harmonic) -> Vec3:
     in the basis of the three corner measures.
 
     Expands bilinearly; the cross term of two distinct corner functions is
-    half of (third corner measure minus the two own measures).
+    half of (third corner measure minus the two own measures).  With
+    u = p / D_u and v = q / D_v, entry i is the integer form
+    2 p_i q_i - p_i (q_j + q_k) - q_i (p_j + p_k) + p_j q_k + p_k q_j
+    over 2 D_u D_v.
     """
-    c, d = u, v
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        a_i = (
-            c[i] * d[i]
-            - Fraction(1, 2) * (c[i] * d[j] + c[j] * d[i])
-            - Fraction(1, 2) * (c[i] * d[k] + c[k] * d[i])
-            + Fraction(1, 2) * (c[j] * d[k] + c[k] * d[j])
-        )
-        out.append(a_i)
-    return tuple(out)  # type: ignore[return-value]
+    (p, du), (q, dv) = int_row(u), int_row(v)
+    return tuple(Fraction(2 * p[i] * q[i] - p[i] * (q[j] + q[k]) - q[i] * (p[j] + p[k])
+                          + p[j] * q[k] + p[k] * q[j], 2 * du * dv)
+                 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))  # type: ignore[return-value]
 
 
 def complement_coeffs(h: Harmonic) -> Vec3:

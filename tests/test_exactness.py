@@ -10,6 +10,10 @@ square root.
 No module but ``core`` names the array step, the dtype proof, its bound or
 the block size: the scans take all of them from ``core.subtree_levels``.
 
+``harmonic`` names none of the row kernel or the generator families, so the
+harmonic oracle shares no arithmetic with the routes ``verify`` checks it
+against, and a wrong coefficient in its own step makes ``verify`` fail.
+
 ``verify`` forms a FAIL line's counterexample text only in ``_check``.
 """
 
@@ -19,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import gasketenergy
+from gasketenergy import harmonic
+from gasketenergy.cli import main
 
 SRC = Path(gasketenergy.__file__).parent
 EXACT_MODULES = ("core", "harmonic", "measures", "derivatives", "bvectors")
@@ -76,8 +82,8 @@ def test_guard_sees_each_kind_of_site():
 WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS"}
 
 
-def walk_names(tree: ast.AST) -> set[str]:
-    """The names in ``WALK_NAMES`` that ``tree`` uses, imports or assigns."""
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name that ``tree`` uses, imports, assigns or defines."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -86,7 +92,12 @@ def walk_names(tree: ast.AST) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, (ast.alias, ast.FunctionDef)):
             found.add(node.name)
-    return found & WALK_NAMES
+    return found
+
+
+def walk_names(tree: ast.AST) -> set[str]:
+    """The names in ``WALK_NAMES`` that ``tree`` uses, imports or assigns."""
+    return names_in(tree) & WALK_NAMES
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "core"))
@@ -104,6 +115,32 @@ def test_walk_guard_sees_each_kind_of_name():
         "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
     )
     assert walk_names(ast.parse(source)) == WALK_NAMES
+
+
+KERNEL_NAMES = {"row_step", "row_walk", "row_children", "subtree_levels", "array_children",
+                "MASS_SCALED", "REFINE_SCALED", "MASS_GENERATORS", "REFINE_GENERATORS"}
+
+
+def test_harmonic_oracle_names_no_kernel_or_generator():
+    tree = ast.parse((SRC / "harmonic.py").read_text())
+    assert names_in(tree) & KERNEL_NAMES == set()
+
+
+def test_a_wrong_extension_coefficient_fails_the_energy_oracle(capsys, monkeypatch):
+    def wrong_step(x, letter):
+        x0, x1, x2 = x
+        m01, m02, m12 = 3 * (x0 + x1) + x2, 2 * (x0 + x2) + x1, 2 * (x1 + x2) + x0
+        if letter == 0:
+            return (5 * x0, m01, m02)
+        if letter == 1:
+            return (m01, 5 * x1, m12)
+        return (m02, m12, 5 * x2)
+
+    monkeypatch.setattr(harmonic, "_one_level_int", wrong_step)
+    assert main(["verify", "--suite", "measures", "--max-depth", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL  measures.energy-oracle: counterexample (0, '0')"]
 
 
 def lines_outside(source: str, function: str, needle: str) -> list[int]:

@@ -1,10 +1,12 @@
 """CLI stdout, byte for byte, against outputs captured before a refactor:
 the exact commands before the integer row kernel replaced the ``Fraction``
 word products, the ``ifs`` and dynamics ``verify`` commands before every
-histogram moved onto one chunked counter, and the harmonic ``verify`` suite
-before the exact modules dropped their floats.  One line was re-captured on
-purpose: ``dynamics.circle-agreement`` prints its bound on PASS rather than
-its worst error, whose last digits follow numpy's ``arctan2`` code path.
+histogram moved onto one chunked counter, the harmonic ``verify`` suite
+before the exact modules dropped their floats, and ``verify --suite all
+--max-depth 3`` before the harmonic oracle moved onto integer numerators.
+One line was re-captured on purpose: ``dynamics.circle-agreement`` prints
+its bound on PASS rather than its worst error, whose last digits follow
+numpy's ``arctan2`` code path.
 
 The ``help_*`` files hold ``--help`` text at ``COLUMNS=80``, captured while
 ``dynamics`` still defined ``BINS_MAX`` and ``cli`` imported it at module
@@ -50,6 +52,7 @@ CASES = {
     "ifs_orbit_jobs2": ["ifs", "orbit", "--iters", "6", "--bins", "50", "--arc", "sixth",
                         "--jobs", "2"],
     "verify_dynamics": ["verify", "--suite", "dynamics", "--max-depth", "2"],
+    "verify_all_depth3": ["verify", "--suite", "all", "--max-depth", "3"],
     "help_ifs_angular": ["ifs", "angular", "--help"],
     "help_ifs_radial": ["ifs", "radial", "--help"],
     "help_ifs_orbit": ["ifs", "orbit", "--help"],

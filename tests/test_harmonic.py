@@ -1,11 +1,12 @@
 """Harmonic triples: extension, energies, pair measures, symmetry classes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasketenergy.core import VertexAddress
+from gasketenergy.core import WORD_MAX_LEN, VertexAddress
 from gasketenergy.harmonic import (
     BASIS,
     Harmonic,
@@ -147,3 +148,126 @@ def test_harmonic_text_round_trip(h):
 def test_vertex_values_reject_a_negative_level():
     with pytest.raises(ValueError, match="nonnegative"):
         harmonic_vertex_values(Harmonic.of(1, 0, 0), -1)
+
+
+# ---------------------------------------------------------------------------
+# the integer walk against the Fraction code it replaced
+# ---------------------------------------------------------------------------
+
+def ref_one_level(b, letter):
+    """The ``Fraction`` one-level step the integer walk replaced."""
+    v0, v1, v2 = b
+    m01 = Fraction(2, 5) * (v0 + v1) + Fraction(1, 5) * v2
+    m02 = Fraction(2, 5) * (v0 + v2) + Fraction(1, 5) * v1
+    m12 = Fraction(2, 5) * (v1 + v2) + Fraction(1, 5) * v0
+    if letter == 0:
+        return (v0, m01, m02)
+    if letter == 1:
+        return (m01, v1, m12)
+    return (m02, m12, v2)
+
+
+def ref_extend(h, word):
+    b = tuple(Fraction(v) for v in h)
+    for ch in word:
+        b = ref_one_level(b, int(ch))
+    return b
+
+
+def ref_cell_energy(h, word):
+    b0, b1, b2 = ref_extend(h, word)
+    return Fraction(5, 3) ** len(word) * ((b0 - b1) ** 2 + (b1 - b2) ** 2 + (b0 - b2) ** 2)
+
+
+def ref_vertex_values(h, m):
+    out = {}
+    stack = [("", ref_extend(h, ""))]
+    while stack:
+        word, b = stack.pop()
+        if len(word) == m:
+            for corner in (0, 1, 2):
+                out[VertexAddress(word, corner).canonical()] = b[corner]
+        else:
+            stack.extend((word + ch, ref_one_level(b, int(ch))) for ch in "012")
+    return out
+
+
+def ref_measure_coeffs(c, d):
+    """The ``Fraction`` bilinear expansion the integer form replaced."""
+    out = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out.append(
+            c[i] * d[i]
+            - Fraction(1, 2) * (c[i] * d[j] + c[j] * d[i])
+            - Fraction(1, 2) * (c[i] * d[k] + c[k] * d[i])
+            + Fraction(1, 2) * (c[j] * d[k] + c[k] * d[j])
+        )
+    return tuple(out)
+
+
+def seeded_harmonics():
+    """Signed and non-integer ``Fraction`` triples, plus raw ``int`` ones."""
+    rng = random.Random(20240817)
+    out = [Harmonic(*(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)))
+           for _ in range(6)]
+    out += [Harmonic(1, 0, 0), Harmonic(-3, 7, 2), Harmonic(5, 5, 5), BASIS[2]]
+    return out
+
+
+def is_exact_triple(t):
+    return all(type(x) is Fraction for x in t)
+
+
+@pytest.mark.parametrize("h", seeded_harmonics(), ids=str)
+def test_integer_extension_equals_the_fraction_reference(h):
+    rng = random.Random(str(h))
+    for n in range(WORD_MAX_LEN + 1):
+        word = "".join(rng.choice("012") for _ in range(n))
+        ext = extend_to_cell(h, word)
+        assert ext == ref_extend(h, word) and is_exact_triple(ext), word
+        assert cell_energy(h, word) == ref_cell_energy(h, word), word
+        assert type(cell_energy(h, word)) is Fraction
+
+
+@pytest.mark.parametrize("h", seeded_harmonics(), ids=str)
+def test_vertex_value_equals_the_reference_on_both_junction_spellings(h):
+    rng = random.Random(str(h))
+    for n in range(WORD_MAX_LEN):
+        word = "".join(rng.choice("012") for _ in range(n))
+        i, j = rng.sample(range(3), 2)
+        want = ref_extend(h, word + str(i))[j]
+        a = vertex_value(h, VertexAddress(word + str(i), j))
+        b = vertex_value(h, VertexAddress(word + str(j), i))
+        assert a == b == want and type(a) is Fraction, (word, i, j)
+    for corner in (0, 1, 2):
+        assert vertex_value(h, VertexAddress("", corner)) == h[corner]
+
+
+@pytest.mark.parametrize("h", seeded_harmonics(), ids=str)
+def test_vertex_values_equal_the_reference(h):
+    for m in range(5):
+        got = harmonic_vertex_values(h, m)
+        assert got == ref_vertex_values(h, m)
+        assert all(type(x) is Fraction for x in got.values())
+
+
+def test_measure_coeffs_equal_the_reference_and_are_symmetric():
+    hs = seeded_harmonics()
+    for u in hs:
+        for v in hs:
+            got = measure_coeffs(u, v)
+            assert got == ref_measure_coeffs(u, v) == measure_coeffs(v, u), (u, v)
+            assert is_exact_triple(got)
+
+
+@pytest.mark.parametrize("word, message", [
+    ("0" * 65, "word length 65 exceeds the cap 64"),
+    ("03", "invalid letter '3' in word '03'"),
+])
+def test_bad_words_keep_the_check_word_message(word, message):
+    h = Harmonic.of(1, 2, 3)
+    for call in (extend_to_cell, cell_energy, oscillation, classify_symmetry):
+        with pytest.raises(ValueError) as err:
+            call(h, word)
+        assert str(err.value) == message
