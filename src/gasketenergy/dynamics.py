@@ -38,6 +38,14 @@ _ROT = (0.0, THIRD_TURN, -THIRD_TURN)  # circle offset of each letter's map
 _COS_ROT = (1.0, -0.5, -0.5)
 _SIN_ROT = (0.0, math.sqrt(3.0) / 2.0, -math.sqrt(3.0) / 2.0)
 
+#: The circle maps on half-angles h = theta/2: letter 0 sends (cos h, sin h) to
+#: (3 cos h, sin h), so tan(theta/2) to tan(theta/2)/3, and the image angle is
+#: twice the new pair's argument.  Letter j is R(a_j/2) diag(3, 1) R(-a_j/2) for
+#: its offset a_j, kept as (a, b, d) for the symmetric ((a, b), (b, d)); the
+#: inverses use diag(1, 3) = 3 diag(1/3, 1), a scale that atan2 ignores.
+_HALF_STEP = ((3.0, 0.0, 1.0), (1.5, _SIN_ROT[1], 2.5), (1.5, _SIN_ROT[2], 2.5))
+_HALF_STEP_INVERSE = ((1.0, 0.0, 3.0), (2.5, _SIN_ROT[2], 1.5), (2.5, _SIN_ROT[1], 1.5))
+
 #: Boundary fixed angles of the three maps (two per letter, exact).
 BOUNDARY_FIXED_ANGLES: tuple[tuple[float, float], ...] = (
     (0.0, math.pi),
@@ -103,30 +111,19 @@ def _apply_B_arrays(j: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     return c * u - s * v, s * u + c * v
 
 
-def _wrap_array(t: np.ndarray) -> np.ndarray:
-    """Elementwise ``_wrap``, exact for |t| < 3pi (one turn is added or taken away)."""
-    t = t - TWO_PI * (t > math.pi)
-    return t + TWO_PI * (t <= -math.pi)
+def _half_step(j: int, p: np.ndarray, q: np.ndarray, table=_HALF_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Row j of a half-angle table on the pairs (p, q), elementwise: 4 multiplies, 2 adds."""
+    a, b, d = table[j]
+    return a * p + b * q, b * p + d * q
 
 
-def _circle_map_array(j: int, theta: np.ndarray) -> np.ndarray:
-    """The letter-j circle map, elementwise, not wrapped to (-pi, pi].
-
-    The letter-0 form is 2*atan((1/3)tan(t/2)), written with atan2 so the odd
-    2pi-periodic continuation through pi is automatic; the other letters
-    conjugate by +-(2pi/3).  The shifted angle t is reduced to (-pi, pi] first,
-    exactly for |theta| < 7pi/3 (every output of this map), else up to rounding.
-    """
-    h = _wrap_array(theta - _ROT[j]) / 2.0
-    g = 2.0 * np.arctan2(np.sin(h), 3.0 * np.cos(h))
-    return g + _ROT[j]
-
-
-def _circle_map_inverse_array(j: int, alpha: np.ndarray) -> np.ndarray:
-    """Inverse of ``_circle_map_array``: the letter-0 form is 2*atan(3*tan(t/2))."""
-    h = _wrap_array(alpha - _ROT[j]) / 2.0
-    g = 2.0 * np.arctan2(3.0 * np.sin(h), np.cos(h))
-    return g + _ROT[j]
+def _circle_map_array(j: int, theta: np.ndarray, table=_HALF_STEP) -> np.ndarray:
+    """The letter-j circle map (its inverse with ``_HALF_STEP_INVERSE``), elementwise,
+    as an angle in [-2pi, 2pi].  A half-angle pair and its negative double to
+    the same angle, so theta needs no reduction first."""
+    h = 0.5 * theta
+    p, q = _half_step(j, np.cos(h), np.sin(h), table)
+    return 2.0 * np.arctan2(q, p)
 
 
 def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
@@ -136,7 +133,7 @@ def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
     """
     _check_letter(j)
     x, y = float(p[0]), float(p[1])
-    if x * x + y * y > 1.0 + 1e-9:
+    if not x * x + y * y <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("point outside the closed disk")
     return DiskPoint(*_apply_B_arrays(j, x, y))
 
@@ -160,7 +157,7 @@ def circle_map(j: int, theta: float) -> float:
 def circle_map_inverse(j: int, alpha: float) -> float:
     """Inverse boundary map, as an angle in (-pi, pi]."""
     _check_letter(j)
-    return _wrap(float(_circle_map_inverse_array(j, alpha)))
+    return _wrap(float(_circle_map_array(j, alpha, _HALF_STEP_INVERSE)))
 
 
 def circle_map_deriv(j: int, theta: float) -> float:
@@ -176,7 +173,7 @@ def gamma_residual(r: float, theta: float, j: int) -> float:
     gamma^2 - 1/6 = 9 (r^2 - 1/6) / (4 sqrt(6) r cos(theta - offset) + 5)^2;
     this evaluates both sides, the left from the actual image point.
     """
-    if r > DISK_RADIUS_B + 1e-9:
+    if not r <= DISK_RADIUS_B + 1e-9:  # NaN fails too
         raise ValueError("radius beyond the weight disk")
     p = DiskPoint.from_polar(r, theta)
     gamma = apply_B(j, p).radius * DISK_RADIUS_B
@@ -202,7 +199,7 @@ def triangle_check(p: Sequence[float]) -> TriangleReport:
     """
     x, y = float(p[0]), float(p[1])
     base = math.hypot(x, y)
-    if base >= 1.0:
+    if not base < 1.0:  # NaN fails too
         raise ValueError("triangle_check expects an interior point")
     inside = x >= -0.5 and abs(y) <= (1.0 - x) / _SQRT3
     radii = tuple(apply_B(j, (x, y)).radius for j in range(3))
@@ -331,11 +328,15 @@ def _bin_counts(t: np.ndarray, span: float, bins: int) -> np.ndarray:
 
 
 def _fold_angles(theta: np.ndarray, arc: str) -> np.ndarray:
-    """Reduce angles into the reporting arc by the symmetries that tile it."""
-    t = np.mod(theta, TWO_PI)
+    """Reduce angles in [-2pi, 2pi] into the reporting arc by the symmetries that
+    tile it.  Each subtraction is exact (Sterbenz), so this is bit for bit
+    ``np.mod(np.mod(theta, TWO_PI), THIRD_TURN)``, tiny negatives to 2pi too."""
+    t = theta + TWO_PI * (theta < 0)
+    t -= TWO_PI * (theta >= TWO_PI)
     if arc == "full":
         return t
-    t = np.mod(t, THIRD_TURN)
+    t -= 2.0 * THIRD_TURN * (t >= 2.0 * THIRD_TURN)
+    t -= THIRD_TURN * (t >= THIRD_TURN)
     if arc == "sixth":
         t = np.minimum(t, THIRD_TURN - t)
     return t
@@ -350,6 +351,10 @@ def _angular_counts(x: np.ndarray, y: np.ndarray, arc: str, slices: int) -> np.n
     if arc == "full" and slices % 3:
         return sum(_arc_counts(theta + rot, arc, slices) for rot in _ROT)
     return _arc_counts(theta, arc, slices)
+
+
+def _orbit_counts(p: np.ndarray, q: np.ndarray, arc: str, bins: int) -> np.ndarray:
+    return _arc_counts(2.0 * np.arctan2(q, p), arc, bins)
 
 
 def _radial_counts(x: np.ndarray, y: np.ndarray, bins: int) -> np.ndarray:
@@ -399,13 +404,8 @@ def radial_histogram(m: int, bins: int = 300, jobs: int = 1) -> Histogram:
     return Histogram(_edges(DISK_RADIUS_B, bins), tuple(counts.tolist()), NORM_RATIO)
 
 
-def boundary_orbit_histogram(
-    seeds: Sequence[tuple[float, float]] = DEFAULT_SEEDS,
-    iters: int = 14,
-    bins: int = 800,
-    arc: str = "sixth",
-    jobs: int = 1,
-) -> Histogram:
+def boundary_orbit_histogram(seeds: Sequence[tuple[float, float]] = DEFAULT_SEEDS, iters: int = 14,
+                             bins: int = 800, arc: str = "sixth", jobs: int = 1) -> Histogram:
     """Angle histogram of boundary seeds pushed through every length-``iters``
     word of the circle maps, mean-one normalized.
 
@@ -416,13 +416,12 @@ def boundary_orbit_histogram(
     """
     span = _check_arc(arc)
     _check_sizes("iters", iters, "bins", bins, jobs)
-    angles = []
     for sx, sy in seeds:
-        if abs(sx * sx + sy * sy - 1.0) > 1e-9:
+        if not abs(sx * sx + sy * sy - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"seed ({sx}, {sy}) is not on the boundary circle")
-        angles.append(math.atan2(sy, sx))
-    count = partial(_arc_counts, arc=arc, bins=bins)
-    counts = _count(_circle_map_array, np.array([angles], dtype=float), iters, count, jobs)
+    h = np.array([0.5 * math.atan2(sy, sx) for sx, sy in seeds], dtype=float)
+    count = partial(_orbit_counts, arc=arc, bins=bins)
+    counts = _count(_half_step, np.array([np.cos(h), np.sin(h)]), iters, count, jobs)
     return Histogram(_edges(span, bins), tuple(counts.tolist()), NORM_MEAN_ONE)
 
 
@@ -443,16 +442,16 @@ def invariant_density_residual(values: Sequence[float]) -> float:
     n = f.size
     if n < 2:
         raise ValueError("need at least two samples")
-    if np.any(f < 0):
+    if not np.all(f >= 0):  # NaN fails too
         raise ValueError("density values must be nonnegative")
     grid = TWO_PI * np.arange(n) / n
     xp = np.concatenate([grid, [TWO_PI]])
     fp = np.concatenate([f, f[:1]])
     image = np.zeros(n)
     for j in (0, 1, 2):
-        pre = _circle_map_inverse_array(j, grid)
+        pre = _circle_map_array(j, grid, _HALF_STEP_INVERSE)
         weight = 3.0 / (5.0 - 4.0 * np.cos(grid - _ROT[j]))
-        image += np.interp(np.mod(pre, TWO_PI), xp, fp) * weight
+        image += np.interp(_fold_angles(pre, "full"), xp, fp) * weight
     image /= 3.0
     return float(np.max(np.abs(f - image)))
 

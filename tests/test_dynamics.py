@@ -256,3 +256,190 @@ def test_worker_count_is_capped_by_tasks_and_cpus():
     assert dy._worker_count(10**9, 27, 8) == 8
     assert dy._worker_count(10**9, 3, 8) == 3
     assert dy._worker_count(4, 27, None) == 1
+
+
+# ---------------------------------------------------------------------------
+# the half-angle circle maps and the exact fold against their trig forms
+# ---------------------------------------------------------------------------
+
+def _wrap_ref(t):
+    """Reduce to (-pi, pi] by one turn, as the trig form did."""
+    t = t - dy.TWO_PI * (t > math.pi)
+    return t + dy.TWO_PI * (t <= -math.pi)
+
+
+def _circle_map_ref(j, theta, inverse=False):
+    """The trig circle map: 2 atan((1/3) tan(t/2)) (inverse: 3 tan) at the
+    letter's offset, reduced to (-pi, pi] first."""
+    h = _wrap_ref(theta - dy._ROT[j]) / 2.0
+    if inverse:
+        return 2.0 * np.arctan2(3.0 * np.sin(h), np.cos(h)) + dy._ROT[j]
+    return 2.0 * np.arctan2(np.sin(h), 3.0 * np.cos(h)) + dy._ROT[j]
+
+
+def _fold_ref(theta, arc):
+    t = np.mod(theta, dy.TWO_PI)
+    if arc == "full":
+        return t
+    t = np.mod(t, dy.THIRD_TURN)
+    return np.minimum(t, dy.THIRD_TURN - t) if arc == "sixth" else t
+
+
+def _angle_gap(a, b):
+    return float(np.max(np.abs(np.remainder(a - b + math.pi, dy.TWO_PI) - math.pi)))
+
+
+def test_fold_is_bit_identical_to_np_mod():
+    rng = np.random.default_rng(41)
+    near = []  # k * THIRD_TURN and 1 to 4 ulps on either side
+    for k in range(-3, 4):
+        lo = hi = k * dy.THIRD_TURN
+        near.append(lo)
+        for _ in range(4):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            near += [lo, hi]
+    edge = [0.0, -0.0, -5e-324, -1e-310, -1e-300, dy.TWO_PI, -dy.TWO_PI, math.pi, -math.pi]
+    theta = np.concatenate([rng.uniform(-dy.TWO_PI, dy.TWO_PI, 100_000), edge, near])
+    theta = theta[np.abs(theta) <= dy.TWO_PI]  # the fold's stated domain
+    assert np.any(_fold_ref(theta, "full") == dy.TWO_PI)  # tiny negatives land on 2pi
+    for arc in ("full", "third", "sixth"):
+        got, ref = dy._fold_angles(theta, arc), _fold_ref(theta, arc)
+        assert got.tobytes() == ref.tobytes(), arc
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_half_angle_table_matches_the_trig_map(inverse):
+    table = dy._HALF_STEP_INVERSE if inverse else dy._HALF_STEP
+    rng = np.random.default_rng(43)
+    theta = rng.uniform(-math.pi, math.pi, 20_000)
+    for j in range(3):
+        assert _angle_gap(dy._circle_map_array(j, theta, table), _circle_map_ref(j, theta, inverse)) < 1e-12
+    # along seeded words: angle by angle, and as one unreduced pair descent
+    a, b = theta[:500].copy(), theta[:500].copy()
+    h = theta[:500] / 2
+    p, q = np.cos(h), np.sin(h)
+    for row in rng.integers(0, 3, (16, a.size)):
+        for j in range(3):
+            m = row == j
+            a[m] = _wrap_ref(_circle_map_ref(j, a[m], inverse))
+            b[m] = dy._circle_map_array(j, b[m], table)
+            p[m], q[m] = dy._half_step(j, p[m], q[m], table)
+        assert _angle_gap(a, b) < 1e-12
+        assert _angle_gap(a, 2.0 * np.arctan2(q, p)) < 1e-12
+
+
+def _orbit_counts_ref(angles, iters, arc, bins):
+    theta = np.array(angles, dtype=float)
+    for _ in range(iters):
+        theta = np.concatenate([_circle_map_ref(j, theta) for j in range(3)])
+    return dy._bin_counts(_fold_ref(theta, arc), dy._ARC_SPANS[arc], bins)
+
+
+def _merge_edge_ties(counts, period):
+    """Counts with the two bins on either side of every edge at a multiple of
+    ``period`` bins (cyclically) added into one."""
+    c = np.array(counts)
+    for k in range(0, c.size, period):
+        c[k] += c[k - 1]
+        c[k - 1] = 0
+    return c.tolist()
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 5, 9, 12])
+def test_orbit_counts_equal_the_trig_chain_from_the_fixed_angles(iters):
+    """The maps send fixed angles to fixed angles, so these orbits hold exact
+    multiples of pi/3.  Those sit at the ends of the sixth arc, where the
+    fold's reflection makes both sides one bin, but on bin edges of the full
+    and third arcs when 6 (or 2) divides the bins; there each form's last ulp
+    picks the side, so only the counts next to those edges are merged."""
+    angles = [t for pair in dy.BOUNDARY_FIXED_ANGLES for t in pair]
+    seeds = tuple((math.cos(t), math.sin(t)) for t in angles)
+    for arc, bins, tie in (("sixth", 800, 0), ("full", 359, 0), ("third", 99, 0),
+                           ("full", 360, 60), ("third", 100, 50)):
+        got = dy.boundary_orbit_histogram(seeds=seeds, iters=iters, bins=bins, arc=arc).counts
+        ref = _orbit_counts_ref(angles, iters, arc, bins).tolist()
+        if tie:
+            got, ref = _merge_edge_ties(got, tie), _merge_edge_ties(ref, tie)
+        assert list(got) == ref, (arc, bins)
+
+
+# ---------------------------------------------------------------------------
+# work guard: what the orbit histogram asks of numpy
+# ---------------------------------------------------------------------------
+
+class _NumpySpy:
+    """Stands in for the module's ``np`` and counts calls of some functions."""
+
+    WATCHED = ("mod", "remainder", "sin", "cos", "arctan2")
+
+    def __init__(self):
+        self.calls = dict.fromkeys(self.WATCHED, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.WATCHED:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def _orbit_numpy_calls(monkeypatch):
+    spy = _NumpySpy()
+    monkeypatch.setattr(dy, "np", spy)
+    monkeypatch.setattr(dy, "_BLOCK_POINTS", 5)  # 27 frontier points: 6 blocks
+    h = dy.boundary_orbit_histogram(iters=10, bins=50)
+    assert sum(h.counts) == 3 * 3 ** 10
+    return spy.calls
+
+
+def test_orbit_histogram_does_no_per_level_trig_and_no_mod(monkeypatch):
+    calls = _orbit_numpy_calls(monkeypatch)
+    assert calls == {"mod": 0, "remainder": 0, "sin": 1, "cos": 1, "arctan2": 6}
+
+
+def test_the_numpy_spy_sees_a_per_level_call(monkeypatch):
+    step = dy._half_step
+
+    def step_with_mod(j, p, q):
+        dy.np.mod(p, 1.0)
+        return step(j, p, q)
+
+    monkeypatch.setattr(dy, "_half_step", step_with_mod)
+    # three letters per level: 2 levels above the blocks, then 8 in each of 6
+    assert _orbit_numpy_calls(monkeypatch)["mod"] == 3 * (2 + 6 * 8)
+
+
+# ---------------------------------------------------------------------------
+# NaN fails every bound check
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+def test_orbit_rejects_a_nan_seed():
+    with pytest.raises(ValueError, match="boundary circle"):
+        dy.boundary_orbit_histogram(seeds=((NAN, NAN),), iters=1, bins=4)
+
+
+def test_apply_B_rejects_a_nan_point():
+    with pytest.raises(ValueError, match="closed disk"):
+        dy.apply_B(0, (NAN, 0.0))
+
+
+def test_triangle_check_rejects_a_nan_point():
+    with pytest.raises(ValueError, match="interior point"):
+        dy.triangle_check((NAN, 0.0))
+
+
+def test_gamma_residual_rejects_a_nan_radius():
+    with pytest.raises(ValueError, match="weight disk"):
+        dy.gamma_residual(NAN, 0.0, 0)
+
+
+def test_residual_rejects_a_nan_density():
+    with pytest.raises(ValueError, match="nonnegative"):
+        dy.invariant_density_residual([1.0, NAN, 1.0])

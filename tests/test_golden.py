@@ -4,9 +4,11 @@ word products, the ``ifs`` and dynamics ``verify`` commands before every
 histogram moved onto one chunked counter, the harmonic ``verify`` suite
 before the exact modules dropped their floats, and ``verify --suite all
 --max-depth 3`` before the harmonic oracle moved onto integer numerators.
-One line was re-captured on purpose: ``dynamics.circle-agreement`` prints
-its bound on PASS rather than its worst error, whose last digits follow
-numpy's ``arctan2`` code path.
+The two ``ifs_*_readme`` cases, the README's orbit and angular commands at
+full size, were captured before the circle maps moved onto half-angle
+pairs and the angle fold dropped ``np.mod``.  One line was re-captured on
+purpose: ``dynamics.circle-agreement`` prints its bound on PASS rather than
+its worst error, whose last digits follow numpy's ``arctan2`` code path.
 
 The ``help_*`` files hold ``--help`` text at ``COLUMNS=80``, captured while
 ``dynamics`` still defined ``BINS_MAX`` and ``cli`` imported it at module
@@ -14,9 +16,9 @@ level; argparse's layout can differ between Python versions, so these four
 follow the interpreter the suite runs on.
 
 Each ``tests/golden/<name>.out`` holds the stdout of ``gasketenergy`` on the
-argv listed under ``<name>`` below.  The set mirrors the README commands at
-small sizes; to extend it, add a case and write its file from a checkout
-whose output is trusted.
+argv listed under ``<name>`` below.  The set mirrors the README commands,
+mostly at small sizes; to extend it, add a case and write its file from a
+checkout whose output is trusted.
 """
 
 from pathlib import Path
@@ -51,6 +53,8 @@ CASES = {
     "ifs_radial_level6": ["ifs", "radial", "--level", "6", "--bins", "20"],
     "ifs_orbit_jobs2": ["ifs", "orbit", "--iters", "6", "--bins", "50", "--arc", "sixth",
                         "--jobs", "2"],
+    "ifs_orbit_readme": ["ifs", "orbit", "--iters", "14", "--bins", "800", "--arc", "sixth"],
+    "ifs_angular_readme": ["ifs", "angular", "--level", "13", "--slices", "100", "--arc", "third"],
     "verify_dynamics": ["verify", "--suite", "dynamics", "--max-depth", "2"],
     "verify_all_depth3": ["verify", "--suite", "all", "--max-depth", "3"],
     "help_ifs_angular": ["ifs", "angular", "--help"],
