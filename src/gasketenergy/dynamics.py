@@ -211,9 +211,9 @@ def triangle_check(p: Sequence[float]) -> TriangleReport:
 # ---------------------------------------------------------------------------
 
 LEVEL_LIMIT = 16
-#: Each counting task takes a block of ``_BLOCK_POINTS`` contiguous frontier
-#: points through the last ``_TASK_LEVELS`` levels (27 * 3^8 = 3^11 leaves).
-_TASK_LEVELS = 8
+#: Each counting task takes ``_BLOCK_POINTS`` contiguous frontier points through
+#: the last ``_TASK_LEVELS`` levels: 3^10 leaves, which stay in a 2 MB L2 cache.
+_TASK_LEVELS = 7
 _BLOCK_POINTS = 27
 #: The barycenter, and the level-1 point of the word "0" where the subtree-0
 #: cloud of the histograms starts; one row per coordinate.
@@ -228,10 +228,13 @@ def _check_level(name: str, m: int) -> None:
 
 def _descend(step, state: np.ndarray, levels: int) -> np.ndarray:
     """All images of the points (one row per coordinate) under the words of the
-    given length, by the kernel ``step(j, *rows)``; children in word order."""
+    given length, by the kernel ``step(j, *rows)``; children in word order.  Each
+    letter's images go straight into column j of one (rows, n, 3) array."""
     for _ in range(levels):
-        children = [np.reshape(step(j, *state), state.shape) for j in (0, 1, 2)]
-        state = np.stack(children, axis=-1).reshape(len(state), -1)
+        children = np.empty(state.shape + (3,))
+        for j in (0, 1, 2):
+            children[..., j] = step(j, *state)
+        state = children.reshape(len(state), -1)
     return state
 
 

@@ -250,6 +250,34 @@ def test_counts_do_not_depend_on_the_blocks(monkeypatch, default_counts, jobs, t
     assert _histogram_counts(jobs) == default_counts
 
 
+def _descend_ref(step, state, levels):
+    """The stack-and-reshape descent that ``_descend`` replaced."""
+    for _ in range(levels):
+        children = [np.reshape(step(j, *state), state.shape) for j in (0, 1, 2)]
+        state = np.stack(children, axis=-1).reshape(len(state), -1)
+    return state
+
+
+@pytest.mark.parametrize("step", [dy._apply_B_arrays, dy._half_step])
+@pytest.mark.parametrize("points", [1, 5, 27])
+def test_descend_matches_the_stacked_descent_bit_for_bit(step, points):
+    """Same bits as the reference, and leaf ``k * 3^levels + i`` is point k
+    taken through the letters of the i-th word in lexicographic order."""
+    rng = np.random.default_rng(points)
+    angle = rng.uniform(-math.pi, math.pi, points)
+    state = np.array([np.cos(angle), np.sin(angle)]) * rng.uniform(0.0, 1.0, points)
+    for levels in range(5):
+        got = dy._descend(step, state, levels)
+        assert got.shape == (2, points * 3 ** levels)
+        assert np.array_equal(got.view(np.int64), _descend_ref(step, state, levels).view(np.int64))
+        for leaf in rng.integers(0, got.shape[1], 8):
+            k, i = divmod(int(leaf), 3 ** levels)
+            point = state[:, k]
+            for t in reversed(range(levels)):
+                point = step(i // 3 ** t % 3, *point)
+            assert np.array_equal(np.array(point).view(np.int64), got[:, leaf].view(np.int64))
+
+
 def test_worker_count_is_capped_by_tasks_and_cpus():
     assert dy._worker_count(1, 27, 8) == 1
     assert dy._worker_count(2, 27, 8) == 2
@@ -370,7 +398,7 @@ def test_orbit_counts_equal_the_trig_chain_from_the_fixed_angles(iters):
 class _NumpySpy:
     """Stands in for the module's ``np`` and counts calls of some functions."""
 
-    WATCHED = ("mod", "remainder", "sin", "cos", "arctan2")
+    WATCHED = ("mod", "remainder", "sin", "cos", "arctan2", "stack")
 
     def __init__(self):
         self.calls = dict.fromkeys(self.WATCHED, 0)
@@ -390,6 +418,7 @@ class _NumpySpy:
 def _orbit_numpy_calls(monkeypatch):
     spy = _NumpySpy()
     monkeypatch.setattr(dy, "np", spy)
+    monkeypatch.setattr(dy, "_TASK_LEVELS", 8)
     monkeypatch.setattr(dy, "_BLOCK_POINTS", 5)  # 27 frontier points: 6 blocks
     h = dy.boundary_orbit_histogram(iters=10, bins=50)
     assert sum(h.counts) == 3 * 3 ** 10
@@ -398,7 +427,7 @@ def _orbit_numpy_calls(monkeypatch):
 
 def test_orbit_histogram_does_no_per_level_trig_and_no_mod(monkeypatch):
     calls = _orbit_numpy_calls(monkeypatch)
-    assert calls == {"mod": 0, "remainder": 0, "sin": 1, "cos": 1, "arctan2": 6}
+    assert calls == {"mod": 0, "remainder": 0, "sin": 1, "cos": 1, "arctan2": 6, "stack": 0}
 
 
 def test_the_numpy_spy_sees_a_per_level_call(monkeypatch):
