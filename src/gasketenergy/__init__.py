@@ -17,3 +17,7 @@ __version__ = "0.1.0"
 #: Largest bin (or slice) count any histogram accepts.  It lives here, not in
 #: ``dynamics``, so the ``ifs`` help text can name it without loading numpy.
 BINS_MAX = 100_000
+
+#: Names of the ``verify`` suites in run order, the keys of ``verify.SUITES``;
+#: here so the ``verify`` help text needs none of the modules they check.
+SUITE_NAMES = ("core", "harmonic", "measures", "derivatives", "bvectors", "dynamics")

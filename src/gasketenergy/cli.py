@@ -8,6 +8,9 @@ produce byte-identical output, whatever the parallelism degree.
 Exit codes: 0 success, 1 invariant failure (``verify``), 2 argument error,
 3 internal cross-route disagreement, 141 the reader closed stdout early (the
 status of a filter killed by SIGPIPE, as in ``... | head``).
+
+Each command imports the modules it uses when it runs, so a process loads
+only its own command's code.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import BINS_MAX
-from .core import VertexAddress, format_rational, lex_word
-from .derivatives import edge_profile, rn_derivative, rn_derivative_via_refine
-from .measures import measure_of_cell, parse_coeffs
-from . import bvectors as bv
-from .verify import SUITES, run_suites
+from . import BINS_MAX, SUITE_NAMES
 
 if TYPE_CHECKING:
     from . import dynamics as dy
@@ -114,6 +112,9 @@ def _emit_histogram(hist: dy.Histogram, unit: str, value_name: str, fmt: str,
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    from .core import format_rational
+    from .measures import measure_of_cell, parse_coeffs
+
     c = parse_coeffs(args.coeffs)
     value = measure_of_cell(c, args.word)
     print(f"{format_rational(value)} {float(value)!r}")
@@ -121,6 +122,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_derivative(args: argparse.Namespace) -> int:
+    from .core import VertexAddress, format_rational
+    from .derivatives import rn_derivative, rn_derivative_via_refine
+    from .measures import parse_coeffs
+
     c = parse_coeffs(args.coeffs)
     vertex = VertexAddress.parse(args.vertex)
     value = rn_derivative(c, vertex)
@@ -135,29 +140,27 @@ def cmd_derivative(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_B_ROUTES = {
-    "matrix": bv.b_from_mass,
-    "recursion": bv.b_from_word,
-    "kusuoka": bv.b_from_kusuoka,
-}
-
-
-def _bvector_by(method: str, word: str, b=None):
-    """The weight triple for one word, or None when 'all' routes disagree.
+def _bvector_by(routes, method: str, word: str, b=None):
+    """The weight triple for one word by ``routes[method]``, or None when
+    'all' routes disagree.
 
     ``b`` is the recursion route's triple for ``word`` when the caller has
     it already.
     """
     if method in ("matrix", "kusuoka"):
-        return _B_ROUTES[method](word)
+        return routes[method](word)
     if b is None:
-        b = _B_ROUTES["recursion"](word)
-    if method == "all" and any(_B_ROUTES[m](word) != b for m in ("matrix", "kusuoka")):
+        b = routes["recursion"](word)
+    if method == "all" and any(routes[m](word) != b for m in ("matrix", "kusuoka")):
         return None
     return b
 
 
 def cmd_bvector(args: argparse.Namespace) -> int:
+    from . import bvectors as bv
+    from .core import format_rational, lex_word
+
+    routes = {"matrix": bv.b_from_mass, "recursion": bv.b_from_word, "kusuoka": bv.b_from_kusuoka}
     if args.level is not None:
         _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
         rows = [("word", "b0", "b1", "b2", "b0_f", "b1_f", "b2_f")]
@@ -166,7 +169,7 @@ def cmd_bvector(args: argparse.Namespace) -> int:
         else:
             pairs = bv.enumerate_bvectors(args.level)
         for word, b in pairs:
-            b = _bvector_by(args.method, word, b)
+            b = _bvector_by(routes, args.method, word, b)
             if b is None:
                 print(f"routes-disagree at {word!r}", file=sys.stderr)
                 return EXIT_ROUTES
@@ -175,16 +178,20 @@ def cmd_bvector(args: argparse.Namespace) -> int:
             )
         _emit(_csv(rows), args.output)
         return EXIT_OK
-    b = _bvector_by(args.method, args.word)
+    word = args.word or ""
+    b = _bvector_by(routes, args.method, word)
     if b is None:
-        print(f"routes-disagree at {args.word!r}", file=sys.stderr)
+        print(f"routes-disagree at {word!r}", file=sys.stderr)
         return EXIT_ROUTES
-    print(",".join(format_rational(x) for x in b))
-    print(",".join(repr(float(x)) for x in b))
+    _emit(_csv([[format_rational(x) for x in b], [repr(float(x)) for x in b]]), args.output)
     return EXIT_OK
 
 
 def cmd_edge_profile(args: argparse.Namespace) -> int:
+    from .core import format_rational
+    from .derivatives import edge_profile
+    from .measures import parse_coeffs
+
     _check_range("--depth", args.depth, 1, EDGE_DEPTH_MAX)
     c = parse_coeffs(args.coeffs)
     try:
@@ -219,6 +226,8 @@ def cmd_ifs(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suites
+
     ok = run_suites(args.suite, max_depth=args.max_depth)
     return EXIT_OK if ok else EXIT_INVARIANT
 
@@ -245,12 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derivative)
 
     p = sub.add_parser("bvector", help="cell-averaging weight triple of a word")
-    p.add_argument("--word", default="", help="cell address over {0,1,2}")
+    one_of = p.add_mutually_exclusive_group()
+    one_of.add_argument("--word", default=None, help="cell address over {0,1,2}")
+    one_of.add_argument("--level", type=int, default=None,
+                        help=f"emit a CSV of every word at this level (0..{BVECTOR_LEVEL_MAX}) "
+                             "instead of one triple")
     p.add_argument("--method", choices=["matrix", "recursion", "kusuoka", "all"], default="all",
                    help="computation route; 'all' checks the three routes agree")
-    p.add_argument("--level", type=int, default=None,
-                   help=f"emit a CSV of every word at this level (0..{BVECTOR_LEVEL_MAX}) "
-                        "instead of one triple")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
     p.set_defaults(func=cmd_bvector)
 
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_ifs_flags(q)
 
     p = sub.add_parser("verify", help="run module invariant suites")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=sorted(SUITE_NAMES) + ["all"], default="all")
     p.add_argument("--max-depth", type=int, default=4, help="word-length budget for the scans")
     p.set_defaults(func=cmd_verify)
 

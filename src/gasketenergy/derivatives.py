@@ -53,7 +53,6 @@ from .measures import (
     BASIS_COEFFS,
     KUSUOKA,
     MeasureCoeffs,
-    children_triple,
     children_triple_via_refine,
     is_positive,
     subtree_row,
@@ -166,10 +165,13 @@ def basis_ratio(i: int, vertex: VertexAddress) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def axis_gap(c: MeasureCoeffs, word: str, axis: int) -> Fraction:
-    """14 x_axis minus the other two children masses of the addressed cell."""
-    x = children_triple(c, word)
-    j, k = (axis + 1) % 3, (axis + 2) % 3
-    return 14 * x[axis] - x[j] - x[k]
+    """14 x_axis minus the other two children masses x of the addressed cell.
+
+    With subtree row r over ``scale`` that is 4 (4 r_axis + r_j + r_k) / scale
+    (see ``_CORNER_WEIGHTS_INT``): one ``Fraction`` from integer numerators.
+    """
+    row, scale = subtree_row(c, word)
+    return Fraction(4 * vec_dot(row, _CORNER_WEIGHTS_INT[axis]), scale)
 
 
 def skew_energy_gap(h: Harmonic, word: str = "") -> Fraction:
@@ -201,8 +203,8 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     """Masses of the nested cells obtained by repeating ``letter`` inside
     the addressed cell, for 0..depth repeats, with their decay class.
 
-    The masses follow the two-rate law of ``decay_two_term``, whose 3/5
-    coefficient is ``axis_gap / 8``: the tail decays at 3/5 unless the
+    The masses follow a two-rate law A / 15^m + B (3/5)^m whose 3/5
+    coefficient B is ``axis_gap / 8``: the tail decays at 3/5 unless the
     measure's skew pairing at ``letter`` vanishes on the cell, and then at
     exactly 1/15; the class does not depend on ``depth``.
     """
@@ -224,20 +226,6 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     else:
         cls = DecayClass.UNCLASSIFIED
     return DecayReport(tuple(values), cls)
-
-
-def decay_two_term(c: MeasureCoeffs, word: str, letter: int, m: int) -> Fraction:
-    """Closed-form oracle for the decay values: A/15^m + B(3/5)^m.
-
-    The coefficients come from the children triple of the cell; the third
-    eigenrate (1/5) never contributes to mass sums.
-    """
-    x = children_triple(c, word)
-    i = letter
-    j, k = (i + 1) % 3, (i + 2) % 3
-    a = -Fraction(3, 4) * x[i] + Fraction(9, 8) * (x[j] + x[k])
-    b = Fraction(1, 8) * (14 * x[i] - x[j] - x[k])
-    return a * Fraction(1, 15) ** m + b * Fraction(3, 5) ** m
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -183,29 +182,6 @@ def gamma_residual(r: float, theta: float, j: int) -> float:
     return abs(lhs - rhs)
 
 
-class TriangleReport(NamedTuple):
-    inside: bool
-    base_radius: float
-    image_radii: tuple[float, float, float]
-    increased: tuple[bool, bool, bool]
-
-
-def triangle_check(p: Sequence[float]) -> TriangleReport:
-    """Radius growth against the inscribed triangle with vertex (1, 0).
-
-    Points inside the closed inscribed triangle move strictly outward under
-    all three maps; points of the open disk outside it still do under at
-    least two.
-    """
-    x, y = float(p[0]), float(p[1])
-    base = math.hypot(x, y)
-    if not base < 1.0:  # NaN fails too
-        raise ValueError("triangle_check expects an interior point")
-    inside = x >= -0.5 and abs(y) <= (1.0 - x) / _SQRT3
-    radii = tuple(apply_B(j, (x, y)).radius for j in range(3))
-    return TriangleReport(inside, base, radii, tuple(rr > base for rr in radii))  # type: ignore[arg-type]
-
-
 # ---------------------------------------------------------------------------
 # level clouds
 # ---------------------------------------------------------------------------
@@ -276,6 +252,8 @@ def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray
     workers = _worker_count(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return sum(map(partial(_count_block, count), tasks))
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(partial(_count_block, count), tasks))
 

@@ -113,13 +113,15 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
 
     ``values`` must cover every vertex of the level-m graph (keys may use any
     address representation; they are canonicalized).  Raises ``ValueError``
-    when an assignment is missing.
+    when an assignment is missing.  The sum runs on integer numerators over
+    the least common denominator of the values.
     """
     if m < 0:
         raise ValueError("level must be nonnegative")
-    table = {k.canonical(): Fraction(v) for k, v in values.items()}
+    nums, den = int_row([Fraction(v) for v in values.values()])
+    table = dict(zip((k.canonical() for k in values), nums))
 
-    def lookup(word: str, corner: int) -> Fraction:
+    def lookup(word: str, corner: int) -> int:
         key = VertexAddress(word, corner).canonical()
         try:
             return table[key]
@@ -129,11 +131,11 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
     words = [""]
     for _ in range(m):
         words = [w + ch for w in words for ch in "012"]
-    total = Fraction(0)
+    total = 0
     for w in words:
         a, b, c = lookup(w, 0), lookup(w, 1), lookup(w, 2)
         total += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
-    return Fraction(5, 3) ** m * total
+    return Fraction(5 ** m * total, 3 ** m * den * den)
 
 
 def harmonic_vertex_values(h: Harmonic, m: int) -> dict[VertexAddress, Fraction]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gasketenergy
 from gasketenergy import bvectors as bv
 from gasketenergy import cli
 from gasketenergy import derivatives as dv
@@ -102,13 +103,33 @@ def test_bvector_level_checks_the_triple_it_prints(capsys, monkeypatch):
 
 
 def test_bvector_level_prints_the_chosen_route(capsys, monkeypatch):
-    monkeypatch.setitem(cli._B_ROUTES, "matrix", lambda word: (Fraction(1), Fraction(0), Fraction(0)))
+    monkeypatch.setattr(bv, "b_from_mass", lambda word: (Fraction(1), Fraction(0), Fraction(0)))
     code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "matrix")
     assert code == 0
     assert out.splitlines()[1:] == [w + ",1,0,0,1.0,0.0,0.0" for w in ("00", "01", "02", "10", "11", "12",
                                                                       "20", "21", "22")]
     code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "recursion")
     assert out.splitlines()[1].startswith("00,27/41,7/41,7/41,")
+
+
+def test_bvector_word_and_level_together_exit_two_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("bvector did work with two conflicting flags")
+
+    for name in ("b_from_mass", "b_from_word", "b_from_kusuoka", "enumerate_bvectors"):
+        monkeypatch.setattr(bv, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["bvector", "--word", "0", "--level", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--level" in err and "--word" in err
+
+
+def test_bvector_word_writes_to_the_output_file(tmp_path, capsys):
+    path = tmp_path / "b.csv"
+    code, out, _ = run(capsys, "bvector", "--word", "01", "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == (Path(__file__).parent / "golden" / "bvector_01.out").read_bytes()
 
 
 def test_edge_profile_csv(capsys):
@@ -194,6 +215,29 @@ def test_verify_reports_the_first_counterexample_and_exits_one(capsys, monkeypat
     assert first == ("FAIL  measures.cross-route: counterexample "
                      "((Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), '1')")
     assert rest and all(line.startswith("PASS") for line in rest)
+
+
+def test_cli_suite_names_are_the_verify_suites():
+    assert gasketenergy.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_jobs_two_starts_a_pool(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # at iters 10 the 81 level-3 images of the 3 seeds make three counting tasks
+    hist = dy.boundary_orbit_histogram(iters=10, bins=50, jobs=2)
+    assert started == [2]
+    assert hist == dy.boundary_orbit_histogram(iters=10, bins=50, jobs=1)
+    assert started == [2]
 
 
 def test_check_stops_at_the_first_counterexample():
@@ -309,6 +353,18 @@ def test_closed_pipe_exits_141_without_a_traceback():
     _close_pipe_early(unbuffered=False)
 
 
+def test_bvector_word_to_a_closed_pipe_exits_141():
+    """The two lines go through the same writer as the CSV commands."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so the first write fails
+    proc = _python("-m", "gasketenergy.cli", "bvector", "--word", "01",
+                   stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+
+
 def test_closed_unbuffered_pipe_exits_141():
     """Unbuffered stdout is a raw file that may take only part of a write;
     the output is not cut short silently with exit 0."""
@@ -318,7 +374,8 @@ def test_closed_unbuffered_pipe_exits_141():
 IMPORT_GUARD = """
 import contextlib, io, sys
 import gasketenergy.cli as cli
-loaded = [m for m in ("numpy", "gasketenergy.dynamics", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("numpy", "gasketenergy.dynamics", "concurrent.futures", "gasketenergy.core",
+                      "gasketenergy.verify") if m in sys.modules]
 assert not loaded, f"import gasketenergy.cli loaded {loaded}"
 for argv in (["measure", "--coeffs", "1,1,1", "--word", "01"],
              ["derivative", "--coeffs", "1,0,0", "--vertex", "1:2"],
@@ -329,6 +386,14 @@ for argv in (["measure", "--coeffs", "1,1,1", "--word", "01"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+    if argv[0] in ("measure", "derivative"):
+        loaded = [m for m in ("gasketenergy.verify", "gasketenergy.bvectors") if m in sys.modules]
+        assert not loaded, f"{argv} loaded {loaded}"
+import gasketenergy.dynamics
+assert "concurrent.futures" not in sys.modules, "import gasketenergy.dynamics loaded concurrent.futures"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["ifs", "orbit", "--iters", "3", "--bins", "5", "--jobs", "2"]) == 0
+assert "concurrent.futures" not in sys.modules, "a one-task histogram loaded concurrent.futures"
 """
 
 

@@ -1,17 +1,20 @@
 """Derivatives at vertices: closed forms, scans, decay, edge structure."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasketenergy.core import VertexAddress
+from gasketenergy import derivatives as dv
+from gasketenergy.cli import main
+from gasketenergy.core import WORD_MAX_LEN, VertexAddress
 from gasketenergy.derivatives import (
     DecayClass,
+    axis_gap,
     basis_ratio,
     decay_sequence,
-    decay_two_term,
     edge_margin,
     edge_margin_closed_form,
     edge_profile,
@@ -28,7 +31,7 @@ from gasketenergy.derivatives import (
     _derivative_raw,
 )
 from gasketenergy.harmonic import Harmonic
-from gasketenergy.measures import KUSUOKA, measure_of_cell
+from gasketenergy.measures import BASIS_COEFFS, KUSUOKA, children_triple, measure_of_cell
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 triples = st.tuples(rationals, rationals, rationals)
@@ -144,6 +147,35 @@ def test_skew_energy_gap_vanishes_on_skew_triples(c, a):
     assert skew_energy_gap(Harmonic(c, c + a, c - a), "") == 0
 
 
+def ref_axis_gap(c, word, axis):
+    """The ``Fraction`` children-triple form the integer gap replaced."""
+    x = children_triple(c, word)
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    return 14 * x[axis] - x[j] - x[k]
+
+
+def test_integer_axis_gap_equals_the_children_triple_form():
+    rng = random.Random(20240817)
+    signed = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
+              for _ in range(8)]
+    for c in signed + list(BASIS_COEFFS) + [KUSUOKA, (3, -1, 2)]:
+        for n in range(WORD_MAX_LEN + 1):
+            word = "".join(rng.choice("012") for _ in range(n))
+            for axis in range(3):
+                got = axis_gap(c, word, axis)
+                assert got == ref_axis_gap(c, word, axis) and type(got) is Fraction, (c, word, axis)
+
+
+def test_a_wrong_gap_coefficient_fails_verify(capsys, monkeypatch):
+    """The gap shares its integer corner weights with ``rn_derivative``, so a
+    wrong weight fails the skew check along with the route checks."""
+    monkeypatch.setattr(dv, "_CORNER_WEIGHTS_INT", ((5, 1, 1), (1, 5, 1), (1, 1, 5)))
+    assert main(["verify", "--suite", "derivatives", "--max-depth", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert ("FAIL  derivatives.skew-gap-nonnegative: counterexample "
+            "(Harmonic(v0=Fraction(-5, 4), v1=Fraction(3, 2), v2=Fraction(-5, 2)), '')") in out
+
+
 def test_decay_generic_along_repeated_zero():
     r = decay_sequence(KUSUOKA, "", 0, 12)
     assert r.values[0] == 6 and r.values[1] == 2 and r.values[2] == Fraction(82, 75)
@@ -174,6 +206,20 @@ def test_decay_rejects_negative_depth():
     for c in ((ZERO, ZERO, ZERO), KUSUOKA, E[0]):
         with pytest.raises(ValueError, match="depth"):
             decay_sequence(c, "", 1, -1)
+
+
+def decay_two_term(c, word, letter, m):
+    """Closed-form oracle for the decay values: A/15^m + B(3/5)^m.
+
+    The coefficients come from the children triple of the cell; the third
+    eigenrate (1/5) never contributes to mass sums.
+    """
+    x = children_triple(c, word)
+    i = letter
+    j, k = (i + 1) % 3, (i + 2) % 3
+    a = -Fraction(3, 4) * x[i] + Fraction(9, 8) * (x[j] + x[k])
+    b = Fraction(1, 8) * (14 * x[i] - x[j] - x[k])
+    return a * Fraction(1, 15) ** m + b * Fraction(3, 5) ** m
 
 
 @given(triples, words, letters, st.integers(min_value=0, max_value=8))

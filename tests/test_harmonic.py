@@ -252,6 +252,46 @@ def test_vertex_values_equal_the_reference(h):
         assert all(type(x) is Fraction for x in got.values())
 
 
+def ref_graph_energy(values, m):
+    """The ``Fraction`` sum the integer numerators replaced."""
+    table = {k.canonical(): Fraction(v) for k, v in values.items()}
+    words = [""]
+    for _ in range(m):
+        words = [w + ch for w in words for ch in "012"]
+    total = Fraction(0)
+    for w in words:
+        a, b, c = (table[VertexAddress(w, corner).canonical()] for corner in (0, 1, 2))
+        total += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
+    return Fraction(5, 3) ** m * total
+
+
+@pytest.mark.parametrize("h", seeded_harmonics(), ids=str)
+def test_graph_energy_equals_the_reference(h):
+    """Harmonic and non-harmonic assignments, with ``int`` and ``Fraction``
+    values, keyed by canonical and by raw spellings."""
+    rng = random.Random(str(h))
+    for m in range(5):
+        harmonic = harmonic_vertex_values(h, m)
+        assignments = (
+            harmonic,
+            {k: 7 for k in harmonic},  # constant: harmonic, in ints
+            {k: rng.randint(-9, 9) for k in harmonic},
+            {k: v + Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for k, v in harmonic.items()},
+            {VertexAddress(k.word + str(k.corner), k.corner): v for k, v in harmonic.items()},
+        )
+        for values in assignments:
+            got = graph_energy(values, m)
+            assert got == ref_graph_energy(values, m) and type(got) is Fraction, (m, values)
+
+
+def test_graph_energy_names_a_missing_vertex():
+    values = harmonic_vertex_values(Harmonic.of(1, 0, 0), 2)
+    del values[VertexAddress("01", 2)]
+    with pytest.raises(ValueError) as err:
+        graph_energy(values, 2)
+    assert str(err.value) == "incomplete vertex assignment: missing value at 01:2"
+
+
 def test_measure_coeffs_equal_the_reference_and_are_symmetric():
     hs = seeded_harmonics()
     for u in hs:
