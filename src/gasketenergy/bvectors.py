@@ -3,13 +3,15 @@
 For every cell, the cell average of the derivative of a measure against the
 Kusuoka measure equals a weighted average of the derivative's values at the
 cell's three corners.  The weight triple depends only on the cell word and
-is computable by three independent exact routes:
+is computable by three independent exact routes, each an integer root
+row, one-letter step and leaf formula:
 
 * column sums of the mass word product (``b_from_mass``),
-* a one-letter rational recursion on the triple itself (``b_step``),
+* a one-letter recursion on the triple itself (``b_from_word``),
 * Kusuoka mass ratios of the three child cells (``b_from_kusuoka``).
 
-Route agreement is one of this package's strongest end-to-end checks.  The
+``level_routes`` walks all three down the level tree at once.  Route
+agreement is one of this package's strongest end-to-end checks.  The
 triples live in a disk of squared radius 1/6 around the barycenter; the
 bounds are strict at every finite word and sharp only in the limit, which
 ``scan_bounds`` verifies wholesale with integer arithmetic on the column-sum
@@ -19,7 +21,7 @@ rows of every word, walked by the shared block walk ``core.subtree_levels``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .core import (
     MASS_SCALED,
@@ -30,10 +32,12 @@ from .core import (
     int_row,
     lex_word,
     limb_sign,
+    row_step,
     row_walk,
     subtree_levels,
 )
-from .measures import KUSUOKA, MeasureCoeffs, children_row_via_refine, measure_of_cell
+from .measures import (KUSUOKA, MeasureCoeffs, children_row_via_refine, level1_from_coeffs,
+                       measure_of_cell, refine_step)
 from .derivatives import rn_derivative
 
 #: A weight triple: three rationals summing to one.
@@ -51,9 +55,13 @@ def b_from_mass(word: str) -> BVector:
     the share is scale-free, so the scale is never formed.
     """
     check_word(word)
-    cols = row_walk((1, 1, 1), word)
-    total = cols[0] + cols[1] + cols[2]
-    return tuple(Fraction(1, 6) + Fraction(col, 2 * total) for col in cols)  # type: ignore[return-value]
+    return _from_column_sums(row_walk((1, 1, 1), word))
+
+
+def _from_column_sums(c: IntRow) -> BVector:
+    """(T + 3c_j) / 6T, that is 1/6 + c_j / 2T, for column sums c of total T."""
+    total = c[0] + c[1] + c[2]
+    return tuple(Fraction(total + 3 * x, 6 * total) for x in c)  # type: ignore[return-value]
 
 
 def _b_step_int(p: IntRow, j: int) -> IntRow:
@@ -112,14 +120,15 @@ def b_from_kusuoka(word: str) -> BVector:
     b_j = 1/3 + (5/4)(ratio_j - 1/3), that is (15 x_j - P) / (12 P) for
     child masses x and their sum P.
 
-    The child masses come from ``children_row_via_refine``, the refine
-    recursion on integer numerators, and the cell's own mass is their sum,
-    so no word longer than ``word`` is formed and the common scale cancels.
-    This route shares no arithmetic with ``b_from_mass`` (the integer
-    mass-generator kernel) nor with ``b_from_word`` (the one-letter
-    recursion on the triple).
+    The child masses come from ``children_row_via_refine`` (the refine
+    recursion on integer numerators) and the cell's own mass is their sum,
+    so no longer word is formed and the common scale cancels.  This route
+    shares no arithmetic with the other two.
     """
-    x, _ = children_row_via_refine(KUSUOKA, word)
+    return _from_child_masses(children_row_via_refine(KUSUOKA, word)[0])
+
+
+def _from_child_masses(x: IntRow) -> BVector:
     parent = x[0] + x[1] + x[2]
     return tuple(Fraction(15 * v - parent, 12 * parent) for v in x)  # type: ignore[return-value]
 
@@ -171,24 +180,39 @@ def disk_radius_sq(b: BVector) -> Fraction:
 
 
 def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
-    """All level-m (word, weight triple) pairs in lexicographic word order.
+    """All level-m (word, weight triple) pairs in lexicographic word order:
+    the recursion route alone on the ``level_routes`` tree walk."""
+    return _walk_level(m, (1, 1, 1), _b_step_int, _unit_triple)
 
-    Exact; computed by ``_b_step_int`` along the enumeration tree from
-    (1, 1, 1), so each step is a few integer operations shared by every
-    extension of the word, and one ``Fraction`` per weight is built at the
-    leaves.
+
+def level_routes(m: int) -> Iterator[tuple[str, tuple[BVector, BVector, BVector]]]:
+    """Every level-m word in lexicographic order with its weight triple by
+    each route: ``(word, (recursion, matrix, kusuoka))``.
+
+    One walk of the enumeration tree carries one row per route, so each
+    route's integer step runs once per tree node rather than once per
+    letter of every word; each leaf formula runs once per word.
     """
+    return _walk_level(
+        m, ((1, 1, 1), (1, 1, 1), int_row(level1_from_coeffs(KUSUOKA))[0]),
+        lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)),
+        lambda r: (_unit_triple(r[0]), _from_column_sums(r[1]), _from_child_masses(r[2])))
+
+
+def _walk_level(m: int, root, step, leaf) -> Iterator[tuple[str, Any]]:
+    """``(word, leaf(row))`` for every level-m word in lexicographic order,
+    with ``row`` the ``root`` stepped along the word by ``step(row, letter)``."""
     if m < 0:
         raise ValueError("depth must be nonnegative")
 
-    def walk(word: str, p: IntRow) -> Iterator[tuple[str, BVector]]:
+    def walk(word: str, row) -> Iterator[tuple[str, Any]]:
         if len(word) == m:
-            yield word, _unit_triple(p)
+            yield word, leaf(row)
             return
         for j in (0, 1, 2):
-            yield from walk(word + str(j), _b_step_int(p, j))
+            yield from walk(word + str(j), step(row, j))
 
-    yield from walk("", (1, 1, 1))
+    yield from walk("", root)
 
 
 def _e2_positive(c0, c1, c2):

@@ -5,6 +5,9 @@ commands emit CSV (the canonical artifact) or a minimal static SVG bar
 chart.  Everything is controlled by flags, and the same arguments always
 produce byte-identical output, whatever the parallelism degree.
 
+Every exact value is checked against an independent route before it is
+printed: each ``bvector`` triple, on every word of a ``--level`` scan too.
+
 Exit codes: 0 success, 1 invariant failure (``verify``), 2 argument error,
 3 internal cross-route disagreement, 141 the reader closed stdout early (the
 status of a filter killed by SIGPIPE, as in ``... | head``).
@@ -140,50 +143,25 @@ def cmd_derivative(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bvector_by(routes, method: str, word: str, b=None):
-    """The weight triple for one word by ``routes[method]``, or None when
-    'all' routes disagree.
-
-    ``b`` is the recursion route's triple for ``word`` when the caller has
-    it already.
-    """
-    if method in ("matrix", "kusuoka"):
-        return routes[method](word)
-    if b is None:
-        b = routes["recursion"](word)
-    if method == "all" and any(routes[m](word) != b for m in ("matrix", "kusuoka")):
-        return None
-    return b
-
-
 def cmd_bvector(args: argparse.Namespace) -> int:
     from . import bvectors as bv
-    from .core import format_rational, lex_word
+    from .core import format_rational
 
-    routes = {"matrix": bv.b_from_mass, "recursion": bv.b_from_word, "kusuoka": bv.b_from_kusuoka}
-    if args.level is not None:
+    if args.level is None:
+        word = args.word or ""
+        pairs = [(word, (bv.b_from_word(word), bv.b_from_mass(word), bv.b_from_kusuoka(word)))]
+    else:
         _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
-        rows = [("word", "b0", "b1", "b2", "b0_f", "b1_f", "b2_f")]
-        if args.method in ("matrix", "kusuoka"):  # no recursion triple is needed
-            pairs = ((lex_word(i, args.level), None) for i in range(3 ** args.level))
-        else:
-            pairs = bv.enumerate_bvectors(args.level)
-        for word, b in pairs:
-            b = _bvector_by(routes, args.method, word, b)
-            if b is None:
-                print(f"routes-disagree at {word!r}", file=sys.stderr)
-                return EXIT_ROUTES
-            rows.append(
-                (word,) + tuple(format_rational(x) for x in b) + tuple(repr(float(x)) for x in b)
-            )
-        _emit(_csv(rows), args.output)
-        return EXIT_OK
-    word = args.word or ""
-    b = _bvector_by(routes, args.method, word)
-    if b is None:
-        print(f"routes-disagree at {word!r}", file=sys.stderr)
-        return EXIT_ROUTES
-    _emit(_csv([[format_rational(x) for x in b], [repr(float(x)) for x in b]]), args.output)
+        pairs = bv.level_routes(args.level)
+    lines = ["word,b0,b1,b2,b0_f,b1_f,b2_f\n"]  # one string per row keeps a scan's memory small
+    for word, (b, *others) in pairs:  # the recursion route's triple, then the other two
+        if any(other != b for other in others):
+            print(f"routes-disagree at {word!r}", file=sys.stderr)
+            return EXIT_ROUTES
+        rationals = ",".join(format_rational(x) for x in b)
+        floats = ",".join(repr(float(x)) for x in b)
+        lines.append(f"{word},{rationals},{floats}\n")
+    _emit(f"{rationals}\n{floats}\n" if args.level is None else "".join(lines), args.output)
     return EXIT_OK
 
 
@@ -259,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     one_of.add_argument("--level", type=int, default=None,
                         help=f"emit a CSV of every word at this level (0..{BVECTOR_LEVEL_MAX}) "
                              "instead of one triple")
-    p.add_argument("--method", choices=["matrix", "recursion", "kusuoka", "all"], default="all",
-                   help="computation route; 'all' checks the three routes agree")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
     p.set_defaults(func=cmd_bvector)
 

@@ -9,7 +9,7 @@ exact routes that share no arithmetic:
   the other two), and
 * ``rn_derivative_via_refine`` pairs the corner's *limit row* (the row of
   the rank-1 limit of the scaled refine powers) with the two children
-  triples from the ``Fraction`` refine recursion.
+  triples from the refine recursion on integer numerators.
 
 The ``derivative`` command and ``verify`` compare the two.  Also here: the
 vertex scan over a cell's interior (on the block walk of
@@ -143,9 +143,9 @@ def rn_derivative_via_refine(c: MeasureCoeffs, vertex: VertexAddress) -> Fractio
     """Independent route: the corner's limit row paired with the children
     triples of ``c`` and of the Kusuoka measure.
 
-    The triples come from ``children_triple_via_refine``, the ``Fraction``
-    refine recursion, which shares no arithmetic with the integer mass walk
-    behind ``rn_derivative``; agreement of the two checks that walk.
+    The triples come from ``children_triple_via_refine``, the refine
+    recursion on integer numerators, which shares no arithmetic with the
+    integer mass walk behind ``rn_derivative``; agreement checks that walk.
     """
     v = vertex.canonical()
     lim = LIMIT_ROWS[v.corner]

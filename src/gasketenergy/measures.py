@@ -123,14 +123,20 @@ def children_row_via_refine(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
     check_word(word)
     x, scale = int_row(level1_from_coeffs(c))
     for ch in word:
-        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = REFINE_SCALED[int(ch)]
-        x0, x1, x2 = x
-        x = (
-            g00 * x0 + g01 * x1 + g02 * x2,
-            g10 * x0 + g11 * x1 + g12 * x2,
-            g20 * x0 + g21 * x1 + g22 * x2,
-        )
+        x = refine_step(x, int(ch))
     return x, scale * REFINE_DEN ** len(word)
+
+
+def refine_step(x: IntRow, j: int) -> IntRow:
+    """One letter of the refine recursion: letter j's scaled refine
+    generator times the column ``x``."""
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = REFINE_SCALED[j]
+    x0, x1, x2 = x
+    return (
+        g00 * x0 + g01 * x1 + g02 * x2,
+        g10 * x0 + g11 * x1 + g12 * x2,
+        g20 * x0 + g21 * x1 + g22 * x2,
+    )
 
 
 def level1_from_coeffs(c: MeasureCoeffs) -> CellTriple:

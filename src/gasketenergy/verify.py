@@ -121,19 +121,14 @@ def core_suite(max_depth: int) -> Iterator[Check]:
                  ((fam, u, v) for u, v in splits for fam in ("mass", "refine")
                   if word_matrix(fam, u + v) != mat_mul(word_matrix(fam, u), word_matrix(fam, v))))
 
-    ok = True
-    for j, gen in enumerate(REFINE_GENERATORS):
-        cols = tuple(gen[0][c] + gen[1][c] + gen[2][c] for c in range(3))
-        ok = ok and all(cols[c] == (1 if c == j else 0) for c in range(3))
-        ok = ok and all(
-            gen[r][c] * 75 == REFINE_SCALED[j][r][c] for r in range(3) for c in range(3)
-        )
-    total = tuple(
-        sum(MASS_GENERATORS[j][r][c] for j in range(3) for r in range(3)) for c in range(3)
-    )
-    ok = ok and total == (Fraction(1), Fraction(1), Fraction(1))
-    yield ("core.generator-structure", ok,
-           "refine columns sum to the letter vector; subdivided mass columns sum to 1")
+    mass_sums = [sum(g[r][c] for g in MASS_GENERATORS for r in range(3)) for c in range(3)]
+    yield _check("core.generator-structure",
+                 "refine columns sum to the letter vector; subdivided mass columns sum to 1",
+                 itertools.chain(
+                     (("refine", j, c) for j, g in enumerate(REFINE_GENERATORS) for c in range(3)
+                      if g[0][c] + g[1][c] + g[2][c] != int(c == j)
+                      or any(g[r][c] * 75 != REFINE_SCALED[j][r][c] for r in range(3))),
+                     (("mass", c) for c in range(3) if mass_sums[c] != 1)))
 
 
 def harmonic_suite(max_depth: int) -> Iterator[Check]:
@@ -153,16 +148,12 @@ def harmonic_suite(max_depth: int) -> Iterator[Check]:
                  ((h, w) for h in _harmonics(rng, 30) for w in _words(min(level, 3))
                   if cell_energy(h, w) != sum(cell_energy(h, w + str(j)) for j in range(3))))
 
-    ok = classify_symmetry(Harmonic.of(1, 1, 1)).kind is SymmetryKind.CONSTANT
-    ok = ok and classify_symmetry(Harmonic.of(1, 0, 0)).kind is SymmetryKind.SYMMETRIC
-    ok = ok and classify_symmetry(Harmonic.of(0, 1, -1)).kind is SymmetryKind.SKEW
-    ok = ok and classify_symmetry(Harmonic.of(0, 1, 3)).kind is SymmetryKind.NONE
-    for _ in range(100):
-        c = _rand_fraction(rng)
-        a = _rand_fraction(rng)
-        if a != 0:
-            ok = ok and classify_symmetry(Harmonic.of(c, c + a, c - a)).kind is SymmetryKind.SKEW
-    yield ("harmonic.symmetry-classes", ok, "frozen and random triples classify as expected")
+    frozen = [((1, 1, 1), SymmetryKind.CONSTANT), ((1, 0, 0), SymmetryKind.SYMMETRIC),
+              ((0, 1, -1), SymmetryKind.SKEW), ((0, 1, 3), SymmetryKind.NONE)]
+    shifts = ((_rand_fraction(rng), _rand_fraction(rng)) for _ in range(100))
+    skew = [((c, c + a, c - a), SymmetryKind.SKEW) for c, a in shifts if a != 0]
+    yield _check("harmonic.symmetry-classes", "frozen and random triples classify as expected",
+                 (h for h, kind in frozen + skew if classify_symmetry(Harmonic.of(*h)).kind is not kind))
 
 
 def measures_suite(max_depth: int) -> Iterator[Check]:

@@ -15,6 +15,7 @@ from gasketenergy.bvectors import (
     disk_radius_sq,
     enumerate_bvectors,
     kusuoka_ratio,
+    level_routes,
     scan_bounds,
     weighted_average_gap,
 )
@@ -146,6 +147,16 @@ def test_enumeration_is_lexicographic_and_complete():
     assert [w for w, _ in pairs] == sorted(w for w, _ in pairs)
     for w, b in pairs:
         assert b == b_from_word(w)
+
+
+def test_level_walk_equals_the_per_word_routes():
+    """``level_routes`` shares each route's step across prefixes; the
+    per-word functions fold it along one word from the root."""
+    for m in range(7):
+        words = [w for w, _ in enumerate_bvectors(m)]
+        assert [w for w, _ in level_routes(m)] == words
+        for w, triples in level_routes(m):
+            assert triples == (b_from_word(w), b_from_mass(w), b_from_kusuoka(w)), w
 
 
 def test_enumeration_rejects_negative_depth():

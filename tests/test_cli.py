@@ -13,6 +13,7 @@ from gasketenergy import bvectors as bv
 from gasketenergy import cli
 from gasketenergy import derivatives as dv
 from gasketenergy import dynamics as dy
+from gasketenergy import measures as ms
 from gasketenergy import verify
 from gasketenergy.cli import main
 
@@ -64,7 +65,7 @@ def test_derivative_routes_disagree_on_a_corrupted_walk(capsys, monkeypatch):
 
 
 def test_bvector_single_word(capsys):
-    code, out, _ = run(capsys, "bvector", "--word", "0", "--method", "all")
+    code, out, _ = run(capsys, "bvector", "--word", "0")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "3/5,1/5,1/5"
@@ -72,12 +73,10 @@ def test_bvector_single_word(capsys):
 
 
 def test_bvector_each_method_agrees(capsys):
-    outputs = set()
-    for method in ("matrix", "recursion", "kusuoka"):
-        code, out, _ = run(capsys, "bvector", "--word", "021", "--method", method)
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+    code, out, _ = run(capsys, "bvector", "--word", "021")
+    assert code == 0
+    for route in (bv.b_from_mass, bv.b_from_word, bv.b_from_kusuoka):
+        assert out.splitlines()[0] == ",".join(str(x) for x in route("021"))
 
 
 def test_bvector_level_scan_csv(capsys):
@@ -90,33 +89,62 @@ def test_bvector_level_scan_csv(capsys):
 
 
 def test_bvector_level_checks_the_triple_it_prints(capsys, monkeypatch):
-    enumerate_bvectors = bv.enumerate_bvectors
+    level_routes = bv.level_routes
 
     def corrupted(m):
-        for word, b in enumerate_bvectors(m):
-            yield word, ((b[0] + 1, b[1] - 1, b[2]) if word == "12" else b)
+        for word, (b, *others) in level_routes(m):
+            yield word, ((b[0] + 1, b[1] - 1, b[2]) if word == "12" else b, *others)
 
-    monkeypatch.setattr(bv, "enumerate_bvectors", corrupted)
+    monkeypatch.setattr(bv, "level_routes", corrupted)
     code, out, err = run(capsys, "bvector", "--level", "2")
     assert code == 3 and out == ""
     assert err == "routes-disagree at '12'\n"
 
 
-def test_bvector_level_prints_the_chosen_route(capsys, monkeypatch):
-    monkeypatch.setattr(bv, "b_from_mass", lambda word: (Fraction(1), Fraction(0), Fraction(0)))
-    code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "matrix")
-    assert code == 0
-    assert out.splitlines()[1:] == [w + ",1,0,0,1.0,0.0,0.0" for w in ("00", "01", "02", "10", "11", "12",
-                                                                      "20", "21", "22")]
-    code, out, _ = run(capsys, "bvector", "--level", "2", "--method", "recursion")
-    assert out.splitlines()[1].startswith("00,27/41,7/41,7/41,")
+def _b_step_int_wrong_coefficient(p, j):
+    k, l = (j + 1) % 3, (j + 2) % 3
+    out = [0, 0, 0]
+    out[j] = 8 * p[j]  # 9 in the recursion
+    out[k] = 2 * p[j] + 2 * p[k] - p[l]
+    out[l] = 2 * p[j] - p[k] + 2 * p[l]
+    return tuple(out)
+
+
+def _one_entry_off(gens, j):
+    """``gens`` with entry (0, 0) of letter j's matrix raised by one."""
+    g = [list(map(list, m)) for m in gens]
+    g[j][0][0] += 1
+    return tuple(tuple(map(tuple, m)) for m in g)
+
+
+@pytest.mark.parametrize("route", ["recursion", "matrix", "kusuoka"])
+def test_bvector_level_exits_three_on_a_wrong_coefficient_in_one_route(capsys, monkeypatch, route):
+    """Each route's step is checked: a fault in any one of them, and only
+    there, stops the scan before it prints."""
+    if route == "recursion":
+        monkeypatch.setattr(bv, "_b_step_int", _b_step_int_wrong_coefficient)
+    elif route == "matrix":
+        monkeypatch.setattr(bv, "MASS_SCALED", _one_entry_off(bv.MASS_SCALED, 1))
+    else:
+        monkeypatch.setattr(ms, "REFINE_SCALED", _one_entry_off(ms.REFINE_SCALED, 1))
+    code, out, err = run(capsys, "bvector", "--level", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("routes-disagree at '")
+
+
+def test_bvector_has_no_method_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bvector", "--method", "all"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--method" in err
 
 
 def test_bvector_word_and_level_together_exit_two_before_any_work(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("bvector did work with two conflicting flags")
 
-    for name in ("b_from_mass", "b_from_word", "b_from_kusuoka", "enumerate_bvectors"):
+    for name in ("b_from_mass", "b_from_word", "b_from_kusuoka", "enumerate_bvectors", "level_routes"):
         monkeypatch.setattr(bv, name, no_work)
     with pytest.raises(SystemExit) as exc:
         main(["bvector", "--word", "0", "--level", "2"])
@@ -217,6 +245,17 @@ def test_verify_reports_the_first_counterexample_and_exits_one(capsys, monkeypat
     assert rest and all(line.startswith("PASS") for line in rest)
 
 
+def test_structure_and_symmetry_checks_name_their_first_counterexample(monkeypatch):
+    monkeypatch.setattr(verify, "REFINE_SCALED", _one_entry_off(verify.REFINE_SCALED, 1))
+    checks = {name: (ok, detail) for name, ok, detail in verify.core_suite(1)}
+    assert checks["core.generator-structure"] == (False, "counterexample ('refine', 1, 0)")
+
+    real = verify.classify_symmetry
+    monkeypatch.setattr(verify, "classify_symmetry", lambda h: real(verify.Harmonic.of(0, 1, 3)))
+    checks = {name: (ok, detail) for name, ok, detail in verify.harmonic_suite(1)}
+    assert checks["harmonic.symmetry-classes"] == (False, "counterexample (1, 1, 1)")
+
+
 def test_cli_suite_names_are_the_verify_suites():
     assert gasketenergy.SUITE_NAMES == tuple(verify.SUITES)
 
@@ -252,9 +291,7 @@ def test_check_stops_at_the_first_counterexample():
 def test_bad_words_exit_two_with_the_routes_message(capsys):
     expect = "error: invalid letter '3' in word '03'\n"
     assert run(capsys, "measure", "--coeffs", "1,1,1", "--word", "03")[::2] == (2, expect)
-    for method in ("matrix", "recursion", "kusuoka", "all"):
-        code, out, err = run(capsys, "bvector", "--word", "03", "--method", method)
-        assert (code, out, err) == (2, "", expect)
+    assert run(capsys, "bvector", "--word", "03") == (2, "", expect)
     code, _, err = run(capsys, "bvector", "--word", "0" * 65)
     assert code == 2 and err == "error: word length 65 exceeds the cap 64\n"
 
