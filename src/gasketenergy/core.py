@@ -1,26 +1,33 @@
-"""Exact scalars, 3-vectors, 3x3 matrices, and cell/vertex addressing.
+"""Exact scalars and matrices, the integer row kernel, the block walk and
+cell/vertex addressing.
 
 Everything downstream (harmonic extension, measures, derivatives, b-vectors)
 is built from two families of 3x3 rational matrices indexed by the letters
-{0,1,2}:
+{0,1,2}: the *mass* family pushes the triple of basis-measure masses of a
+cell down to a subcell, and the *refine* family maps the child-cell masses
+of a cell to the child-cell masses one level deeper inside it.  The refine
+generators are assembled at import time as the exact product ``P_i . D . Q_i``
+of their diagonalizing factors (eigenvalues 1/15, 3/5, 1/5), never typed in
+from a hand-multiplied table.
 
-* the *mass* family, which pushes the triple of basis-measure masses of a
-  cell down to a subcell (``measure of subcell = row of product applied to
-  level-1 masses``), and
-* the *refine* family, which maps the triple of child-cell masses of a cell
-  to the child-cell masses one level deeper inside it.
+* Scalars, 3-vectors and 3x3 matrices are tuples of ``Fraction``s;
+  ``word_matrix`` multiplies a family's generators along a word.
+* The integer row kernel (``int_row``, ``row_step``, ``row_walk``,
+  ``row_children``) carries tuples of ints over a known scale, stepped by
+  the families scaled to integers (``MASS_SCALED``, ``REFINE_SCALED``), so
+  a hot path builds one ``Fraction`` at its end.
+* The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
+  of the dtype ``array_dtype`` proves, and ``limb_sign`` compares values on
+  them exactly; numpy is imported only when these run.
+* Addressing: ``check_word``, ``lex_word``, ``VertexAddress``.
 
-The refine generators are never typed in from a hand-multiplied table: they
-are assembled at import time as the exact product ``P_i . D . Q_i`` of their
-diagonalizing factors (eigenvalues 1/15, 3/5, 1/5) and then frozen.
-
-All values are immutable (tuples of ``fractions.Fraction``), so they are safe
-to share across threads and processes.
+Tuples are immutable, so they are safe to share across threads and processes.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -39,15 +46,18 @@ WORD_MAX_LEN = 64
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or ``"p"``) into an exact rational.
-
-    Raises ``ValueError`` on anything the exact-number grammar does not
-    cover.
+    """Parse ``"p/q"`` or ``"p"`` (an optional sign, decimal digits), the
+    forms ``format_rational`` prints.  Unlike ``Fraction`` it takes no
+    decimal, underscore or exponent (``1e200000000`` asks for unbounded
+    work); a zero denominator or more digits than ``int`` reads is refused.
     """
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    s = text.strip()
+    if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational literal p/q or p: {text!r}")
 
 
 def format_rational(x: Fraction) -> str:

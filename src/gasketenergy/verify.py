@@ -113,7 +113,8 @@ def core_suite(max_depth: int) -> Iterator[Check]:
 
     n = len(all_vertices(level))
     expect = (3 ** (level + 1) + 3) // 2
-    yield ("core.vertex-count", n == expect, f"level {level}: {n} canonical vertices (expect {expect})")
+    yield _check("core.vertex-count", f"level {level}: {n} canonical vertices (expect {expect})",
+                 [level] if n != expect else [])
 
     rng = random.Random(_SEED)
     splits = ((_rand_word(rng, 5), _rand_word(rng, 5)) for _ in range(200))
@@ -306,17 +307,16 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
 
     rng = np.random.default_rng(_SEED + 5)
 
-    worst = 0.0
-    for j in range(3):
-        t = rng.uniform(-math.pi, math.pi, 3400)
-        x, y = dy._apply_B_arrays(j, np.cos(t), np.sin(t))
-        diff = np.arctan2(y, x) - dy._circle_map_array(j, t)
-        diff = np.remainder(diff + math.pi, dy.TWO_PI) - math.pi  # wrapped into [-pi, pi)
-        worst = max(worst, float(np.abs(diff).max()))
-    ok = worst < 1e-12
-    shown = "below 1e-12" if ok else f"{worst:.2e}"  # the digits follow numpy's arctan2 path
-    yield ("dynamics.circle-agreement", ok,
-           f"disk and circle forms agree on the boundary (worst {shown})")
+    angles = [rng.uniform(-math.pi, math.pi, 3400) for _ in range(3)]
+
+    def circle_misses():
+        for j, t in enumerate(angles):
+            x, y = dy._apply_B_arrays(j, np.cos(t), np.sin(t))
+            diff = np.arctan2(y, x) - dy._circle_map_array(j, t)
+            diff = np.remainder(diff + math.pi, dy.TWO_PI) - math.pi  # wrapped into [-pi, pi)
+            yield from ((j, float(t[i])) for i in (~(np.abs(diff) < 1e-12)).nonzero()[0])
+    yield _check("dynamics.circle-agreement",
+                 "disk and circle forms agree on the boundary (worst below 1e-12)", circle_misses())
 
     pts = rng.uniform(-1, 1, (100000, 2))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 1.0]
@@ -328,47 +328,54 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
             x[m], y[m] = dy._apply_B_arrays(j, x[m], y[m])
     r = np.hypot(x, y) * dy.DISK_RADIUS_B
     worst = float(r.max())
-    yield ("dynamics.disk-invariance", worst <= dy.DISK_RADIUS_B + 1e-12,
-           f"{x.size} interior points stay inside after 5 random letters (max radius {worst:.12f})")
+    yield _check("dynamics.disk-invariance",
+                 f"{x.size} interior points stay inside after 5 random letters (max radius {worst:.12f})",
+                 ((int(i), "".join(map(str, letters[:, i])))
+                  for i in (~(r <= dy.DISK_RADIUS_B + 1e-12)).nonzero()[0]))
 
     a = rng.uniform(-1, 1, (10000, 2)) * 0.7
     b = a + rng.normal(0, 0.1, a.shape)
     keep = (np.hypot(*b.T) < 1.0) & (np.hypot(*(a - b).T) > 1e-6)
     a, b = a[keep], b[keep]
-    ok = True
-    for j in range(3):
-        ax, ay = dy._apply_B_arrays(j, a[:, 0], a[:, 1])
-        bx, by = dy._apply_B_arrays(j, b[:, 0], b[:, 1])
-        ok = ok and bool(np.all(np.hypot(ax - bx, ay - by) > 0))
-    yield ("dynamics.injectivity-witness", ok,
-           f"{a.shape[0]} distinct pairs keep distinct images under every letter")
 
-    ok = True
-    for j, angles in enumerate(dy.BOUNDARY_FIXED_ANGLES):
-        for t in angles:
-            p = dy.apply_B(j, (math.cos(t), math.sin(t)))
-            ok = ok and math.hypot(p.x - math.cos(t), p.y - math.sin(t)) < 1e-12
-    interior = sum(dy.count_grid_fixed_points(j, 200) for j in range(3))
-    yield ("dynamics.fixed-points", ok and interior == 0,
-           "six boundary fixed points, none on a 200x200 interior grid")
+    def collisions():
+        for j in range(3):
+            ax, ay = dy._apply_B_arrays(j, a[:, 0], a[:, 1])
+            bx, by = dy._apply_B_arrays(j, b[:, 0], b[:, 1])
+            yield from ((j, int(i)) for i in (~(np.hypot(ax - bx, ay - by) > 0)).nonzero()[0])
+    yield _check("dynamics.injectivity-witness",
+                 f"{a.shape[0]} distinct pairs keep distinct images under every letter", collisions())
 
-    ok = True
-    h = 1e-6
-    for j in range(3):
-        for t in np.linspace(-3.0, 3.0, 61):
-            d = dy.circle_map_deriv(j, t)
-            fd = (dy.circle_map(j, t + h) - dy.circle_map(j, t - h)) / (2 * h)
-            if d <= 0 or (abs(abs(dy._wrap(t - dy._ROT[j])) - math.pi) > 0.05 and abs(d - fd) > 1e-8):
-                ok = False
-    yield ("dynamics.derivative-positive", ok,
-           "boundary derivatives positive and matching finite differences")
+    def unfixed():
+        for j, fixed in enumerate(dy.BOUNDARY_FIXED_ANGLES):
+            for t in fixed:
+                p = dy.apply_B(j, (math.cos(t), math.sin(t)))
+                if not math.hypot(p.x - math.cos(t), p.y - math.sin(t)) < 1e-12:
+                    yield (j, t)
+        for j in range(3):
+            if n := dy.count_grid_fixed_points(j, 200):
+                yield (j, "grid", n)
+    yield _check("dynamics.fixed-points", "six boundary fixed points, none on a 200x200 interior grid",
+                 unfixed())
+
+    def bad_slopes():
+        for j in range(3):
+            for t in np.linspace(-3.0, 3.0, 61):
+                d = dy.circle_map_deriv(j, t)
+                fd = (dy.circle_map(j, t + 1e-6) - dy.circle_map(j, t - 1e-6)) / 2e-6
+                wraps = abs(abs(dy._wrap(t - dy._ROT[j])) - math.pi) <= 0.05  # image crosses +-pi
+                if not (d > 0 and (wraps or abs(d - fd) <= 1e-8)):
+                    yield (j, float(t))
+    yield _check("dynamics.derivative-positive",
+                 "boundary derivatives positive and matching finite differences", bad_slopes())
 
     m = min(max_depth + 4, 9)
     hist = dy.angular_histogram(m, slices=99, arc="full")
     k = 33
     sym = hist.counts == tuple(np.roll(hist.counts, k)) and sum(hist.counts) == 3 ** m
-    yield ("dynamics.histogram-symmetry", sym,
-           f"level-{m} full-circle histogram exactly one-third-rotation symmetric")
+    yield _check("dynamics.histogram-symmetry",
+                 f"level-{m} full-circle histogram exactly one-third-rotation symmetric",
+                 [m] if not sym else [])
 
     level = min(max_depth + 2, 8)
     words = ["".join(random.Random(_SEED + 6 + i).choices("012", k=level)) for i in range(100)]

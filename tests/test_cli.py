@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism, imports."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,13 @@ def test_measure_examples(capsys):
 def test_measure_accepts_rational_coefficients(capsys):
     code, out, _ = run(capsys, "measure", "--coeffs", "1/2,0,0", "--word", "")
     assert code == 0 and out.split()[0] == "1"
+
+
+@pytest.mark.parametrize("coeffs", ["1e100,0,0", "0.5,0,0"])
+def test_measure_rejects_coefficients_outside_the_grammar(capsys, coeffs):
+    code, out, err = run(capsys, "measure", "--coeffs", coeffs, "--word", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: not a rational literal p/q or p: {coeffs.split(',')[0]!r}\n"
 
 
 def test_derivative_examples(capsys):
@@ -254,6 +262,34 @@ def test_structure_and_symmetry_checks_name_their_first_counterexample(monkeypat
     monkeypatch.setattr(verify, "classify_symmetry", lambda h: real(verify.Harmonic.of(0, 1, 3)))
     checks = {name: (ok, detail) for name, ok, detail in verify.harmonic_suite(1)}
     assert checks["harmonic.symmetry-classes"] == (False, "counterexample (1, 1, 1)")
+
+
+def test_vertex_count_names_its_level(monkeypatch):
+    monkeypatch.setattr(verify, "all_vertices", lambda level: set())
+    check = next(c for c in verify.core_suite(2) if c[0] == "core.vertex-count")
+    assert check == ("core.vertex-count", False, "counterexample 2")
+
+
+def test_circle_agreement_names_its_first_angle(capsys, monkeypatch):
+    import numpy as np
+    real = dy._circle_map_array
+    monkeypatch.setattr(dy, "_circle_map_array", lambda j, t: real(j, t) + 1e-9)
+    code, out, _ = run(capsys, "verify", "--suite", "dynamics", "--max-depth", "1")
+    assert code == 1
+    first = np.random.default_rng(verify._SEED + 5).uniform(-np.pi, np.pi)
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0] == f"FAIL  dynamics.circle-agreement: counterexample (0, {float(first)!r})"
+
+
+def test_dynamics_checks_fail_on_nan(monkeypatch):
+    import numpy as np
+
+    real = dy._circle_map_array
+    monkeypatch.setattr(dy, "_circle_map_array", lambda j, t: real(j, t) + np.where(t > 3, np.nan, 0))
+    monkeypatch.setattr(dy, "circle_map_deriv", lambda j, t: math.nan)
+    checks = {name: ok for name, ok, _ in verify.dynamics_suite(1)}
+    assert not checks["dynamics.circle-agreement"]
+    assert not checks["dynamics.derivative-positive"]
 
 
 def test_cli_suite_names_are_the_verify_suites():

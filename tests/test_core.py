@@ -95,6 +95,12 @@ def test_rational_text_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
+@pytest.mark.parametrize("text", ["1e9", "1.5", "1_0", "1/-2", "0x10", "1/0"])
+def test_parse_rational_takes_only_p_over_q_or_p(text):
+    with pytest.raises(ValueError, match="not a rational literal p/q or p"):
+        parse_rational(text)
+
+
 def test_format_rational_integers_have_no_slash():
     assert format_rational(Fraction(6)) == "6"
     assert format_rational(Fraction(82, 75)) == "82/75"

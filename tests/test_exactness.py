@@ -14,7 +14,8 @@ the block size: the scans take all of them from ``core.subtree_levels``.
 harmonic oracle shares no arithmetic with the routes ``verify`` checks it
 against, and a wrong coefficient in its own step makes ``verify`` fail.
 
-``verify`` forms a FAIL line's counterexample text only in ``_check``.
+``verify`` forms a FAIL line's counterexample text only in ``_check``, and
+every suite yields only ``_check`` verdicts.
 """
 
 import ast
@@ -151,16 +152,47 @@ def lines_outside(source: str, function: str, needle: str) -> list[int]:
             if needle in line and not node.lineno <= i <= node.end_lineno]
 
 
+def stray_yields(source: str) -> list[int]:
+    """Line numbers of the yields in a ``*_suite`` function's own body (not
+    in a generator nested in it) that yield anything but a ``_check(...)``
+    call."""
+    lines = []
+
+    def visit(node: ast.AST, in_suite: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "").endswith("_suite"))
+                continue
+            if in_suite and isinstance(child, (ast.Yield, ast.YieldFrom)):
+                call = child.value
+                if not (isinstance(child, ast.Yield) and isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name) and call.func.id == "_check"):
+                    lines.append(child.lineno)
+            visit(child, in_suite)
+
+    visit(ast.parse(source), False)
+    return lines
+
+
 def test_only_check_forms_the_verdict():
     source = (SRC / "verify.py").read_text()
     assert lines_outside(source, "_check", "counterexample") == []
+    assert stray_yields(source) == []
 
 
 def test_verdict_guard_sees_a_copy_outside_check():
     source = (
         "def _check(name, detail, failures):\n"
         "    return (name, False, f'counterexample {failures}')\n"
-        "def suite():\n"
+        "def core_suite(n):\n"
         "    yield ('x', False, 'counterexample 3')\n"
+        "    def misses():\n"
+        "        yield 3\n"
+        "    yield _check('y', 'fine', misses())\n"
+        "    yield ('z', True, 'built by hand')\n"
+        "    yield from misses()\n"
+        "def helper():\n"
+        "    yield 4\n"
     )
     assert lines_outside(source, "_check", "counterexample") == [4]
+    assert stray_yields(source) == [4, 8, 9]
