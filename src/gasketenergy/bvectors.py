@@ -10,7 +10,8 @@ row, one-letter step and leaf formula:
 * a one-letter recursion on the triple itself (``b_from_word``),
 * Kusuoka mass ratios of the three child cells (``b_from_kusuoka``).
 
-``level_routes`` walks all three down the level tree at once.  Route
+``level_routes`` walks all three down the level tree at once, on the
+shared tree walk ``core.walk_level`` with each route's own step.  Route
 agreement is one of this package's strongest end-to-end checks.  The
 triples live in a disk of squared radius 1/6 around the barycenter; the
 bounds are strict at every finite word and sharp only in the limit, which
@@ -21,7 +22,7 @@ rows of every word, walked by the shared block walk ``core.subtree_levels``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import (
     MASS_SCALED,
@@ -35,6 +36,7 @@ from .core import (
     row_step,
     row_walk,
     subtree_levels,
+    walk_level,
 )
 from .measures import (KUSUOKA, MeasureCoeffs, children_row_via_refine, level1_from_coeffs,
                        measure_of_cell, refine_step)
@@ -182,37 +184,21 @@ def disk_radius_sq(b: BVector) -> Fraction:
 def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     """All level-m (word, weight triple) pairs in lexicographic word order:
     the recursion route alone on the ``level_routes`` tree walk."""
-    return _walk_level(m, (1, 1, 1), _b_step_int, _unit_triple)
+    return walk_level(m, (1, 1, 1), _b_step_int, _unit_triple)
 
 
 def level_routes(m: int) -> Iterator[tuple[str, tuple[BVector, BVector, BVector]]]:
     """Every level-m word in lexicographic order with its weight triple by
     each route: ``(word, (recursion, matrix, kusuoka))``.
 
-    One walk of the enumeration tree carries one row per route, so each
-    route's integer step runs once per tree node rather than once per
-    letter of every word; each leaf formula runs once per word.
+    One ``core.walk_level`` walk of the level tree carries one row per
+    route, so each route's integer step runs once per tree node rather than
+    once per letter of every word; each leaf formula runs once per word.
     """
-    return _walk_level(
+    return walk_level(
         m, ((1, 1, 1), (1, 1, 1), int_row(level1_from_coeffs(KUSUOKA))[0]),
         lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)),
         lambda r: (_unit_triple(r[0]), _from_column_sums(r[1]), _from_child_masses(r[2])))
-
-
-def _walk_level(m: int, root, step, leaf) -> Iterator[tuple[str, Any]]:
-    """``(word, leaf(row))`` for every level-m word in lexicographic order,
-    with ``row`` the ``root`` stepped along the word by ``step(row, letter)``."""
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
-
-    def walk(word: str, row) -> Iterator[tuple[str, Any]]:
-        if len(word) == m:
-            yield word, leaf(row)
-            return
-        for j in (0, 1, 2):
-            yield from walk(word + str(j), step(row, j))
-
-    yield from walk("", root)
 
 
 def _e2_positive(c0, c1, c2):

@@ -5,8 +5,9 @@ commands emit CSV (the canonical artifact) or a minimal static SVG bar
 chart.  Everything is controlled by flags, and the same arguments always
 produce byte-identical output, whatever the parallelism degree.
 
-Every exact value is checked against an independent route before it is
-printed: each ``bvector`` triple, on every word of a ``--level`` scan too.
+``measure``, ``derivative`` and ``bvector`` (each word of a ``--level`` scan
+too) check every exact value against an independent route before printing
+it; ``edge-profile`` is unchecked.
 
 Exit codes: 0 success, 1 invariant failure (``verify``), 2 argument error,
 3 internal cross-route disagreement, 141 the reader closed stdout early (the
@@ -116,10 +117,14 @@ def _emit_histogram(hist: dy.Histogram, unit: str, value_name: str, fmt: str,
 
 def cmd_measure(args: argparse.Namespace) -> int:
     from .core import format_rational
-    from .measures import measure_of_cell, parse_coeffs
+    from .measures import children_triple_via_refine, measure_of_cell, parse_coeffs
 
-    c = parse_coeffs(args.coeffs)
-    value = measure_of_cell(c, args.word)
+    c, word = parse_coeffs(args.coeffs), args.word
+    value = measure_of_cell(c, word)
+    kids = children_triple_via_refine(c, word[:-1])  # the refine route: the cell is a child
+    if value != (kids[int(word[-1])] if word else sum(kids)):
+        print(f"routes-disagree at {word!r}", file=sys.stderr)
+        return EXIT_ROUTES
     print(f"{format_rational(value)} {float(value)!r}")
     return EXIT_OK
 

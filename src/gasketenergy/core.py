@@ -1,5 +1,5 @@
-"""Exact scalars and matrices, the integer row kernel, the block walk and
-cell/vertex addressing.
+"""Exact scalars and matrices, the integer row kernel, the tree and block
+walks and cell/vertex addressing.
 
 Everything downstream (harmonic extension, measures, derivatives, b-vectors)
 is built from two families of 3x3 rational matrices indexed by the letters
@@ -12,10 +12,10 @@ from a hand-multiplied table.
 
 * Scalars, 3-vectors and 3x3 matrices are tuples of ``Fraction``s;
   ``word_matrix`` multiplies a family's generators along a word.
-* The integer row kernel (``int_row``, ``row_step``, ``row_walk``,
-  ``row_children``) carries tuples of ints over a known scale, stepped by
-  the families scaled to integers (``MASS_SCALED``, ``REFINE_SCALED``), so
-  a hot path builds one ``Fraction`` at its end.
+* The integer row kernel (``int_row``, ``row_step``, ``row_walk``) carries
+  tuples of ints over a known scale, stepped by the families scaled to
+  integers (``MASS_SCALED``, ``REFINE_SCALED``), so a hot path builds one
+  ``Fraction`` at its end; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
   of the dtype ``array_dtype`` proves, and ``limb_sign`` compares values on
   them exactly; numpy is imported only when these run.
@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -230,27 +230,31 @@ def lex_word(index: int, length: int) -> str:
     return "".join(reversed(letters))
 
 
-def row_children(rows: Iterable[IntRow], gens: Iterable[IntMat] = MASS_SCALED) -> list[IntRow]:
-    """Every row stepped by every generator, row-major: child ``3*i + j`` of
-    a full family is row ``i`` stepped by letter ``j``.
-
-    For rows listed in lexicographic word order the children come out in
-    lexicographic word order too, so a whole tree level is one call.
-    ``gens`` may be any subfamily (the two letters of an edge, say); the
-    children then follow the order of ``gens``.
+def walk_level(m: int, root, step, leaf=None) -> Iterator[tuple[str, Any]]:
+    """``(word, leaf(row))`` for every level-``m`` word in lexicographic
+    order, ``row`` the ``root`` stepped along the word by ``step(row,
+    letter)`` (``leaf=None`` yields the row).  Depth first, it holds at most
+    2m + 1 rows, steps each prefix once and does no arithmetic of its own.
+    Raises ``ValueError`` for ``m < 0`` when called.
     """
-    cols = [tuple(g[i][j] for j in range(3) for i in range(3)) for g in gens]
-    return [
-        (r0 * a + r1 * b + r2 * c, r0 * d + r1 * e + r2 * f, r0 * g + r1 * h + r2 * i)
-        for r0, r1, r2 in rows
-        for a, b, c, d, e, f, g, h, i in cols
-    ]
+    if m < 0:
+        raise ValueError("depth must be nonnegative")
+    return _walk(m, [("", root)], step, leaf or (lambda row: row))
+
+
+def _walk(m: int, stack: list, step, leaf) -> Iterator[tuple[str, Any]]:
+    while stack:
+        word, row = stack.pop()
+        if len(word) == m:
+            yield word, leaf(row)
+        else:  # the last letter goes on first, so "0" comes off first
+            stack += [(word + ch, step(row, j)) for j, ch in ((2, "2"), (1, "1"), (0, "0"))]
 
 
 def array_children(rows, gens: Sequence[IntMat], dtype: str):
-    """``row_children`` on a numpy array: an ``(n, 3)`` array (or a list of
-    rows) in, the ``(len(gens) * n, 3)`` array of children out, in the same
-    order, by one matrix product.
+    """Every row stepped by every generator: an ``(n, 3)`` array (or a list
+    of rows) in, the ``(len(gens) * n, 3)`` array of children out, row
+    ``i`` stepped by ``gens[j]`` at ``len(gens) * i + j``, by one product.
 
     ``dtype="int64"`` is exact only while no entry or partial sum leaves the
     ``int64`` range, which ``subtree_levels`` proves by ``array_dtype``
@@ -440,8 +444,8 @@ class VertexAddress:
     @classmethod
     def parse(cls, text: str) -> "VertexAddress":
         word, sep, corner = text.partition(":")
-        if not sep or not corner.isdigit():
-            raise ValueError(f"vertex address must look like '<word>:<corner>', got {text!r}")
+        if not sep or corner not in ("0", "1", "2"):
+            raise ValueError(f"vertex address must look like '<word>:<corner 0, 1 or 2>', got {text!r}")
         return cls(word, int(corner))
 
 

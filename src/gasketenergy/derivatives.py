@@ -41,7 +41,6 @@ from .core import (
     lex_word,
     limb_sign,
     mat_scale,
-    row_children,
     row_step,
     row_walk,
     subtree_levels,
@@ -342,7 +341,7 @@ def edge_profile(
     edge corner to 1 at the second.
 
     The subcells along the edge (words over the two edge letters) are walked
-    one level per ``row_children`` call, sharing every prefix; the vertex at
+    one level at a time by ``row_step``, sharing every prefix; the vertex at
     (2i+1)/2^n is the midpoint of the edge of the i-th subcell on level n-1.
     """
     j, k = edge
@@ -366,7 +365,7 @@ def edge_profile(
             pos = (2 * i + 1) * stride
             out[pos] = (Fraction(pos, grid), Fraction(r[j] + r[k], q[j] + q[k]))
         if n < depth:
-            rs, qs = row_children(rs, gens), row_children(qs, gens)
+            rs, qs = ([row_step(row, g) for row in rows for g in gens] for rows in (rs, qs))
     return out
 
 
@@ -387,8 +386,8 @@ def monotone_left_right(m: int) -> bool:
         raise ValueError("monotone_left_right supports 0 <= m <= 12")
     masses, margins = [(0, 0, 1)], [_MARGIN_ROW]
     for _ in range(m):
-        masses = row_children(masses, (MASS_SCALED[1], MASS_SCALED[2]))
-        margins = row_children(margins, (REFINE_SCALED[1], REFINE_SCALED[2]))
+        masses = [row_step(r, g) for r in masses for g in MASS_SCALED[1:]]
+        margins = [row_step(r, g) for r in margins for g in REFINE_SCALED[1:]]
     sums = [sum(r) for r in masses]
     floor = vec_dot(margins[0], _MARGIN_COL)  # the all-1s word comes first
     return (all(a <= b for a, b in zip(sums, sums[1:]))

@@ -452,15 +452,15 @@ def density_from_angular(hist: Histogram) -> np.ndarray:
     raise ValueError("only full or third arcs tile the circle")
 
 
-def count_grid_fixed_points(j: int, n: int = 200, tol: float = 1e-9) -> int:
-    """Grid search for interior fixed points of one map; boundary excluded.
+def count_grid_fixed_points(j: int, n: int = 200) -> int:
+    """Interior fixed points of one map by grid search: the points of an
+    n x n grid inside the disk that map ``j`` moves by less than 1e-9.
 
-    The only fixed points sit on the boundary circle, so this returns 0 for
-    any sensible tolerance.
+    The only fixed points sit on the boundary circle, so this returns 0.
     """
     xs = np.linspace(-1.0, 1.0, n)
     gx, gy = np.meshgrid(xs, xs)
     inside = gx * gx + gy * gy < 1.0
     x, y = gx[inside], gy[inside]
     bx, by = _apply_B_arrays(j, x, y)
-    return int(np.count_nonzero(np.hypot(bx - x, by - y) < tol))
+    return int(np.count_nonzero(np.hypot(bx - x, by - y) < 1e-9))

@@ -4,8 +4,9 @@ A harmonic function is determined by its values at the three outer corners;
 its value at every other junction vertex follows from the one-level averaging
 rule (each edge midpoint takes 2/5 of either endpoint value plus 1/5 of the
 opposite corner value).  That makes the representation exact.  Extension
-runs on integer numerators over one common scale in its own loop, shared with
-no other route, and builds one ``Fraction`` per output entry at the end.
+steps integer numerators over one common scale by its own one-letter step
+(a level on ``core.walk_level``), shared with no other route, and builds one
+``Fraction`` per output entry at the end.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import (IntRow, Vec3, VertexAddress, check_word, int_row, parse_rational,
-                   format_rational, vec_sum)
+from .core import (IntRow, Vec3, VertexAddress, check_word, int_row, lex_word, parse_rational,
+                   format_rational, vec_sum, walk_level)
 
 
 class Harmonic(NamedTuple):
@@ -128,11 +129,8 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
         except KeyError:
             raise ValueError(f"incomplete vertex assignment: missing value at {key}") from None
 
-    words = [""]
-    for _ in range(m):
-        words = [w + ch for w in words for ch in "012"]
     total = 0
-    for w in words:
+    for w in (lex_word(i, m) for i in range(3 ** m)):
         a, b, c = lookup(w, 0), lookup(w, 1), lookup(w, 2)
         total += (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
     return Fraction(5 ** m * total, 3 ** m * den * den)
@@ -140,21 +138,10 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
 
 def harmonic_vertex_values(h: Harmonic, m: int) -> dict[VertexAddress, Fraction]:
     """The level-``m`` vertex assignment induced by a harmonic function."""
-    if m < 0:
-        raise ValueError("level must be nonnegative")
     row, den = int_row(h)
     scale = den * 5 ** m
-    out: dict[VertexAddress, Fraction] = {}
-    stack: list[tuple[str, IntRow]] = [("", row)]
-    while stack:
-        word, x = stack.pop()
-        if len(word) == m:
-            for corner in (0, 1, 2):
-                out[VertexAddress(word, corner).canonical()] = Fraction(x[corner], scale)
-        else:
-            for letter in (0, 1, 2):
-                stack.append((word + str(letter), _one_level_int(x, letter)))
-    return out
+    return {VertexAddress(word, corner).canonical(): Fraction(x[corner], scale)
+            for word, x in walk_level(m, row, _one_level_int) for corner in (0, 1, 2)}
 
 
 def cell_energy(h: Harmonic, word: str) -> Fraction:

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .core import (
     MASS_DEN,
+    MASS_SCALED,
     REFINE_DEN,
     REFINE_SCALED,
     LETTERS,
@@ -31,7 +32,7 @@ from .core import (
     format_rational,
     int_row,
     parse_rational,
-    row_children,
+    row_step,
     row_walk,
     vec_sum,
 )
@@ -196,22 +197,21 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if total_mass(c) < 0:
         return ""
-    start, _ = int_row(c)
-    # rows carry integer numerators of subtree_coeffs, scaled by den*15^depth;
-    # each level is expanded in one call, so children come in word order
-    words, rows = [""], [start]
+    # (word, row) pairs, the rows integer numerators of subtree_coeffs scaled
+    # by den*15^depth; each level is stepped in word order
+    level = [("", int_row(c)[0])]
     for _ in range(max_depth):
-        next_words, next_rows = [], []
-        for i, r in enumerate(row_children(rows)):
-            if r[0] + r[1] + r[2] < 0:
-                return words[i // 3] + LETTERS[i % 3]
-            if r[0] * r[1] + r[1] * r[2] + r[0] * r[2] >= 0:
-                continue  # positive inside: nothing negative below
-            next_words.append(words[i // 3] + LETTERS[i % 3])
-            next_rows.append(r)
-        words, rows = next_words, next_rows
-        if not rows:
+        below = []
+        for word, row in level:
+            for ch, g in zip(LETTERS, MASS_SCALED):
+                r = row_step(row, g)
+                if r[0] + r[1] + r[2] < 0:
+                    return word + ch
+                if cone_value(r) < 0:  # else positive inside: nothing negative below
+                    below.append((word + ch, r))
+        if not below:
             return None
+        level = below
     return None
 
 

@@ -29,6 +29,7 @@ from gasketenergy.measures import (
     find_negative_cell,
     measure_of_cell,
 )
+from subprocess_env import python_env
 
 ONE, ZERO = Fraction(1), Fraction(0)
 E = [
@@ -244,7 +245,7 @@ def test_criterion_12_figure_reproduction(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gasketenergy.cli", "ifs", "angular",
          "--level", "13", "--output", str(angular_csv)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=python_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert time.monotonic() - start < 300.0
@@ -261,7 +262,7 @@ def test_criterion_12_figure_reproduction(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gasketenergy.cli", "ifs", "orbit",
          "--iters", "14", "--bins", "800", "--output", str(orbit_csv)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=python_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert time.monotonic() - start < 300.0

@@ -17,6 +17,7 @@ from gasketenergy import dynamics as dy
 from gasketenergy import measures as ms
 from gasketenergy import verify
 from gasketenergy.cli import main
+from subprocess_env import python_env
 
 
 def run(capsys, *argv):
@@ -48,6 +49,17 @@ def test_measure_rejects_coefficients_outside_the_grammar(capsys, coeffs):
     code, out, err = run(capsys, "measure", "--coeffs", coeffs, "--word", "0")
     assert code == 2 and out == ""
     assert err == f"error: not a rational literal p/q or p: {coeffs.split(',')[0]!r}\n"
+
+
+@pytest.mark.parametrize("word", ["01", "2201"])
+def test_measure_exits_three_on_a_wrong_refine_coefficient(capsys, monkeypatch, word):
+    """The refine route shares nothing with the mass walk ``measure`` prints,
+    so one wrong coefficient there exits 3 with nothing on stdout."""
+    gens = [[list(row) for row in g] for g in ms.REFINE_SCALED]
+    gens[0][1][1] += 1  # letter 0's step, read for child 1
+    monkeypatch.setattr(ms, "REFINE_SCALED", tuple(tuple(map(tuple, g)) for g in gens))
+    code, out, err = run(capsys, "measure", "--coeffs", "1,1,1", "--word", word)
+    assert (code, out, err) == (3, "", f"routes-disagree at {word!r}\n")
 
 
 def test_derivative_examples(capsys):
@@ -339,6 +351,14 @@ def test_parse_errors_exit_two(capsys):
     assert run(capsys, "edge-profile", "--coeffs", "1,0,0", "--edge", "1,1")[0] == 2
 
 
+@pytest.mark.parametrize("vertex", ["1:\u0662", "01:0001", "01:\u00b2", "01:3", "01:", "01:1 "])
+def test_derivative_takes_only_corner_0_1_or_2(capsys, vertex):
+    """An Arabic-Indic two, a zero-padded one and a superscript two are not corners."""
+    code, out, err = run(capsys, "derivative", "--coeffs", "1,0,0", "--vertex", vertex)
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex address must look like '<word>:<corner 0, 1 or 2>', got {vertex!r}\n"
+
+
 def test_unknown_flags_are_errors():
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--coeffs", "1,1,1", "--word", "", "--frobnicate"])
@@ -397,16 +417,8 @@ def test_size_bounds_are_inclusive(capsys):
     assert code == 0 and len(out.splitlines()) == 100000 + 1
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def _python(*args, unbuffered=False, **kwargs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, *args], env=python_env(unbuffered), **kwargs)
 
 
 def _close_pipe_early(unbuffered):

@@ -24,16 +24,17 @@ from gasketenergy import bvectors as bv
 from gasketenergy import core
 from gasketenergy import derivatives as dv
 from gasketenergy.core import (
+    LETTERS,
     MASS_SCALED,
     REFINE_DEN,
     REFINE_SCALED,
     VertexAddress,
     lex_word,
     mat_mul,
-    row_children,
     row_step,
     row_walk,
     subtree_levels,
+    walk_level,
     word_matrix,
 )
 from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
@@ -56,6 +57,16 @@ def e2(row):
     return c0 * c1 + c1 * c2 + c0 * c2
 
 
+def children(rows, gens=MASS_SCALED):
+    """Every row stepped by every generator, row-major: the one-level list
+    step that ``edge_profile`` and ``monotone_left_right`` take."""
+    return [row_step(r, g) for r in rows for g in gens]
+
+
+def mass_step(row, j):
+    return row_step(row, MASS_SCALED[j])
+
+
 # ---------------------------------------------------------------------------
 # the kernel itself
 # ---------------------------------------------------------------------------
@@ -70,18 +81,45 @@ def test_row_walk_is_the_scaled_word_product():
                 assert tuple(Fraction(x, den ** len(word)) for x in row) == mat[i]
 
 
-def test_row_children_come_in_word_order():
+def test_row_step_levels_come_in_word_order():
     rows = [(3, -1, 2)]
     for n in range(1, 5):
-        rows = row_children(rows)
+        rows = children(rows)
         assert rows == [row_walk((3, -1, 2), w) for w in words_of(n)]
         assert [lex_word(i, n) for i in range(3 ** n)] == words_of(n)
 
 
-def test_row_children_of_a_subfamily_follow_its_order():
+def test_row_step_levels_of_a_subfamily_follow_its_order():
     pair = (MASS_SCALED[2], MASS_SCALED[0])
-    rows = row_children(row_children([(1, 2, 3)], pair), pair)
+    rows = children(children([(1, 2, 3)], pair), pair)
     assert rows == [row_walk((1, 2, 3), w) for w in ("22", "20", "02", "00")]
+
+
+def test_walk_level_yields_every_word_in_lexicographic_order():
+    for m in range(6):
+        pairs = list(walk_level(m, (3, -1, 2), mass_step))
+        assert [w for w, _ in pairs] == words_of(m)
+        assert [r for _, r in pairs] == [row_walk((3, -1, 2), w) for w in words_of(m)]
+        assert list(walk_level(m, (3, -1, 2), mass_step, sum)) == [(w, sum(r)) for w, r in pairs]
+
+
+def test_walk_level_steps_each_prefix_once():
+    """(3^(m+1) - 3) / 2 steps for level m: one per nonempty word of length <= m."""
+    for m in range(7):
+        seen = []
+
+        def step(word, j):
+            seen.append(word + LETTERS[j])
+            return word + LETTERS[j]
+
+        assert [w for w, _ in walk_level(m, "", step)] == words_of(m)
+        assert len(seen) == (3 ** (m + 1) - 3) // 2
+        assert sorted(seen) == sorted(u for n in range(1, m + 1) for u in words_of(n))
+
+
+def test_walk_level_rejects_a_negative_level_when_called():
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_level(-1, (1, 1, 1), mass_step)  # no next() needed
 
 
 def test_row_step_matches_one_letter_walk():
@@ -122,14 +160,14 @@ def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", ["int64", "object"])
-def test_array_children_equal_row_children(dtype):
+def test_array_children_equal_the_row_step_level(dtype):
     rows = [(3, -1, 2), (0, 7, -5), (1, 1, 1)]
     for gens in (MASS_SCALED, REFINE_SCALED, (MASS_SCALED[2], MASS_SCALED[0])):
         out = core.array_children(rows, gens, dtype)
         assert out.dtype == dtype
-        assert [tuple(int(x) for x in row) for row in out] == row_children(rows, gens)
+        assert [tuple(int(x) for x in row) for row in out] == children(rows, gens)
         assert [tuple(int(x) for x in row) for row in core.array_children(out, gens, dtype)] \
-            == row_children(row_children(rows, gens), gens)
+            == children(children(rows, gens), gens)
 
 
 @pytest.mark.parametrize("levels", [0, -1])
@@ -191,7 +229,7 @@ def test_column_sum_rows_have_e2_three_times_nine_to_the_level():
     rows = [(1, 1, 1)]
     for m in range(9):
         assert all(e2(row) == 3 * 9**m for row in rows), m
-        rows = row_children(rows)
+        rows = children(rows)
 
 
 @given(st.tuples(*[st.integers(min_value=-10**6, max_value=10**6)] * 3))
