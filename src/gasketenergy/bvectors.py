@@ -77,7 +77,7 @@ def _b_step_int(p: IntRow, j: int) -> IntRow:
     return tuple(out)  # type: ignore[return-value]
 
 
-def _unit_triple(p: IntRow) -> BVector:
+def unit_triple(p: IntRow) -> BVector:
     total = p[0] + p[1] + p[2]
     return tuple(Fraction(x, total) for x in p)  # type: ignore[return-value]
 
@@ -100,7 +100,7 @@ def b_step(b: BVector, j: int) -> BVector:
     p = _b_step_int(int_row(b)[0], j)
     if p[0] + p[1] + p[2] == 0:
         raise ValueError("degenerate denominator: triple lies outside the weight disk")
-    return _unit_triple(p)
+    return unit_triple(p)
 
 
 def b_from_word(word: str) -> BVector:
@@ -111,7 +111,7 @@ def b_from_word(word: str) -> BVector:
     p = (1, 1, 1)
     for ch in word:
         p = _b_step_int(p, int(ch))
-    return _unit_triple(p)
+    return unit_triple(p)
 
 
 def b_from_kusuoka(word: str) -> BVector:
@@ -184,21 +184,25 @@ def disk_radius_sq(b: BVector) -> Fraction:
 def enumerate_bvectors(m: int) -> Iterator[tuple[str, BVector]]:
     """All level-m (word, weight triple) pairs in lexicographic word order:
     the recursion route alone on the ``level_routes`` tree walk."""
-    return walk_level(m, (1, 1, 1), _b_step_int, _unit_triple)
+    return ((w, unit_triple(p)) for w, p in walk_level(m, (1, 1, 1), _b_step_int))
 
 
-def level_routes(m: int) -> Iterator[tuple[str, tuple[BVector, BVector, BVector]]]:
-    """Every level-m word in lexicographic order with its weight triple by
-    each route: ``(word, (recursion, matrix, kusuoka))``.
-
-    One ``core.walk_level`` walk of the level tree carries one row per
-    route, so each route's integer step runs once per tree node rather than
-    once per letter of every word; each leaf formula runs once per word.
-    """
+def level_routes(m: int) -> Iterator[tuple[str, tuple[IntRow, IntRow, IntRow]]]:
+    """Every level-m word in lexicographic order with each route's integer row
+    ``(p, c, x)``, the input of ``unit_triple``, ``_from_column_sums`` and
+    ``_from_child_masses``, stepped once per node of one ``walk_level``."""
     return walk_level(
         m, ((1, 1, 1), (1, 1, 1), int_row(level1_from_coeffs(KUSUOKA))[0]),
-        lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)),
-        lambda r: (_unit_triple(r[0]), _from_column_sums(r[1]), _from_child_masses(r[2])))
+        lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)))
+
+
+def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
+    """Whether ``level_routes``' rows give one triple b = p / S, by integer
+    cross-multiplication with the row sums S, T and Q, none of them zero:
+    6T p_j == S (T + 3c_j) and 12Q p_j == S (15x_j - Q)."""
+    s, t, q = sum(p), sum(c), sum(x)
+    return bool(s and t and q) and all(
+        6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
 def _e2_positive(c0, c1, c2):

@@ -154,13 +154,15 @@ def cmd_bvector(args: argparse.Namespace) -> int:
 
     if args.level is None:
         word = args.word or ""
-        pairs = [(word, (bv.b_from_word(word), bv.b_from_mass(word), bv.b_from_kusuoka(word)))]
+        b = bv.b_from_word(word)
+        checked = [(word, b if bv.b_from_mass(word) == b == bv.b_from_kusuoka(word) else None)]
     else:
         _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
-        pairs = bv.level_routes(args.level)
+        checked = ((word, bv.unit_triple(rows[0]) if bv.rows_agree(*rows) else None)
+                   for word, rows in bv.level_routes(args.level))
     lines = ["word,b0,b1,b2,b0_f,b1_f,b2_f\n"]  # one string per row keeps a scan's memory small
-    for word, (b, *others) in pairs:  # the recursion route's triple, then the other two
-        if any(other != b for other in others):
+    for word, b in checked:  # b is None where the routes disagree
+        if b is None:
             print(f"routes-disagree at {word!r}", file=sys.stderr)
             return EXIT_ROUTES
         rationals = ",".join(format_rational(x) for x in b)

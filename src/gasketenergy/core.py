@@ -15,7 +15,8 @@ from a hand-multiplied table.
 * The integer row kernel (``int_row``, ``row_step``, ``row_walk``) carries
   tuples of ints over a known scale, stepped by the families scaled to
   integers (``MASS_SCALED``, ``REFINE_SCALED``), so a hot path builds one
-  ``Fraction`` at its end; the tree walk ``walk_level`` runs any step.
+  ``Fraction`` at its end.  ``row_walk`` steps ``STRIDE`` letters at a time
+  by a ``stride_table`` product; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
   of the dtype ``array_dtype`` proves, and ``limb_sign`` compares values on
   them exactly; numpy is imported only when these run.
@@ -26,6 +27,7 @@ Tuples are immutable, so they are safe to share across threads and processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -160,16 +162,10 @@ REFINE_GENERATORS: tuple[Mat3, Mat3, Mat3] = tuple(
 
 
 def _int_scaled(m: Mat3, den: int) -> tuple[tuple[int, int, int], ...]:
-    rows = []
-    for row in m:
-        irow = []
-        for x in row:
-            scaled = x * den
-            if scaled.denominator != 1:
-                raise RuntimeError(f"entry {x} is not a multiple of 1/{den}")
-            irow.append(int(scaled))
-        rows.append(tuple(irow))
-    return tuple(rows)
+    bad = [x for row in m for x in row if (x * den).denominator != 1]
+    if bad:
+        raise RuntimeError(f"entry {bad[0]} is not a multiple of 1/{den}")
+    return tuple(tuple(int(x * den) for x in row) for row in m)  # type: ignore[return-value]
 
 
 #: Integer renormalizations used by hot enumeration loops: the true matrix is
@@ -212,11 +208,27 @@ def row_step(row: IntRow, g: IntMat) -> IntRow:
     )
 
 
+#: Letters per ``stride_table`` product in ``row_walk``, read when it runs (README times k = 2..6).
+STRIDE = 4
+
+
+@functools.lru_cache(maxsize=None)
+def stride_table(gens: tuple[IntMat, ...], k: int) -> dict[str, IntMat]:
+    """The product of ``gens`` along each word of at most ``k`` letters, keyed by the word."""
+    table = level = {"": ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    for _ in range(k):
+        level = {w + ch: tuple(row_step(r, g) for r in m)  # type: ignore[misc]
+                 for w, m in level.items() for ch, g in zip(LETTERS, gens)}
+        table = {**table, **level}
+    return table
+
+
 def row_walk(row: IntRow, word: str, gens: Iterable[IntMat] = MASS_SCALED) -> IntRow:
-    """``row_step`` along every letter of ``word``, first letter first."""
-    gens = tuple(gens)
-    for ch in word:
-        row = row_step(row, gens[int(ch)])
+    """``row_step`` along every letter of ``word``, first letter first, as one
+    ``stride_table`` product per ``STRIDE`` letters (and one for the rest)."""
+    table = stride_table(tuple(gens), STRIDE)
+    for i in range(0, len(word), STRIDE):
+        row = row_step(row, table[word[i:i + STRIDE]])
     return row
 
 
@@ -230,23 +242,22 @@ def lex_word(index: int, length: int) -> str:
     return "".join(reversed(letters))
 
 
-def walk_level(m: int, root, step, leaf=None) -> Iterator[tuple[str, Any]]:
-    """``(word, leaf(row))`` for every level-``m`` word in lexicographic
-    order, ``row`` the ``root`` stepped along the word by ``step(row,
-    letter)`` (``leaf=None`` yields the row).  Depth first, it holds at most
-    2m + 1 rows, steps each prefix once and does no arithmetic of its own.
-    Raises ``ValueError`` for ``m < 0`` when called.
+def walk_level(m: int, root, step) -> Iterator[tuple[str, Any]]:
+    """``(word, row)`` for every level-``m`` word in lexicographic order,
+    ``row`` the ``root`` stepped along the word by ``step(row, letter)``.
+    Depth first, it holds at most 2m + 1 rows, steps each prefix once and
+    does no arithmetic; raises ``ValueError`` for ``m < 0`` when called.
     """
     if m < 0:
         raise ValueError("depth must be nonnegative")
-    return _walk(m, [("", root)], step, leaf or (lambda row: row))
+    return _walk(m, [("", root)], step)
 
 
-def _walk(m: int, stack: list, step, leaf) -> Iterator[tuple[str, Any]]:
+def _walk(m: int, stack: list, step) -> Iterator[tuple[str, Any]]:
     while stack:
         word, row = stack.pop()
         if len(word) == m:
-            yield word, leaf(row)
+            yield word, row
         else:  # the last letter goes on first, so "0" comes off first
             stack += [(word + ch, step(row, j)) for j, ch in ((2, "2"), (1, "1"), (0, "0"))]
 
@@ -377,9 +388,9 @@ def check_word(word: str) -> str:
         raise ValueError(f"word must be a string, got {type(word).__name__}")
     if len(word) > WORD_MAX_LEN:
         raise ValueError(f"word length {len(word)} exceeds the cap {WORD_MAX_LEN}")
-    for ch in word:
-        if ch not in LETTERS:
-            raise ValueError(f"invalid letter {ch!r} in word {word!r}")
+    if word.strip(LETTERS):  # in C; the first bad letter is sought only to name it
+        bad = next(ch for ch in word if ch not in LETTERS)
+        raise ValueError(f"invalid letter {bad!r} in word {word!r}")
     return word
 
 
@@ -436,7 +447,9 @@ class VertexAddress:
             word, corner = word[:-1] + tail, int(word[-1])
         if word == self.word and corner == self.corner:
             return self
-        return VertexAddress(word, corner)
+        out = object.__new__(VertexAddress)
+        vars(out).update(word=word, corner=corner)  # a checked word respelled: no second check
+        return out
 
     def __str__(self) -> str:
         return f"{self.word}:{self.corner}"

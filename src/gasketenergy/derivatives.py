@@ -75,12 +75,8 @@ _LIMIT_COLS: tuple[Vec3, Vec3, Vec3] = (
 #: Rank-1 limits of the scaled refine powers: (5/3 * refine_j)^n -> column
 #: outer limit row, over 40.
 RANK1_LIMITS: tuple[Mat3, Mat3, Mat3] = tuple(
-    tuple(
-        tuple(Fraction(1, 40) * _LIMIT_COLS[j][r] * LIMIT_ROWS[j][c] for c in range(3))
-        for r in range(3)
-    )
-    for j in range(3)
-)  # type: ignore[assignment]
+    tuple(tuple(Fraction(1, 40) * col * row for row in LIMIT_ROWS[j]) for col in _LIMIT_COLS[j])
+    for j in range(3))  # type: ignore[assignment]
 
 # Pairing the limit row with a children triple equals (up to the factor 4
 # that cancels in the quotient) pairing the *subtree coefficients* with these

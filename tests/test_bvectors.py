@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasketenergy.bvectors import (
+    _from_child_masses,
+    _from_column_sums,
     a_values,
     b_from_kusuoka,
     b_from_mass,
@@ -16,7 +18,9 @@ from gasketenergy.bvectors import (
     enumerate_bvectors,
     kusuoka_ratio,
     level_routes,
+    rows_agree,
     scan_bounds,
+    unit_triple,
     weighted_average_gap,
 )
 
@@ -151,12 +155,33 @@ def test_enumeration_is_lexicographic_and_complete():
 
 def test_level_walk_equals_the_per_word_routes():
     """``level_routes`` shares each route's step across prefixes; the
-    per-word functions fold it along one word from the root."""
+    per-word functions fold it along one word from the root, and their leaf
+    formulas read the tree's rows."""
     for m in range(7):
         words = [w for w, _ in enumerate_bvectors(m)]
         assert [w for w, _ in level_routes(m)] == words
-        for w, triples in level_routes(m):
+        for w, (p, c, x) in level_routes(m):
+            triples = (unit_triple(p), _from_column_sums(c), _from_child_masses(x))
             assert triples == (b_from_word(w), b_from_mass(w), b_from_kusuoka(w)), w
+            assert rows_agree(p, c, x), w
+
+
+def test_rows_agree_is_the_triple_comparison():
+    """The integer cross-multiplication says what comparing the three
+    triples says, on the rows of level 3 and on each one-entry change of
+    one row; a row summing to zero never agrees."""
+    for w, rows in level_routes(3):
+        for r in range(3):
+            for j in range(3):
+                for d in (-1, 1):
+                    bent = [list(row) for row in rows]
+                    bent[r][j] += d
+                    p, c, x = map(tuple, bent)
+                    same = sum(p) and sum(c) and sum(x) and (
+                        unit_triple(p) == _from_column_sums(c) == _from_child_masses(x))
+                    assert rows_agree(p, c, x) == bool(same), (w, r, j, d)
+    assert not rows_agree((0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert not rows_agree((1, 1, 1), (0, 0, 0), (0, 0, 0))
 
 
 def test_enumeration_rejects_negative_depth():

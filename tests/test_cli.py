@@ -12,6 +12,7 @@ import pytest
 import gasketenergy
 from gasketenergy import bvectors as bv
 from gasketenergy import cli
+from gasketenergy import core
 from gasketenergy import derivatives as dv
 from gasketenergy import dynamics as dy
 from gasketenergy import measures as ms
@@ -68,6 +69,24 @@ def test_derivative_examples(capsys):
         assert code == 0
         assert out.split()[0] == expect
         assert out.rstrip().endswith("routes-agree")
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--coeffs", "3,1,2", "--word", "20121"),
+    ("derivative", "--coeffs", "3,1,2", "--vertex", "20121:0"),
+    ("bvector", "--word", "20121"),
+], ids=lambda argv: argv[0])
+def test_a_wrong_stride_product_exits_three(capsys, monkeypatch, argv):
+    """Each checked command reads the mass walk through the stride table,
+    and its other route does not: one entry off by one in the product for
+    "2012" exits 3 with nothing on stdout."""
+    table = core.stride_table(core.MASS_SCALED, core.STRIDE)
+    chunk = "20121"[:core.STRIDE]  # the word's first table product
+    bent = [list(row) for row in table[chunk]]
+    bent[0][0] += 1
+    monkeypatch.setitem(table, chunk, tuple(map(tuple, bent)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith("routes-disagree at ")
 
 
 def test_derivative_routes_disagree_on_a_corrupted_walk(capsys, monkeypatch):

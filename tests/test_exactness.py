@@ -13,6 +13,8 @@ the block size: the scans take all of them from ``core.subtree_levels``.
 ``harmonic`` names none of the row kernel or the generator families, so the
 harmonic oracle shares no arithmetic with the routes ``verify`` checks it
 against, and a wrong coefficient in its own step makes ``verify`` fail.
+The other oracle loops (the refine and b-step recursions and the word
+matrix product) name none of the strided row walk.
 
 ``verify`` forms a FAIL line's counterexample text only in ``_check``, and
 every suite yields only ``_check`` verdicts.
@@ -118,13 +120,44 @@ def test_walk_guard_sees_each_kind_of_name():
     assert walk_names(ast.parse(source)) == WALK_NAMES
 
 
-KERNEL_NAMES = {"row_step", "row_walk", "row_children", "subtree_levels", "array_children",
+KERNEL_NAMES = {"row_step", "row_walk", "stride_table", "subtree_levels", "array_children",
                 "MASS_SCALED", "REFINE_SCALED", "MASS_GENERATORS", "REFINE_GENERATORS"}
 
 
 def test_harmonic_oracle_names_no_kernel_or_generator():
     tree = ast.parse((SRC / "harmonic.py").read_text())
     assert names_in(tree) & KERNEL_NAMES == set()
+
+
+STRIDED_NAMES = {"row_walk", "stride_table", "STRIDE"}
+ORACLE_LOOPS = (("measures", "children_row_via_refine"), ("measures", "refine_step"),
+                ("bvectors", "b_from_word"), ("bvectors", "_b_step_int"), ("core", "word_matrix"))
+
+
+def strided_names(source: str, function: str) -> set[str]:
+    """The names in ``STRIDED_NAMES`` that the named function's body uses."""
+    node = next(n for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return names_in(node) & STRIDED_NAMES
+
+
+@pytest.mark.parametrize("module, function", ORACLE_LOOPS)
+def test_oracle_loops_name_no_strided_walk(module, function):
+    """The refine recursion, the b-step recursion and the word matrix product
+    step their own letters, so a wrong stride product makes a checked
+    command disagree with them instead of with itself."""
+    assert strided_names((SRC / f"{module}.py").read_text(), function) == set()
+
+
+def test_strided_guard_sees_each_name():
+    source = (
+        "def refine_step(x, j):\n"
+        "    table = core.stride_table(REFINE_SCALED, core.STRIDE)\n"
+        "    return row_walk(x, str(j), REFINE_SCALED)\n"
+        "def other(): return row_walk\n"
+    )
+    assert strided_names(source, "refine_step") == STRIDED_NAMES
+    assert strided_names(source.replace("row_walk(x", "step(x"), "refine_step") == {"stride_table", "STRIDE"}
 
 
 def test_a_wrong_extension_coefficient_fails_the_energy_oracle(capsys, monkeypatch):

@@ -100,7 +100,6 @@ def test_walk_level_yields_every_word_in_lexicographic_order():
         pairs = list(walk_level(m, (3, -1, 2), mass_step))
         assert [w for w, _ in pairs] == words_of(m)
         assert [r for _, r in pairs] == [row_walk((3, -1, 2), w) for w in words_of(m)]
-        assert list(walk_level(m, (3, -1, 2), mass_step, sum)) == [(w, sum(r)) for w, r in pairs]
 
 
 def test_walk_level_steps_each_prefix_once():
@@ -125,6 +124,60 @@ def test_walk_level_rejects_a_negative_level_when_called():
 def test_row_step_matches_one_letter_walk():
     for j in range(3):
         assert row_step((5, -7, 11), MASS_SCALED[j]) == row_walk((5, -7, 11), str(j))
+
+
+def letter_by_letter(row, word, gens):
+    for ch in word:
+        row = row_step(row, gens[int(ch)])
+    return row
+
+
+@pytest.mark.parametrize("gens", [MASS_SCALED, REFINE_SCALED], ids=["mass", "refine"])
+def test_strided_walk_equals_the_letter_loop(gens):
+    """Every word through two strides and a letter, so each remainder
+    length follows zero, one and two full products, then 50 seeded long
+    words."""
+    for n in range(2 * core.STRIDE + 2):
+        for word in words_of(n):
+            assert row_walk((3, -1, 2), word, gens) == letter_by_letter((3, -1, 2), word, gens), word
+    rng = random.Random(20)
+    for _ in range(50):
+        word = "".join(rng.choice(LETTERS) for _ in range(rng.randint(33, 64)))
+        row = tuple(rng.randint(-99, 99) for _ in range(3))
+        assert row_walk(row, word, gens) == letter_by_letter(row, word, gens), word
+
+
+def test_stride_table_is_built_once_per_generator_tuple(monkeypatch):
+    """A spy on ``row_step`` counts the table build, three rows stepped for
+    each word of 1 to STRIDE letters, once per process and once more for a
+    family equal in value to none before it; a walk then takes one step per
+    STRIDE letters and one for the rest."""
+    steps = []
+    step = core.row_step
+    monkeypatch.setattr(core, "row_step", lambda row, g: steps.append(g) or step(row, g))
+    core.stride_table.cache_clear()
+    k = core.STRIDE
+    word = "0121" * k + "2"  # k table products and one for the last letter
+    build = 3 * (3 ** (k + 1) - 3) // 2
+    first = row_walk((1, 2, 3), word)
+    assert len(steps) == build + k + 1
+    assert row_walk((1, 2, 3), word) == first and len(steps) == build + 2 * (k + 1)
+    patched = tuple(tuple(tuple(x + (i == j == 0) for j, x in enumerate(r)) for i, r in enumerate(g))
+                    for g in MASS_SCALED)  # entry (0, 0) of each letter raised by one
+    steps.clear()
+    assert row_walk((1, 2, 3), word, patched) == letter_by_letter((1, 2, 3), word, patched) != first
+    assert len(steps) == build + k + 1  # its own table
+    assert core.stride_table(MASS_SCALED, k) is not core.stride_table(patched, k)
+    assert core.stride_table(tuple(MASS_SCALED), k) is core.stride_table(MASS_SCALED, k)
+
+
+def test_stride_table_keys_are_the_words():
+    """A chunk is looked up as itself: ``int(chunk, 3)`` would read "0_12",
+    " 012" or a full-width digit as a letter word."""
+    table = core.stride_table(MASS_SCALED, 4)
+    assert sorted(table) == sorted(w for n in range(5) for w in words_of(n))
+    for chunk in ("0_12", " 012", "01\uff12", "0123", "3"):
+        assert chunk not in table
 
 
 # ---------------------------------------------------------------------------
