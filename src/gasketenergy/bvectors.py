@@ -38,14 +38,15 @@ from .core import (
     subtree_levels,
     walk_level,
 )
-from .measures import (KUSUOKA, MeasureCoeffs, children_row_via_refine, level1_from_coeffs,
-                       measure_of_cell, refine_step)
-from .derivatives import rn_derivative
+from .measures import KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell, refine_step
 
 #: A weight triple: three rationals summing to one.
 BVector = Vec3
 
 _THIRD = Fraction(1, 3)
+
+#: The Kusuoka route's root row, the whole gasket's child masses (their scale cancels).
+_KUSUOKA_ROOT: IntRow = int_row(level1_from_coeffs(KUSUOKA))[0]
 
 
 def b_from_mass(word: str) -> BVector:
@@ -122,12 +123,15 @@ def b_from_kusuoka(word: str) -> BVector:
     b_j = 1/3 + (5/4)(ratio_j - 1/3), that is (15 x_j - P) / (12 P) for
     child masses x and their sum P.
 
-    The child masses come from ``children_row_via_refine`` (the refine
-    recursion on integer numerators) and the cell's own mass is their sum,
-    so no longer word is formed and the common scale cancels.  This route
-    shares no arithmetic with the other two.
+    The child masses come from the refine recursion on integer numerators
+    (``refine_step`` from ``_KUSUOKA_ROOT``) and the cell's own mass is their
+    sum, so no longer word is formed and the common scale cancels.  This
+    route shares no arithmetic with the other two.
     """
-    return _from_child_masses(children_row_via_refine(KUSUOKA, word)[0])
+    x = _KUSUOKA_ROOT
+    for ch in check_word(word):
+        x = refine_step(x, int(ch))
+    return _from_child_masses(x)
 
 
 def _from_child_masses(x: IntRow) -> BVector:
@@ -141,12 +145,11 @@ def weighted_average_gap(c: MeasureCoeffs, word: str) -> Fraction:
     Identically zero: the weight triple is exactly the averaging kernel for
     derivatives of any (signed) measure in the coefficient space.
     """
+    from .derivatives import rn_derivative  # only here, so ``bvector`` never loads derivatives
     check_word(word)
     b = b_from_mass(word)
     average = measure_of_cell(c, word) / measure_of_cell(KUSUOKA, word)
-    corners = sum(
-        b[j] * rn_derivative(c, VertexAddress(word, j)) for j in range(3)
-    )
+    corners = sum(b[j] * rn_derivative(c, VertexAddress(word, j)) for j in range(3))
     return average - corners
 
 
@@ -192,7 +195,7 @@ def level_routes(m: int) -> Iterator[tuple[str, tuple[IntRow, IntRow, IntRow]]]:
     ``(p, c, x)``, the input of ``unit_triple``, ``_from_column_sums`` and
     ``_from_child_masses``, stepped once per node of one ``walk_level``."""
     return walk_level(
-        m, ((1, 1, 1), (1, 1, 1), int_row(level1_from_coeffs(KUSUOKA))[0]),
+        m, ((1, 1, 1), (1, 1, 1), _KUSUOKA_ROOT),
         lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)))
 
 

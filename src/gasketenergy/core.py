@@ -27,12 +27,10 @@ Tuples are immutable, so they are safe to share across threads and processes.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -212,15 +210,25 @@ def row_step(row: IntRow, g: IntMat) -> IntRow:
 STRIDE = 4
 
 
-@functools.lru_cache(maxsize=None)
+#: ``(gens, k, table)`` per table built, matched so that no lookup hashes a family's 27 entries.
+_STRIDE_TABLES: list[tuple[tuple[IntMat, ...], int, dict[str, IntMat]]] = []
+
+
 def stride_table(gens: tuple[IntMat, ...], k: int) -> dict[str, IntMat]:
     """The product of ``gens`` along each word of at most ``k`` letters, keyed by the word."""
+    for g, n, table in _STRIDE_TABLES:
+        if n == k and g == gens:  # by identity, else by value: equal families share one table
+            return table
     table = level = {"": ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
     for _ in range(k):
         level = {w + ch: tuple(row_step(r, g) for r in m)  # type: ignore[misc]
                  for w, m in level.items() for ch, g in zip(LETTERS, gens)}
         table = {**table, **level}
+    _STRIDE_TABLES.append((gens, k, table))
     return table
+
+
+stride_table.cache_clear = _STRIDE_TABLES.clear  # type: ignore[attr-defined]
 
 
 def row_walk(row: IntRow, word: str, gens: Iterable[IntMat] = MASS_SCALED) -> IntRow:
@@ -416,40 +424,35 @@ def word_matrix(family: str, word: str) -> Mat3:
 # vertex addressing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class VertexAddress:
+class VertexAddress(NamedTuple("VertexAddress", [("word", str), ("corner", int)])):
     """The point reached by applying ``word`` and then taking corner ``corner``.
 
     A junction point has two raw spellings (last letter and corner swapped);
     ``canonical()`` picks the spelling whose final letter is the smaller of
     the two, and collapses the degenerate corner-fixed-point spellings of the
-    three outer vertices to the empty word.
-    """
+    three outer vertices to the empty word.  It hashes, orders and pickles as
+    the tuple ``(word, corner)``."""
 
-    word: str
-    corner: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_word(self.word)
-        if self.corner not in (0, 1, 2):
-            raise ValueError(f"corner must be 0, 1 or 2, got {self.corner!r}")
+    def __new__(cls, word: str, corner: int) -> "VertexAddress":
+        check_word(word)
+        if corner not in (0, 1, 2):
+            raise ValueError(f"corner must be 0, 1 or 2, got {corner!r}")
+        return tuple.__new__(cls, (word, corner))
 
     @property
     def level(self) -> int:
         return len(self.word)
 
     def canonical(self) -> "VertexAddress":
-        word, corner = self.word, self.corner
-        tail = str(corner)
-        while word.endswith(tail):
-            word = word[:-1]
+        corner, tail = self.corner, str(self.corner)
+        word = self.word.rstrip(tail)
         if word and int(word[-1]) > corner:
             word, corner = word[:-1] + tail, int(word[-1])
-        if word == self.word and corner == self.corner:
+        if (word, corner) == self:
             return self
-        out = object.__new__(VertexAddress)
-        vars(out).update(word=word, corner=corner)  # a checked word respelled: no second check
-        return out
+        return tuple.__new__(VertexAddress, (word, corner))  # a checked word respelled: no second check
 
     def __str__(self) -> str:
         return f"{self.word}:{self.corner}"

@@ -20,10 +20,9 @@ edge monotonicity check, and the Laplacian rescaling factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     LETTERS,
@@ -47,7 +46,6 @@ from .core import (
     vec_dot,
     word_matrix,
 )
-from .harmonic import Harmonic, measure_coeffs
 from .measures import (
     BASIS_COEFFS,
     KUSUOKA,
@@ -56,6 +54,9 @@ from .measures import (
     is_positive,
     subtree_row,
 )
+
+if TYPE_CHECKING:
+    from .harmonic import Harmonic
 
 #: Limit rows: row j annihilates exactly the measures whose derivative
 #: vanishes at corner j; pairing with a children triple gives the numerator
@@ -125,12 +126,8 @@ def _derivative_raw(c: MeasureCoeffs, word: str, corner: int) -> Fraction:
 
 
 def rn_derivative_via_mass(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
-    """The same value as ``rn_derivative``, which it calls.
-
-    The transposed-mass form it once computed is the integer pairing that
-    ``rn_derivative`` now uses, so it is no second route; the name stays
-    because the benchmark's point queries call it.
-    """
+    """The same value as ``rn_derivative``, which it calls: no second route,
+    but the name the benchmark's point queries call."""
     return rn_derivative(c, vertex)
 
 
@@ -175,6 +172,7 @@ def skew_energy_gap(h: Harmonic, word: str = "") -> Fraction:
     Zero exactly when the restriction of ``h`` to the cell satisfies the
     skew condition about corner 0 (constants included).
     """
+    from .harmonic import measure_coeffs  # only here, so ``derivative`` never loads harmonic
     return axis_gap(measure_coeffs(h, h), word, 0)
 
 
@@ -188,8 +186,7 @@ class DecayClass(Enum):
     UNCLASSIFIED = "unclassified"  # every mass is zero
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     values: tuple[Fraction, ...]
     classification: DecayClass
 

@@ -11,7 +11,6 @@ steps integer numerators over one common scale by its own one-letter step
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -209,8 +208,7 @@ class SymmetryKind(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(NamedTuple):
     kind: SymmetryKind
     axis: int | None = None
 

@@ -143,11 +143,7 @@ def refine_step(x: IntRow, j: int) -> IntRow:
 def level1_from_coeffs(c: MeasureCoeffs) -> CellTriple:
     """Child masses of the whole gasket for coefficient triple ``c``."""
     s = vec_sum(c)
-    return (
-        Fraction(2, 5) * (s + 2 * c[0]),
-        Fraction(2, 5) * (s + 2 * c[1]),
-        Fraction(2, 5) * (s + 2 * c[2]),
-    )
+    return tuple(Fraction(2, 5) * (s + 2 * x) for x in c)  # type: ignore[return-value]
 
 
 def selfsim_identity_gap(word: str, letter: int) -> Fraction:
@@ -189,17 +185,19 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     """Shortest (then lexicographically first) cell word with negative mass.
 
     Returns ``None`` when every cell down to ``max_depth`` has nonnegative
-    mass.  Subtrees whose restricted coefficients already satisfy the cone
-    test are skipped -- every cell below them is nonnegative.  Raises
-    ``ValueError`` for ``max_depth < 0``.
+    mass.  The cone is tested once, at the root: each scaled mass generator
+    multiplies ``cone_value`` by 9 (M_j A M_j^T == 9 A), so every cell shares
+    its sign, and a positive measure has no negative cell; otherwise every
+    level is walked whole.  Raises ``ValueError`` for ``max_depth < 0``.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    if total_mass(c) < 0:
+    # (word, row) pairs: numerators of subtree_coeffs over den*15^depth, in word order
+    level = [("", row := int_row(c)[0])]
+    if sum(row) < 0:
         return ""
-    # (word, row) pairs, the rows integer numerators of subtree_coeffs scaled
-    # by den*15^depth; each level is stepped in word order
-    level = [("", int_row(c)[0])]
+    if cone_value(row) >= 0:
+        return None
     for _ in range(max_depth):
         below = []
         for word, row in level:
@@ -207,10 +205,7 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
                 r = row_step(row, g)
                 if r[0] + r[1] + r[2] < 0:
                     return word + ch
-                if cone_value(r) < 0:  # else positive inside: nothing negative below
-                    below.append((word + ch, r))
-        if not below:
-            return None
+                below.append((word + ch, r))
         level = below
     return None
 

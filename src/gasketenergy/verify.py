@@ -24,6 +24,7 @@ from .core import (
     VertexAddress,
     all_vertices,
     mat_mul,
+    walk_level,
     word_matrix,
 )
 from .harmonic import (
@@ -40,6 +41,7 @@ from .harmonic import (
 )
 from .measures import (
     BASIS_COEFFS,
+    children_row_via_refine,
     children_triple,
     children_triple_via_refine,
     cone_value,
@@ -47,6 +49,7 @@ from .measures import (
     find_negative_cell,
     is_positive,
     measure_of_cell,
+    refine_step,
     selfsim_identity_gap,
     total_mass,
 )
@@ -184,9 +187,10 @@ def measures_suite(max_depth: int) -> Iterator[Check]:
                   if cone_value(c := measure_coeffs(h, h)) != 0 or not is_positive(c)))
 
     def positivity_misses():
-        for _ in range(50):
+        for _ in range(50):  # the refine route's cell masses, which no cone test decides
             c = _rand_positive_coeffs(rng)
-            if find_negative_cell(c, max_depth=min(level + 2, 7)) is not None:
+            kids = walk_level(min(level + 1, 6), children_row_via_refine(c, "")[0], refine_step)
+            if find_negative_cell(c, min(level + 2, 7)) is not None or any(min(x) < 0 for _, x in kids):
                 yield c
         for c in (_rand_coeffs(rng) for _ in range(50)):
             if not is_positive(c) and total_mass(c) > 0:

@@ -295,6 +295,17 @@ def test_structure_and_symmetry_checks_name_their_first_counterexample(monkeypat
     assert checks["harmonic.symmetry-classes"] == (False, "counterexample (1, 1, 1)")
 
 
+def test_positivity_scan_reads_masses_the_cone_test_does_not_decide(monkeypatch):
+    """``find_negative_cell`` answers a positive measure from its root cone
+    test alone, so the scan checks the refine route's cell masses too: a
+    letter-2 step with its sign flipped makes a positive triple fail."""
+    real = verify.refine_step
+    monkeypatch.setattr(verify, "refine_step",
+                        lambda x, j: tuple(-v for v in real(x, j)) if j == 2 else real(x, j))
+    checks = {name: ok for name, ok, _ in verify.measures_suite(2)}
+    assert checks["measures.positivity-scan"] is False
+
+
 def test_vertex_count_names_its_level(monkeypatch):
     monkeypatch.setattr(verify, "all_vertices", lambda level: set())
     check = next(c for c in verify.core_suite(2) if c[0] == "core.vertex-count")
@@ -481,18 +492,31 @@ import gasketenergy.cli as cli
 loaded = [m for m in ("numpy", "gasketenergy.dynamics", "concurrent.futures", "gasketenergy.core",
                       "gasketenergy.verify") if m in sys.modules]
 assert not loaded, f"import gasketenergy.cli loaded {loaded}"
-for argv in (["measure", "--coeffs", "1,1,1", "--word", "01"],
-             ["derivative", "--coeffs", "1,0,0", "--vertex", "1:2"],
-             ["bvector", "--word", "012"],
-             ["bvector", "--level", "2"],
-             ["edge-profile", "--coeffs", "1,0,0", "--depth", "3"],
-             ["verify", "--suite", "core", "--max-depth", "1"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
-    if argv[0] in ("measure", "derivative"):
-        loaded = [m for m in ("gasketenergy.verify", "gasketenergy.bvectors") if m in sys.modules]
-        assert not loaded, f"{argv} loaded {loaded}"
+argv, absent = sys.argv[1].split(), sys.argv[2].split()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0, argv
+loaded = [m for m in absent if m in sys.modules]
+assert not loaded, f"{argv} loaded {loaded}"
+"""
+
+#: Each command, run in a process of its own, with the modules it must not
+#: load: none loads numpy, and none but ``verify`` loads ``dataclasses`` or
+#: ``inspect`` (10-14 ms to import) or a module only another command uses.
+_SLOW_IMPORTS = "numpy dataclasses inspect "
+COMMAND_IMPORTS = (
+    ("measure --coeffs 1,1,1 --word 01",
+     _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.bvectors gasketenergy.derivatives gasketenergy.harmonic"),
+    ("derivative --coeffs 1,0,0 --vertex 1:2",
+     _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.bvectors gasketenergy.harmonic"),
+    ("bvector --word 012", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.derivatives gasketenergy.harmonic"),
+    ("bvector --level 2", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.derivatives gasketenergy.harmonic"),
+    ("edge-profile --coeffs 1,0,0 --depth 3", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.harmonic"),
+    ("verify --suite core --max-depth 1", "numpy"),
+)
+
+DYNAMICS_GUARD = """
+import contextlib, io, sys
+import gasketenergy.cli as cli
 import gasketenergy.dynamics
 assert "concurrent.futures" not in sys.modules, "import gasketenergy.dynamics loaded concurrent.futures"
 with contextlib.redirect_stdout(io.StringIO()):
@@ -502,7 +526,11 @@ assert "concurrent.futures" not in sys.modules, "a one-task histogram loaded con
 
 
 def test_exact_commands_load_no_numpy():
-    proc = _python("-c", IMPORT_GUARD, stderr=subprocess.PIPE)
+    for argv, absent in COMMAND_IMPORTS:
+        proc = _python("-c", IMPORT_GUARD, argv, absent, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+    proc = _python("-c", DYNAMICS_GUARD, stderr=subprocess.PIPE)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err.decode()
 

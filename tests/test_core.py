@@ -1,5 +1,6 @@
 """Exact scalars, generator matrices, words, and vertex addresses."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,39 @@ def test_vertex_parse_round_trip():
         VertexAddress.parse("012")
     with pytest.raises(ValueError):
         VertexAddress.parse("01:3")
+
+
+def test_vertex_address_is_its_word_and_corner():
+    """Hash, order, repr, str and pickle all read the pair ``(word, corner)``."""
+    v = VertexAddress("012", 1)
+    assert hash(v) == hash(("012", 1)) and v == VertexAddress("012", 1)
+    assert sorted([VertexAddress("1", 0), VertexAddress("0", 2), VertexAddress("", 1),
+                   VertexAddress("0", 1)]) == [VertexAddress("", 1), VertexAddress("0", 1),
+                                               VertexAddress("0", 2), VertexAddress("1", 0)]
+    assert VertexAddress("0", 2) < VertexAddress("1", 0) and not VertexAddress("1", 0) < VertexAddress("0", 2)
+    assert repr(v) == "VertexAddress(word='012', corner=1)" and str(v) == "012:1"
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and type(back) is VertexAddress and back.level == 3
+
+
+@pytest.mark.parametrize("word, corner, message", [
+    ("013", 0, "invalid letter '3' in word '013'"),
+    ("0", 3, "corner must be 0, 1 or 2, got 3"),
+    ("0", "1", "corner must be 0, 1 or 2, got '1'"),
+    (5, 0, "word must be a string, got int"),
+    ("0" * 65, 1, "word length 65 exceeds the cap 64"),
+], ids=["letter", "corner", "corner-type", "word-type", "length"])
+def test_vertex_address_messages(word, corner, message):
+    with pytest.raises(ValueError) as exc:
+        VertexAddress(word, corner)
+    assert str(exc.value) == message
+
+
+def test_canonical_returns_a_canonical_address_itself():
+    for v in (VertexAddress("0", 1), VertexAddress("", 2), VertexAddress("1020", 1)):
+        assert v.canonical() is v
+    respelled = VertexAddress("1", 0).canonical()
+    assert type(respelled) is VertexAddress and respelled == ("0", 1)
 
 
 @pytest.mark.parametrize("level,count", [(0, 3), (1, 6), (2, 15), (3, 42)])
