@@ -149,7 +149,9 @@ def weighted_average_gap(c: MeasureCoeffs, word: str) -> Fraction:
     check_word(word)
     b = b_from_mass(word)
     average = measure_of_cell(c, word) / measure_of_cell(KUSUOKA, word)
-    corners = sum(b[j] * rn_derivative(c, VertexAddress(word, j)) for j in range(3))
+    corners = sum(
+        b[j] * rn_derivative(c, VertexAddress(word, j)) for j in range(3)
+    )
     return average - corners
 
 

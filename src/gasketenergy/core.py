@@ -431,7 +431,8 @@ class VertexAddress(NamedTuple("VertexAddress", [("word", str), ("corner", int)]
     ``canonical()`` picks the spelling whose final letter is the smaller of
     the two, and collapses the degenerate corner-fixed-point spellings of the
     three outer vertices to the empty word.  It hashes, orders and pickles as
-    the tuple ``(word, corner)``."""
+    the tuple ``(word, corner)``; ``_make`` and ``_replace`` check as the
+    constructor does."""
 
     __slots__ = ()
 
@@ -440,6 +441,13 @@ class VertexAddress(NamedTuple("VertexAddress", [("word", str), ("corner", int)]
         if corner not in (0, 1, 2):
             raise ValueError(f"corner must be 0, 1 or 2, got {corner!r}")
         return tuple.__new__(cls, (word, corner))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "VertexAddress":
+        return cls(*iterable)  # checked, unlike NamedTuple's own
+
+    def _replace(self, **changes: Any) -> "VertexAddress":
+        return VertexAddress(**{**self._asdict(), **changes})
 
     @property
     def level(self) -> int:

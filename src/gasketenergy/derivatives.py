@@ -126,8 +126,12 @@ def _derivative_raw(c: MeasureCoeffs, word: str, corner: int) -> Fraction:
 
 
 def rn_derivative_via_mass(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
-    """The same value as ``rn_derivative``, which it calls: no second route,
-    but the name the benchmark's point queries call."""
+    """The same value as ``rn_derivative``, which it calls.
+
+    The transposed-mass form it once computed is the integer pairing that
+    ``rn_derivative`` now uses, so it is no second route; the name stays
+    because the benchmark's point queries call it.
+    """
     return rn_derivative(c, vertex)
 
 

@@ -143,7 +143,11 @@ def refine_step(x: IntRow, j: int) -> IntRow:
 def level1_from_coeffs(c: MeasureCoeffs) -> CellTriple:
     """Child masses of the whole gasket for coefficient triple ``c``."""
     s = vec_sum(c)
-    return tuple(Fraction(2, 5) * (s + 2 * x) for x in c)  # type: ignore[return-value]
+    return (
+        Fraction(2, 5) * (s + 2 * c[0]),
+        Fraction(2, 5) * (s + 2 * c[1]),
+        Fraction(2, 5) * (s + 2 * c[2]),
+    )
 
 
 def selfsim_identity_gap(word: str, letter: int) -> Fraction:

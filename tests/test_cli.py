@@ -500,9 +500,11 @@ assert not loaded, f"{argv} loaded {loaded}"
 """
 
 #: Each command, run in a process of its own, with the modules it must not
-#: load: none loads numpy, and none but ``verify`` loads ``dataclasses`` or
+#: load: none loads numpy, ``dynamics`` or ``concurrent.futures`` (the whole
+#: guard once ran in one process that imported ``dynamics`` last and checked
+#: for ``concurrent.futures``), and none but ``verify`` loads ``dataclasses`` or
 #: ``inspect`` (10-14 ms to import) or a module only another command uses.
-_SLOW_IMPORTS = "numpy dataclasses inspect "
+_SLOW_IMPORTS = "numpy concurrent.futures gasketenergy.dynamics dataclasses inspect "
 COMMAND_IMPORTS = (
     ("measure --coeffs 1,1,1 --word 01",
      _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.bvectors gasketenergy.derivatives gasketenergy.harmonic"),
@@ -511,7 +513,9 @@ COMMAND_IMPORTS = (
     ("bvector --word 012", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.derivatives gasketenergy.harmonic"),
     ("bvector --level 2", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.derivatives gasketenergy.harmonic"),
     ("edge-profile --coeffs 1,0,0 --depth 3", _SLOW_IMPORTS + "gasketenergy.verify gasketenergy.harmonic"),
-    ("verify --suite core --max-depth 1", "numpy"),
+    ("verify --suite core --max-depth 1", "numpy concurrent.futures gasketenergy.dynamics"),
+    ("verify --suite measures --max-depth 1", "numpy concurrent.futures gasketenergy.dynamics"),
+    ("verify --suite harmonic --max-depth 1", "numpy concurrent.futures gasketenergy.dynamics"),
 )
 
 DYNAMICS_GUARD = """

@@ -166,6 +166,16 @@ def test_vertex_address_messages(word, corner, message):
     assert str(exc.value) == message
 
 
+def test_vertex_address_make_and_replace_check_as_the_constructor_does():
+    v = VertexAddress("01", 2)
+    assert v._replace(corner=0) == VertexAddress("01", 0) and type(v._replace()) is VertexAddress
+    assert VertexAddress._make(("1", 1)) == VertexAddress("1", 1)
+    with pytest.raises(ValueError, match="corner must be 0, 1 or 2, got 7"):
+        v._replace(corner=7)
+    with pytest.raises(ValueError, match="invalid letter '3' in word '3'"):
+        VertexAddress._make(("3", 0))
+
+
 def test_canonical_returns_a_canonical_address_itself():
     for v in (VertexAddress("0", 1), VertexAddress("", 2), VertexAddress("1020", 1)):
         assert v.canonical() is v
