@@ -25,12 +25,12 @@ from .core import (
     MASS_SCALED,
     REFINE_DEN,
     REFINE_SCALED,
-    LETTERS,
     IntRow,
     Vec3,
     check_word,
     format_rational,
     int_row,
+    lex_word,
     parse_rational,
     row_step,
     row_walk,
@@ -189,27 +189,27 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     """Shortest (then lexicographically first) cell word with negative mass.
 
     Returns ``None`` when every cell down to ``max_depth`` has nonnegative
-    mass.  The cone is tested once, at the root: each scaled mass generator
-    multiplies ``cone_value`` by 9 (M_j A M_j^T == 9 A), so every cell shares
-    its sign, and a positive measure has no negative cell; otherwise every
-    level is walked whole.  Raises ``ValueError`` for ``max_depth < 0``.
+    mass and raises ``ValueError`` for ``max_depth < 0``.  The cone is tested
+    once, at the root: each scaled mass generator multiplies ``cone_value`` by
+    9 (M_j A M_j^T == 9 A), so every cell shares its sign, and a positive
+    measure has no negative cell.  Else each level is walked whole, as bare
+    ``subtree_row`` rows, and ``lex_word`` spells only the first negative one.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    # (word, row) pairs: numerators of subtree_coeffs over den*15^depth, in word order
-    level = [("", row := int_row(c)[0])]
+    level = [row := int_row(c)[0]]
     if sum(row) < 0:
         return ""
     if cone_value(row) >= 0:
         return None
-    for _ in range(max_depth):
+    for depth in range(1, max_depth + 1):
         below = []
-        for word, row in level:
-            for ch, g in zip(LETTERS, MASS_SCALED):
+        for row in level:
+            for g in MASS_SCALED:
                 r = row_step(row, g)
                 if r[0] + r[1] + r[2] < 0:
-                    return word + ch
-                below.append((word + ch, r))
+                    return lex_word(len(below), depth)
+                below.append(r)
         level = below
     return None
 

@@ -1,11 +1,14 @@
 """Cell masses, cross-route subdivision, the positivity cone."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasketenergy import measures
 from gasketenergy.core import REFINE_GENERATORS, mat_vec
 from gasketenergy.harmonic import BASIS, Harmonic, cell_energy, measure_coeffs
 from gasketenergy.measures import (
@@ -134,6 +137,71 @@ def test_find_negative_cell_rejects_a_negative_depth():
     for depth in (-1, -5):
         with pytest.raises(ValueError, match="nonnegative"):
             find_negative_cell(c, max_depth=depth)
+
+
+def first_negative_cell(c, max_depth):
+    """Brute force: every word by length, then lexicographically, by ``measure_of_cell``."""
+    for depth in range(max_depth + 1):
+        for w in map("".join, itertools.product("012", repeat=depth)):
+            if measure_of_cell(c, w) < 0:
+                return w
+    return None
+
+
+def seeded_exterior(n):
+    rng = random.Random(2_718)
+    found = []
+    while len(found) < n:
+        c = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        if cone_value(c) < 0 and sum(c) > 0:  # a negative sum is answered at the root
+            found.append(c)
+    return found
+
+
+def nudged_skew_boundary():
+    """Energy measures of harmonics skew about a corner, moved sum/10^6 outside
+    the cone: their first negative cell is that corner's depth-7 cell."""
+    for scale in (Fraction(1), Fraction(8, 3), Fraction(1, 25)):
+        for corner in range(3):
+            c0 = tuple(scale * (-1 if k == corner else 2) for k in range(3))
+            yield corner, tuple(x - sum(c0) / 10**6 for x in c0)
+
+
+def test_find_negative_cell_is_the_first_negative_word_by_length():
+    depths = [0, 1, 2, 3, 4, 5] * 34
+    for c, depth in zip(seeded_exterior(204), depths):
+        assert find_negative_cell(c, max_depth=depth) == first_negative_cell(c, depth), (c, depth)
+
+
+def test_find_negative_cell_reaches_the_skew_boundary_corner_cells():
+    for corner, c in nudged_skew_boundary():
+        w = find_negative_cell(c, max_depth=10)
+        assert w == str(corner) * 7 == first_negative_cell(c, 7), (c, w)
+        assert find_negative_cell(c, max_depth=6) is None
+        assert first_negative_cell(c, 6) is None
+
+
+def test_find_negative_cell_steps_each_child_once_up_to_the_hit(monkeypatch):
+    calls, step = [], measures.row_step
+
+    def counted(row, g):
+        calls.append(g)
+        return step(row, g)
+
+    monkeypatch.setattr(measures, "row_step", counted)
+    skew = [c for _, c in nudged_skew_boundary()]
+    for c in seeded_exterior(24) + skew[:6] + [tuple(-x for x in KUSUOKA)]:
+        calls.clear()
+        w = find_negative_cell(c, max_depth=10)
+        d, i = len(w), int(w or "0", 3)
+        assert len(calls) == (3 ** d - 3) // 2 + i + 1, (c, w)
+    calls.clear()
+    assert find_negative_cell(skew[0], max_depth=6) is None
+    assert len(calls) == (3 ** 7 - 3) // 2
+    for c in (KUSUOKA, E0, (Fraction(2), Fraction(1), Fraction(1))):
+        calls.clear()
+        assert find_negative_cell(c, max_depth=10) is None
+        assert calls == []
 
 
 def test_decompose_uniform_measure_exactly():
