@@ -35,6 +35,7 @@ from .core import (
     limb_sign,
     row_step,
     row_walk,
+    scratch,
     subtree_levels,
     walk_level,
 )
@@ -210,21 +211,27 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _e2_positive(c0, c1, c2):
-    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by
-    ``core.limb_sign``: exact on ``object`` arrays and on ``int64`` arrays
+def _e2_positive(c0, c1, c2, buf=None):
+    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by ``core.limb_sign``, with
+    c0 + c1 and the limbs in scratch ``buf``: exact on ``object`` arrays and on ``int64`` arrays
     with every |c_j| < 2**59, so that |c0 + c1| < 2**60."""
-    return limb_sign(c0, c1, c2, c0 + c1) > 0
+    import numpy as np
+
+    buf = scratch(buf, 9, len(c0), c0.dtype)
+    return limb_sign(c0, c1, c2, np.add(c0, c1, out=buf[0, :len(c0)]), buf[1:]) > 0
 
 
-def _first_offender(rows) -> Optional[int]:
-    """Index of the first column-sum row failing a ``scan_bounds`` test, or
-    None; ``rows`` is an ``(n, 3)`` block array of ``core.subtree_levels``."""
-    c0, c1, c2 = rows[:, 0], rows[:, 1], rows[:, 2]
-    total = c0 + c1 + c2
-    bad = ~_e2_positive(c0, c1, c2)
+def _first_offender(rows, buf=None) -> Optional[int]:
+    """Index of the first row of block ``rows`` (``core.subtree_levels``) failing a ``scan_bounds``
+    test, or None; the totals, the e2 test and the six coordinate tests share scratch ``buf``."""
+    import numpy as np
+
+    buf = scratch(buf, 10, len(rows), rows.dtype)
+    (total, t), (c0, c1, c2) = buf[:2, :len(rows)], rows.T
+    bad = ~_e2_positive(c0, c1, c2, buf[1:])
+    np.add(np.add(c0, c1, out=total), c2, out=total)
     for cj in (c0, c1, c2):
-        bad |= (total + 3 * cj <= 0) | (cj >= total)
+        bad |= (np.add(total, np.multiply(cj, 3, out=t), out=t) <= 0) | (cj >= total)
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -245,12 +252,10 @@ def scan_bounds(max_level: int) -> Optional[str]:
     has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
     what makes the scan a check.
 
-    The rows are walked as numpy level arrays by ``core.subtree_levels``,
-    which picks their dtype itself before any work: it bounds the largest
-    entry by max|row_0| * g^max_level, g the largest absolute column sum of
-    the generators (13^15 < 2**59 for the mass family), and runs ``int64``
-    under 2**59 and ``object`` otherwise, so every answer is exact and no
-    level is refused.
+    ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
+    it proves before any work (``int64`` through max_level 15, as 13^15 <
+    2**59, ``object`` beyond), so every answer is exact and no level is
+    refused.  The call owns one scratch array, which every block reuses.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -259,9 +264,10 @@ def scan_bounds(max_level: int) -> Optional[str]:
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    hits = []
+    hits, buf = [], None
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
-        i = _first_offender(rows)
+        buf = scratch(buf, 10, len(rows), rows.dtype)
+        i = _first_offender(rows, buf)
         if i is not None:
             hits.append(lex_word(start + i, depth))
     return min(hits, default=None)

@@ -299,7 +299,14 @@ _LIMB = 30
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def limb_sign(a, b, c, d):
+def scratch(buf, rows: int, n: int, dtype):
+    """``buf`` if its rows hold ``n`` entries, else a new ``(rows, n)`` array of ``dtype``."""
+    import numpy as np
+
+    return buf if buf is not None and buf.shape[1] >= n else np.empty((rows, n), dtype)
+
+
+def limb_sign(a, b, c, d, buf=None):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
     ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
@@ -316,18 +323,27 @@ def limb_sign(a, b, c, d):
     less than 2**33, so no sum leaves ``int64``.  After them the low 30 bits
     of ``mid`` and ``lo`` are all that is left below ``hi * 2**60``, so the
     sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
-    nonzero.
+    nonzero.  Limbs and sums go into eight rows of the caller's scratch ``buf``.
     """
     if a.dtype == object:
         v = a * b + c * d
         return (v > 0).astype("int8") - (v < 0)
-    ha, hb, hc, hd = a >> _LIMB, b >> _LIMB, c >> _LIMB, d >> _LIMB
-    la, lb, lc, ld = a & _LIMB_MASK, b & _LIMB_MASK, c & _LIMB_MASK, d & _LIMB_MASK
-    lo = la * lb + lc * ld
-    mid = ha * lb + la * hb + hc * ld + lc * hd + (lo >> _LIMB)
-    hi = ha * hb + hc * hd + (mid >> _LIMB)
-    rest = ((mid | lo) & _LIMB_MASK) != 0
-    return ((hi > 0) | ((hi == 0) & rest)).astype("int8") - (hi < 0)
+    import numpy as np
+
+    ha, la, hb, lb, lo, mid, hi, t = scratch(buf, 8, len(a), a.dtype)[:8, :len(a)]
+    lo[:] = mid[:] = hi[:] = 0
+    for x, y in ((a, b), (c, d)):  # an int factor splits into two ints
+        (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else
+                              (np.right_shift(v, _LIMB, out=h), np.bitwise_and(v, _LIMB_MASK, out=l))
+                              for v, h, l in ((x, ha, la), (y, hb, lb)))
+        lo += np.multiply(lx, ly, out=t)
+        mid += np.multiply(hx, ly, out=t)
+        mid += np.multiply(lx, hy, out=t)
+        hi += np.multiply(hx, hy, out=t)
+    mid += np.right_shift(lo, _LIMB, out=t)
+    hi += np.right_shift(mid, _LIMB, out=t)
+    rest = np.bitwise_and(np.bitwise_or(mid, lo, out=t), _LIMB_MASK, out=t) != 0
+    return ((hi == 0) & rest) | np.sign(hi, out=hi).astype("int8")
 
 
 def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> str:

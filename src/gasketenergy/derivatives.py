@@ -42,6 +42,7 @@ from .core import (
     mat_scale,
     row_step,
     row_walk,
+    scratch,
     subtree_levels,
     vec_dot,
     word_matrix,
@@ -238,8 +239,6 @@ class ScanResult(NamedTuple):
 #: Edges {j, k} of a cell, j < k; the midpoint of edge {j, k} of cell ``w``
 #: has the canonical address ``w + j : k``.
 _EDGES = ((0, 1), (0, 2), (1, 2))
-_EDGE_FIRST = [j for j, _ in _EDGES]
-_EDGE_SECOND = [k for _, k in _EDGES]
 
 
 def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult:
@@ -259,34 +258,38 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     evaluated once, as (r_j + r_k) / (q_j + q_k) from that subcell's rows
     (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
 
-    Subcells come from the block walk ``core.subtree_levels`` as numpy level
-    arrays of the dtype the walk proves for itself (``int64`` while no row
-    entry can reach 2**59, Python ints otherwise).  Each block's midpoint
-    ratios are compared with the running extremum by one ``core.limb_sign``
-    pass; see ``_least``.
+    Subcells come from the block walk ``core.subtree_levels`` in the dtype it
+    proves (``int64`` below 2**59, Python ints otherwise).  Each block's
+    midpoint ratios go into scratch the call owns and meet the running
+    extremum in one ``core.limb_sign`` pass; see ``_least``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
     if depth < 1:
         raise ValueError("scan_extrema needs depth >= 1; the cell has no interior vertices at depth 0")
+    import numpy as np
+
     r0, q0 = _cell_rows(c, word)
     # running extrema as (numerator, positive denominator, canonical key),
     # seeded with the midpoint of the cell's edge {0, 1}; the maximum is
     # kept as the least of the negated values
     lo = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
-    hi = (-lo[0], lo[1], lo[2])
+    hi, buf = (-lo[0], lo[1], lo[2]), None
     for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
         # entry 3 i + e is the midpoint of edge e of the block's cell i, so
         # entries rise in key order
-        num = (rs[:, _EDGE_FIRST] + rs[:, _EDGE_SECOND]).ravel()
-        dnm = (qs[:, _EDGE_FIRST] + qs[:, _EDGE_SECOND]).ravel()
+        buf = scratch(buf, 11, 3 * len(rs), rs.dtype)
+        num, dnm, neg = buf[:3, :3 * len(rs)]
+        for e, (j, k) in enumerate(_EDGES):
+            np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
+            np.add(qs[:, j], qs[:, k], out=dnm.reshape(-1, 3)[:, e])
 
         def key(i: int) -> tuple[str, int]:
             j, k = _EDGES[i % 3]
             return word + lex_word(start + i // 3, d) + LETTERS[j], k
 
-        lo = _least(lo, num, dnm, key)
-        hi = _least(hi, -num, dnm, key)
+        lo = _least(lo, num, dnm, key, buf[3:])
+        hi = _least(hi, np.negative(num, out=neg), dnm, key, buf[3:])
     return ScanResult(
         Fraction(lo[0], lo[1]),
         Fraction(-hi[0], hi[1]),
@@ -295,7 +298,7 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     )
 
 
-def _least(best, num, dnm, key):
+def _least(best, num, dnm, key, buf):
     """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
     (every ``dnm > 0``): the least ratio, and among equal ratios the least
     key, where ``key(i)`` is the key of entry ``i`` and rises with ``i``.
@@ -308,7 +311,7 @@ def _least(best, num, dnm, key):
     all-equal block (the Kusuoka measure) costs the one pass.
     """
     n, d, k = best
-    s = limb_sign(num, d, -n, dnm)  # sign of num / dnm - n / d
+    s = limb_sign(num, d, -n, dnm, buf)  # sign of num / dnm - n / d
     below = (s < 0).nonzero()[0]
     if below.size:
         i = min(below.tolist(), key=lambda i: Fraction(int(num[i]), int(dnm[i])))

@@ -285,6 +285,20 @@ def test_column_sum_rows_have_e2_three_times_nine_to_the_level():
         rows = children(rows)
 
 
+def test_column_sum_totals_stay_below_three_times_nine_to_the_level():
+    """The bound the int64 scans rest on: every row total T_w of the
+    column-sum walk from (1, 1, 1) lies below 3 * 9^n, and the level
+    maximum, exactly 3 (9^n + 1) / 2, is reached only at the three constant
+    words."""
+    rows = [(1, 1, 1)]
+    for n in range(1, 9):
+        rows = children(rows)
+        totals = [sum(row) for row in rows]
+        top = max(totals)
+        assert top == 3 * (9**n + 1) // 2 and top < 3 * 9**n, n
+        assert [lex_word(i, n) for i, t in enumerate(totals) if t == top] == [ch * n for ch in LETTERS], n
+
+
 @given(st.tuples(*[st.integers(min_value=-10**6, max_value=10**6)] * 3))
 def test_disk_sum_from_e2(row):
     """sum (3c_j - T)^2 == 6 T^2 - 18 e2."""
@@ -616,6 +630,28 @@ def test_limb_sign_matches_python_ints_at_its_bound(dtype):
     assert core.limb_sign(a, 3, -5, d).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
 
 
+SENTINEL = -(2**62) + 12_345
+
+
+def test_limb_sign_reuses_one_scratch_across_lengths():
+    """One scratch, sentinel-filled before each call, through calls that
+    shrink and then grow: each answer is the Python-int sign, and nothing
+    past the call's length is written."""
+    import numpy as np
+
+    quads = limb_quads(random.Random(6_061))
+    buf = np.empty((8, len(quads)), dtype="int64")
+    for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
+        part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
+        a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
+        for args, products in (((a, b, c, d), (p * q + r * t for p, q, r, t in part)),
+                               ((a, 3, -5, d), (p * 3 - 5 * t for p, _, _, t in part))):
+            buf.fill(SENTINEL)
+            got = core.limb_sign(*args, buf)
+            assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
+            assert (buf[:, len(part):] == SENTINEL).all(), m
+
+
 def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
     assert core.array_dtype(one, MASS_SCALED, 15) == "int64"  # 13**15 < 2**59
@@ -645,6 +681,99 @@ def test_scan_bounds_true_family_matches_reference():
     for level in range(8):
         assert bv.scan_bounds(level) is None
         assert reference_scan_bounds(MASS_SCALED, level) is None
+
+
+# ---------------------------------------------------------------------------
+# the scans' own scratch
+# ---------------------------------------------------------------------------
+
+def snapshot_blocks(monkeypatch, module):
+    """Patch ``module.subtree_levels`` to copy every block before it is
+    yielded; returns the growing list of (block, copy) pairs."""
+    seen = []
+
+    def walk(*args):
+        for depth, start, level in subtree_levels(*args):
+            seen.extend((fam, fam.copy()) for fam in level)
+            yield depth, start, level
+
+    monkeypatch.setattr(module, "subtree_levels", walk)
+    return seen
+
+
+def read_only_limb_sign(monkeypatch, module):
+    """Patch ``module.limb_sign`` to assert that each call leaves its four
+    factors as it found them; returns the list of call lengths."""
+    calls = []
+
+    def spy(*args):
+        before = [x.tolist() if hasattr(x, "tolist") else x for x in args[:4]]
+        out = core.limb_sign(*args)
+        assert [x.tolist() if hasattr(x, "tolist") else x for x in args[:4]] == before
+        calls.append(len(args[0]))
+        return out
+
+    monkeypatch.setattr(module, "limb_sign", spy)
+    return calls
+
+
+@pytest.mark.parametrize("bound, dtype", [(2**59, "int64"), (13**3, "object")])
+def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
+    """``subtree_levels`` steps every yielded block again to make its
+    children, so a scan that wrote into a block through an ``out=`` view
+    would corrupt the walk without an error: every block and every
+    ``limb_sign`` factor must read after the scan as it did before."""
+    import numpy as np
+
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 3**4)
+    blocks = [snapshot_blocks(monkeypatch, dv), snapshot_blocks(monkeypatch, bv)]
+    calls = [read_only_limb_sign(monkeypatch, dv), read_only_limb_sign(monkeypatch, bv)]
+    for c in (SCAN_MEASURES[-1], KUSUOKA):
+        assert dv.scan_extrema(c, "2", 7) == reference_scan_extrema(c, "2", 7)
+    assert bv.scan_bounds(7) is None
+    rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype=dtype)
+    before = rows.copy()
+    assert bv._first_offender(rows, core.scratch(None, 10, len(rows), rows.dtype)) is not None
+    assert rows.tolist() == before.tolist()
+    assert all(calls) and all(len(seen) > 6 for seen in blocks)
+    for fam, copy in blocks[0] + blocks[1]:
+        assert fam.dtype == dtype and fam.tolist() == copy.tolist()
+
+
+def poison_fresh_scratch(monkeypatch):
+    """Fill every scratch array ``core.scratch`` makes with a sentinel, so a
+    scan that reads scratch before writing it shows."""
+    real = core.scratch
+
+    def scratch(buf, rows, n, dtype):
+        out = real(buf, rows, n, dtype)
+        if out is not buf:
+            out.fill(SENTINEL)
+        return out
+
+    for module in (core, dv, bv):
+        monkeypatch.setattr(module, "scratch", scratch)
+
+
+@pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
+def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block):
+    """The scans' scratch, sentinel-filled when made, grows with the blocks
+    and is reused across them: the Kusuoka measure's all-tie blocks, the
+    captured deep extrema and the planted deep offenders come out the same
+    at every block size."""
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
+    poison_fresh_scratch(monkeypatch)
+    first = VertexAddress("0", 1)
+    assert dv.scan_extrema(KUSUOKA, "", 10) == (ONE, ONE, first, first)
+    for (c, word, depth), (lo, hi, argmin, argmax) in DEEP_SCANS.items():
+        got = dv.scan_extrema(tuple(map(Fraction, c)), word, depth)
+        assert got == (Fraction(lo), Fraction(hi), VertexAddress.parse(argmin), VertexAddress.parse(argmax))
+    assert bv.scan_bounds(11) is None
+    for gens, first_offender, _ in PLANTED:
+        monkeypatch.setattr(bv, "MASS_SCALED", gens)
+        assert bv.scan_bounds(len(first_offender)) == first_offender
+        assert bv.scan_bounds(10) == reference_scan_bounds(gens, 10)
 
 
 # ---------------------------------------------------------------------------
