@@ -211,22 +211,20 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _e2_positive(c0, c1, c2, buf=None):
+def _e2_positive(c0, c1, c2, buf):
     """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by ``core.limb_sign``, with
-    c0 + c1 and the limbs in scratch ``buf``: exact on ``object`` arrays and on ``int64`` arrays
-    with every |c_j| < 2**59, so that |c0 + c1| < 2**60."""
+    c0 + c1 and the limbs in nine rows of the caller's scratch ``buf``: exact on ``object`` arrays
+    and on ``int64`` arrays with every |c_j| < 2**59, so that |c0 + c1| < 2**60."""
     import numpy as np
 
-    buf = scratch(buf, 9, len(c0), c0.dtype)
     return limb_sign(c0, c1, c2, np.add(c0, c1, out=buf[0, :len(c0)]), buf[1:]) > 0
 
 
-def _first_offender(rows, buf=None) -> Optional[int]:
+def _first_offender(rows, buf) -> Optional[int]:
     """Index of the first row of block ``rows`` (``core.subtree_levels``) failing a ``scan_bounds``
-    test, or None; the totals, the e2 test and the six coordinate tests share scratch ``buf``."""
+    test, or None; the totals, the e2 test and the six coordinate tests share ten rows of ``buf``."""
     import numpy as np
 
-    buf = scratch(buf, 10, len(rows), rows.dtype)
     (total, t), (c0, c1, c2) = buf[:2, :len(rows)], rows.T
     bad = ~_e2_positive(c0, c1, c2, buf[1:])
     np.add(np.add(c0, c1, out=total), c2, out=total)
@@ -255,7 +253,8 @@ def scan_bounds(max_level: int) -> Optional[str]:
     ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
     it proves before any work (``int64`` through max_level 15, as 13^15 <
     2**59, ``object`` beyond), so every answer is exact and no level is
-    refused.  The call owns one scratch array, which every block reuses.
+    refused.  The call makes one ``core.scratch`` array at the root block,
+    as wide as the widest block, and every block reuses it.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -264,9 +263,10 @@ def scan_bounds(max_level: int) -> Optional[str]:
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    hits, buf = [], None
+    hits = []
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
-        buf = scratch(buf, 10, len(rows), rows.dtype)
+        if not depth:  # the root block: the call's one scratch
+            buf = scratch(10, max_level + 1, 1, rows.dtype)
         i = _first_offender(rows, buf)
         if i is not None:
             hits.append(lex_word(start + i, depth))

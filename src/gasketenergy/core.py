@@ -120,17 +120,19 @@ MASS_GENERATORS: tuple[Mat3, Mat3, Mat3] = (
     _over(15, ((2, -1, 2), (-1, 2, 2), (0, 0, 9))),
 )
 
-_REFINE_DIAG: Mat3 = mat3(
+#: Factors ``P_i = REFINE_COLS[i]``, ``D`` and ``Q_i = REFINE_ROWS[i] = P_i^-1`` of refine generator
+#: i: column 1 of ``P_i`` and row 1 of ``Q_i`` are its right and left 3/5-eigenvectors.
+REFINE_DIAG: Mat3 = mat3(
     ((Fraction(1, 15), 0, 0), (0, Fraction(3, 5), 0), (0, 0, Fraction(1, 5)))
 )
 
-_REFINE_COLS: tuple[Mat3, ...] = (
+REFINE_COLS: tuple[Mat3, ...] = (
     mat3(((Fraction(1, 7), 3, 0), (1, 1, -1), (1, 1, 1))),
     mat3(((1, 1, -1), (Fraction(1, 7), 3, 0), (1, 1, 1))),
     mat3(((1, 1, -1), (1, 1, 1), (Fraction(1, 7), 3, 0))),
 )
 
-_REFINE_ROWS: tuple[Mat3, ...] = (
+REFINE_ROWS: tuple[Mat3, ...] = (
     mat3((
         (Fraction(-7, 20), Fraction(21, 40), Fraction(21, 40)),
         (Fraction(7, 20), Fraction(-1, 40), Fraction(-1, 40)),
@@ -154,7 +156,7 @@ _REFINE_ROWS: tuple[Mat3, ...] = (
 #: word therefore multiplies generators in application order (last letter of
 #: the address acts first -- see measures.children_triple_via_refine).
 REFINE_GENERATORS: tuple[Mat3, Mat3, Mat3] = tuple(
-    mat_mul(mat_mul(_REFINE_COLS[i], _REFINE_DIAG), _REFINE_ROWS[i])
+    mat_mul(mat_mul(REFINE_COLS[i], REFINE_DIAG), REFINE_ROWS[i])
     for i in range(3)
 )  # type: ignore[assignment]
 
@@ -299,14 +301,16 @@ _LIMB = 30
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def scratch(buf, rows: int, n: int, dtype):
-    """``buf`` if its rows hold ``n`` entries, else a new ``(rows, n)`` array of ``dtype``."""
+def scratch(rows: int, levels: int, per_row: int, dtype):
+    """A new ``(rows, n)`` array of ``dtype`` for one scan of ``subtree_levels(..., levels)``:
+    ``n`` is ``per_row`` entries for each row of the widest block that walk yields,
+    min(3**(levels - 1), 3 * ``BLOCK_ROWS``), with ``BLOCK_ROWS`` read when called."""
     import numpy as np
 
-    return buf if buf is not None and buf.shape[1] >= n else np.empty((rows, n), dtype)
+    return np.empty((rows, per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)), dtype)
 
 
-def limb_sign(a, b, c, d, buf=None):
+def limb_sign(a, b, c, d, buf):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
     ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
@@ -323,14 +327,15 @@ def limb_sign(a, b, c, d, buf=None):
     less than 2**33, so no sum leaves ``int64``.  After them the low 30 bits
     of ``mid`` and ``lo`` are all that is left below ``hi * 2**60``, so the
     sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
-    nonzero.  Limbs and sums go into eight rows of the caller's scratch ``buf``.
+    nonzero.  Limbs and sums go into eight rows of the caller's scratch ``buf``
+    (``core.scratch``), at least ``len(a)`` wide; ``object`` arrays ignore it.
     """
     if a.dtype == object:
         v = a * b + c * d
         return (v > 0).astype("int8") - (v < 0)
     import numpy as np
 
-    ha, la, hb, lb, lo, mid, hi, t = scratch(buf, 8, len(a), a.dtype)[:8, :len(a)]
+    ha, la, hb, lb, lo, mid, hi, t = buf[:8, :len(a)]
     lo[:] = mid[:] = hi[:] = 0
     for x, y in ((a, b), (c, d)):  # an int factor splits into two ints
         (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else

@@ -28,7 +28,9 @@ from .core import (
     LETTERS,
     MASS_DEN,
     MASS_SCALED,
+    REFINE_COLS,
     REFINE_DEN,
+    REFINE_ROWS,
     REFINE_SCALED,
     WORD_MAX_LEN,
     IntRow,
@@ -59,26 +61,18 @@ from .measures import (
 if TYPE_CHECKING:
     from .harmonic import Harmonic
 
-#: Limit rows: row j annihilates exactly the measures whose derivative
-#: vanishes at corner j; pairing with a children triple gives the numerator
-#: of the derivative at that corner.
-LIMIT_ROWS: tuple[Vec3, Vec3, Vec3] = (
-    (Fraction(14), Fraction(-1), Fraction(-1)),
-    (Fraction(-1), Fraction(14), Fraction(-1)),
-    (Fraction(-1), Fraction(-1), Fraction(14)),
-)
+#: Limit rows: row j is 40 times row 1 of ``core.REFINE_ROWS[j]``, the left
+#: 3/5-eigenvector of refine generator j.  It annihilates exactly the
+#: measures whose derivative vanishes at corner j; pairing with a children
+#: triple gives the numerator of the derivative at that corner.
+LIMIT_ROWS: tuple[Vec3, Vec3, Vec3] = tuple(
+    tuple(40 * x for x in q[1]) for q in REFINE_ROWS)  # type: ignore[assignment]
 
-_LIMIT_COLS: tuple[Vec3, Vec3, Vec3] = (
-    (Fraction(3), Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(3), Fraction(1)),
-    (Fraction(1), Fraction(1), Fraction(3)),
-)
-
-#: Rank-1 limits of the scaled refine powers: (5/3 * refine_j)^n -> column
-#: outer limit row, over 40.
+#: Rank-1 limits of the scaled refine powers: (5/3 * refine_j)^n -> column 1
+#: of ``core.REFINE_COLS[j]`` outer row 1 of ``core.REFINE_ROWS[j]``.
 RANK1_LIMITS: tuple[Mat3, Mat3, Mat3] = tuple(
-    tuple(tuple(Fraction(1, 40) * col * row for row in LIMIT_ROWS[j]) for col in _LIMIT_COLS[j])
-    for j in range(3))  # type: ignore[assignment]
+    tuple(tuple(row[1] * x for x in q[1]) for row in p)
+    for p, q in zip(REFINE_COLS, REFINE_ROWS))  # type: ignore[assignment]
 
 # Pairing the limit row with a children triple equals (up to the factor 4
 # that cancels in the quotient) pairing the *subtree coefficients* with these
@@ -126,14 +120,9 @@ def _derivative_raw(c: MeasureCoeffs, word: str, corner: int) -> Fraction:
     return _corner_value(*_cell_rows(c, word), corner)
 
 
-def rn_derivative_via_mass(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
-    """The same value as ``rn_derivative``, which it calls.
-
-    The transposed-mass form it once computed is the integer pairing that
-    ``rn_derivative`` now uses, so it is no second route; the name stays
-    because the benchmark's point queries call it.
-    """
-    return rn_derivative(c, vertex)
+#: An alias of ``rn_derivative``, kept because the benchmark's point queries
+#: call this name.
+rn_derivative_via_mass = rn_derivative
 
 
 def rn_derivative_via_refine(c: MeasureCoeffs, vertex: VertexAddress) -> Fraction:
@@ -260,8 +249,9 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
 
     Subcells come from the block walk ``core.subtree_levels`` in the dtype it
     proves (``int64`` below 2**59, Python ints otherwise).  Each block's
-    midpoint ratios go into scratch the call owns and meet the running
-    extremum in one ``core.limb_sign`` pass; see ``_least``.
+    midpoint ratios go into the one ``core.scratch`` array the call makes at
+    the root block and meet the running extremum in one ``core.limb_sign``
+    pass; see ``_least``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
@@ -274,11 +264,12 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     # seeded with the midpoint of the cell's edge {0, 1}; the maximum is
     # kept as the least of the negated values
     lo = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
-    hi, buf = (-lo[0], lo[1], lo[2]), None
+    hi = (-lo[0], lo[1], lo[2])
     for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
+        if not d:  # the root block: the call's one scratch, as wide as the widest block
+            buf = scratch(11, depth, 3, rs.dtype)
         # entry 3 i + e is the midpoint of edge e of the block's cell i, so
         # entries rise in key order
-        buf = scratch(buf, 11, 3 * len(rs), rs.dtype)
         num, dnm, neg = buf[:3, :3 * len(rs)]
         for e, (j, k) in enumerate(_EDGES):
             np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
@@ -399,7 +390,7 @@ def monotone_left_right(m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _MARGIN_ROW: IntRow = tuple(int(x) for x in LIMIT_ROWS[2])  # type: ignore[assignment]
-_MARGIN_COL: IntRow = (1, 1, 3)
+_MARGIN_COL: IntRow = tuple(int(row[1]) for row in REFINE_COLS[2])  # type: ignore[assignment]
 
 
 def edge_margin(word: str) -> Fraction:
@@ -435,19 +426,18 @@ def operator_norm_scan(m: int) -> Fraction:
     The scale (5/3 per level) compensates the dominant eigenrate, so the
     sequence stays bounded; the scan reports the exact per-level max.
     Column c of a level-m product is unit row c walked by the transposed
-    generators along the reversed word, and every word is walked, so three
-    one-family block walks of ``core.subtree_levels`` over the transposes
-    give the max from their leaf levels.  The transposes' largest absolute
-    column sum is 53, so the walk proves ``int64`` through m = 10
-    (53**10 < 2**59).
+    generators along the reversed word, and every word is walked, so one
+    block walk of ``core.subtree_levels`` over the transposes, with the three
+    unit rows as its families, gives the max from its leaf level.  The
+    transposes' largest absolute column sum is 53, so the walk proves
+    ``int64`` through m = 10 (53**10 < 2**59).
     """
     if m < 0 or m > 10:
         raise ValueError("operator_norm_scan supports 0 <= m <= 10")
     best = 0
-    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        for depth, _, (rows,) in subtree_levels((unit,), m + 1, _REFINE_TRANSPOSED):
-            if depth == m:
-                best = max(best, int(abs(rows).sum(axis=1).max()))
+    for depth, _, level in subtree_levels(((1, 0, 0), (0, 1, 0), (0, 0, 1)), m + 1, _REFINE_TRANSPOSED):
+        if depth == m:
+            best = max(best, *(int(abs(rows).sum(axis=1).max()) for rows in level))
     return Fraction(best) * Fraction(5, 3) ** m / REFINE_DEN**m
 
 

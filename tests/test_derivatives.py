@@ -311,6 +311,10 @@ def test_operator_norm_scan_frozen_and_bounded():
 
 
 def test_rank1_powers_converge():
+    rows, cols = ((14, -1, -1), (-1, 14, -1), (-1, -1, 14)), ((3, 1, 1), (1, 3, 1), (1, 1, 3))
+    assert dv.LIMIT_ROWS == rows
+    assert dv.RANK1_LIMITS == tuple(
+        tuple(tuple(Fraction(col * row, 40) for row in rows[j]) for col in cols[j]) for j in range(3))
     for j in range(3):
         deviations = [rank1_deviation(j, n) for n in range(1, 13)]
         assert all(type(d) is Fraction for d in deviations)

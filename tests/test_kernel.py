@@ -589,7 +589,7 @@ def test_limb_sign_test_matches_python_ints(dtype):
 
     rows = limb_rows(random.Random(2_345))
     c = np.array(rows, dtype=dtype)
-    got = bv._e2_positive(c[:, 0], c[:, 1], c[:, 2])
+    got = bv._e2_positive(c[:, 0], c[:, 1], c[:, 2], np.empty((9, len(c)), dtype))
     want = [e2(row) > 0 for row in rows]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
@@ -622,12 +622,13 @@ def test_limb_sign_matches_python_ints_at_its_bound(dtype):
 
     quads = limb_quads(random.Random(6_061))
     a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*quads))
-    got = core.limb_sign(a, b, c, d)
+    buf = np.empty((8, len(quads)), dtype)
+    got = core.limb_sign(a, b, c, d, buf)
     want = [(x > 0) - (x < 0) for x in (p * q + r * t for p, q, r, t in quads)]
     assert got.dtype == np.int8 and got.tolist() == want
     assert {-1, 0, 1} <= set(want) and max(abs(x) for q in quads for x in q) == core.LIMB_BOUND - 1
     # one scalar pair, as the scans pass the running extremum
-    assert core.limb_sign(a, 3, -5, d).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
+    assert core.limb_sign(a, 3, -5, d, buf).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
 
 
 SENTINEL = -(2**62) + 12_345
@@ -668,13 +669,13 @@ def test_bound_tests_are_strict_on_the_disk_rim():
     passes the coordinate tests, so only the disk and cone tests reject it."""
     import numpy as np
 
-    def rows(*r):
-        return np.array(r, dtype=object)
+    def first_offender(*r):
+        return bv._first_offender(np.array(r, dtype=object), np.empty((10, len(r)), dtype=object))
 
     assert e2((5, 20, -4)) == 0
-    assert bv._first_offender(rows((1, 1, 1), (41, 7, 7))) is None
-    assert bv._first_offender(rows((1, 1, 1), (5, 20, -4), (1, 0, 0))) == 1
-    assert bv._first_offender(rows((1, 0, 0))) == 0  # c_0 == T: weight 2/3
+    assert first_offender((1, 1, 1), (41, 7, 7)) is None
+    assert first_offender((1, 1, 1), (5, 20, -4), (1, 0, 0)) == 1
+    assert first_offender((1, 0, 0)) == 0  # c_0 == T: weight 2/3
 
 
 def test_scan_bounds_true_family_matches_reference():
@@ -734,7 +735,7 @@ def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
     assert bv.scan_bounds(7) is None
     rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype=dtype)
     before = rows.copy()
-    assert bv._first_offender(rows, core.scratch(None, 10, len(rows), rows.dtype)) is not None
+    assert bv._first_offender(rows, np.empty((10, len(rows)), dtype)) is not None
     assert rows.tolist() == before.tolist()
     assert all(calls) and all(len(seen) > 6 for seen in blocks)
     for fam, copy in blocks[0] + blocks[1]:
@@ -743,25 +744,26 @@ def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
 
 def poison_fresh_scratch(monkeypatch):
     """Fill every scratch array ``core.scratch`` makes with a sentinel, so a
-    scan that reads scratch before writing it shows."""
-    real = core.scratch
+    scan that reads scratch before writing it shows; returns the growing
+    list of the arrays made."""
+    real, made = core.scratch, []
 
-    def scratch(buf, rows, n, dtype):
-        out = real(buf, rows, n, dtype)
-        if out is not buf:
-            out.fill(SENTINEL)
+    def scratch(rows, levels, per_row, dtype):
+        out = real(rows, levels, per_row, dtype)
+        out.fill(SENTINEL)
+        made.append(out)
         return out
 
     for module in (core, dv, bv):
         monkeypatch.setattr(module, "scratch", scratch)
+    return made
 
 
 @pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
 def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block):
-    """The scans' scratch, sentinel-filled when made, grows with the blocks
-    and is reused across them: the Kusuoka measure's all-tie blocks, the
-    captured deep extrema and the planted deep offenders come out the same
-    at every block size."""
+    """The scans' scratch, sentinel-filled when made, is reused across their
+    blocks: the Kusuoka measure's all-tie blocks, the captured deep extrema
+    and the planted deep offenders come out the same at every block size."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     poison_fresh_scratch(monkeypatch)
     first = VertexAddress("0", 1)
@@ -774,6 +776,24 @@ def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block)
         monkeypatch.setattr(bv, "MASS_SCALED", gens)
         assert bv.scan_bounds(len(first_offender)) == first_offender
         assert bv.scan_bounds(10) == reference_scan_bounds(gens, 10)
+
+
+@pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
+def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch, block):
+    """Each scan call makes exactly one ``core.scratch`` array, and its width
+    is the widest block the call's walk yields, times the three edge
+    midpoints of a row for ``scan_extrema``."""
+    monkeypatch.setattr(core, "BLOCK_ROWS", block)
+    made = poison_fresh_scratch(monkeypatch)
+    blocks = {dv.scan_extrema: snapshot_blocks(monkeypatch, dv), bv.scan_bounds: snapshot_blocks(monkeypatch, bv)}
+    cases = [(dv.scan_extrema, (SCAN_MEASURES[-1], "2", depth), 3) for depth in (1, 2, 3, 5, 6, 9, 10)]
+    cases += [(bv.scan_bounds, (level,), 1) for level in (0, 1, 2, 4, 5, 8, 11)]
+    for scan, args, per_row in cases:
+        made.clear()
+        blocks[scan].clear()
+        scan(*args)
+        widest = max(len(fam) for fam, _ in blocks[scan])
+        assert [buf.shape[1] for buf in made] == [per_row * widest], (scan.__name__, args)
 
 
 # ---------------------------------------------------------------------------
