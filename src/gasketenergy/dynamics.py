@@ -99,21 +99,27 @@ def _check_letter(j: int) -> None:
         raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
 
 
-def _apply_B_arrays(j: int, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The letter-j disk map, elementwise (plain floats work too): rotate the
-    letter's axis onto the x-axis, apply the letter-0 map, rotate back."""
+def _apply_B_arrays(j: int, x, y, out=(None, None), tmp=(None,) * 3):
+    """The letter-j disk map, elementwise: rotate the letter's axis onto the
+    x-axis, apply the letter-0 map, rotate back.  Writes into the ``out`` pair
+    with three ``tmp`` rows when given; numpy allocates where they are None."""
     c, s = _COS_ROT[j], _SIN_ROT[j]
-    u = c * x + s * y
-    v = -s * x + c * y
-    den = 4.0 * u + 5.0
-    u, v = (5.0 * u + 4.0) / den, 3.0 * v / den
-    return c * u - s * v, s * u + c * v
+    (ox, oy), (t0, t1, t2) = out, tmp
+    u = np.add(np.multiply(c, x, out=t0), np.multiply(s, y, out=t1), out=t0)
+    v = np.add(np.multiply(-s, x, out=t1), np.multiply(c, y, out=t2), out=t1)
+    den = np.add(np.multiply(4.0, u, out=t2), 5.0, out=t2)
+    u = np.divide(np.add(np.multiply(5.0, u, out=t0), 4.0, out=t0), den, out=t0)
+    v = np.divide(np.multiply(3.0, v, out=t1), den, out=t1)
+    return (np.subtract(np.multiply(c, u, out=ox), np.multiply(s, v, out=t2), out=ox),
+            np.add(np.multiply(s, u, out=oy), np.multiply(c, v, out=t2), out=oy))
 
 
-def _half_step(j: int, p: np.ndarray, q: np.ndarray, table=_HALF_STEP) -> tuple[np.ndarray, np.ndarray]:
+def _half_step(j: int, p, q, table=_HALF_STEP, out=(None, None), tmp=(None,)):
     """Row j of a half-angle table on the pairs (p, q), elementwise: 4 multiplies, 2 adds."""
     a, b, d = table[j]
-    return a * p + b * q, b * p + d * q
+    (op, oq), t = out, tmp[0]
+    return (np.add(np.multiply(a, p, out=op), np.multiply(b, q, out=t), out=op),
+            np.add(np.multiply(b, p, out=oq), np.multiply(d, q, out=t), out=oq))
 
 
 def _circle_map_array(j: int, theta: np.ndarray, table=_HALF_STEP) -> np.ndarray:
@@ -134,7 +140,7 @@ def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
     x, y = float(p[0]), float(p[1])
     if not x * x + y * y <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("point outside the closed disk")
-    return DiskPoint(*_apply_B_arrays(j, x, y))
+    return DiskPoint(*map(float, _apply_B_arrays(j, x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +208,25 @@ def _check_level(name: str, m: int) -> None:
         raise ValueError(f"{name} must be between 0 and {LEVEL_LIMIT}")
 
 
-def _descend(step, state: np.ndarray, levels: int) -> np.ndarray:
+def _scratch(n: int) -> tuple:
+    """One counting call's buffers for tasks of up to ``n`` leaves: two ping-pong
+    level arrays, three float rows (step temporaries, then the leaf values and
+    the fold's products), the fold's two masks and the int64 bin index."""
+    return np.empty((2, 2 * n)), np.empty((3, n)), np.empty((2, n), bool), np.empty(n, np.int64)
+
+
+def _descend(step, state: np.ndarray, levels: int, scratch: Optional[tuple] = None) -> np.ndarray:
     """All images of the points (one row per coordinate) under the words of the
-    given length, by the kernel ``step(j, *rows)``; children in word order.  Each
-    letter's images go straight into column j of one (rows, n, 3) array."""
-    for _ in range(levels):
-        children = np.empty(state.shape + (3,))
+    given length, by the kernel ``step``; children in word order.  Each
+    letter's images go straight into column j of the next level, a (rows, n, 3)
+    view of a fresh array or, given a ``_scratch``, of its level arrays in turn."""
+    for i in range(levels):
+        n = state.shape[1]
+        children = (np.empty(state.shape + (3,)) if scratch is None
+                    else scratch[0][i % 2, :6 * n].reshape(2, n, 3))
+        tmp = (None,) * 3 if scratch is None else scratch[1][:, :n]
         for j in (0, 1, 2):
-            children[..., j] = step(j, *state)
+            step(j, *state, out=children[..., j], tmp=tmp)
         state = children.reshape(len(state), -1)
     return state
 
@@ -239,23 +256,29 @@ def _worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
     return min(jobs, tasks, cpus or 1)
 
 
-def _count_block(count, task) -> np.ndarray:
-    step, block, levels = task
-    return count(*_descend(step, block, levels))
+def _count_tasks(count, tasks: list) -> np.ndarray:
+    """``count`` summed over the tasks, all run on one ``_scratch`` sized for the widest."""
+    scratch = _scratch(max(block.shape[1] * 3 ** levels for _, block, levels in tasks))
+    total = 0
+    for step, block, levels in tasks:
+        x, y = _descend(step, block, levels, scratch)
+        n = x.size
+        total = total + count(x, y, scratch[1][:, :n], scratch[2][:, :n], scratch[3][:n])
+    return total
 
 
 def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray:
-    """``count(*leaves)`` summed over the blocks.  Each point runs the same
-    elementwise float chain whatever the blocks or workers, so neither
-    changes the counts."""
+    """``count`` summed over the blocks; each worker takes every ``workers``-th
+    task and makes its own scratch.  Each point runs the same elementwise float
+    chain whatever the blocks or workers, so neither changes the counts."""
     tasks = _blocks(step, state, levels)
     workers = _worker_count(jobs, len(tasks), os.cpu_count())
     if workers == 1:
-        return sum(map(partial(_count_block, count), tasks))
+        return _count_tasks(count, tasks)
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(partial(_count_block, count), tasks))
+        return sum(pool.map(partial(_count_tasks, count), [tasks[k::workers] for k in range(workers)]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,44 +325,49 @@ def _check_sizes(level_name: str, m: int, name: str, bins: int, jobs: int) -> No
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _bin_counts(t: np.ndarray, span: float, bins: int) -> np.ndarray:
-    idx = np.floor(t * (bins / span)).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
-    return np.bincount(idx, minlength=bins)
+def _bin_counts(t: np.ndarray, span: float, bins: int, idx: np.ndarray) -> np.ndarray:
+    """Counts in the bins of [0, span]; floors ``t`` in place and casts it into ``idx``."""
+    np.copyto(idx, np.floor(np.multiply(t, bins / span, out=t), out=t), casting="unsafe")
+    return np.bincount(np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx), minlength=bins)
 
 
-def _fold_angles(theta: np.ndarray, arc: str) -> np.ndarray:
-    """Reduce angles in [-2pi, 2pi] into the reporting arc by the symmetries that
-    tile it.  Each subtraction is exact (Sterbenz), so this is bit for bit
-    ``np.mod(np.mod(theta, TWO_PI), THIRD_TURN)``, tiny negatives to 2pi too."""
-    t = theta + TWO_PI * (theta < 0)
-    t -= TWO_PI * (theta >= TWO_PI)
+def _fold_angles(t: np.ndarray, arc: str, masks=(None, None), tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """Reduce angles in [-2pi, 2pi], in place, into the reporting arc by the
+    symmetries that tile it, with two bool ``masks`` and a float ``tmp`` row
+    when given.  Each subtraction is exact (Sterbenz), so this is bit for bit
+    ``np.mod(np.mod(t, TWO_PI), THIRD_TURN)``, tiny negatives to 2pi too."""
+    big, mask = np.greater_equal(t, TWO_PI, out=masks[0]), masks[1]  # big before the add
+    t += np.multiply(np.less(t, 0.0, out=mask), TWO_PI, out=tmp)
+    t -= np.multiply(big, TWO_PI, out=tmp)
     if arc == "full":
         return t
-    t -= 2.0 * THIRD_TURN * (t >= 2.0 * THIRD_TURN)
-    t -= THIRD_TURN * (t >= THIRD_TURN)
+    t -= np.multiply(np.greater_equal(t, 2.0 * THIRD_TURN, out=mask), 2.0 * THIRD_TURN, out=tmp)
+    t -= np.multiply(np.greater_equal(t, THIRD_TURN, out=mask), THIRD_TURN, out=tmp)
     if arc == "sixth":
-        t = np.minimum(t, THIRD_TURN - t)
+        np.minimum(t, np.subtract(THIRD_TURN, t, out=tmp), out=t)
     return t
 
 
-def _arc_counts(theta: np.ndarray, arc: str, bins: int) -> np.ndarray:
-    return _bin_counts(_fold_angles(theta, arc), _ARC_SPANS[arc], bins)
+def _arc_counts(theta: np.ndarray, arc: str, bins: int, tmp, masks, index) -> np.ndarray:
+    return _bin_counts(_fold_angles(theta, arc, masks, tmp), _ARC_SPANS[arc], bins, index)
 
 
-def _angular_counts(x: np.ndarray, y: np.ndarray, arc: str, slices: int) -> np.ndarray:
-    theta = np.arctan2(y, x)
+def _angular_counts(x, y, work, masks, index, arc: str, slices: int) -> np.ndarray:
+    theta = np.arctan2(y, x, out=work[0])
     if arc == "full" and slices % 3:
-        return sum(_arc_counts(theta + rot, arc, slices) for rot in _ROT)
-    return _arc_counts(theta, arc, slices)
+        return sum(_arc_counts(np.add(theta, rot, out=work[1]), arc, slices, work[2], masks, index)
+                   for rot in _ROT)
+    return _arc_counts(theta, arc, slices, work[1], masks, index)
 
 
-def _orbit_counts(p: np.ndarray, q: np.ndarray, arc: str, bins: int) -> np.ndarray:
-    return _arc_counts(2.0 * np.arctan2(q, p), arc, bins)
+def _orbit_counts(p, q, work, masks, index, arc: str, bins: int) -> np.ndarray:
+    theta = np.multiply(2.0, np.arctan2(q, p, out=work[0]), out=work[0])
+    return _arc_counts(theta, arc, bins, work[1], masks, index)
 
 
-def _radial_counts(x: np.ndarray, y: np.ndarray, bins: int) -> np.ndarray:
-    return _bin_counts(np.hypot(x, y) * DISK_RADIUS_B, DISK_RADIUS_B, bins)
+def _radial_counts(x, y, work, masks, index, bins: int) -> np.ndarray:
+    r = np.multiply(np.hypot(x, y, out=work[0]), DISK_RADIUS_B, out=work[0])
+    return _bin_counts(r, DISK_RADIUS_B, bins, index)
 
 
 def _edges(span: float, bins: int) -> tuple[float, ...]:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -291,15 +292,133 @@ def test_descend_matches_the_stacked_descent_bit_for_bit(step, points):
     angle = rng.uniform(-math.pi, math.pi, points)
     state = np.array([np.cos(angle), np.sin(angle)]) * rng.uniform(0.0, 1.0, points)
     for levels in range(5):
+        ref = _descend_ref(step, state, levels).view(np.int64)
+        in_scratch = dy._descend(step, state, levels, dy._scratch(points * 3 ** levels))
+        assert np.array_equal(in_scratch.view(np.int64), ref)
         got = dy._descend(step, state, levels)
         assert got.shape == (2, points * 3 ** levels)
-        assert np.array_equal(got.view(np.int64), _descend_ref(step, state, levels).view(np.int64))
+        assert np.array_equal(got.view(np.int64), ref)
         for leaf in rng.integers(0, got.shape[1], 8):
             k, i = divmod(int(leaf), 3 ** levels)
             point = state[:, k]
             for t in reversed(range(levels)):
                 point = step(i // 3 ** t % 3, *point)
             assert np.array_equal(np.array(point).view(np.int64), got[:, leaf].view(np.int64))
+
+
+def poison_fresh_scratch(monkeypatch):
+    """Fill every scratch ``dynamics._scratch`` makes with values no count can
+    come from (NaN floats, set masks, index -1), so a kernel that reads scratch
+    before writing it shows; returns the growing list of the sizes made."""
+    real, made = dy._scratch, []
+
+    def scratch(n):
+        out = real(n)
+        for buf, sentinel in zip(out, (np.nan, np.nan, True, -1)):
+            buf.fill(sentinel)
+        made.append(n)
+        return out
+
+    monkeypatch.setattr(dy, "_scratch", scratch)
+    return made
+
+
+def _one_of_each(jobs=1):
+    """One call of each histogram, each descending 10 levels below its 1, 1
+    and 3 start points, as argument-free callables."""
+    return (partial(dy.angular_histogram, 11, slices=31, arc="full", jobs=jobs),
+            partial(dy.radial_histogram, 11, bins=40, jobs=jobs),
+            partial(dy.boundary_orbit_histogram, iters=10, bins=50, jobs=jobs))
+
+
+@pytest.mark.parametrize("task_levels", [6, 7, 8])
+@pytest.mark.parametrize("block", [1, 3, 27])
+def test_histograms_make_one_scratch_as_wide_as_their_widest_task(monkeypatch, task_levels, block):
+    """At jobs 1 each histogram call makes exactly one scratch, for the leaves
+    of its widest task, and every task reuses it: the counts come out the same
+    although fresh scratch holds NaN."""
+    expected = [call().counts for call in _one_of_each()]
+    monkeypatch.setattr(dy, "_TASK_LEVELS", task_levels)
+    monkeypatch.setattr(dy, "_BLOCK_POINTS", block)
+    made = poison_fresh_scratch(monkeypatch)
+    frontier = 3 ** (10 - task_levels)
+    for call, counts, points in zip(_one_of_each(), expected, (1, 1, 3)):
+        made.clear()
+        assert call().counts == counts
+        assert made == [min(block, points * frontier) * 3 ** task_levels]
+
+
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: runs each worker's task list in
+    this process and records the lists."""
+
+    lists: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, lists):
+        _InProcessPool.lists = list(lists)
+        assert len(self.lists) == self.max_workers
+        return map(fn, self.lists)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_each_worker_takes_its_own_task_list_and_one_scratch(monkeypatch, jobs):
+    """With 8 task levels and blocks of 3 points the level-11 and orbit-10
+    frontiers make 3 and 9 tasks; the workers' lists hold every task exactly
+    once, each worker makes one scratch, and the counts are those of jobs 1."""
+    import concurrent.futures
+
+    monkeypatch.setattr(dy, "_TASK_LEVELS", 8)
+    monkeypatch.setattr(dy, "_BLOCK_POINTS", 3)
+    expected = [call().counts for call in _one_of_each()]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(dy.os, "cpu_count", lambda: 8)
+    real_blocks, made_tasks = dy._blocks, []
+
+    def blocks(*args):
+        made_tasks.append(real_blocks(*args))
+        return made_tasks[-1]
+
+    monkeypatch.setattr(dy, "_blocks", blocks)
+    made = poison_fresh_scratch(monkeypatch)
+    for call, counts in zip(_one_of_each(jobs), expected):
+        made.clear()
+        made_tasks.clear()
+        _InProcessPool.lists = []
+        assert call().counts == counts
+        (tasks,) = made_tasks
+        workers = min(jobs, len(tasks))
+        assert len(_InProcessPool.lists) == workers and len(made) == workers
+        assert sorted(map(id, sum(_InProcessPool.lists, []))) == sorted(map(id, tasks))
+
+
+def test_concurrent_calls_in_threads_count_as_sequential_calls():
+    """Two threads counting at once get the counts of sequential calls: no
+    buffer outlives its call."""
+    import threading
+
+    calls = (partial(dy.boundary_orbit_histogram, iters=10), partial(dy.angular_histogram, 11))
+    expected = [call().counts for call in calls]
+    start, got = threading.Barrier(2), [[], []]
+
+    def run(i):
+        start.wait()
+        got[i] += [calls[i]().counts for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [[expected[0]] * 3, [expected[1]] * 3]
 
 
 def test_worker_count_is_capped_by_tasks_and_cpus():
@@ -354,9 +473,11 @@ def test_fold_is_bit_identical_to_np_mod():
     theta = np.concatenate([rng.uniform(-dy.TWO_PI, dy.TWO_PI, 100_000), edge, near])
     theta = theta[np.abs(theta) <= dy.TWO_PI]  # the fold's stated domain
     assert np.any(_fold_ref(theta, "full") == dy.TWO_PI)  # tiny negatives land on 2pi
+    buffers = np.empty((2, theta.size), bool), np.empty(theta.size)
     for arc in ("full", "third", "sixth"):
-        got, ref = dy._fold_angles(theta, arc), _fold_ref(theta, arc)
-        assert got.tobytes() == ref.tobytes(), arc
+        ref = _fold_ref(theta, arc)
+        for got in (dy._fold_angles(theta.copy(), arc), dy._fold_angles(theta.copy(), arc, *buffers)):
+            assert got.tobytes() == ref.tobytes(), arc
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -384,7 +505,7 @@ def _orbit_counts_ref(angles, iters, arc, bins):
     theta = np.array(angles, dtype=float)
     for _ in range(iters):
         theta = np.concatenate([_circle_map_ref(j, theta) for j in range(3)])
-    return dy._bin_counts(_fold_ref(theta, arc), dy._ARC_SPANS[arc], bins)
+    return dy._bin_counts(_fold_ref(theta, arc), dy._ARC_SPANS[arc], bins, np.empty(theta.size, np.int64))
 
 
 def _merge_edge_ties(counts, period):
@@ -457,9 +578,9 @@ def test_orbit_histogram_does_no_per_level_trig_and_no_mod(monkeypatch):
 def test_the_numpy_spy_sees_a_per_level_call(monkeypatch):
     step = dy._half_step
 
-    def step_with_mod(j, p, q):
+    def step_with_mod(j, p, q, out, tmp):
         dy.np.mod(p, 1.0)
-        return step(j, p, q)
+        return step(j, p, q, out=out, tmp=tmp)
 
     monkeypatch.setattr(dy, "_half_step", step_with_mod)
     # three letters per level: 2 levels above the blocks, then 8 in each of 6
