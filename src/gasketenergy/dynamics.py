@@ -99,27 +99,32 @@ def _check_letter(j: int) -> None:
         raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
 
 
+#: Kernel arithmetic: the ufunc into ``out`` when one is given, else Python's operator.
+_add = lambda a, b, out=None: a + b if out is None else np.add(a, b, out=out)
+_sub = lambda a, b, out=None: a - b if out is None else np.subtract(a, b, out=out)
+_mul = lambda a, b, out=None: a * b if out is None else np.multiply(a, b, out=out)
+_div = lambda a, b, out=None: a / b if out is None else np.divide(a, b, out=out)
+
+
 def _apply_B_arrays(j: int, x, y, out=(None, None), tmp=(None,) * 3):
     """The letter-j disk map, elementwise: rotate the letter's axis onto the
     x-axis, apply the letter-0 map, rotate back.  Writes into the ``out`` pair
     with three ``tmp`` rows when given; numpy allocates where they are None."""
     c, s = _COS_ROT[j], _SIN_ROT[j]
     (ox, oy), (t0, t1, t2) = out, tmp
-    u = np.add(np.multiply(c, x, out=t0), np.multiply(s, y, out=t1), out=t0)
-    v = np.add(np.multiply(-s, x, out=t1), np.multiply(c, y, out=t2), out=t1)
-    den = np.add(np.multiply(4.0, u, out=t2), 5.0, out=t2)
-    u = np.divide(np.add(np.multiply(5.0, u, out=t0), 4.0, out=t0), den, out=t0)
-    v = np.divide(np.multiply(3.0, v, out=t1), den, out=t1)
-    return (np.subtract(np.multiply(c, u, out=ox), np.multiply(s, v, out=t2), out=ox),
-            np.add(np.multiply(s, u, out=oy), np.multiply(c, v, out=t2), out=oy))
+    u = _add(_mul(c, x, t0), _mul(s, y, t1), t0)
+    v = _add(_mul(-s, x, t1), _mul(c, y, t2), t1)
+    den = _add(_mul(4.0, u, t2), 5.0, t2)
+    u = _div(_add(_mul(5.0, u, t0), 4.0, t0), den, t0)
+    v = _div(_mul(3.0, v, t1), den, t1)
+    return _sub(_mul(c, u, ox), _mul(s, v, t2), ox), _add(_mul(s, u, oy), _mul(c, v, t2), oy)
 
 
 def _half_step(j: int, p, q, table=_HALF_STEP, out=(None, None), tmp=(None,)):
     """Row j of a half-angle table on the pairs (p, q), elementwise: 4 multiplies, 2 adds."""
     a, b, d = table[j]
     (op, oq), t = out, tmp[0]
-    return (np.add(np.multiply(a, p, out=op), np.multiply(b, q, out=t), out=op),
-            np.add(np.multiply(b, p, out=oq), np.multiply(d, q, out=t), out=oq))
+    return _add(_mul(a, p, op), _mul(b, q, t), op), _add(_mul(b, p, oq), _mul(d, q, t), oq)
 
 
 def _circle_map_array(j: int, theta: np.ndarray, table=_HALF_STEP) -> np.ndarray:
@@ -140,7 +145,7 @@ def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
     x, y = float(p[0]), float(p[1])
     if not x * x + y * y <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("point outside the closed disk")
-    return DiskPoint(*map(float, _apply_B_arrays(j, x, y)))
+    return DiskPoint(*_apply_B_arrays(j, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +220,15 @@ def _scratch(n: int) -> tuple:
     return np.empty((2, 2 * n)), np.empty((3, n)), np.empty((2, n), bool), np.empty(n, np.int64)
 
 
-def _descend(step, state: np.ndarray, levels: int, scratch: Optional[tuple] = None) -> np.ndarray:
+def _descend(step, state: np.ndarray, levels: int, scratch: tuple) -> np.ndarray:
     """All images of the points (one row per coordinate) under the words of the
-    given length, by the kernel ``step``; children in word order.  Each
-    letter's images go straight into column j of the next level, a (rows, n, 3)
-    view of a fresh array or, given a ``_scratch``, of its level arrays in turn."""
+    given length by the kernel ``step``, children in word order: each letter's go
+    into column j of a (rows, n, 3) view of the ``_scratch``'s level arrays in turn."""
     for i in range(levels):
         n = state.shape[1]
-        children = (np.empty(state.shape + (3,)) if scratch is None
-                    else scratch[0][i % 2, :6 * n].reshape(2, n, 3))
-        tmp = (None,) * 3 if scratch is None else scratch[1][:, :n]
+        children = scratch[0][i % 2, :6 * n].reshape(2, n, 3)
         for j in (0, 1, 2):
-            step(j, *state, out=children[..., j], tmp=tmp)
+            step(j, *state, out=children[..., j], tmp=scratch[1][:, :n])
         state = children.reshape(len(state), -1)
     return state
 
@@ -236,17 +238,23 @@ def _blocks(step, state: np.ndarray, levels: int) -> list:
     into contiguous blocks, each with the levels left; an empty frontier still
     gives one (empty) block, so counts keep their length."""
     top = max(levels - _TASK_LEVELS, 0)
-    state = _descend(step, state, top)
+    state = _descend(step, state, top, _scratch(state.shape[1] * 3 ** top))
     size = max(state.shape[1], 1)
     return [(step, state[:, i:i + _BLOCK_POINTS], levels - top)
             for i in range(0, size, _BLOCK_POINTS)]
 
 
+def _leaves(tasks: list) -> Iterator[tuple]:
+    """Each task's leaves, in the one ``_scratch`` (sized for the widest task) the next overwrites."""
+    scratch = _scratch(max(block.shape[1] * 3 ** levels for _, block, levels in tasks))
+    for step, block, levels in tasks:
+        yield _descend(step, block, levels, scratch), scratch
+
+
 def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     """All 3^m level-m weight triples, floats, in lexicographic word order."""
     _check_level("level", m)
-    for step, block, levels in _blocks(_apply_B_arrays, _ORIGIN, m):
-        x, y = _descend(step, block, levels)
+    for (x, y), _ in _leaves(_blocks(_apply_B_arrays, _ORIGIN, m)):
         for p in zip(x.tolist(), y.tolist()):
             yield DiskPoint(*p).to_b()
 
@@ -257,14 +265,8 @@ def _worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
 
 
 def _count_tasks(count, tasks: list) -> np.ndarray:
-    """``count`` summed over the tasks, all run on one ``_scratch`` sized for the widest."""
-    scratch = _scratch(max(block.shape[1] * 3 ** levels for _, block, levels in tasks))
-    total = 0
-    for step, block, levels in tasks:
-        x, y = _descend(step, block, levels, scratch)
-        n = x.size
-        total = total + count(x, y, scratch[1][:, :n], scratch[2][:, :n], scratch[3][:n])
-    return total
+    """``count`` summed over the tasks, all run on one ``_scratch``."""
+    return sum(count(x, y, *(a[..., :x.size] for a in scratch[1:])) for (x, y), scratch in _leaves(tasks))
 
 
 def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray:

@@ -292,12 +292,9 @@ def test_descend_matches_the_stacked_descent_bit_for_bit(step, points):
     angle = rng.uniform(-math.pi, math.pi, points)
     state = np.array([np.cos(angle), np.sin(angle)]) * rng.uniform(0.0, 1.0, points)
     for levels in range(5):
-        ref = _descend_ref(step, state, levels).view(np.int64)
-        in_scratch = dy._descend(step, state, levels, dy._scratch(points * 3 ** levels))
-        assert np.array_equal(in_scratch.view(np.int64), ref)
-        got = dy._descend(step, state, levels)
+        got = dy._descend(step, state, levels, dy._scratch(points * 3 ** levels))
         assert got.shape == (2, points * 3 ** levels)
-        assert np.array_equal(got.view(np.int64), ref)
+        assert np.array_equal(got.view(np.int64), _descend_ref(step, state, levels).view(np.int64))
         for leaf in rng.integers(0, got.shape[1], 8):
             k, i = divmod(int(leaf), 3 ** levels)
             point = state[:, k]
@@ -331,21 +328,27 @@ def _one_of_each(jobs=1):
             partial(dy.boundary_orbit_histogram, iters=10, bins=50, jobs=jobs))
 
 
+@pytest.fixture(scope="module")
+def one_of_each_counts():
+    return [call().counts for call in _one_of_each()]
+
+
 @pytest.mark.parametrize("task_levels", [6, 7, 8])
 @pytest.mark.parametrize("block", [1, 3, 27])
-def test_histograms_make_one_scratch_as_wide_as_their_widest_task(monkeypatch, task_levels, block):
-    """At jobs 1 each histogram call makes exactly one scratch, for the leaves
-    of its widest task, and every task reuses it: the counts come out the same
-    although fresh scratch holds NaN."""
-    expected = [call().counts for call in _one_of_each()]
+def test_histograms_make_one_scratch_as_wide_as_their_widest_task(monkeypatch, one_of_each_counts,
+                                                                  task_levels, block):
+    """At jobs 1 each histogram call makes one scratch for the descent to the
+    frontier and exactly one more, for the leaves of its widest task, which
+    every task reuses: the counts come out the same although fresh scratch
+    holds NaN."""
     monkeypatch.setattr(dy, "_TASK_LEVELS", task_levels)
     monkeypatch.setattr(dy, "_BLOCK_POINTS", block)
     made = poison_fresh_scratch(monkeypatch)
     frontier = 3 ** (10 - task_levels)
-    for call, counts, points in zip(_one_of_each(), expected, (1, 1, 3)):
+    for call, counts, points in zip(_one_of_each(), one_of_each_counts, (1, 1, 3)):
         made.clear()
         assert call().counts == counts
-        assert made == [min(block, points * frontier) * 3 ** task_levels]
+        assert made == [points * frontier, min(block, points * frontier) * 3 ** task_levels]
 
 
 class _InProcessPool:
@@ -370,15 +373,15 @@ class _InProcessPool:
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 4])
-def test_each_worker_takes_its_own_task_list_and_one_scratch(monkeypatch, jobs):
+def test_each_worker_takes_its_own_task_list_and_one_scratch(monkeypatch, one_of_each_counts, jobs):
     """With 8 task levels and blocks of 3 points the level-11 and orbit-10
     frontiers make 3 and 9 tasks; the workers' lists hold every task exactly
-    once, each worker makes one scratch, and the counts are those of jobs 1."""
+    once, each worker makes one scratch after the frontier's, and the counts
+    are those of jobs 1 at the default blocks."""
     import concurrent.futures
 
     monkeypatch.setattr(dy, "_TASK_LEVELS", 8)
     monkeypatch.setattr(dy, "_BLOCK_POINTS", 3)
-    expected = [call().counts for call in _one_of_each()]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(dy.os, "cpu_count", lambda: 8)
     real_blocks, made_tasks = dy._blocks, []
@@ -389,14 +392,14 @@ def test_each_worker_takes_its_own_task_list_and_one_scratch(monkeypatch, jobs):
 
     monkeypatch.setattr(dy, "_blocks", blocks)
     made = poison_fresh_scratch(monkeypatch)
-    for call, counts in zip(_one_of_each(jobs), expected):
+    for call, counts in zip(_one_of_each(jobs), one_of_each_counts):
         made.clear()
         made_tasks.clear()
         _InProcessPool.lists = []
         assert call().counts == counts
         (tasks,) = made_tasks
         workers = min(jobs, len(tasks))
-        assert len(_InProcessPool.lists) == workers and len(made) == workers
+        assert len(_InProcessPool.lists) == workers and len(made) == 1 + workers
         assert sorted(map(id, sum(_InProcessPool.lists, []))) == sorted(map(id, tasks))
 
 
@@ -417,7 +420,8 @@ def test_concurrent_calls_in_threads_count_as_sequential_calls():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert got == [[expected[0]] * 3, [expected[1]] * 3]
 
 
