@@ -18,6 +18,9 @@ __version__ = "0.1.0"
 #: ``dynamics``, so the ``ifs`` help text can name it without loading numpy.
 BINS_MAX = 100_000
 
+#: Deepest ``edge-profile`` depth d (2^d + 1 values), here so its help loads no exact module.
+EDGE_DEPTH_MAX = 16
+
 #: Names of the ``verify`` suites in run order, the keys of ``verify.SUITES``;
 #: here so the ``verify`` help text needs none of the modules they check.
 SUITE_NAMES = ("core", "harmonic", "measures", "derivatives", "bvectors", "dynamics")

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import BINS_MAX, SUITE_NAMES
+from . import BINS_MAX, EDGE_DEPTH_MAX, SUITE_NAMES
 
 if TYPE_CHECKING:
     from . import dynamics as dy
@@ -36,9 +36,7 @@ EXIT_ROUTES = 3
 EXIT_PIPE = 141
 
 #: Size arguments are bounded before any work starts; outside the bounds the
-#: command exits 2.  An edge profile at depth d holds 2^d + 1 exact values,
-#: a level scan 3^m rows.
-EDGE_DEPTH_MAX = 16
+#: command exits 2.  A level scan holds 3^m rows.
 BVECTOR_LEVEL_MAX = 12
 
 
@@ -304,16 +302,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes before the branch below
         # Whatever is still buffered goes to devnull, so the flush at
         # interpreter exit cannot raise a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except (ValueError, OSError) as exc:  # OSError: an --output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from a hand-multiplied table.
   tuples of ints over a known scale, stepped by the families scaled to
   integers (``MASS_SCALED``, ``REFINE_SCALED``), so a hot path builds one
   ``Fraction`` at its end.  ``row_walk`` steps ``STRIDE`` letters at a time
-  by a ``stride_table`` product; the tree walk ``walk_level`` runs any step.
+  by one product of ``MASS_STRIDE``, the mass family's ``stride_table``
+  built once at import; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
   of the dtype ``array_dtype`` proves, and ``limb_sign`` compares values on
   them exactly; numpy is imported only when these run.
@@ -208,35 +209,27 @@ def row_step(row: IntRow, g: IntMat) -> IntRow:
     )
 
 
-#: Letters per ``stride_table`` product in ``row_walk``, read when it runs (README times k = 2..6).
+#: Letters per ``stride_table`` product in ``row_walk``; fixed at import, where ``MASS_STRIDE`` is built.
 STRIDE = 4
 
 
-#: ``(gens, k, table)`` per table built, matched so that no lookup hashes a family's 27 entries.
-_STRIDE_TABLES: list[tuple[tuple[IntMat, ...], int, dict[str, IntMat]]] = []
-
-
-def stride_table(gens: tuple[IntMat, ...], k: int) -> dict[str, IntMat]:
+def stride_table(gens: Sequence[IntMat], k: int = STRIDE) -> dict[str, IntMat]:
     """The product of ``gens`` along each word of at most ``k`` letters, keyed by the word."""
-    for g, n, table in _STRIDE_TABLES:
-        if n == k and g == gens:  # by identity, else by value: equal families share one table
-            return table
     table = level = {"": ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
     for _ in range(k):
         level = {w + ch: tuple(row_step(r, g) for r in m)  # type: ignore[misc]
                  for w, m in level.items() for ch, g in zip(LETTERS, gens)}
         table = {**table, **level}
-    _STRIDE_TABLES.append((gens, k, table))
     return table
 
 
-stride_table.cache_clear = _STRIDE_TABLES.clear  # type: ignore[attr-defined]
+#: The mass family's ``stride_table``, the one ``row_walk`` steps by unless given another.
+MASS_STRIDE = stride_table(MASS_SCALED)
 
 
-def row_walk(row: IntRow, word: str, gens: Iterable[IntMat] = MASS_SCALED) -> IntRow:
+def row_walk(row: IntRow, word: str, table: Mapping[str, IntMat] = MASS_STRIDE) -> IntRow:
     """``row_step`` along every letter of ``word``, first letter first, as one
-    ``stride_table`` product per ``STRIDE`` letters (and one for the rest)."""
-    table = stride_table(tuple(gens), STRIDE)
+    ``table`` product per ``STRIDE`` letters (and one for the rest)."""
     for i in range(0, len(word), STRIDE):
         row = row_step(row, table[word[i:i + STRIDE]])
     return row

@@ -24,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import EDGE_DEPTH_MAX
 from .core import (
     LETTERS,
     MASS_DEN,
@@ -339,8 +340,8 @@ def edge_profile(
     if j == k or j not in (0, 1, 2) or k not in (0, 1, 2):
         raise ValueError(f"edge must name two distinct corners, got {edge!r}")
     check_word(word)
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if not 0 <= depth <= EDGE_DEPTH_MAX:
+        raise ValueError(f"depth must be between 0 and {EDGE_DEPTH_MAX}, got {depth}")
     if len(word) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
     grid = 1 << depth
@@ -400,7 +401,9 @@ def edge_margin(word: str) -> Fraction:
     check_word(word)
     if "0" in word:
         raise ValueError("edge_margin is defined for words over letters {1,2} only")
-    row = row_walk(_MARGIN_ROW, word, REFINE_SCALED)
+    row = _MARGIN_ROW
+    for ch in word:
+        row = row_step(row, REFINE_SCALED[int(ch)])
     return Fraction(vec_dot(row, _MARGIN_COL), REFINE_DEN ** len(word))
 
 

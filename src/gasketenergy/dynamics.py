@@ -453,8 +453,8 @@ def invariant_density_residual(values: Sequence[float]) -> float:
     n = f.size
     if n < 2:
         raise ValueError("need at least two samples")
-    if not np.all(f >= 0):  # NaN fails too
-        raise ValueError("density values must be nonnegative")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise ValueError("density values must be finite and nonnegative")
     grid = TWO_PI * np.arange(n) / n
     xp = np.concatenate([grid, [TWO_PI]])
     fp = np.concatenate([f, f[:1]])

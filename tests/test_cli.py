@@ -80,11 +80,10 @@ def test_a_wrong_stride_product_exits_three(capsys, monkeypatch, argv):
     """Each checked command reads the mass walk through the stride table,
     and its other route does not: one entry off by one in the product for
     "2012" exits 3 with nothing on stdout."""
-    table = core.stride_table(core.MASS_SCALED, core.STRIDE)
     chunk = "20121"[:core.STRIDE]  # the word's first table product
-    bent = [list(row) for row in table[chunk]]
+    bent = [list(row) for row in core.MASS_STRIDE[chunk]]
     bent[0][0] += 1
-    monkeypatch.setitem(table, chunk, tuple(map(tuple, bent)))
+    monkeypatch.setitem(core.MASS_STRIDE, chunk, tuple(map(tuple, bent)))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "") and err.startswith("routes-disagree at ")
 
@@ -93,8 +92,8 @@ def test_derivative_routes_disagree_on_a_corrupted_walk(capsys, monkeypatch):
     """The second route does not read the integer row walk, so a fault there exits 3."""
     walk = dv.row_walk
 
-    def corrupted(row, word, gens=dv.MASS_SCALED):
-        r0, r1, r2 = walk(row, word, gens)
+    def corrupted(row, word, table=core.MASS_STRIDE):
+        r0, r1, r2 = walk(row, word, table)
         return r0 + 1, r1, r2
 
     monkeypatch.setattr(dv, "row_walk", corrupted)
@@ -197,6 +196,18 @@ def test_bvector_word_writes_to_the_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "bvector", "--word", "01", "--output", str(path))
     assert code == 0 and out == ""
     assert path.read_bytes() == (Path(__file__).parent / "golden" / "bvector_01.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("edge-profile", "--coeffs", "1,0,0", "--depth", "2"),
+    ("bvector", "--word", "01"),
+    ("ifs", "orbit", "--iters", "1", "--bins", "6"),
+], ids=lambda argv: argv[0])
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_edge_profile_csv(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasketenergy import EDGE_DEPTH_MAX
 from gasketenergy import derivatives as dv
 from gasketenergy.cli import main
 from gasketenergy.core import WORD_MAX_LEN, VertexAddress
@@ -246,6 +247,13 @@ def test_edge_profile_rejects_negative_depth():
     for depth in (-1, -5):
         with pytest.raises(ValueError, match="depth"):
             edge_profile(E[0], "1", (0, 2), depth)
+
+
+@pytest.mark.parametrize("depth", [EDGE_DEPTH_MAX + 1, 64])
+def test_edge_profile_refuses_a_depth_above_its_cap_before_any_work(depth):
+    """A profile at depth d holds 2^d + 1 values, so the bound comes first."""
+    with pytest.raises(ValueError, match=f"depth must be between 0 and {EDGE_DEPTH_MAX}, got {depth}"):
+        edge_profile(E[0], "", (0, 1), depth)
 
 
 def test_edge_profile_positions_are_dyadic_and_sorted():

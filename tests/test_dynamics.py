@@ -241,6 +241,8 @@ def test_residual_rejects_bad_input():
         dy.invariant_density_residual(np.array([1.0]))
     with pytest.raises(ValueError):
         dy.invariant_density_residual(np.array([1.0, -0.5, 1.0]))
+    with pytest.raises(ValueError, match="finite"):  # inf passes f >= 0 and would give nan
+        dy.invariant_density_residual(np.array([1.0, np.inf, 1.0]))
 
 
 def test_density_from_angular_requires_circular_arc():
@@ -619,5 +621,5 @@ def test_gamma_residual_rejects_a_nan_radius():
 
 
 def test_residual_rejects_a_nan_density():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
         dy.invariant_density_residual([1.0, NAN, 1.0])

@@ -120,7 +120,7 @@ def test_walk_guard_sees_each_kind_of_name():
     assert walk_names(ast.parse(source)) == WALK_NAMES
 
 
-KERNEL_NAMES = {"row_step", "row_walk", "stride_table", "subtree_levels", "array_children",
+KERNEL_NAMES = {"row_step", "row_walk", "stride_table", "MASS_STRIDE", "subtree_levels", "array_children",
                 "MASS_SCALED", "REFINE_SCALED", "MASS_GENERATORS", "REFINE_GENERATORS"}
 
 
@@ -129,7 +129,7 @@ def test_harmonic_oracle_names_no_kernel_or_generator():
     assert names_in(tree) & KERNEL_NAMES == set()
 
 
-STRIDED_NAMES = {"row_walk", "stride_table", "STRIDE"}
+STRIDED_NAMES = {"row_walk", "stride_table", "STRIDE", "MASS_STRIDE"}
 ORACLE_LOOPS = (("measures", "children_row_via_refine"), ("measures", "refine_step"),
                 ("bvectors", "b_from_word"), ("bvectors", "_b_step_int"), ("core", "word_matrix"))
 
@@ -153,11 +153,11 @@ def test_strided_guard_sees_each_name():
     source = (
         "def refine_step(x, j):\n"
         "    table = core.stride_table(REFINE_SCALED, core.STRIDE)\n"
-        "    return row_walk(x, str(j), REFINE_SCALED)\n"
+        "    return row_walk(x, str(j), table) or core.MASS_STRIDE\n"
         "def other(): return row_walk\n"
     )
     assert strided_names(source, "refine_step") == STRIDED_NAMES
-    assert strided_names(source.replace("row_walk(x", "step(x"), "refine_step") == {"stride_table", "STRIDE"}
+    assert strided_names(source.replace("row_walk(x", "step(x"), "refine_step") == STRIDED_NAMES - {"row_walk"}
 
 
 def test_a_wrong_extension_coefficient_fails_the_energy_oracle(capsys, monkeypatch):

@@ -77,7 +77,7 @@ def test_row_walk_is_the_scaled_word_product():
             mat = word_matrix(family, word)
             for i in range(3):
                 unit = tuple(int(i == k) for k in range(3))
-                row = row_walk(unit, word, gens)
+                row = row_walk(unit, word, core.stride_table(gens))
                 assert tuple(Fraction(x, den ** len(word)) for x in row) == mat[i]
 
 
@@ -137,38 +137,28 @@ def test_strided_walk_equals_the_letter_loop(gens):
     """Every word through two strides and a letter, so each remainder
     length follows zero, one and two full products, then 50 seeded long
     words."""
+    table = core.stride_table(gens)
     for n in range(2 * core.STRIDE + 2):
         for word in words_of(n):
-            assert row_walk((3, -1, 2), word, gens) == letter_by_letter((3, -1, 2), word, gens), word
+            assert row_walk((3, -1, 2), word, table) == letter_by_letter((3, -1, 2), word, gens), word
     rng = random.Random(20)
     for _ in range(50):
         word = "".join(rng.choice(LETTERS) for _ in range(rng.randint(33, 64)))
         row = tuple(rng.randint(-99, 99) for _ in range(3))
-        assert row_walk(row, word, gens) == letter_by_letter(row, word, gens), word
+        assert row_walk(row, word, table) == letter_by_letter(row, word, gens), word
 
 
-def test_stride_table_is_built_once_per_generator_tuple(monkeypatch):
-    """A spy on ``row_step`` counts the table build, three rows stepped for
-    each word of 1 to STRIDE letters, once per process and once more for a
-    family equal in value to none before it; a walk then takes one step per
-    STRIDE letters and one for the rest."""
+def test_row_walk_takes_one_step_per_stride_and_builds_nothing(monkeypatch):
+    """A spy on ``row_step`` counts the steps of a walk of k * STRIDE + 1
+    letters: one per table product, k + 1 in all, and none for a table
+    build, since ``MASS_STRIDE`` was built at import."""
     steps = []
     step = core.row_step
     monkeypatch.setattr(core, "row_step", lambda row, g: steps.append(g) or step(row, g))
-    core.stride_table.cache_clear()
     k = core.STRIDE
     word = "0121" * k + "2"  # k table products and one for the last letter
-    build = 3 * (3 ** (k + 1) - 3) // 2
-    first = row_walk((1, 2, 3), word)
-    assert len(steps) == build + k + 1
-    assert row_walk((1, 2, 3), word) == first and len(steps) == build + 2 * (k + 1)
-    patched = tuple(tuple(tuple(x + (i == j == 0) for j, x in enumerate(r)) for i, r in enumerate(g))
-                    for g in MASS_SCALED)  # entry (0, 0) of each letter raised by one
-    steps.clear()
-    assert row_walk((1, 2, 3), word, patched) == letter_by_letter((1, 2, 3), word, patched) != first
-    assert len(steps) == build + k + 1  # its own table
-    assert core.stride_table(MASS_SCALED, k) is not core.stride_table(patched, k)
-    assert core.stride_table(tuple(MASS_SCALED), k) is core.stride_table(MASS_SCALED, k)
+    assert row_walk((1, 2, 3), word) == letter_by_letter((1, 2, 3), word, MASS_SCALED)
+    assert steps == [core.MASS_STRIDE["0121"]] * k + [core.MASS_STRIDE["2"]]
 
 
 def test_stride_table_keys_are_the_words():
@@ -529,7 +519,7 @@ def test_planted_families_have_deep_first_offenders():
     for gens, first, shallow in PLANTED:
         assert reference_scan_bounds(gens, len(first)) == first
         assert len(shallow) < len(first) and shallow > first
-        row = row_walk((1, 1, 1), shallow, gens)  # the shallow word offends too
+        row = row_walk((1, 1, 1), shallow, core.stride_table(gens))  # the shallow word offends too
         assert e2(row) <= 0 or any(sum(row) + 3 * x <= 0 or x >= sum(row) for x in row)
 
 
