@@ -24,3 +24,23 @@ EDGE_DEPTH_MAX = 16
 #: Names of the ``verify`` suites in run order, the keys of ``verify.SUITES``;
 #: here so the ``verify`` help text needs none of the modules they check.
 SUITE_NAMES = ("core", "harmonic", "measures", "derivatives", "bvectors", "dynamics")
+
+
+def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than ``jobs``, the tasks or the CPUs."""
+    return min(jobs, tasks, cpus or 1)
+
+
+def fan_out(fn, items: list, workers: int):
+    """``fn(item)`` for each item, in order, from ``workers`` processes.  If an item raises
+    or the caller stops early, the workers are stopped, so the items left never finish."""
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            yield from (future.result() for future in futures)
+        except BaseException:  # GeneratorExit too; the pool's exit would wait for running items
+            for proc in list(pool._processes.values()):  # no public handle before Python 3.14
+                proc.terminate()
+            raise

@@ -3,7 +3,8 @@
 One-shot exact queries print a rational followed by its float value; scan
 commands emit CSV (the canonical artifact) or a minimal static SVG bar
 chart.  Everything is controlled by flags, and the same arguments always
-produce byte-identical output, whatever the parallelism degree.
+produce byte-identical output, whatever the parallelism degree: ``ifs --jobs``, or
+``verify --suite all`` in up to min(6, CPU count) processes, printing suite by suite.
 
 ``measure``, ``derivative`` and ``bvector`` (each word of a ``--level`` scan
 too) check every exact value against an independent route before printing

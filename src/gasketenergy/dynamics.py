@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import BINS_MAX
+from . import BINS_MAX, fan_out, worker_count
 
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
@@ -259,11 +259,6 @@ def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
             yield DiskPoint(*p).to_b()
 
 
-def _worker_count(jobs: int, tasks: int, cpus: Optional[int]) -> int:
-    """Worker processes worth starting: no more than the tasks or the CPUs."""
-    return min(jobs, tasks, cpus or 1)
-
-
 def _count_tasks(count, tasks: list) -> np.ndarray:
     """``count`` summed over the tasks, all run on one ``_scratch``."""
     return sum(count(x, y, *(a[..., :x.size] for a in scratch[1:])) for (x, y), scratch in _leaves(tasks))
@@ -274,13 +269,10 @@ def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray
     task and makes its own scratch.  Each point runs the same elementwise float
     chain whatever the blocks or workers, so neither changes the counts."""
     tasks = _blocks(step, state, levels)
-    workers = _worker_count(jobs, len(tasks), os.cpu_count())
+    workers = worker_count(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return _count_tasks(count, tasks)
-    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(partial(_count_tasks, count), [tasks[k::workers] for k in range(workers)]))
+    return sum(fan_out(partial(_count_tasks, count), [tasks[k::workers] for k in range(workers)], workers))
 
 
 # ---------------------------------------------------------------------------

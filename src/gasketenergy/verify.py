@@ -4,19 +4,22 @@ Each suite re-checks the properties its module promises - exact route
 agreements, strict bounds, symmetry, self-similarity - at a size controlled
 by ``max_depth``, printing one PASS/FAIL line per property.  A failing
 check reports its first offending word, vertex or triple in scan order, and
-its scan stops there, so a failure is immediately reproducible.  All
-randomness is seeded; two runs print identical bytes.
+its scan stops there, so a failure is immediately reproducible.  Each suite
+seeds its own randomness, so two runs print identical bytes, and ``all`` can
+run its suites in up to min(6, CPU count) processes, printed suite by suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from . import bvectors as bv
+from . import bvectors as bv, fan_out, worker_count
 from .core import (
     MASS_GENERATORS,
     REFINE_GENERATORS,
@@ -406,16 +409,24 @@ SUITES: dict[str, Callable[[int], Iterator[Check]]] = {
 }
 
 
+def _suite_checks(max_depth: int, name: str) -> list[Check]:
+    return list(SUITES[name](max_depth))
+
+
 def run_suites(suite: str, max_depth: int = 4, echo: Callable[[str], None] = print) -> bool:
-    """Run one named suite (or ``all``); return True iff every check passed."""
+    """Run one named suite (or ``all``); return True iff every check passed.  Given more
+    CPUs than one, ``all`` runs in min(6, CPU count) processes and echoes suite by suite."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     if max_depth < 1:
         raise ValueError(f"--max-depth must be at least 1, got {max_depth}")
     names = list(SUITES) if suite == "all" else [suite]
+    workers = worker_count(len(SUITES), len(names), os.cpu_count())
     all_ok = True
-    for name in names:
-        for check, ok, detail in SUITES[name](max_depth):
+    # no name holds the pool's iterator, so an echo that raises closes the pool at once
+    for checks in (fan_out(partial(_suite_checks, max_depth), names, workers) if workers > 1
+                   else (SUITES[name](max_depth) for name in names)):
+        for check, ok, detail in checks:
             tag = "PASS" if ok else "FAIL"
             echo(f"{tag}  {check}: {detail}")
             all_ok = all_ok and ok

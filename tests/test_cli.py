@@ -295,6 +295,11 @@ def test_verify_reports_the_first_counterexample_and_exits_one(capsys, monkeypat
     assert rest and all(line.startswith("PASS") for line in rest)
 
 
+def test_verify_output_stops_changing_at_max_depth_8(capsys):
+    """Every suite's scan depths reach their caps (10 at most) by ``--max-depth 8``."""
+    assert run(capsys, "verify", "--max-depth", "8") == run(capsys, "verify", "--max-depth", "1000000")
+
+
 def test_structure_and_symmetry_checks_name_their_first_counterexample(monkeypatch):
     monkeypatch.setattr(verify, "REFINE_SCALED", _one_entry_off(verify.REFINE_SCALED, 1))
     checks = {name: (ok, detail) for name, ok, detail in verify.core_suite(1)}
