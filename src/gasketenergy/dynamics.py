@@ -1,17 +1,19 @@
 """Float laboratory for the subdivision dynamics on the weight disk.
 
 The exact weight triples of the bvectors module live on a disk; appending a
-letter to the cell word acts on that disk by one of three rational maps.  In
-orthonormal in-plane coordinates scaled to the unit disk the letter-0 map is
+letter to the cell word acts on that disk by one of three maps.  On the
+homogeneous rows (T, X, Y) of the unit-disk point (X/T, Y/T), in orthonormal
+in-plane coordinates, letter 0 is the Klein-model boost (cosh = 5/3)
 
-    (x, y)  |->  ((5x + 4)/(4x + 5),  3y/(4x + 5)),
+    B = ((5, 4, 0), (4, 5, 0), (0, 0, 3)):  (x, y) |-> ((5x + 4)/(4x + 5), 3y/(4x + 5)),
 
-and the other two letters are its conjugates by the one-third rotations.
-The maps fix the disk, contract toward its boundary, and restrict to the
-circle as smooth degree-one maps with an explicit closed form.  This module
-iterates all of that in double precision: point clouds of every level-m
-cell's weight triple, angular and radial histograms, boundary orbits, and
-the residual of a sampled density under the circle maps' transfer operator.
+and letter j is R(a_j) B R(-a_j) for its one-third-turn offset a_j, so a
+descent multiplies and adds and never divides.  The maps fix the disk, contract
+toward its boundary and restrict to the circle as smooth degree-one maps with a
+closed form.  This module iterates all of that in double precision: point
+clouds of every level-m cell's weight triple, angular and radial histograms,
+boundary orbits, and the residual of a sampled density under the circle maps'
+transfer operator.
 
 Everything here is float; exactness lives in the bvectors module, and the
 tests pin these floats against it.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,17 +35,22 @@ THIRD_TURN = TWO_PI / 3.0
 #: b-space radius of the weight disk; unit-disk radius 1 corresponds to this.
 DISK_RADIUS_B = 1.0 / math.sqrt(6.0)
 
+_SQRT3 = math.sqrt(3.0)
 _ROT = (0.0, THIRD_TURN, -THIRD_TURN)  # circle offset of each letter's map
-_COS_ROT = (1.0, -0.5, -0.5)
-_SIN_ROT = (0.0, math.sqrt(3.0) / 2.0, -math.sqrt(3.0) / 2.0)
+_S = _SQRT3 / 2.0  # the sine of the one-third turn
 
 #: The circle maps on half-angles h = theta/2: letter 0 sends (cos h, sin h) to
 #: (3 cos h, sin h), so tan(theta/2) to tan(theta/2)/3, and the image angle is
 #: twice the new pair's argument.  Letter j is R(a_j/2) diag(3, 1) R(-a_j/2) for
-#: its offset a_j, kept as (a, b, d) for the symmetric ((a, b), (b, d)); the
-#: inverses use diag(1, 3) = 3 diag(1/3, 1), a scale that atan2 ignores.
-_HALF_STEP = ((3.0, 0.0, 1.0), (1.5, _SIN_ROT[1], 2.5), (1.5, _SIN_ROT[2], 2.5))
-_HALF_STEP_INVERSE = ((1.0, 0.0, 3.0), (2.5, _SIN_ROT[2], 1.5), (2.5, _SIN_ROT[1], 1.5))
+#: its offset a_j, a symmetric 2x2 matrix; the inverses use diag(1, 3) =
+#: 3 diag(1/3, 1), a scale that atan2 ignores.
+_HALF_STEP = (((3.0, 0.0), (0.0, 1.0)), ((1.5, _S), (_S, 2.5)), ((1.5, -_S), (-_S, 2.5)))
+_HALF_STEP_INVERSE = (((1.0, 0.0), (0.0, 3.0)), ((2.5, -_S), (-_S, 1.5)), ((2.5, _S), (_S, 1.5)))
+#: The disk maps on homogeneous rows (T, X, Y): letter j is R(a_j) B R(-a_j), with R
+#: rotating (X, Y) by the offset a_j of cosine c and sine s, written out symmetric.
+_DISK_STEP = tuple(((5.0, 4.0 * c, 4.0 * s), (4.0 * c, 5.0 * c * c + 3.0 * s * s, 2.0 * c * s),
+                    (4.0 * s, 2.0 * c * s, 3.0 * c * c + 5.0 * s * s))
+                   for c, s in ((1.0, 0.0), (-0.5, _S), (-0.5, -_S)))
 
 #: Boundary fixed angles of the three maps (two per letter, exact).
 BOUNDARY_FIXED_ANGLES: tuple[tuple[float, float], ...] = (
@@ -58,8 +65,6 @@ DEFAULT_SEEDS: tuple[tuple[float, float], ...] = (
     (-1.0, 0.0),
     (math.sqrt(0.5), -math.sqrt(0.5)),
 )
-
-_SQRT3 = math.sqrt(3.0)
 
 
 class DiskPoint(NamedTuple):
@@ -99,32 +104,21 @@ def _check_letter(j: int) -> None:
         raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
 
 
-#: Kernel arithmetic: the ufunc into ``out`` when one is given, else Python's operator.
-_add = lambda a, b, out=None: a + b if out is None else np.add(a, b, out=out)
-_sub = lambda a, b, out=None: a - b if out is None else np.subtract(a, b, out=out)
-_mul = lambda a, b, out=None: a * b if out is None else np.multiply(a, b, out=out)
-_div = lambda a, b, out=None: a / b if out is None else np.divide(a, b, out=out)
+def _step(table, j: int, state: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Matrix j of ``table`` on the homogeneous rows ``state``, elementwise: each row of
+    ``out`` is its first product plus the others, in that order, through one ``tmp`` row."""
+    for row, o in zip(table[j], out):
+        np.multiply(row[0], state[0], out=o)
+        for m, s in zip(row[1:], state[1:]):
+            np.add(o, np.multiply(m, s, out=tmp), out=o)
 
 
-def _apply_B_arrays(j: int, x, y, out=(None, None), tmp=(None,) * 3):
-    """The letter-j disk map, elementwise: rotate the letter's axis onto the
-    x-axis, apply the letter-0 map, rotate back.  Writes into the ``out`` pair
-    with three ``tmp`` rows when given; numpy allocates where they are None."""
-    c, s = _COS_ROT[j], _SIN_ROT[j]
-    (ox, oy), (t0, t1, t2) = out, tmp
-    u = _add(_mul(c, x, t0), _mul(s, y, t1), t0)
-    v = _add(_mul(-s, x, t1), _mul(c, y, t2), t1)
-    den = _add(_mul(4.0, u, t2), 5.0, t2)
-    u = _div(_add(_mul(5.0, u, t0), 4.0, t0), den, t0)
-    v = _div(_mul(3.0, v, t1), den, t1)
-    return _sub(_mul(c, u, ox), _mul(s, v, t2), ox), _add(_mul(s, u, oy), _mul(c, v, t2), oy)
-
-
-def _half_step(j: int, p, q, table=_HALF_STEP, out=(None, None), tmp=(None,)):
-    """Row j of a half-angle table on the pairs (p, q), elementwise: 4 multiplies, 2 adds."""
-    a, b, d = table[j]
-    (op, oq), t = out, tmp[0]
-    return _add(_mul(a, p, op), _mul(b, q, t), op), _add(_mul(b, p, oq), _mul(d, q, t), oq)
+def _disk_map(j: int, x, y):
+    """The letter-j disk map at (x, y), floats or arrays, by Python's operators: the
+    image of the homogeneous row (1, x, y), its T divided out."""
+    (t0, t1, t2), (x0, x1, x2), (y0, y1, y2) = _DISK_STEP[j]
+    t = t0 + t1 * x + t2 * y
+    return (x0 + x1 * x + x2 * y) / t, (y0 + y1 * x + y2 * y) / t
 
 
 def _circle_map_array(j: int, theta: np.ndarray, table=_HALF_STEP) -> np.ndarray:
@@ -132,8 +126,9 @@ def _circle_map_array(j: int, theta: np.ndarray, table=_HALF_STEP) -> np.ndarray
     as an angle in [-2pi, 2pi].  A half-angle pair and its negative double to
     the same angle, so theta needs no reduction first."""
     h = 0.5 * theta
-    p, q = _half_step(j, np.cos(h), np.sin(h), table)
-    return 2.0 * np.arctan2(q, p)
+    p, q = np.cos(h), np.sin(h)
+    (a, b), (c, d) = table[j]
+    return 2.0 * np.arctan2(c * p + d * q, a * p + b * q)
 
 
 def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
@@ -145,7 +140,7 @@ def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
     x, y = float(p[0]), float(p[1])
     if not x * x + y * y <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("point outside the closed disk")
-    return DiskPoint(*_apply_B_arrays(j, x, y))
+    return DiskPoint(*_disk_map(j, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +194,13 @@ def gamma_residual(r: float, theta: float, j: int) -> float:
 
 LEVEL_LIMIT = 16
 #: Each counting task takes ``_BLOCK_POINTS`` contiguous frontier points through
-#: the last ``_TASK_LEVELS`` levels: 3^10 leaves, which stay in a 2 MB L2 cache.
+#: the last ``_TASK_LEVELS`` levels: 3^10 leaves, 0.47 MB a row of a level array.
 _TASK_LEVELS = 7
 _BLOCK_POINTS = 27
 #: The barycenter, and the level-1 point of the word "0" where the subtree-0
-#: cloud of the histograms starts; one row per coordinate.
-_ORIGIN = np.zeros((2, 1))
-_SUBTREE0 = np.array(_apply_B_arrays(0, *_ORIGIN))
+#: cloud of the histograms starts, as homogeneous (T, X, Y) columns.
+_ORIGIN = np.array([[1.0], [0.0], [0.0]])
+_SUBTREE0 = np.array(_DISK_STEP[0])[:, :1]
 
 
 def _check_level(name: str, m: int) -> None:
@@ -213,62 +208,63 @@ def _check_level(name: str, m: int) -> None:
         raise ValueError(f"{name} must be between 0 and {LEVEL_LIMIT}")
 
 
-def _scratch(n: int) -> tuple:
-    """One counting call's buffers for tasks of up to ``n`` leaves: two ping-pong
-    level arrays, three float rows (step temporaries, then the leaf values and
-    the fold's products), the fold's two masks and the int64 bin index."""
-    return np.empty((2, 2 * n)), np.empty((3, n)), np.empty((2, n), bool), np.empty(n, np.int64)
+def _scratch(rows: int, n: int) -> tuple:
+    """One counting call's buffers for tasks of up to ``n`` leaves of ``rows`` coordinates:
+    two ping-pong level arrays, three float rows (the step's temporary, then the leaf
+    values and the fold's products), the fold's two masks and the int64 bin index."""
+    return np.empty((2, rows * n)), np.empty((3, n)), np.empty((2, n), bool), np.empty(n, np.int64)
 
 
-def _descend(step, state: np.ndarray, levels: int, scratch: tuple) -> np.ndarray:
-    """All images of the points (one row per coordinate) under the words of the
-    given length by the kernel ``step``, children in word order: each letter's go
-    into column j of a (rows, n, 3) view of the ``_scratch``'s level arrays in turn."""
+def _descend(table, state: np.ndarray, levels: int, scratch: tuple) -> np.ndarray:
+    """All images of the points (one row per coordinate) under the words of the given
+    length by the matrices of ``table``, children in word order: each letter's go into
+    column j of a (rows, n, 3) view of the ``_scratch``'s level arrays in turn."""
     for i in range(levels):
-        n = state.shape[1]
-        children = scratch[0][i % 2, :6 * n].reshape(2, n, 3)
+        rows, n = state.shape
+        children = scratch[0][i % 2, :3 * rows * n].reshape(rows, n, 3)
         for j in (0, 1, 2):
-            step(j, *state, out=children[..., j], tmp=scratch[1][:, :n])
-        state = children.reshape(len(state), -1)
+            _step(table, j, state, children[..., j], scratch[1][0, :n])
+        state = children.reshape(rows, -1)
     return state
 
 
-def _blocks(step, state: np.ndarray, levels: int) -> list:
+def _blocks(table, state: np.ndarray, levels: int) -> list:
     """Descend all but the last ``_TASK_LEVELS`` levels once and cut the frontier
     into contiguous blocks, each with the levels left; an empty frontier still
     gives one (empty) block, so counts keep their length."""
     top = max(levels - _TASK_LEVELS, 0)
-    state = _descend(step, state, top, _scratch(state.shape[1] * 3 ** top))
+    state = _descend(table, state, top, _scratch(len(state), state.shape[1] * 3 ** top))
     size = max(state.shape[1], 1)
-    return [(step, state[:, i:i + _BLOCK_POINTS], levels - top)
+    return [(table, state[:, i:i + _BLOCK_POINTS], levels - top)
             for i in range(0, size, _BLOCK_POINTS)]
 
 
 def _leaves(tasks: list) -> Iterator[tuple]:
     """Each task's leaves, in the one ``_scratch`` (sized for the widest task) the next overwrites."""
-    scratch = _scratch(max(block.shape[1] * 3 ** levels for _, block, levels in tasks))
-    for step, block, levels in tasks:
-        yield _descend(step, block, levels, scratch), scratch
+    scratch = _scratch(len(tasks[0][1]), max(block.shape[1] * 3 ** levels for _, block, levels in tasks))
+    for table, block, levels in tasks:
+        yield _descend(table, block, levels, scratch), scratch
 
 
 def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     """All 3^m level-m weight triples, floats, in lexicographic word order."""
     _check_level("level", m)
-    for (x, y), _ in _leaves(_blocks(_apply_B_arrays, _ORIGIN, m)):
-        for p in zip(x.tolist(), y.tolist()):
+    for (t, x, y), _ in _leaves(_blocks(_DISK_STEP, _ORIGIN, m)):
+        for p in zip((x / t).tolist(), (y / t).tolist()):
             yield DiskPoint(*p).to_b()
 
 
 def _count_tasks(count, tasks: list) -> np.ndarray:
     """``count`` summed over the tasks, all run on one ``_scratch``."""
-    return sum(count(x, y, *(a[..., :x.size] for a in scratch[1:])) for (x, y), scratch in _leaves(tasks))
+    return sum(count(leaves, *(a[..., :leaves.shape[1]] for a in scratch[1:]))
+               for leaves, scratch in _leaves(tasks))
 
 
-def _count(step, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray:
+def _count(table, state: np.ndarray, levels: int, count, jobs: int) -> np.ndarray:
     """``count`` summed over the blocks; each worker takes every ``workers``-th
     task and makes its own scratch.  Each point runs the same elementwise float
     chain whatever the blocks or workers, so neither changes the counts."""
-    tasks = _blocks(step, state, levels)
+    tasks = _blocks(table, state, levels)
     workers = worker_count(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return _count_tasks(count, tasks)
@@ -325,10 +321,10 @@ def _bin_counts(t: np.ndarray, span: float, bins: int, idx: np.ndarray) -> np.nd
     return np.bincount(np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx), minlength=bins)
 
 
-def _fold_angles(t: np.ndarray, arc: str, masks=(None, None), tmp: Optional[np.ndarray] = None) -> np.ndarray:
+def _fold_angles(t: np.ndarray, arc: str, masks: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Reduce angles in [-2pi, 2pi], in place, into the reporting arc by the
-    symmetries that tile it, with two bool ``masks`` and a float ``tmp`` row
-    when given.  Each subtraction is exact (Sterbenz), so this is bit for bit
+    symmetries that tile it, with two bool ``masks`` and a float ``tmp`` row.
+    Each subtraction is exact (Sterbenz), so this is bit for bit
     ``np.mod(np.mod(t, TWO_PI), THIRD_TURN)``, tiny negatives to 2pi too."""
     big, mask = np.greater_equal(t, TWO_PI, out=masks[0]), masks[1]  # big before the add
     t += np.multiply(np.less(t, 0.0, out=mask), TWO_PI, out=tmp)
@@ -346,22 +342,22 @@ def _arc_counts(theta: np.ndarray, arc: str, bins: int, tmp, masks, index) -> np
     return _bin_counts(_fold_angles(theta, arc, masks, tmp), _ARC_SPANS[arc], bins, index)
 
 
-def _angular_counts(x, y, work, masks, index, arc: str, slices: int) -> np.ndarray:
-    theta = np.arctan2(y, x, out=work[0])
+def _angular_counts(leaves, work, masks, index, arc: str, slices: int) -> np.ndarray:
+    theta = np.arctan2(leaves[2], leaves[1], out=work[0])
     if arc == "full" and slices % 3:
         return sum(_arc_counts(np.add(theta, rot, out=work[1]), arc, slices, work[2], masks, index)
                    for rot in _ROT)
     return _arc_counts(theta, arc, slices, work[1], masks, index)
 
 
-def _orbit_counts(p, q, work, masks, index, arc: str, bins: int) -> np.ndarray:
-    theta = np.multiply(2.0, np.arctan2(q, p, out=work[0]), out=work[0])
+def _orbit_counts(leaves, work, masks, index, arc: str, bins: int) -> np.ndarray:
+    theta = np.multiply(2.0, np.arctan2(leaves[1], leaves[0], out=work[0]), out=work[0])
     return _arc_counts(theta, arc, bins, work[1], masks, index)
 
 
-def _radial_counts(x, y, work, masks, index, bins: int) -> np.ndarray:
-    r = np.multiply(np.hypot(x, y, out=work[0]), DISK_RADIUS_B, out=work[0])
-    return _bin_counts(r, DISK_RADIUS_B, bins, index)
+def _radial_counts(leaves, work, masks, index, bins: int) -> np.ndarray:
+    r = np.divide(np.hypot(leaves[1], leaves[2], out=work[0]), leaves[0], out=work[0])
+    return _bin_counts(np.multiply(r, DISK_RADIUS_B, out=r), DISK_RADIUS_B, bins, index)
 
 
 def _edges(span: float, bins: int) -> tuple[float, ...]:
@@ -384,7 +380,7 @@ def angular_histogram(m: int, slices: int = 100, arc: str = "third", jobs: int =
     if m == 0:  # the barycenter alone, at angle 0
         return Histogram(_edges(span, slices), (1,) + (0,) * (slices - 1), NORM_MEAN_ONE)
     count = partial(_angular_counts, arc=arc, slices=slices)
-    counts = _count(_apply_B_arrays, _SUBTREE0, m - 1, count, jobs)
+    counts = _count(_DISK_STEP, _SUBTREE0, m - 1, count, jobs)
     if arc != "full":
         counts = 3 * counts
     elif slices % 3 == 0:
@@ -403,7 +399,7 @@ def radial_histogram(m: int, bins: int = 300, jobs: int = 1) -> Histogram:
     if m == 0:  # the barycenter alone, at radius 0
         return Histogram(_edges(DISK_RADIUS_B, bins), (1,) + (0,) * (bins - 1), NORM_RATIO)
     count = partial(_radial_counts, bins=bins)
-    counts = 3 * _count(_apply_B_arrays, _SUBTREE0, m - 1, count, jobs)
+    counts = 3 * _count(_DISK_STEP, _SUBTREE0, m - 1, count, jobs)
     return Histogram(_edges(DISK_RADIUS_B, bins), tuple(counts.tolist()), NORM_RATIO)
 
 
@@ -424,7 +420,7 @@ def boundary_orbit_histogram(seeds: Sequence[tuple[float, float]] = DEFAULT_SEED
             raise ValueError(f"seed ({sx}, {sy}) is not on the boundary circle")
     h = np.array([0.5 * math.atan2(sy, sx) for sx, sy in seeds], dtype=float)
     count = partial(_orbit_counts, arc=arc, bins=bins)
-    counts = _count(_half_step, np.array([np.cos(h), np.sin(h)]), iters, count, jobs)
+    counts = _count(_HALF_STEP, np.array([np.cos(h), np.sin(h)]), iters, count, jobs)
     return Histogram(_edges(span, bins), tuple(counts.tolist()), NORM_MEAN_ONE)
 
 
@@ -450,11 +446,11 @@ def invariant_density_residual(values: Sequence[float]) -> float:
     grid = TWO_PI * np.arange(n) / n
     xp = np.concatenate([grid, [TWO_PI]])
     fp = np.concatenate([f, f[:1]])
-    image = np.zeros(n)
+    image, masks, tmp = np.zeros(n), np.empty((2, n), bool), np.empty(n)
     for j in (0, 1, 2):
         pre = _circle_map_array(j, grid, _HALF_STEP_INVERSE)
         weight = 3.0 / (5.0 - 4.0 * np.cos(grid - _ROT[j]))
-        image += np.interp(_fold_angles(pre, "full"), xp, fp) * weight
+        image += np.interp(_fold_angles(pre, "full", masks, tmp), xp, fp) * weight
     image /= 3.0
     return float(np.max(np.abs(f - image)))
 
@@ -484,5 +480,5 @@ def count_grid_fixed_points(j: int, n: int = 200) -> int:
     gx, gy = np.meshgrid(xs, xs)
     inside = gx * gx + gy * gy < 1.0
     x, y = gx[inside], gy[inside]
-    bx, by = _apply_B_arrays(j, x, y)
+    bx, by = _disk_map(j, x, y)
     return int(np.count_nonzero(np.hypot(bx - x, by - y) < 1e-9))

@@ -185,18 +185,21 @@ def is_positive(c: MeasureCoeffs) -> bool:
     return cone_value(c) >= 0 and vec_sum(c) >= 0
 
 
+NEGATIVE_DEPTH_MAX = 12  # the deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB
+
+
 def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     """Shortest (then lexicographically first) cell word with negative mass.
 
-    Returns ``None`` when every cell down to ``max_depth`` has nonnegative
-    mass and raises ``ValueError`` for ``max_depth < 0``.  The cone is tested
-    once, at the root: each scaled mass generator multiplies ``cone_value`` by
-    9 (M_j A M_j^T == 9 A), so every cell shares its sign, and a positive
-    measure has no negative cell.  Else each level is walked whole, as bare
-    ``subtree_row`` rows, and ``lex_word`` spells only the first negative one.
+    Returns ``None`` when every cell down to ``max_depth`` has nonnegative mass
+    and raises ``ValueError`` for ``max_depth`` outside 0..``NEGATIVE_DEPTH_MAX``.
+    The cone is tested once, at the root: each scaled mass generator multiplies
+    ``cone_value`` by 9 (M_j A M_j^T == 9 A), so every cell shares its sign and
+    a positive measure has no negative cell.  Else each level is walked whole as
+    bare ``subtree_row`` rows, and ``lex_word`` spells only the first negative one.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if not 0 <= max_depth <= NEGATIVE_DEPTH_MAX:
+        raise ValueError(f"max_depth must be nonnegative and at most {NEGATIVE_DEPTH_MAX}, got {max_depth}")
     level = [row := int_row(c)[0]]
     if sum(row) < 0:
         return ""

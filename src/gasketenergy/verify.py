@@ -318,7 +318,7 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
 
     def circle_misses():
         for j, t in enumerate(angles):
-            x, y = dy._apply_B_arrays(j, np.cos(t), np.sin(t))
+            x, y = dy._disk_map(j, np.cos(t), np.sin(t))
             diff = np.arctan2(y, x) - dy._circle_map_array(j, t)
             diff = np.remainder(diff + math.pi, dy.TWO_PI) - math.pi  # wrapped into [-pi, pi)
             yield from ((j, float(t[i])) for i in (~(np.abs(diff) < 1e-12)).nonzero()[0])
@@ -332,7 +332,7 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
     for row in letters:
         for j in range(3):
             m = row == j
-            x[m], y[m] = dy._apply_B_arrays(j, x[m], y[m])
+            x[m], y[m] = dy._disk_map(j, x[m], y[m])
     r = np.hypot(x, y) * dy.DISK_RADIUS_B
     worst = float(r.max())
     yield _check("dynamics.disk-invariance",
@@ -347,8 +347,8 @@ def dynamics_suite(max_depth: int) -> Iterator[Check]:
 
     def collisions():
         for j in range(3):
-            ax, ay = dy._apply_B_arrays(j, a[:, 0], a[:, 1])
-            bx, by = dy._apply_B_arrays(j, b[:, 0], b[:, 1])
+            ax, ay = dy._disk_map(j, a[:, 0], a[:, 1])
+            bx, by = dy._disk_map(j, b[:, 0], b[:, 1])
             yield from ((j, int(i)) for i in (~(np.hypot(ax - bx, ay - by) > 0)).nonzero()[0])
     yield _check("dynamics.injectivity-witness",
                  f"{a.shape[0]} distinct pairs keep distinct images under every letter", collisions())

@@ -214,7 +214,7 @@ def test_criterion_11_dynamics_exactness():
     rng = np.random.default_rng(20_26)
     thetas = rng.uniform(-math.pi, math.pi, 10_000)
     for j in range(3):
-        px, py = dy._apply_B_arrays(j, np.cos(thetas), np.sin(thetas))
+        px, py = dy._disk_map(j, np.cos(thetas), np.sin(thetas))
         diff = np.arctan2(py, px) - dy._circle_map_array(j, thetas)
         worst = np.abs(np.remainder(diff + math.pi, 2 * math.pi) - math.pi).max()
         assert worst < 1e-12
@@ -235,7 +235,7 @@ def test_criterion_11_dynamics_exactness():
     for row in rng.integers(0, 3, (5, x.size)):
         for j in range(3):
             mask = row == j
-            x[mask], y[mask] = dy._apply_B_arrays(j, x[mask], y[mask])
+            x[mask], y[mask] = dy._disk_map(j, x[mask], y[mask])
     assert float(np.hypot(x, y).max()) <= 1.0 + 1e-12
 
 

@@ -1,5 +1,6 @@
 """Disk/circle iteration, point clouds, histograms, invariant density."""
 
+import hashlib
 import math
 from fractions import Fraction
 from functools import partial
@@ -262,6 +263,23 @@ def _histogram_counts(jobs):
     return out
 
 
+def test_histogram_counts_are_pinned():
+    """A sha256 over the counts of every histogram shape at levels 0..12: the
+    angular ones on each arc at 99 and 100 slices, the radial one at 300 bins
+    and the orbit ones on each arc at 800 bins."""
+    digest = hashlib.sha256()
+    for m in range(13):
+        for arc in ("full", "third", "sixth"):
+            for slices in (99, 100):
+                counts = dy.angular_histogram(m, slices=slices, arc=arc).counts
+                digest.update(repr(("angular", m, arc, slices, counts)).encode())
+        digest.update(repr(("radial", m, 300, dy.radial_histogram(m, bins=300).counts)).encode())
+        for arc in ("full", "third", "sixth"):
+            counts = dy.boundary_orbit_histogram(iters=m, bins=800, arc=arc).counts
+            digest.update(repr(("orbit", m, arc, 800, counts)).encode())
+    assert digest.hexdigest() == "7d53b7aa716d3c767e4fd3ad62fe9ca6c165c84fb9699056b2234dad0fdb066b"
+
+
 @pytest.fixture(scope="module")
 def default_counts():
     return _histogram_counts(jobs=1)
@@ -277,32 +295,65 @@ def test_counts_do_not_depend_on_the_blocks(monkeypatch, default_counts, jobs, t
     assert _histogram_counts(jobs) == default_counts
 
 
-def _descend_ref(step, state, levels):
+def _step_ref(table, j, state):
+    """Matrix j of the table on the rows by Python's operators, each output row
+    its first product plus the others in order, in fresh arrays."""
+    out = []
+    for row in table[j]:
+        o = row[0] * state[0]
+        for m, s in zip(row[1:], state[1:]):
+            o = o + m * s
+        out.append(o)
+    return np.array(out)
+
+
+def _descend_ref(table, state, levels):
     """The stack-and-reshape descent that ``_descend`` replaced."""
     for _ in range(levels):
-        children = [np.reshape(step(j, *state), state.shape) for j in (0, 1, 2)]
+        children = [_step_ref(table, j, state) for j in (0, 1, 2)]
         state = np.stack(children, axis=-1).reshape(len(state), -1)
     return state
 
 
-@pytest.mark.parametrize("step", [dy._apply_B_arrays, dy._half_step])
+# ids: apply_B's disk map on arrays of points, and the circle's half-angle step
+@pytest.mark.parametrize("table", [dy._DISK_STEP, dy._HALF_STEP], ids=["_apply_B_arrays", "_half_step"])
 @pytest.mark.parametrize("points", [1, 5, 27])
-def test_descend_matches_the_stacked_descent_bit_for_bit(step, points):
+def test_descend_matches_the_stacked_descent_bit_for_bit(table, points):
     """Same bits as the reference, and leaf ``k * 3^levels + i`` is point k
     taken through the letters of the i-th word in lexicographic order."""
     rng = np.random.default_rng(points)
     angle = rng.uniform(-math.pi, math.pi, points)
     state = np.array([np.cos(angle), np.sin(angle)]) * rng.uniform(0.0, 1.0, points)
+    rows = len(table[0])
+    if rows == 3:  # homogeneous disk rows (T, X, Y), T > 0
+        state = np.vstack([rng.uniform(0.5, 2.0, points), state])
     for levels in range(5):
-        got = dy._descend(step, state, levels, dy._scratch(points * 3 ** levels))
-        assert got.shape == (2, points * 3 ** levels)
-        assert np.array_equal(got.view(np.int64), _descend_ref(step, state, levels).view(np.int64))
+        got = dy._descend(table, state, levels, dy._scratch(rows, points * 3 ** levels))
+        assert got.shape == (rows, points * 3 ** levels)
+        assert np.array_equal(got.view(np.int64), _descend_ref(table, state, levels).view(np.int64))
         for leaf in rng.integers(0, got.shape[1], 8):
             k, i = divmod(int(leaf), 3 ** levels)
             point = state[:, k]
             for t in reversed(range(levels)):
-                point = step(i // 3 ** t % 3, *point)
+                point = _step_ref(table, i // 3 ** t % 3, point)
             assert np.array_equal(np.array(point).view(np.int64), got[:, leaf].view(np.int64))
+
+
+def test_disk_tables_are_the_exact_weight_steps_in_disk_coordinates():
+    """``_DISK_STEP[j]`` is A B_j A^-1 to 1e-15, where A sends a weight row p to
+    its homogeneous disk row (sum p, 2p_0 - p_1 - p_2, sqrt(3)(p_1 - p_2)) and
+    B_j is the integer matrix of ``_b_step_int`` (column c the image of unit row c)."""
+    from gasketenergy.bvectors import _b_step_int
+
+    r3 = np.sqrt(np.longdouble(3))
+    a = np.array([[1, 1, 1], [2, -1, -1], [0, r3, -r3]], dtype=np.longdouble)
+    a_inv = np.array([[2, 2, 0], [2, -1, 3 / r3], [2, -1, -3 / r3]], dtype=np.longdouble) / 6
+    assert np.abs(a @ a_inv - np.eye(3)).max() < 1e-18
+    for j in range(3):
+        b = np.array([_b_step_int(tuple(int(i == c) for i in range(3)), j) for c in range(3)]).T
+        step = np.array(dy._DISK_STEP[j])
+        assert np.array_equal(step, step.T)
+        assert np.abs(a @ b @ a_inv - step).max() < 1e-15
 
 
 def poison_fresh_scratch(monkeypatch):
@@ -311,8 +362,8 @@ def poison_fresh_scratch(monkeypatch):
     before writing it shows; returns the growing list of the sizes made."""
     real, made = dy._scratch, []
 
-    def scratch(n):
-        out = real(n)
+    def scratch(rows, n):
+        out = real(rows, n)
         for buf, sentinel in zip(out, (np.nan, np.nan, True, -1)):
             buf.fill(sentinel)
         made.append(n)
@@ -477,9 +528,8 @@ def test_fold_is_bit_identical_to_np_mod():
     assert np.any(_fold_ref(theta, "full") == dy.TWO_PI)  # tiny negatives land on 2pi
     buffers = np.empty((2, theta.size), bool), np.empty(theta.size)
     for arc in ("full", "third", "sixth"):
-        ref = _fold_ref(theta, arc)
-        for got in (dy._fold_angles(theta.copy(), arc), dy._fold_angles(theta.copy(), arc, *buffers)):
-            assert got.tobytes() == ref.tobytes(), arc
+        got = dy._fold_angles(theta.copy(), arc, *buffers)
+        assert got.tobytes() == _fold_ref(theta, arc).tobytes(), arc
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -492,15 +542,17 @@ def test_half_angle_table_matches_the_trig_map(inverse):
     # along seeded words: angle by angle, and as one unreduced pair descent
     a, b = theta[:500].copy(), theta[:500].copy()
     h = theta[:500] / 2
-    p, q = np.cos(h), np.sin(h)
+    pair = np.array([np.cos(h), np.sin(h)])
     for row in rng.integers(0, 3, (16, a.size)):
         for j in range(3):
             m = row == j
             a[m] = _wrap_ref(_circle_map_ref(j, a[m], inverse))
             b[m] = dy._circle_map_array(j, b[m], table)
-            p[m], q[m] = dy._half_step(j, p[m], q[m], table)
+            out = np.empty((2, np.count_nonzero(m)))
+            dy._step(table, j, pair[:, m], out, np.empty(out.shape[1]))
+            pair[:, m] = out
         assert _angle_gap(a, b) < 1e-12
-        assert _angle_gap(a, 2.0 * np.arctan2(q, p)) < 1e-12
+        assert _angle_gap(a, 2.0 * np.arctan2(pair[1], pair[0])) < 1e-12
 
 
 def _orbit_counts_ref(angles, iters, arc, bins):
@@ -578,13 +630,13 @@ def test_orbit_histogram_does_no_per_level_trig_and_no_mod(monkeypatch):
 
 
 def test_the_numpy_spy_sees_a_per_level_call(monkeypatch):
-    step = dy._half_step
+    step = dy._step
 
-    def step_with_mod(j, p, q, out, tmp):
-        dy.np.mod(p, 1.0)
-        return step(j, p, q, out=out, tmp=tmp)
+    def step_with_mod(table, j, state, out, tmp):
+        dy.np.mod(state[0], 1.0)
+        return step(table, j, state, out, tmp)
 
-    monkeypatch.setattr(dy, "_half_step", step_with_mod)
+    monkeypatch.setattr(dy, "_step", step_with_mod)
     # three letters per level: 2 levels above the blocks, then 8 in each of 6
     assert _orbit_numpy_calls(monkeypatch)["mod"] == 3 * (2 + 6 * 8)
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import gasketenergy
-from gasketenergy import verify
+from gasketenergy import dynamics as dy, verify
 from gasketenergy.cli import main
 from subprocess_env import python_env
 
@@ -123,6 +123,32 @@ def test_a_check_raising_in_a_worker_reaches_main_as_its_own_type(capsys, monkey
                 _verify(capsys, monkeypatch, cpus, "--suite", "all", "--max-depth", "1")
     assert pools == [2]
     assert results in ([], [(2, "error: no vertices at level 1\n")] * 2)
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _kill_this_worker(*args):
+    """Stands in for a worker's task: SIGKILLs the worker it runs in."""
+    assert os.getpid() != _TEST_PROCESS, "a worker's task ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("target, run", [
+    (dy, lambda: dy.boundary_orbit_histogram(jobs=2)),
+    (verify, lambda: main(["verify", "--suite", "all", "--max-depth", "1"])),
+], ids=["histogram", "verify"])
+def test_a_killed_worker_fails_fast(monkeypatch, target, run):
+    """A worker that dies without a word breaks the pool: the caller gets
+    ``BrokenProcessPool`` within seconds instead of waiting for its results."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(target, "_count_tasks" if target is dy else "_suite_checks", _kill_this_worker)
+    start = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        run()
+    assert time.monotonic() - start < 10
 
 
 CLOSE_EARLY = """

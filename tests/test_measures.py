@@ -139,6 +139,21 @@ def test_find_negative_cell_rejects_a_negative_depth():
             find_negative_cell(c, max_depth=depth)
 
 
+def test_find_negative_cell_bounds_its_depth_before_any_step(monkeypatch):
+    """Past ``NEGATIVE_DEPTH_MAX`` the search raises before it steps a row; at
+    the cap it runs."""
+    c = (Fraction(3), Fraction(-1), Fraction(0))
+    assert find_negative_cell(c, max_depth=measures.NEGATIVE_DEPTH_MAX) == "11"
+
+    def no_step(row, g):
+        raise AssertionError("a row was stepped before the depth was checked")
+
+    monkeypatch.setattr(measures, "row_step", no_step)
+    for depth in (measures.NEGATIVE_DEPTH_MAX + 1, 10**9):
+        with pytest.raises(ValueError, match=f"at most {measures.NEGATIVE_DEPTH_MAX}"):
+            find_negative_cell(c, max_depth=depth)
+
+
 def first_negative_cell(c, max_depth):
     """Brute force: every word by length, then lexicographically, by ``measure_of_cell``."""
     for depth in range(max_depth + 1):
