@@ -39,7 +39,8 @@ from .core import (
     subtree_levels,
     walk_level,
 )
-from .measures import KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell, refine_step
+from .measures import (BOUNDS_LEVEL_MAX, KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell,
+                       refine_step)
 
 #: A weight triple: three rationals summing to one.
 BVector = Vec3
@@ -251,18 +252,18 @@ def scan_bounds(max_level: int) -> Optional[str]:
     what makes the scan a check.
 
     ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
-    it proves before any work (``int64`` through max_level 15, as 13^15 <
-    2**59, ``object`` beyond), so every answer is exact and no level is
-    refused.  The call makes one ``core.scratch`` array at the root block,
-    as wide as the widest block, and every block reuses it.
+    it proves before any work (``int64`` through ``BOUNDS_LEVEL_MAX`` = 15,
+    as 13^15 < 2**59; a larger max_level is refused before the walk), so
+    every answer is exact.  The call makes one ``core.scratch`` array at the
+    root block, as wide as the widest block, and every block reuses it.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
     lexicographically first offender because a prefix sorts before its
     extensions.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
+    if not 0 <= max_level <= BOUNDS_LEVEL_MAX:
+        raise ValueError(f"max_level must be between 0 and {BOUNDS_LEVEL_MAX}, got {max_level}")
     hits = []
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         if not depth:  # the root block: the call's one scratch

@@ -7,8 +7,8 @@ is built from two families of 3x3 rational matrices indexed by the letters
 cell down to a subcell, and the *refine* family maps the child-cell masses
 of a cell to the child-cell masses one level deeper inside it.  The refine
 generators are assembled at import time as the exact product ``P_i . D . Q_i``
-of their diagonalizing factors (eigenvalues 1/15, 3/5, 1/5), never typed in
-from a hand-multiplied table.
+of their diagonalizing factors (eigenvalues 1/15, 3/5, 1/5), with ``Q_i``
+computed as the inverse of ``P_i``, never typed in from a hand-made table.
 
 * Scalars, 3-vectors and 3x3 matrices are tuples of ``Fraction``s;
   ``word_matrix`` multiplies a family's generators along a word.
@@ -105,6 +105,13 @@ def mat_scale(s, m: Mat3) -> Mat3:
     return tuple(tuple(s * x for x in row) for row in m)  # type: ignore[return-value]
 
 
+def _inverse(m: Mat3) -> Mat3:
+    """The exact inverse of ``m``, its adjugate (transposed cofactors) over its determinant."""
+    adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3] for j in range(3)] for i in range(3)]
+    return mat_scale(1 / vec_dot(m[0], [row[0] for row in adj]), adj)
+
+
 # ---------------------------------------------------------------------------
 # generator families
 # ---------------------------------------------------------------------------
@@ -121,8 +128,8 @@ MASS_GENERATORS: tuple[Mat3, Mat3, Mat3] = (
     _over(15, ((2, -1, 2), (-1, 2, 2), (0, 0, 9))),
 )
 
-#: Factors ``P_i = REFINE_COLS[i]``, ``D`` and ``Q_i = REFINE_ROWS[i] = P_i^-1`` of refine generator
-#: i: column 1 of ``P_i`` and row 1 of ``Q_i`` are its right and left 3/5-eigenvectors.
+#: Factors ``P_i = REFINE_COLS[i]``, ``D`` and ``Q_i = REFINE_ROWS[i]``, P_i's exact inverse, of refine
+#: generator i: column 1 of ``P_i`` and row 1 of ``Q_i`` are its right and left 3/5-eigenvectors.
 REFINE_DIAG: Mat3 = mat3(
     ((Fraction(1, 15), 0, 0), (0, Fraction(3, 5), 0), (0, 0, Fraction(1, 5)))
 )
@@ -133,23 +140,7 @@ REFINE_COLS: tuple[Mat3, ...] = (
     mat3(((1, 1, -1), (1, 1, 1), (Fraction(1, 7), 3, 0))),
 )
 
-REFINE_ROWS: tuple[Mat3, ...] = (
-    mat3((
-        (Fraction(-7, 20), Fraction(21, 40), Fraction(21, 40)),
-        (Fraction(7, 20), Fraction(-1, 40), Fraction(-1, 40)),
-        (0, Fraction(-1, 2), Fraction(1, 2)),
-    )),
-    mat3((
-        (Fraction(21, 40), Fraction(-7, 20), Fraction(21, 40)),
-        (Fraction(-1, 40), Fraction(7, 20), Fraction(-1, 40)),
-        (Fraction(-1, 2), 0, Fraction(1, 2)),
-    )),
-    mat3((
-        (Fraction(21, 40), Fraction(21, 40), Fraction(-7, 20)),
-        (Fraction(-1, 40), Fraction(-1, 40), Fraction(7, 20)),
-        (Fraction(-1, 2), Fraction(1, 2), 0),
-    )),
-)
+REFINE_ROWS: tuple[Mat3, ...] = tuple(_inverse(p) for p in REFINE_COLS)
 
 #: Refine generators, assembled exactly from their diagonalizing factors.
 #: Generator i maps the child-mass triple of a cell C to the child-mass

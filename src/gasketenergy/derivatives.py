@@ -52,6 +52,7 @@ from .core import (
 )
 from .measures import (
     BASIS_COEFFS,
+    EXTREMA_DEPTH_MAX,
     KUSUOKA,
     MeasureCoeffs,
     children_triple_via_refine,
@@ -238,10 +239,11 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     The cell's own three corners are its boundary and are not scanned (the
     corner-0 derivative of the corner-0 measure, for instance, attains 2/3
     only at that excluded corner; over interior vertices the bound is strict).
-    Requires a positive measure and ``depth >= 1``.  Carried as scaled
-    integer rows; values are compared by cross-multiplication, so the whole
-    scan is exact.  Witnesses are canonical addresses, ties broken
-    lexicographically.
+    Requires a positive measure, 1 <= ``depth`` <= ``EXTREMA_DEPTH_MAX`` and
+    ``len(word) + depth`` <= ``WORD_MAX_LEN``, checked before any work.
+    Carried as scaled integer rows; values are compared by
+    cross-multiplication, so the whole scan is exact.  Witnesses are
+    canonical addresses, ties broken lexicographically.
 
     Every interior vertex down to ``depth`` is the midpoint of exactly one
     edge of exactly one subcell less than ``depth`` levels down, so each is
@@ -256,8 +258,10 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
-    if depth < 1:
-        raise ValueError("scan_extrema needs depth >= 1; the cell has no interior vertices at depth 0")
+    if not 1 <= depth <= EXTREMA_DEPTH_MAX:  # a cell has no interior vertices at depth 0
+        raise ValueError(f"scan_extrema needs depth between 1 and {EXTREMA_DEPTH_MAX}, got {depth}")
+    if len(check_word(word)) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
+        raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
     import numpy as np
 
     r0, q0 = _cell_rows(c, word)

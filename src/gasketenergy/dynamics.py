@@ -42,10 +42,10 @@ _S = _SQRT3 / 2.0  # the sine of the one-third turn
 #: The circle maps on half-angles h = theta/2: letter 0 sends (cos h, sin h) to
 #: (3 cos h, sin h), so tan(theta/2) to tan(theta/2)/3, and the image angle is
 #: twice the new pair's argument.  Letter j is R(a_j/2) diag(3, 1) R(-a_j/2) for
-#: its offset a_j, a symmetric 2x2 matrix; the inverses use diag(1, 3) =
-#: 3 diag(1/3, 1), a scale that atan2 ignores.
+#: its offset a_j, a symmetric 2x2 matrix.  The inverses are their adjugates (det 3
+#: times the inverse, a scale atan2 ignores); 0.0 - x keeps letter 0's zeros +0.0.
 _HALF_STEP = (((3.0, 0.0), (0.0, 1.0)), ((1.5, _S), (_S, 2.5)), ((1.5, -_S), (-_S, 2.5)))
-_HALF_STEP_INVERSE = (((1.0, 0.0), (0.0, 3.0)), ((2.5, -_S), (-_S, 1.5)), ((2.5, _S), (_S, 1.5)))
+_HALF_STEP_INVERSE = tuple(((d, 0.0 - b), (0.0 - c, a)) for (a, b), (c, d) in _HALF_STEP)
 #: The disk maps on homogeneous rows (T, X, Y): letter j is R(a_j) B R(-a_j), with R
 #: rotating (X, Y) by the offset a_j of cosine c and sine s, written out symmetric.
 _DISK_STEP = tuple(((5.0, 4.0 * c, 4.0 * s), (4.0 * c, 5.0 * c * c + 3.0 * s * s, 2.0 * c * s),
@@ -446,11 +446,11 @@ def invariant_density_residual(values: Sequence[float]) -> float:
     grid = TWO_PI * np.arange(n) / n
     xp = np.concatenate([grid, [TWO_PI]])
     fp = np.concatenate([f, f[:1]])
-    image, masks, tmp = np.zeros(n), np.empty((2, n), bool), np.empty(n)
+    image = np.zeros(n)
     for j in (0, 1, 2):
         pre = _circle_map_array(j, grid, _HALF_STEP_INVERSE)
         weight = 3.0 / (5.0 - 4.0 * np.cos(grid - _ROT[j]))
-        image += np.interp(_fold_angles(pre, "full", masks, tmp), xp, fp) * weight
+        image += np.interp(np.mod(pre, TWO_PI), xp, fp) * weight
     image /= 3.0
     return float(np.max(np.abs(f - image)))
 

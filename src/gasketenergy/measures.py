@@ -186,6 +186,8 @@ def is_positive(c: MeasureCoeffs) -> bool:
 
 
 NEGATIVE_DEPTH_MAX = 12  # the deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB
+EXTREMA_DEPTH_MAX = 12  # the deepest ``scan_extrema``: 0.03 s on int64 rows, 0.9 s on Python ints (2 CPUs)
+BOUNDS_LEVEL_MAX = 15  # the deepest ``scan_bounds``: its last int64 level, 0.8 s (2 CPUs)
 
 
 def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:

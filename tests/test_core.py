@@ -10,8 +10,11 @@ from gasketenergy.core import (
     MASS_DEN,
     MASS_GENERATORS,
     MASS_SCALED,
+    MAT_IDENTITY,
+    REFINE_COLS,
     REFINE_DEN,
     REFINE_GENERATORS,
+    REFINE_ROWS,
     REFINE_SCALED,
     VertexAddress,
     all_vertices,
@@ -36,9 +39,26 @@ def test_mass_generator_entries():
 
 
 def test_refine_generator_entries():
-    assert REFINE_SCALED[0] == ((47, -3, -3), (14, 9, -6), (14, -6, 9))
-    assert REFINE_SCALED[1] == ((9, 14, -6), (-3, 47, -3), (-6, 14, 9))
+    assert REFINE_SCALED == (
+        ((47, -3, -3), (14, 9, -6), (14, -6, 9)),
+        ((9, 14, -6), (-3, 47, -3), (-6, 14, 9)),
+        ((9, -6, 14), (-6, 9, 14), (-3, -3, 47)),
+    )
     assert REFINE_DEN == 75
+
+
+def test_refine_rows_are_the_exact_inverses_written_out():
+    """``REFINE_ROWS`` is computed as the exact inverse of ``REFINE_COLS``: it
+    equals the rows written out below entry for entry, all ``Fraction``s."""
+    F = Fraction
+    assert REFINE_ROWS == (
+        ((F(-7, 20), F(21, 40), F(21, 40)), (F(7, 20), F(-1, 40), F(-1, 40)), (0, F(-1, 2), F(1, 2))),
+        ((F(21, 40), F(-7, 20), F(21, 40)), (F(-1, 40), F(7, 20), F(-1, 40)), (F(-1, 2), 0, F(1, 2))),
+        ((F(21, 40), F(21, 40), F(-7, 20)), (F(-1, 40), F(-1, 40), F(7, 20)), (F(-1, 2), F(1, 2), 0)),
+    )
+    assert all(type(x) is Fraction for q in REFINE_ROWS for row in q for x in row)
+    for p, q in zip(REFINE_COLS, REFINE_ROWS):
+        assert mat_mul(p, q) == mat_mul(q, p) == MAT_IDENTITY
 
 
 def test_generators_cyclically_conjugate():

@@ -532,6 +532,17 @@ def test_fold_is_bit_identical_to_np_mod():
         assert got.tobytes() == _fold_ref(theta, arc).tobytes(), arc
 
 
+def test_half_step_inverse_is_pinned_bit_for_bit():
+    """The inverse half-angle table, built as the adjugates of ``_HALF_STEP``,
+    equals the table written out below by ``float.hex``, so a -0.0 would show."""
+    s = "0x1.bb67ae8584caap-1"  # sqrt(3)/2
+    assert [[[x.hex() for x in row] for row in m] for m in dy._HALF_STEP_INVERSE] == [
+        [["0x1.0000000000000p+0", "0x0.0p+0"], ["0x0.0p+0", "0x1.8000000000000p+1"]],
+        [["0x1.4000000000000p+1", "-" + s], ["-" + s, "0x1.8000000000000p+0"]],
+        [["0x1.4000000000000p+1", s], [s, "0x1.8000000000000p+0"]],
+    ]
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_half_angle_table_matches_the_trig_map(inverse):
     table = dy._HALF_STEP_INVERSE if inverse else dy._HALF_STEP

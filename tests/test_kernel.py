@@ -28,6 +28,7 @@ from gasketenergy.core import (
     MASS_SCALED,
     REFINE_DEN,
     REFINE_SCALED,
+    WORD_MAX_LEN,
     VertexAddress,
     lex_word,
     mat_mul,
@@ -37,7 +38,8 @@ from gasketenergy.core import (
     walk_level,
     word_matrix,
 )
-from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
+from gasketenergy.measures import (BOUNDS_LEVEL_MAX, EXTREMA_DEPTH_MAX, KUSUOKA, is_positive,
+                                   measure_of_cell, subtree_coeffs)
 
 ONE, ZERO = Fraction(1), Fraction(0)
 E = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
@@ -645,8 +647,9 @@ def test_limb_sign_reuses_one_scratch_across_lengths():
 
 def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
-    assert core.array_dtype(one, MASS_SCALED, 15) == "int64"  # 13**15 < 2**59
-    assert core.array_dtype(one, MASS_SCALED, 16) == "object"
+    # 13**15 < 2**59: scan_bounds' level cap, 15, is its last int64 level
+    assert core.array_dtype(one, MASS_SCALED, BOUNDS_LEVEL_MAX) == "int64"
+    assert core.array_dtype(one, MASS_SCALED, BOUNDS_LEVEL_MAX + 1) == "object"
     assert core.array_dtype(one, MASS_SCALED, 13) == "int64"  # scan_bounds(13)
     assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 10) == "object"  # 75**10 > 2**59
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 7)
@@ -784,6 +787,55 @@ def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch,
         scan(*args)
         widest = max(len(fam) for fam, _ in blocks[scan])
         assert [buf.shape[1] for buf in made] == [per_row * widest], (scan.__name__, args)
+
+
+# ---------------------------------------------------------------------------
+# size caps: a refused scan never reaches the walk
+# ---------------------------------------------------------------------------
+
+class WalkEntered(Exception):
+    pass
+
+
+def spy_walk(monkeypatch, module):
+    """Replace ``module``'s ``subtree_levels`` by a spy that records its call
+    and raises ``WalkEntered``, so no scan gets past the start of its walk."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise WalkEntered
+
+    monkeypatch.setattr(module, "subtree_levels", spy)
+    return calls
+
+
+def test_scan_extrema_refuses_an_oversized_scan_before_its_walk(monkeypatch):
+    calls = spy_walk(monkeypatch, dv)
+    c = (Fraction(3), ONE, Fraction(2))
+    refused = [("", EXTREMA_DEPTH_MAX + 1, f"between 1 and {EXTREMA_DEPTH_MAX}, got {EXTREMA_DEPTH_MAX + 1}"),
+               ("", 10**9, "between 1 and"),
+               ("2" * 56, 10, f"word length 56 plus depth 10 exceeds the cap {WORD_MAX_LEN}"),
+               ("2" * WORD_MAX_LEN, 1, "exceeds the cap")]
+    for word, depth, message in refused:
+        with pytest.raises(ValueError, match=message):
+            dv.scan_extrema(c, word, depth)
+    assert calls == []
+    for word in ("", "2" * (WORD_MAX_LEN - EXTREMA_DEPTH_MAX)):  # the largest admitted sizes
+        with pytest.raises(WalkEntered):
+            dv.scan_extrema(c, word, EXTREMA_DEPTH_MAX)
+    assert len(calls) == 2
+
+
+def test_scan_bounds_refuses_an_oversized_level_before_its_walk(monkeypatch):
+    calls = spy_walk(monkeypatch, bv)
+    for level in (BOUNDS_LEVEL_MAX + 1, 10**9, -1):
+        with pytest.raises(ValueError, match=f"between 0 and {BOUNDS_LEVEL_MAX}, got {level}"):
+            bv.scan_bounds(level)
+    assert calls == []
+    with pytest.raises(WalkEntered):
+        bv.scan_bounds(BOUNDS_LEVEL_MAX)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
