@@ -14,16 +14,50 @@ Subpackages by role:
 
 __version__ = "0.1.0"
 
-#: Largest bin (or slice) count any histogram accepts.  It lives here, not in
-#: ``dynamics``, so the ``ifs`` help text can name it without loading numpy.
+# Every size cap lives here, so help texts name them without loading numpy or the
+# exact modules; each is checked before any work.  Times are on 2 CPUs.
+#: Longest address word; exact numerators grow linearly in digits with its length.
+WORD_MAX_LEN = 64
+#: Largest bin (or slice) count any histogram accepts.
 BINS_MAX = 100_000
-
-#: Deepest ``edge-profile`` depth d (2^d + 1 values), here so its help loads no exact module.
+#: Deepest ``edge-profile`` depth d: 2^d + 1 values, 1.1 s at d = 16.
 EDGE_DEPTH_MAX = 16
+#: Deepest ``bvector --level`` scan: 3^12 rows, 11.5 s and 237 MB.
+BVECTOR_LEVEL_MAX = 12
+#: Deepest ``dynamics`` level cloud or orbit: ``ifs orbit --iters 16`` 3.3 s, ``angular`` 0.7 s.
+LEVEL_LIMIT = 16
+#: Deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB.
+NEGATIVE_DEPTH_MAX = 12
+#: Deepest ``scan_extrema``: 0.03 s on int64 rows, 0.9 s on Python ints.
+EXTREMA_DEPTH_MAX = 12
+#: Deepest ``scan_bounds``: its last int64 level (13^15 < 2**59), 0.8 s.
+BOUNDS_LEVEL_MAX = 15
+#: Deepest ``monotone_left_right``: 2^12 bottom-edge cells, 0.014 s.
+MONOTONE_LEVEL_MAX = 12
+#: Deepest ``operator_norm_scan``: its last int64 level (53**10 < 2**59), 0.14 s.
+NORM_LEVEL_MAX = 10
+#: Deepest vertex set of ``all_vertices``, ``harmonic_vertex_values`` or ``graph_energy``: 0.9 s.
+VERTEX_LEVEL_MAX = 10
+#: Widest ``count_grid_fixed_points`` grid: 10^6 points, 0.05 s and 60 MB.
+GRID_SIZE_MAX = 1000
 
 #: Names of the ``verify`` suites in run order, the keys of ``verify.SUITES``;
 #: here so the ``verify`` help text needs none of the modules they check.
 SUITE_NAMES = ("core", "harmonic", "measures", "derivatives", "bvectors", "dynamics")
+
+
+def check_range(name: str, value: int, lo: int, hi: int) -> int:
+    """``value``, or a ``ValueError`` naming ``name`` unless ``lo <= value <= hi``."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be between {lo} and {hi}, got {value}")
+    return value
+
+
+def check_letter(name: str, value: int) -> int:
+    """``value``, or a ``ValueError`` naming ``name`` unless it is a letter (or corner) 0, 1 or 2."""
+    if value not in (0, 1, 2):
+        raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
+    return value
 
 
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from . import BOUNDS_LEVEL_MAX, WORD_MAX_LEN, check_letter, check_range
 from .core import (
     MASS_SCALED,
     IntRow,
@@ -39,8 +40,7 @@ from .core import (
     subtree_levels,
     walk_level,
 )
-from .measures import (BOUNDS_LEVEL_MAX, KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell,
-                       refine_step)
+from .measures import KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell, refine_step
 
 #: A weight triple: three rationals summing to one.
 BVector = Vec3
@@ -96,8 +96,7 @@ def b_step(b: BVector, j: int) -> BVector:
     vanishes on the closed disk of valid triples; a triple far enough
     outside it raises.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
+    check_letter("letter", j)
     if b[0] + b[1] + b[2] != 1:
         raise ValueError("b_step needs a unit-sum triple")
     p = _b_step_int(int_row(b)[0], j)
@@ -173,9 +172,7 @@ def closed_form_b(m: int) -> BVector:
     The leading weight is 2/3 - 2/(3(3^(2m)+1)); the other two split the
     remainder equally.  Approaches the disk boundary as m grows.
     """
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
-    b0 = Fraction(2, 3) - Fraction(2, 3 * (3 ** (2 * m) + 1))
+    b0 = Fraction(2, 3) - Fraction(2, 3 * (3 ** (2 * check_range("m", m, 0, WORD_MAX_LEN)) + 1))
     rest = (1 - b0) / 2
     return (b0, rest, rest)
 
@@ -262,8 +259,7 @@ def scan_bounds(max_level: int) -> Optional[str]:
     lexicographically first offender because a prefix sorts before its
     extensions.
     """
-    if not 0 <= max_level <= BOUNDS_LEVEL_MAX:
-        raise ValueError(f"max_level must be between 0 and {BOUNDS_LEVEL_MAX}, got {max_level}")
+    check_range("max_level", max_level, 0, BOUNDS_LEVEL_MAX)
     hits = []
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         if not depth:  # the root block: the call's one scratch

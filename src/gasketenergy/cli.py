@@ -25,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import BINS_MAX, EDGE_DEPTH_MAX, SUITE_NAMES
+from . import BINS_MAX, BVECTOR_LEVEL_MAX, EDGE_DEPTH_MAX, SUITE_NAMES, check_range
 
 if TYPE_CHECKING:
     from . import dynamics as dy
@@ -35,16 +35,6 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_ROUTES = 3
 EXIT_PIPE = 141
-
-#: Size arguments are bounded before any work starts; outside the bounds the
-#: command exits 2.  A level scan holds 3^m rows.
-BVECTOR_LEVEL_MAX = 12
-
-
-def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise ValueError(f"{flag} must be between {lo} and {hi}, got {value}")
-
 
 # ---------------------------------------------------------------------------
 # output plumbing
@@ -156,7 +146,7 @@ def cmd_bvector(args: argparse.Namespace) -> int:
         b = bv.b_from_word(word)
         checked = [(word, b if bv.b_from_mass(word) == b == bv.b_from_kusuoka(word) else None)]
     else:
-        _check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
+        check_range("--level", args.level, 0, BVECTOR_LEVEL_MAX)
         checked = ((word, bv.unit_triple(rows[0]) if bv.rows_agree(*rows) else None)
                    for word, rows in bv.level_routes(args.level))
     lines = ["word,b0,b1,b2,b0_f,b1_f,b2_f\n"]  # one string per row keeps a scan's memory small
@@ -176,7 +166,7 @@ def cmd_edge_profile(args: argparse.Namespace) -> int:
     from .derivatives import edge_profile
     from .measures import parse_coeffs
 
-    _check_range("--depth", args.depth, 1, EDGE_DEPTH_MAX)
+    check_range("--depth", args.depth, 1, EDGE_DEPTH_MAX)
     c = parse_coeffs(args.coeffs)
     try:
         j, k = (int(part) for part in args.edge.split(","))

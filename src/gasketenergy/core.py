@@ -33,13 +33,12 @@ import re
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import VERTEX_LEVEL_MAX, WORD_MAX_LEN, check_letter, check_range
+
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 
 LETTERS = "012"
-#: Hard cap on address-word length; exact numerators grow linearly in digits
-#: with the word length, and 64 letters exceeds any realistic request.
-WORD_MAX_LEN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +239,9 @@ def walk_level(m: int, root, step) -> Iterator[tuple[str, Any]]:
     """``(word, row)`` for every level-``m`` word in lexicographic order,
     ``row`` the ``root`` stepped along the word by ``step(row, letter)``.
     Depth first, it holds at most 2m + 1 rows, steps each prefix once and
-    does no arithmetic; raises ``ValueError`` for ``m < 0`` when called.
+    does no arithmetic; raises ``ValueError`` for ``m`` outside 0..``WORD_MAX_LEN`` when called.
     """
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
-    return _walk(m, [("", root)], step)
+    return _walk(check_range("level", m, 0, WORD_MAX_LEN), [("", root)], step)
 
 
 def _walk(m: int, stack: list, step) -> Iterator[tuple[str, Any]]:
@@ -442,10 +439,7 @@ class VertexAddress(NamedTuple("VertexAddress", [("word", str), ("corner", int)]
     __slots__ = ()
 
     def __new__(cls, word: str, corner: int) -> "VertexAddress":
-        check_word(word)
-        if corner not in (0, 1, 2):
-            raise ValueError(f"corner must be 0, 1 or 2, got {corner!r}")
-        return tuple.__new__(cls, (word, corner))
+        return tuple.__new__(cls, (check_word(word), check_letter("corner", corner)))
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> "VertexAddress":
@@ -480,7 +474,5 @@ class VertexAddress(NamedTuple("VertexAddress", [("word", str), ("corner", int)]
 
 def all_vertices(level: int) -> set[VertexAddress]:
     """All distinct vertices of the level-``level`` graph, canonical forms."""
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
     return {VertexAddress(lex_word(i, level), c).canonical()
-            for i in range(3 ** level) for c in (0, 1, 2)}
+            for i in range(3 ** check_range("level", level, 0, VERTEX_LEVEL_MAX)) for c in (0, 1, 2)}

@@ -24,7 +24,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import EDGE_DEPTH_MAX
+from . import (EDGE_DEPTH_MAX, EXTREMA_DEPTH_MAX, MONOTONE_LEVEL_MAX, NORM_LEVEL_MAX, WORD_MAX_LEN, check_letter,
+               check_range)
 from .core import (
     LETTERS,
     MASS_DEN,
@@ -33,7 +34,6 @@ from .core import (
     REFINE_DEN,
     REFINE_ROWS,
     REFINE_SCALED,
-    WORD_MAX_LEN,
     IntRow,
     Vec3,
     Mat3,
@@ -52,7 +52,6 @@ from .core import (
 )
 from .measures import (
     BASIS_COEFFS,
-    EXTREMA_DEPTH_MAX,
     KUSUOKA,
     MeasureCoeffs,
     children_triple_via_refine,
@@ -143,9 +142,7 @@ def rn_derivative_via_refine(c: MeasureCoeffs, vertex: VertexAddress) -> Fractio
 
 def basis_ratio(i: int, vertex: VertexAddress) -> Fraction:
     """Derivative of the i-th corner measure against Kusuoka (in [0, 1])."""
-    if i not in (0, 1, 2):
-        raise ValueError(f"corner must be 0, 1 or 2, got {i!r}")
-    return rn_derivative(BASIS_COEFFS[i], vertex)
+    return rn_derivative(BASIS_COEFFS[check_letter("corner", i)], vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +155,9 @@ def axis_gap(c: MeasureCoeffs, word: str, axis: int) -> Fraction:
     With subtree row r over ``scale`` that is 4 (4 r_axis + r_j + r_k) / scale
     (see ``_CORNER_WEIGHTS_INT``): one ``Fraction`` from integer numerators.
     """
+    weights = _CORNER_WEIGHTS_INT[check_letter("axis", axis)]
     row, scale = subtree_row(c, word)
-    return Fraction(4 * vec_dot(row, _CORNER_WEIGHTS_INT[axis]), scale)
+    return Fraction(4 * vec_dot(row, weights), scale)
 
 
 def skew_energy_gap(h: Harmonic, word: str = "") -> Fraction:
@@ -196,11 +194,8 @@ def decay_sequence(c: MeasureCoeffs, word: str, letter: int, depth: int) -> Deca
     measure's skew pairing at ``letter`` vanishes on the cell, and then at
     exactly 1/15; the class does not depend on ``depth``.
     """
-    if letter not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {letter!r}")
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    check_word(word + str(letter) * depth)
+    check_letter("letter", letter)
+    check_word(word + str(letter) * check_range("depth", depth, 0, WORD_MAX_LEN))
     row, scale = subtree_row(c, word)
     g = MASS_SCALED[letter]
     values = []
@@ -258,8 +253,7 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
-    if not 1 <= depth <= EXTREMA_DEPTH_MAX:  # a cell has no interior vertices at depth 0
-        raise ValueError(f"scan_extrema needs depth between 1 and {EXTREMA_DEPTH_MAX}, got {depth}")
+    check_range("depth", depth, 1, EXTREMA_DEPTH_MAX)  # a cell has no interior vertices at depth 0
     if len(check_word(word)) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
     import numpy as np
@@ -341,11 +335,10 @@ def edge_profile(
     (2i+1)/2^n is the midpoint of the edge of the i-th subcell on level n-1.
     """
     j, k = edge
-    if j == k or j not in (0, 1, 2) or k not in (0, 1, 2):
+    if check_letter("corner", j) == check_letter("corner", k):
         raise ValueError(f"edge must name two distinct corners, got {edge!r}")
     check_word(word)
-    if not 0 <= depth <= EDGE_DEPTH_MAX:
-        raise ValueError(f"depth must be between 0 and {EDGE_DEPTH_MAX}, got {depth}")
+    check_range("depth", depth, 0, EDGE_DEPTH_MAX)
     if len(word) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
     grid = 1 << depth
@@ -378,8 +371,7 @@ def monotone_left_right(m: int) -> bool:
     = 242/1125 < ``edge_margin("1111")`` = 392/1125), so the result is True
     exactly for m <= 2 and the floor never decides it.
     """
-    if m < 0 or m > 12:
-        raise ValueError("monotone_left_right supports 0 <= m <= 12")
+    check_range("m", m, 0, MONOTONE_LEVEL_MAX)
     masses, margins = [(0, 0, 1)], [_MARGIN_ROW]
     for _ in range(m):
         masses = [row_step(r, g) for r in masses for g in MASS_SCALED[1:]]
@@ -413,6 +405,7 @@ def edge_margin(word: str) -> Fraction:
 
 def edge_margin_closed_form(m: int) -> Fraction:
     """Eigen-decomposed value of the all-1s margin: three explicit rates."""
+    check_range("m", m, 0, WORD_MAX_LEN)
     return (
         Fraction(45, 2) * Fraction(1, 15) ** m
         + Fraction(5, 2) * Fraction(3, 5) ** m
@@ -437,10 +430,9 @@ def operator_norm_scan(m: int) -> Fraction:
     block walk of ``core.subtree_levels`` over the transposes, with the three
     unit rows as its families, gives the max from its leaf level.  The
     transposes' largest absolute column sum is 53, so the walk proves
-    ``int64`` through m = 10 (53**10 < 2**59).
+    ``int64`` through m = ``NORM_LEVEL_MAX`` = 10 (53**10 < 2**59).
     """
-    if m < 0 or m > 10:
-        raise ValueError("operator_norm_scan supports 0 <= m <= 10")
+    check_range("m", m, 0, NORM_LEVEL_MAX)
     best = 0
     for depth, _, level in subtree_levels(((1, 0, 0), (0, 1, 0), (0, 0, 1)), m + 1, _REFINE_TRANSPOSED):
         if depth == m:
@@ -451,7 +443,7 @@ def operator_norm_scan(m: int) -> Fraction:
 def rank1_deviation(j: int, n: int) -> Fraction:
     """Exact column-norm distance between the scaled n-th refine power and
     its rank-1 limit."""
-    power = word_matrix("refine", str(j) * n)
+    power = word_matrix("refine", str(check_letter("letter", j)) * check_range("n", n, 0, WORD_MAX_LEN))
     scaled = mat_scale(Fraction(5, 3) ** n, power)
     return max(
         sum(abs(scaled[r][c] - RANK1_LIMITS[j][r][c]) for r in range(3))
@@ -470,8 +462,7 @@ def q_factor(i: int, vertex: VertexAddress, printed_variant: bool = False) -> Fr
     switches to the 1/15 variant that circulates in statements of the result
     (the two differ by exactly 2/75).
     """
-    if i not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {i!r}")
+    check_letter("letter", i)
     const = Fraction(1, 15) if printed_variant else Fraction(1, 25)
     return const + Fraction(12, 25) * basis_ratio(i, vertex)
 

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import BINS_MAX, fan_out, worker_count
+from . import BINS_MAX, GRID_SIZE_MAX, LEVEL_LIMIT, check_letter, check_range, fan_out, worker_count
 
 TWO_PI = 2.0 * math.pi
 THIRD_TURN = TWO_PI / 3.0
@@ -99,11 +99,6 @@ class DiskPoint(NamedTuple):
         return math.hypot(self.x, self.y)
 
 
-def _check_letter(j: int) -> None:
-    if j not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {j!r}")
-
-
 def _step(table, j: int, state: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """Matrix j of ``table`` on the homogeneous rows ``state``, elementwise: each row of
     ``out`` is its first product plus the others, in that order, through one ``tmp`` row."""
@@ -136,7 +131,7 @@ def apply_B(j: int, p: Sequence[float]) -> DiskPoint:
 
     Rejects points beyond the closed disk by more than 1e-9.
     """
-    _check_letter(j)
+    check_letter("letter", j)
     x, y = float(p[0]), float(p[1])
     if not x * x + y * y <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("point outside the closed disk")
@@ -155,20 +150,17 @@ def _wrap(t: float) -> float:
 
 def circle_map(j: int, theta: float) -> float:
     """Boundary restriction of the letter-j map, as an angle in (-pi, pi]."""
-    _check_letter(j)
-    return _wrap(float(_circle_map_array(j, theta)))
+    return _wrap(float(_circle_map_array(check_letter("letter", j), theta)))
 
 
 def circle_map_inverse(j: int, alpha: float) -> float:
     """Inverse boundary map, as an angle in (-pi, pi]."""
-    _check_letter(j)
-    return _wrap(float(_circle_map_array(j, alpha, _HALF_STEP_INVERSE)))
+    return _wrap(float(_circle_map_array(check_letter("letter", j), alpha, _HALF_STEP_INVERSE)))
 
 
 def circle_map_deriv(j: int, theta: float) -> float:
     """Derivative of the boundary map: 3/(5 + 4cos(theta - offset)); positive."""
-    _check_letter(j)
-    return 3.0 / (5.0 + 4.0 * math.cos(theta - _ROT[j]))
+    return 3.0 / (5.0 + 4.0 * math.cos(theta - _ROT[check_letter("letter", j)]))
 
 
 def gamma_residual(r: float, theta: float, j: int) -> float:
@@ -192,7 +184,6 @@ def gamma_residual(r: float, theta: float, j: int) -> float:
 # level clouds
 # ---------------------------------------------------------------------------
 
-LEVEL_LIMIT = 16
 #: Each counting task takes ``_BLOCK_POINTS`` contiguous frontier points through
 #: the last ``_TASK_LEVELS`` levels: 3^10 leaves, 0.47 MB a row of a level array.
 _TASK_LEVELS = 7
@@ -203,16 +194,11 @@ _ORIGIN = np.array([[1.0], [0.0], [0.0]])
 _SUBTREE0 = np.array(_DISK_STEP[0])[:, :1]
 
 
-def _check_level(name: str, m: int) -> None:
-    if m < 0 or m > LEVEL_LIMIT:
-        raise ValueError(f"{name} must be between 0 and {LEVEL_LIMIT}")
-
-
 def _scratch(rows: int, n: int) -> tuple:
     """One counting call's buffers for tasks of up to ``n`` leaves of ``rows`` coordinates:
     two ping-pong level arrays, three float rows (the step's temporary, then the leaf
-    values and the fold's products), the fold's two masks and the int64 bin index."""
-    return np.empty((2, rows * n)), np.empty((3, n)), np.empty((2, n), bool), np.empty(n, np.int64)
+    values and the fold's products) and the int64 bin index."""
+    return np.empty((2, rows * n)), np.empty((3, n)), np.empty(n, np.int64)
 
 
 def _descend(table, state: np.ndarray, levels: int, scratch: tuple) -> np.ndarray:
@@ -248,7 +234,7 @@ def _leaves(tasks: list) -> Iterator[tuple]:
 
 def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     """All 3^m level-m weight triples, floats, in lexicographic word order."""
-    _check_level("level", m)
+    check_range("level", m, 0, LEVEL_LIMIT)
     for (t, x, y), _ in _leaves(_blocks(_DISK_STEP, _ORIGIN, m)):
         for p in zip((x / t).tolist(), (y / t).tolist()):
             yield DiskPoint(*p).to_b()
@@ -308,9 +294,8 @@ def _check_arc(arc: str) -> float:
 
 
 def _check_sizes(level_name: str, m: int, name: str, bins: int, jobs: int) -> None:
-    _check_level(level_name, m)
-    if bins < 1 or bins > BINS_MAX:
-        raise ValueError(f"{name} must be between 1 and {BINS_MAX}, got {bins}")
+    check_range(level_name, m, 0, LEVEL_LIMIT)
+    check_range(name, bins, 1, BINS_MAX)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
@@ -321,41 +306,42 @@ def _bin_counts(t: np.ndarray, span: float, bins: int, idx: np.ndarray) -> np.nd
     return np.bincount(np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx), minlength=bins)
 
 
-def _fold_angles(t: np.ndarray, arc: str, masks: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _fold_angles(t: np.ndarray, arc: str, tmp: np.ndarray) -> np.ndarray:
     """Reduce angles in [-2pi, 2pi], in place, into the reporting arc by the
-    symmetries that tile it, with two bool ``masks`` and a float ``tmp`` row.
-    Each subtraction is exact (Sterbenz), so this is bit for bit
-    ``np.mod(np.mod(t, TWO_PI), THIRD_TURN)``, tiny negatives to 2pi too."""
-    big, mask = np.greater_equal(t, TWO_PI, out=masks[0]), masks[1]  # big before the add
-    t += np.multiply(np.less(t, 0.0, out=mask), TWO_PI, out=tmp)
-    t -= np.multiply(big, TWO_PI, out=tmp)
+    symmetries that tile it, each comparison written as 0.0 or 1.0 into the
+    float ``tmp`` row.  2pi goes to 0 before the negatives are lifted, so a
+    lifted one is never reduced again.  Each subtraction is exact (Sterbenz), so
+    this is bit for bit ``np.mod(np.mod(t, TWO_PI), THIRD_TURN)``, tiny
+    negatives to 2pi too."""
+    t -= np.multiply(np.greater_equal(t, TWO_PI, out=tmp), TWO_PI, out=tmp)
+    t += np.multiply(np.less(t, 0.0, out=tmp), TWO_PI, out=tmp)
     if arc == "full":
         return t
-    t -= np.multiply(np.greater_equal(t, 2.0 * THIRD_TURN, out=mask), 2.0 * THIRD_TURN, out=tmp)
-    t -= np.multiply(np.greater_equal(t, THIRD_TURN, out=mask), THIRD_TURN, out=tmp)
+    t -= np.multiply(np.greater_equal(t, 2.0 * THIRD_TURN, out=tmp), 2.0 * THIRD_TURN, out=tmp)
+    t -= np.multiply(np.greater_equal(t, THIRD_TURN, out=tmp), THIRD_TURN, out=tmp)
     if arc == "sixth":
         np.minimum(t, np.subtract(THIRD_TURN, t, out=tmp), out=t)
     return t
 
 
-def _arc_counts(theta: np.ndarray, arc: str, bins: int, tmp, masks, index) -> np.ndarray:
-    return _bin_counts(_fold_angles(theta, arc, masks, tmp), _ARC_SPANS[arc], bins, index)
+def _arc_counts(theta: np.ndarray, arc: str, bins: int, tmp, index) -> np.ndarray:
+    return _bin_counts(_fold_angles(theta, arc, tmp), _ARC_SPANS[arc], bins, index)
 
 
-def _angular_counts(leaves, work, masks, index, arc: str, slices: int) -> np.ndarray:
+def _angular_counts(leaves, work, index, arc: str, slices: int) -> np.ndarray:
     theta = np.arctan2(leaves[2], leaves[1], out=work[0])
     if arc == "full" and slices % 3:
-        return sum(_arc_counts(np.add(theta, rot, out=work[1]), arc, slices, work[2], masks, index)
+        return sum(_arc_counts(np.add(theta, rot, out=work[1]), arc, slices, work[2], index)
                    for rot in _ROT)
-    return _arc_counts(theta, arc, slices, work[1], masks, index)
+    return _arc_counts(theta, arc, slices, work[1], index)
 
 
-def _orbit_counts(leaves, work, masks, index, arc: str, bins: int) -> np.ndarray:
+def _orbit_counts(leaves, work, index, arc: str, bins: int) -> np.ndarray:
     theta = np.multiply(2.0, np.arctan2(leaves[1], leaves[0], out=work[0]), out=work[0])
-    return _arc_counts(theta, arc, bins, work[1], masks, index)
+    return _arc_counts(theta, arc, bins, work[1], index)
 
 
-def _radial_counts(leaves, work, masks, index, bins: int) -> np.ndarray:
+def _radial_counts(leaves, work, index, bins: int) -> np.ndarray:
     r = np.divide(np.hypot(leaves[1], leaves[2], out=work[0]), leaves[0], out=work[0])
     return _bin_counts(np.multiply(r, DISK_RADIUS_B, out=r), DISK_RADIUS_B, bins, index)
 
@@ -476,7 +462,8 @@ def count_grid_fixed_points(j: int, n: int = 200) -> int:
 
     The only fixed points sit on the boundary circle, so this returns 0.
     """
-    xs = np.linspace(-1.0, 1.0, n)
+    check_letter("letter", j)
+    xs = np.linspace(-1.0, 1.0, check_range("n", n, 1, GRID_SIZE_MAX))
     gx, gy = np.meshgrid(xs, xs)
     inside = gx * gx + gy * gy < 1.0
     x, y = gx[inside], gy[inside]

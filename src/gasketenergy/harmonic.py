@@ -15,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from . import VERTEX_LEVEL_MAX, check_letter, check_range
 from .core import (IntRow, Vec3, VertexAddress, check_word, int_row, lex_word, parse_rational,
                    format_rational, vec_sum, walk_level)
 
@@ -116,8 +117,7 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
     when an assignment is missing.  The sum runs on integer numerators over
     the least common denominator of the values.
     """
-    if m < 0:
-        raise ValueError("level must be nonnegative")
+    check_range("level", m, 0, VERTEX_LEVEL_MAX)
     nums, den = int_row([Fraction(v) for v in values.values()])
     table = dict(zip((k.canonical() for k in values), nums))
 
@@ -137,6 +137,7 @@ def graph_energy(values: Mapping[VertexAddress, Fraction], m: int) -> Fraction:
 
 def harmonic_vertex_values(h: Harmonic, m: int) -> dict[VertexAddress, Fraction]:
     """The level-``m`` vertex assignment induced by a harmonic function."""
+    check_range("level", m, 0, VERTEX_LEVEL_MAX)
     row, den = int_row(h)
     scale = den * 5 ** m
     return {VertexAddress(word, corner).canonical(): Fraction(x[corner], scale)
@@ -224,6 +225,7 @@ def satisfies_skew_condition(b: Harmonic, axis: int) -> bool:
     Constants satisfy this for every axis (they also satisfy the mirror
     condition, which is why they get their own classification).
     """
+    check_letter("axis", axis)
     j, k = (axis + 1) % 3, (axis + 2) % 3
     return 2 * b[axis] == b[j] + b[k]
 

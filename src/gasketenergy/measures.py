@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from . import NEGATIVE_DEPTH_MAX, check_letter, check_range
 from .core import (
     MASS_DEN,
     MASS_SCALED,
@@ -157,8 +158,7 @@ def selfsim_identity_gap(word: str, letter: int) -> Fraction:
     *outside* the addressed cell against the weighted combination of the
     Kusuoka and corner masses of the cell itself.
     """
-    if letter not in (0, 1, 2):
-        raise ValueError(f"letter must be 0, 1 or 2, got {letter!r}")
+    check_letter("letter", letter)
     check_word(word)
     lhs = measure_of_cell(KUSUOKA, str(letter) + word)
     masses = basis_masses(word)
@@ -185,11 +185,6 @@ def is_positive(c: MeasureCoeffs) -> bool:
     return cone_value(c) >= 0 and vec_sum(c) >= 0
 
 
-NEGATIVE_DEPTH_MAX = 12  # the deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB
-EXTREMA_DEPTH_MAX = 12  # the deepest ``scan_extrema``: 0.03 s on int64 rows, 0.9 s on Python ints (2 CPUs)
-BOUNDS_LEVEL_MAX = 15  # the deepest ``scan_bounds``: its last int64 level, 0.8 s (2 CPUs)
-
-
 def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     """Shortest (then lexicographically first) cell word with negative mass.
 
@@ -200,8 +195,7 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     a positive measure has no negative cell.  Else each level is walked whole as
     bare ``subtree_row`` rows, and ``lex_word`` spells only the first negative one.
     """
-    if not 0 <= max_depth <= NEGATIVE_DEPTH_MAX:
-        raise ValueError(f"max_depth must be nonnegative and at most {NEGATIVE_DEPTH_MAX}, got {max_depth}")
+    check_range("max_depth", max_depth, 0, NEGATIVE_DEPTH_MAX)
     level = [row := int_row(c)[0]]
     if sum(row) < 0:
         return ""

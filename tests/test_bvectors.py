@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasketenergy import WORD_MAX_LEN
 from gasketenergy.bvectors import (
     _from_child_masses,
     _from_column_sums,
@@ -111,6 +112,13 @@ def test_closed_form_along_repeated_zero():
     assert closed_form_b(2) == (Fraction(27, 41), Fraction(7, 41), Fraction(7, 41))
     for m in range(7):
         assert closed_form_b(m) == b_from_mass("0" * m)
+
+
+def test_closed_form_refuses_a_length_outside_the_word_cap():
+    assert closed_form_b(WORD_MAX_LEN)[0] < Fraction(2, 3)
+    for m in (-1, WORD_MAX_LEN + 1):
+        with pytest.raises(ValueError, match=f"m must be between 0 and {WORD_MAX_LEN}, got {m}"):
+            closed_form_b(m)
 
 
 def test_sharpness_radius_increases_toward_the_disk_rim():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gasketenergy import VERTEX_LEVEL_MAX, check_letter, check_range, core
 from gasketenergy.core import (
     MASS_DEN,
     MASS_GENERATORS,
@@ -209,8 +210,33 @@ def test_vertex_counts(level, count):
 
 
 def test_all_vertices_rejects_a_negative_level():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=f"level must be between 0 and {VERTEX_LEVEL_MAX}, got -1"):
         all_vertices(-1)
+
+
+def test_all_vertices_refuses_a_level_above_its_cap_before_any_work(monkeypatch):
+    def no_word(index, length):
+        raise AssertionError("a word was spelled before the level was checked")
+
+    monkeypatch.setattr(core, "lex_word", no_word)
+    with pytest.raises(ValueError, match=f"level must be between 0 and {VERTEX_LEVEL_MAX}, got 11"):
+        all_vertices(VERTEX_LEVEL_MAX + 1)
+
+
+def test_check_range_returns_the_value_or_names_it_in_one_form():
+    assert [check_range("n", v, -1, 2) for v in (-1, 0, 2)] == [-1, 0, 2]
+    for v in (-2, 3, 10**12):
+        with pytest.raises(ValueError) as exc:
+            check_range("--level", v, -1, 2)
+        assert str(exc.value) == f"--level must be between -1 and 2, got {v}"
+
+
+def test_check_letter_returns_the_letter_or_names_it_in_one_form():
+    assert [check_letter("corner", v) for v in (0, 1, 2)] == [0, 1, 2]
+    for v in (-1, 3, "1", None):
+        with pytest.raises(ValueError) as exc:
+            check_letter("axis", v)
+        assert str(exc.value) == f"axis must be 0, 1 or 2, got {v!r}"
 
 
 def test_all_vertices_are_canonical():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasketenergy import EDGE_DEPTH_MAX
+from gasketenergy import EDGE_DEPTH_MAX, MONOTONE_LEVEL_MAX, NORM_LEVEL_MAX
 from gasketenergy import derivatives as dv
 from gasketenergy.cli import main
 from gasketenergy.core import WORD_MAX_LEN, VertexAddress
@@ -86,6 +86,35 @@ def test_basis_ratios_partition_unity(word, corner):
 def test_basis_ratio_rejects_a_corner_outside_0_to_2(i):
     with pytest.raises(ValueError, match="corner must be 0, 1 or 2"):
         basis_ratio(i, VertexAddress("01", 2))
+
+
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_axis_gap_refuses_an_axis_outside_0_to_2(axis):
+    """-1 was read as axis 2, and 3 raised ``IndexError``."""
+    with pytest.raises(ValueError, match=f"axis must be 0, 1 or 2, got {axis}"):
+        axis_gap((ONE, Fraction(2), Fraction(3)), "01", axis)
+
+
+def test_letter_runs_are_bounded_before_the_run_is_spelled():
+    """The sizes are checked before ``str(letter) * n`` is built, so a huge n
+    is refused at once instead of asking for a string of n letters."""
+    with pytest.raises(ValueError, match=f"depth must be between 0 and {WORD_MAX_LEN}, got {10**12}"):
+        decay_sequence(KUSUOKA, "", 0, 10**12)
+    with pytest.raises(ValueError, match=f"n must be between 0 and {WORD_MAX_LEN}, got {10**12}"):
+        rank1_deviation(0, 10**12)
+    with pytest.raises(ValueError, match="letter must be 0, 1 or 2, got -1"):
+        rank1_deviation(-1, 0)  # was read as letter 2's limit
+
+
+def test_closed_form_margin_and_scans_refuse_sizes_above_their_caps():
+    assert edge_margin_closed_form(WORD_MAX_LEN) > 0
+    for m in (-1, WORD_MAX_LEN + 1):
+        with pytest.raises(ValueError, match=f"m must be between 0 and {WORD_MAX_LEN}, got {m}"):
+            edge_margin_closed_form(m)
+    with pytest.raises(ValueError, match=f"m must be between 0 and {MONOTONE_LEVEL_MAX}, got 13"):
+        monotone_left_right(MONOTONE_LEVEL_MAX + 1)
+    with pytest.raises(ValueError, match=f"m must be between 0 and {NORM_LEVEL_MAX}, got 11"):
+        operator_norm_scan(NORM_LEVEL_MAX + 1)
 
 
 @given(triples, triples, words, letters)

@@ -98,6 +98,23 @@ def test_no_interior_grid_fixed_points():
         assert dy.count_grid_fixed_points(j, 60) == 0
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_grid_fixed_points_refuse_a_letter_outside_0_to_2(j):
+    """-1 ran letter 2's map, and 3 raised ``IndexError``."""
+    with pytest.raises(ValueError, match=f"letter must be 0, 1 or 2, got {j}"):
+        dy.count_grid_fixed_points(j, 10)
+
+
+def test_grid_fixed_points_refuse_a_grid_above_its_cap_before_any_work(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before its size was checked")
+
+    monkeypatch.setattr(dy.np, "linspace", no_grid)
+    for n in (0, dy.GRID_SIZE_MAX + 1):
+        with pytest.raises(ValueError, match=f"n must be between 1 and {dy.GRID_SIZE_MAX}, got {n}"):
+            dy.count_grid_fixed_points(0, n)
+
+
 @given(disk_radii, angles, letters)
 def test_image_radius_identity_residual(r, t, j):
     assert dy.gamma_residual(r, t, j) < 1e-12
@@ -358,13 +375,13 @@ def test_disk_tables_are_the_exact_weight_steps_in_disk_coordinates():
 
 def poison_fresh_scratch(monkeypatch):
     """Fill every scratch ``dynamics._scratch`` makes with values no count can
-    come from (NaN floats, set masks, index -1), so a kernel that reads scratch
-    before writing it shows; returns the growing list of the sizes made."""
+    come from (NaN floats, index -1), so a kernel that reads scratch before
+    writing it shows; returns the growing list of the sizes made."""
     real, made = dy._scratch, []
 
     def scratch(rows, n):
         out = real(rows, n)
-        for buf, sentinel in zip(out, (np.nan, np.nan, True, -1)):
+        for buf, sentinel in zip(out, (np.nan, np.nan, -1)):
             buf.fill(sentinel)
         made.append(n)
         return out
@@ -526,9 +543,9 @@ def test_fold_is_bit_identical_to_np_mod():
     theta = np.concatenate([rng.uniform(-dy.TWO_PI, dy.TWO_PI, 100_000), edge, near])
     theta = theta[np.abs(theta) <= dy.TWO_PI]  # the fold's stated domain
     assert np.any(_fold_ref(theta, "full") == dy.TWO_PI)  # tiny negatives land on 2pi
-    buffers = np.empty((2, theta.size), bool), np.empty(theta.size)
+    tmp = np.empty(theta.size)
     for arc in ("full", "third", "sixth"):
-        got = dy._fold_angles(theta.copy(), arc, *buffers)
+        got = dy._fold_angles(theta.copy(), arc, tmp)
         assert got.tobytes() == _fold_ref(theta, arc).tobytes(), arc
 
 

@@ -18,6 +18,10 @@ matrix product) name none of the strided row walk.
 
 ``verify`` forms a FAIL line's counterexample text only in ``_check``, and
 every suite yields only ``_check`` verdicts.
+
+Only the package root defines a size cap or words a range message, and no
+module tests a letter itself: the others take ``check_range`` and
+``check_letter`` from the root.
 """
 
 import ast
@@ -118,6 +122,38 @@ def test_walk_guard_sees_each_kind_of_name():
         "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
     )
     assert walk_names(ast.parse(source)) == WALK_NAMES
+
+
+def own_checks(tree: ast.AST) -> set[str]:
+    """What of the root's vocabulary ``tree`` does itself: assigns a name ending in
+    ``_LIMIT`` or holding ``_MAX`` (``WORD_MAX_LEN`` too), tests ``not in (0, 1, 2)``
+    or raises a "must be between" message."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and (
+                "_MAX" in node.id or node.id.endswith("_LIMIT")):
+            found.add("cap")
+        elif isinstance(node, ast.Compare) and any(isinstance(op, ast.NotIn) and ast.unparse(right) == "(0, 1, 2)"
+                                                   for op, right in zip(node.ops, node.comparators)):
+            found.add("letter")
+        elif isinstance(node, ast.Raise) and "must be between" in ast.unparse(node):
+            found.add("range")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_only_the_root_defines_caps_and_range_and_letter_checks(module):
+    assert own_checks(ast.parse((SRC / f"{module}.py").read_text())) == set()
+
+
+def test_check_guard_sees_each_form():
+    seen = [own_checks(ast.parse(source)) for source in (
+        "DEPTH_MAX = 12\n", "LEVEL_LIMIT: int = 16\n", "for WORD_MAX_LEN in (64,): pass\n",
+        "def f(j):\n    if j not in (0, 1, 2): pass\n",
+        'def f(n):\n    raise ValueError(f"n must be between 0 and 9, got {n}")\n',
+        "# N_MAX = 1, and a 'must be between' string that is not raised\nx = 'must be between'\n")]
+    assert seen == [{"cap"}, {"cap"}, {"cap"}, {"letter"}, {"range"}, set()]
+    assert own_checks(ast.parse((SRC / "__init__.py").read_text())) == {"cap", "letter", "range"}
 
 
 KERNEL_NAMES = {"row_step", "row_walk", "stride_table", "MASS_STRIDE", "subtree_levels", "array_children",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gasketenergy import VERTEX_LEVEL_MAX, harmonic
 from gasketenergy.core import WORD_MAX_LEN, VertexAddress
 from gasketenergy.harmonic import (
     BASIS,
@@ -145,8 +146,28 @@ def test_harmonic_text_round_trip(h):
     assert parse_harmonic(format_harmonic(h)) == h
 
 
+def test_vertex_sets_refuse_a_level_above_their_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the level was checked")
+
+    monkeypatch.setattr(harmonic, "walk_level", no_work)
+    monkeypatch.setattr(harmonic, "int_row", no_work)
+    m = VERTEX_LEVEL_MAX + 1
+    with pytest.raises(ValueError, match=f"level must be between 0 and {VERTEX_LEVEL_MAX}, got {m}"):
+        harmonic_vertex_values(Harmonic.of(1, 0, 0), m)
+    with pytest.raises(ValueError, match=f"level must be between 0 and {VERTEX_LEVEL_MAX}, got {m}"):
+        graph_energy({}, m)
+
+
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_skew_condition_refuses_an_axis_outside_0_to_2(axis):
+    """-1 was read as axis 2, and 3 raised ``IndexError``."""
+    with pytest.raises(ValueError, match=f"axis must be 0, 1 or 2, got {axis}"):
+        satisfies_skew_condition(Harmonic.of(0, 1, 2), axis)
+
+
 def test_vertex_values_reject_a_negative_level():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=f"level must be between 0 and {VERTEX_LEVEL_MAX}, got -1"):
         harmonic_vertex_values(Harmonic.of(1, 0, 0), -1)
 
 

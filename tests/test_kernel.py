@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from gasketenergy import bvectors as bv
 from gasketenergy import core
-from gasketenergy import derivatives as dv
+from gasketenergy import BOUNDS_LEVEL_MAX, EXTREMA_DEPTH_MAX, derivatives as dv
 from gasketenergy.core import (
     LETTERS,
     MASS_SCALED,
@@ -38,8 +38,7 @@ from gasketenergy.core import (
     walk_level,
     word_matrix,
 )
-from gasketenergy.measures import (BOUNDS_LEVEL_MAX, EXTREMA_DEPTH_MAX, KUSUOKA, is_positive,
-                                   measure_of_cell, subtree_coeffs)
+from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
 
 ONE, ZERO = Fraction(1), Fraction(0)
 E = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
@@ -119,7 +118,7 @@ def test_walk_level_steps_each_prefix_once():
 
 
 def test_walk_level_rejects_a_negative_level_when_called():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=f"level must be between 0 and {WORD_MAX_LEN}, got -1"):
         walk_level(-1, (1, 1, 1), mass_step)  # no next() needed
 
 

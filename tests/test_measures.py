@@ -135,7 +135,7 @@ def test_find_negative_cell_rejects_a_negative_depth():
     c = (Fraction(3), Fraction(-1), Fraction(0))
     assert find_negative_cell(c, max_depth=5) == "11"
     for depth in (-1, -5):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=f"between 0 and {measures.NEGATIVE_DEPTH_MAX}, got {depth}"):
             find_negative_cell(c, max_depth=depth)
 
 
@@ -150,7 +150,7 @@ def test_find_negative_cell_bounds_its_depth_before_any_step(monkeypatch):
 
     monkeypatch.setattr(measures, "row_step", no_step)
     for depth in (measures.NEGATIVE_DEPTH_MAX + 1, 10**9):
-        with pytest.raises(ValueError, match=f"at most {measures.NEGATIVE_DEPTH_MAX}"):
+        with pytest.raises(ValueError, match=f"between 0 and {measures.NEGATIVE_DEPTH_MAX}, got {depth}"):
             find_negative_cell(c, max_depth=depth)
 
 

@@ -2,7 +2,8 @@
 
 Each ``$ gasketenergy ...`` line of a ``console`` block must print the
 lines shown under it, where a line ``...`` stands for zero or more lines,
-and each ``gasketenergy ...`` line of an ``sh`` block must exit 0.
+and each ``gasketenergy ...`` line of an ``sh`` block must exit 0.  The
+Bounds table lists the package root's caps.
 """
 
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gasketenergy
 from gasketenergy.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -51,6 +53,14 @@ def test_matches_reads_an_ellipsis_as_any_run_of_lines():
 
 def test_the_readme_has_examples_of_both_kinds():
     assert len(console_examples()) >= 6 and len(sh_commands()) >= 4
+
+
+def test_the_bounds_table_lists_each_cap_of_the_package_root():
+    section = README.split("\n## Bounds\n", 1)[1].split("\n## ", 1)[0]
+    table = {name: int(value.replace(",", ""))
+             for name, value in re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", section, re.M)}
+    caps = {name: value for name, value in vars(gasketenergy).items() if "_MAX" in name or name.endswith("_LIMIT")}
+    assert table == caps and len(caps) == 12
 
 
 @pytest.mark.parametrize("argv, shown", [pytest.param(a, s, id=" ".join(a[1:])) for a, s in console_examples()])
