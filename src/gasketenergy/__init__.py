@@ -24,7 +24,7 @@ BINS_MAX = 100_000
 EDGE_DEPTH_MAX = 16
 #: Deepest ``bvector --level`` scan: 3^12 rows, 11.5 s and 237 MB.
 BVECTOR_LEVEL_MAX = 12
-#: Deepest ``dynamics`` level cloud or orbit: ``ifs orbit --iters 16`` 3.3 s, ``angular`` 0.7 s.
+#: Deepest ``dynamics`` level cloud or orbit: ``ifs orbit --iters 16`` 2.2 s, ``angular`` 0.45 s.
 LEVEL_LIMIT = 16
 #: Deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB.
 NEGATIVE_DEPTH_MAX = 12

@@ -40,7 +40,7 @@ from .core import (
     subtree_levels,
     walk_level,
 )
-from .measures import KUSUOKA, MeasureCoeffs, level1_from_coeffs, measure_of_cell, refine_step
+from .measures import KUSUOKA, MeasureCoeffs, _refine_step, level1_from_coeffs, measure_of_cell
 
 #: A weight triple: three rationals summing to one.
 BVector = Vec3
@@ -125,13 +125,13 @@ def b_from_kusuoka(word: str) -> BVector:
     child masses x and their sum P.
 
     The child masses come from the refine recursion on integer numerators
-    (``refine_step`` from ``_KUSUOKA_ROOT``) and the cell's own mass is their
+    (``_refine_step`` from ``_KUSUOKA_ROOT``) and the cell's own mass is their
     sum, so no longer word is formed and the common scale cancels.  This
     route shares no arithmetic with the other two.
     """
     x = _KUSUOKA_ROOT
     for ch in check_word(word):
-        x = refine_step(x, int(ch))
+        x = _refine_step(x, int(ch))
     return _from_child_masses(x)
 
 
@@ -197,7 +197,7 @@ def level_routes(m: int) -> Iterator[tuple[str, tuple[IntRow, IntRow, IntRow]]]:
     ``_from_child_masses``, stepped once per node of one ``walk_level``."""
     return walk_level(
         m, ((1, 1, 1), (1, 1, 1), _KUSUOKA_ROOT),
-        lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), refine_step(r[2], j)))
+        lambda r, j: (_b_step_int(r[0], j), row_step(r[1], MASS_SCALED[j]), _refine_step(r[2], j)))
 
 
 def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:

@@ -202,24 +202,33 @@ def _scratch(rows: int, n: int) -> tuple:
 
 
 def _descend(table, state: np.ndarray, levels: int, scratch: tuple) -> np.ndarray:
-    """All images of the points (one row per coordinate) under the words of the given
-    length by the matrices of ``table``, children in word order: each letter's go into
-    column j of a (rows, n, 3) view of the ``_scratch``'s level arrays in turn."""
+    """All images of the n points (one row per coordinate) under the words of the given
+    length by the matrices of ``table``, letter-major: each letter's children go into one
+    contiguous run j of a (rows, 3, n) view of the ``_scratch``'s level arrays in turn,
+    so leaf j_L 3^(L-1) n + ... + j_1 n + k is point k taken through letters j_1 ... j_L."""
     for i in range(levels):
         rows, n = state.shape
-        children = scratch[0][i % 2, :3 * rows * n].reshape(rows, n, 3)
+        children = scratch[0][i % 2, :3 * rows * n].reshape(rows, 3, n)
         for j in (0, 1, 2):
-            _step(table, j, state, children[..., j], scratch[1][0, :n])
+            _step(table, j, state, children[:, j], scratch[1][0, :n])
         state = children.reshape(rows, -1)
     return state
 
 
+def _word_order(state: np.ndarray, levels: int) -> np.ndarray:
+    """The leaves of a ``levels``-deep ``_descend`` in word order, a copy: leaf
+    k 3^L + j_1 3^(L-1) + ... + j_L, the letter-major index's digits reversed."""
+    rows, size = state.shape
+    digits = state.reshape((rows,) + (3,) * levels + (size // 3 ** levels,))
+    return digits.transpose(0, *range(levels + 1, 0, -1)).reshape(rows, -1)
+
+
 def _blocks(table, state: np.ndarray, levels: int) -> list:
-    """Descend all but the last ``_TASK_LEVELS`` levels once and cut the frontier
-    into contiguous blocks, each with the levels left; an empty frontier still
-    gives one (empty) block, so counts keep their length."""
+    """Descend all but the last ``_TASK_LEVELS`` levels once and cut the frontier,
+    in word order, into contiguous blocks, each with the levels left; an empty
+    frontier still gives one (empty) block, so counts keep their length."""
     top = max(levels - _TASK_LEVELS, 0)
-    state = _descend(table, state, top, _scratch(len(state), state.shape[1] * 3 ** top))
+    state = _word_order(_descend(table, state, top, _scratch(len(state), state.shape[1] * 3 ** top)), top)
     size = max(state.shape[1], 1)
     return [(table, state[:, i:i + _BLOCK_POINTS], levels - top)
             for i in range(0, size, _BLOCK_POINTS)]
@@ -235,7 +244,8 @@ def _leaves(tasks: list) -> Iterator[tuple]:
 def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     """All 3^m level-m weight triples, floats, in lexicographic word order."""
     check_range("level", m, 0, LEVEL_LIMIT)
-    for (t, x, y), _ in _leaves(_blocks(_DISK_STEP, _ORIGIN, m)):
+    for leaves, _ in _leaves(_blocks(_DISK_STEP, _ORIGIN, m)):
+        t, x, y = _word_order(leaves, min(m, _TASK_LEVELS))  # each task's levels
         for p in zip((x / t).tolist(), (y / t).tolist()):
             yield DiskPoint(*p).to_b()
 

@@ -125,13 +125,18 @@ def children_row_via_refine(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
     check_word(word)
     x, scale = int_row(level1_from_coeffs(c))
     for ch in word:
-        x = refine_step(x, int(ch))
+        x = _refine_step(x, int(ch))
     return x, scale * REFINE_DEN ** len(word)
 
 
 def refine_step(x: IntRow, j: int) -> IntRow:
     """One letter of the refine recursion: letter j's scaled refine
     generator times the column ``x``."""
+    return _refine_step(x, check_letter("letter", j))
+
+
+def _refine_step(x: IntRow, j: int) -> IntRow:
+    """``refine_step`` unchecked, for the per-node loops whose letters come from checked words."""
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = REFINE_SCALED[j]
     x0, x1, x2 = x
     return (

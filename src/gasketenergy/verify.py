@@ -44,6 +44,7 @@ from .harmonic import (
 )
 from .measures import (
     BASIS_COEFFS,
+    _refine_step,
     children_row_via_refine,
     children_triple,
     children_triple_via_refine,
@@ -52,7 +53,6 @@ from .measures import (
     find_negative_cell,
     is_positive,
     measure_of_cell,
-    refine_step,
     selfsim_identity_gap,
     total_mass,
 )
@@ -192,7 +192,7 @@ def measures_suite(max_depth: int) -> Iterator[Check]:
     def positivity_misses():
         for _ in range(50):  # the refine route's cell masses, which no cone test decides
             c = _rand_positive_coeffs(rng)
-            kids = walk_level(min(level + 1, 6), children_row_via_refine(c, "")[0], refine_step)
+            kids = walk_level(min(level + 1, 6), children_row_via_refine(c, "")[0], _refine_step)
             if find_negative_cell(c, min(level + 2, 7)) is not None or any(min(x) < 0 for _, x in kids):
                 yield c
         for c in (_rand_coeffs(rng) for _ in range(50)):

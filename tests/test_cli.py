@@ -315,8 +315,8 @@ def test_positivity_scan_reads_masses_the_cone_test_does_not_decide(monkeypatch)
     """``find_negative_cell`` answers a positive measure from its root cone
     test alone, so the scan checks the refine route's cell masses too: a
     letter-2 step with its sign flipped makes a positive triple fail."""
-    real = verify.refine_step
-    monkeypatch.setattr(verify, "refine_step",
+    real = verify._refine_step
+    monkeypatch.setattr(verify, "_refine_step",
                         lambda x, j: tuple(-v for v in real(x, j)) if j == 2 else real(x, j))
     checks = {name: ok for name, ok, _ in verify.measures_suite(2)}
     assert checks["measures.positivity-scan"] is False

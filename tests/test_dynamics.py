@@ -162,6 +162,36 @@ def test_enumerate_level_matches_exact_weights():
         assert all(math.isclose(a, b, abs_tol=1e-12) for a, b in zip(g, e))
 
 
+@pytest.mark.parametrize("task_levels, block", [(2, 2), (3, 1), (1, 4)])
+@pytest.mark.parametrize("m", [5, 6])
+def test_enumerate_level_keeps_word_order_across_blocks(monkeypatch, m, task_levels, block):
+    """Frontiers of 9 to 243 points cut into blocks of 1 to 4, each block a task
+    of 1 to 3 levels: the leaves still come in word order, index by index."""
+    monkeypatch.setattr(dy, "_TASK_LEVELS", task_levels)
+    monkeypatch.setattr(dy, "_BLOCK_POINTS", block)
+    got = list(dy.enumerate_level(m))
+    exact = [tuple(float(x) for x in b) for _, b in enumerate_bvectors(m)]
+    assert len(got) == len(exact) == 3 ** m
+    for g, e in zip(got, exact):
+        assert all(math.isclose(a, b, abs_tol=1e-12) for a, b in zip(g, e))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_cloud_moments_match_their_closed_forms(n):
+    """With s a level-n point's unit-disk radius and C = 1/sqrt(1 - s^2), the
+    mean of C over the cloud is (5/3)^n and that of C^2 is (2/3)(11/3)^n + 1/3.
+    The tolerance is a worst case, not a measured drift: C is the leaf's T over
+    3^n, and a step multiplies T by at most 9 and T^2 - X^2 - Y^2 by exactly 9,
+    so C <= 3^n.  About one ulp per level in a leaf's coordinates then moves
+    1 - s^2, and so C^2, by a relative n eps C^2 <= n eps 9^n.  At n = 10 that
+    is 7.7e-6, where the two means drifted by 3.8e-10 and 2.6e-9."""
+    s2 = np.array([p.x * p.x + p.y * p.y for p in map(dy.DiskPoint.from_b, dy.enumerate_level(n))])
+    c = 1.0 / np.sqrt(1.0 - s2)
+    tol = n * np.finfo(float).eps * 9.0 ** n
+    assert math.fsum(c) / c.size == pytest.approx((5 / 3) ** n, rel=tol, abs=0)
+    assert math.fsum(c * c) / c.size == pytest.approx(2 / 3 * (11 / 3) ** n + 1 / 3, rel=tol, abs=0)
+
+
 def test_enumerate_level_rejects_oversize():
     with pytest.raises(ValueError):
         list(dy.enumerate_level(dy.LEVEL_LIMIT + 1))
@@ -325,10 +355,10 @@ def _step_ref(table, j, state):
 
 
 def _descend_ref(table, state, levels):
-    """The stack-and-reshape descent that ``_descend`` replaced."""
+    """The stack-and-reshape descent that ``_descend`` replaced, letter-major."""
     for _ in range(levels):
         children = [_step_ref(table, j, state) for j in (0, 1, 2)]
-        state = np.stack(children, axis=-1).reshape(len(state), -1)
+        state = np.stack(children, axis=1).reshape(len(state), -1)
     return state
 
 
@@ -336,8 +366,8 @@ def _descend_ref(table, state, levels):
 @pytest.mark.parametrize("table", [dy._DISK_STEP, dy._HALF_STEP], ids=["_apply_B_arrays", "_half_step"])
 @pytest.mark.parametrize("points", [1, 5, 27])
 def test_descend_matches_the_stacked_descent_bit_for_bit(table, points):
-    """Same bits as the reference, and leaf ``k * 3^levels + i`` is point k
-    taken through the letters of the i-th word in lexicographic order."""
+    """Same bits as the reference, and leaf ``i * points + k`` is point k taken
+    through letters j_1 ... j_L, the base-3 digits of i from the lowest up."""
     rng = np.random.default_rng(points)
     angle = rng.uniform(-math.pi, math.pi, points)
     state = np.array([np.cos(angle), np.sin(angle)]) * rng.uniform(0.0, 1.0, points)
@@ -349,9 +379,9 @@ def test_descend_matches_the_stacked_descent_bit_for_bit(table, points):
         assert got.shape == (rows, points * 3 ** levels)
         assert np.array_equal(got.view(np.int64), _descend_ref(table, state, levels).view(np.int64))
         for leaf in rng.integers(0, got.shape[1], 8):
-            k, i = divmod(int(leaf), 3 ** levels)
+            i, k = divmod(int(leaf), points)
             point = state[:, k]
-            for t in reversed(range(levels)):
+            for t in range(levels):
                 point = _step_ref(table, i // 3 ** t % 3, point)
             assert np.array_equal(np.array(point).view(np.int64), got[:, leaf].view(np.int64))
 

@@ -167,6 +167,7 @@ def test_harmonic_oracle_names_no_kernel_or_generator():
 
 STRIDED_NAMES = {"row_walk", "stride_table", "STRIDE", "MASS_STRIDE"}
 ORACLE_LOOPS = (("measures", "children_row_via_refine"), ("measures", "refine_step"),
+                ("measures", "_refine_step"),
                 ("bvectors", "b_from_word"), ("bvectors", "_b_step_int"), ("core", "word_matrix"))
 
 

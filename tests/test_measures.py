@@ -82,6 +82,13 @@ def test_refine_route_equals_the_fraction_fold(c, word):
     assert children_triple_via_refine(c, word) == x
 
 
+@pytest.mark.parametrize("letter", [-1, 3])
+def test_refine_step_rejects_a_non_letter(letter):
+    """A negative index would read another letter's generator, 3 none."""
+    with pytest.raises(ValueError, match="letter must be 0, 1 or 2"):
+        measures.refine_step((1, 1, 1), letter)
+
+
 def test_level1_helper_matches_children_of_root():
     c = (Fraction(3), Fraction(-1, 2), Fraction(2))
     assert level1_from_coeffs(c) == children_triple(c, "")
