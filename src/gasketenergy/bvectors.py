@@ -211,8 +211,9 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
 
 def _e2_positive(c0, c1, c2, buf):
     """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by ``core.limb_sign``, with
-    c0 + c1 and the limbs in nine rows of the caller's scratch ``buf``: exact on ``object`` arrays
-    and on ``int64`` arrays with every |c_j| < 2**59, so that |c0 + c1| < 2**60."""
+    c0 + c1 in ``buf[0]``, left there, and the limbs in the next eight rows of the caller's scratch
+    ``buf``: exact on ``object`` arrays and on ``int64`` arrays with every |c_j| < 2**59, so that
+    |c0 + c1| < 2**60."""
     import numpy as np
 
     return limb_sign(c0, c1, c2, np.add(c0, c1, out=buf[0, :len(c0)]), buf[1:]) > 0
@@ -220,14 +221,18 @@ def _e2_positive(c0, c1, c2, buf):
 
 def _first_offender(rows, buf) -> Optional[int]:
     """Index of the first row of block ``rows`` (``core.subtree_levels``) failing a ``scan_bounds``
-    test, or None; the totals, the e2 test and the six coordinate tests share ten rows of ``buf``."""
+    test, or None.  The three coordinates are copied once into contiguous rows of ``buf``, which the
+    e2 test and the bounds read; the six coordinate tests run as T + 3 min_j c_j > 0 and
+    max_j c_j < T.  Twelve rows of ``buf`` in all."""
     import numpy as np
 
-    (total, t), (c0, c1, c2) = buf[:2, :len(rows)], rows.T
-    bad = ~_e2_positive(c0, c1, c2, buf[1:])
-    np.add(np.add(c0, c1, out=total), c2, out=total)
-    for cj in (c0, c1, c2):
-        bad |= (np.add(total, np.multiply(cj, 3, out=t), out=t) <= 0) | (cj >= total)
+    n = len(rows)
+    cols, (total, low, high) = buf[:3, :n], buf[3:6, :n]
+    np.copyto(cols, rows.T)
+    bad = ~_e2_positive(*cols, buf[3:])
+    total += cols[2]  # c0 + c1 from the e2 test
+    bad |= np.add(total, np.multiply(np.min(cols, axis=0, out=low), 3, out=low), out=low) <= 0
+    bad |= np.max(cols, axis=0, out=high) >= total
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -263,7 +268,7 @@ def scan_bounds(max_level: int) -> Optional[str]:
     hits = []
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         if not depth:  # the root block: the call's one scratch
-            buf = scratch(10, max_level + 1, 1, rows.dtype)
+            buf = scratch(12, max_level + 1, 1, rows.dtype)
         i = _first_offender(rows, buf)
         if i is not None:
             hits.append(lex_word(start + i, depth))

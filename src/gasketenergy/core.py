@@ -310,6 +310,8 @@ def limb_sign(a, b, c, d, buf):
     sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
     nonzero.  Limbs and sums go into eight rows of the caller's scratch ``buf``
     (``core.scratch``), at least ``len(a)`` wide; ``object`` arrays ignore it.
+    The sums start from the pair ``(a, b)``'s products, so no row is read
+    before this call writes it.
     """
     if a.dtype == object:
         v = a * b + c * d
@@ -317,15 +319,16 @@ def limb_sign(a, b, c, d, buf):
     import numpy as np
 
     ha, la, hb, lb, lo, mid, hi, t = buf[:8, :len(a)]
-    lo[:] = mid[:] = hi[:] = 0
-    for x, y in ((a, b), (c, d)):  # an int factor splits into two ints
+    for x, y, first in ((a, b, True), (c, d, False)):  # an int factor splits into two ints
         (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else
                               (np.right_shift(v, _LIMB, out=h), np.bitwise_and(v, _LIMB_MASK, out=l))
                               for v, h, l in ((x, ha, la), (y, hb, lb)))
-        lo += np.multiply(lx, ly, out=t)
-        mid += np.multiply(hx, ly, out=t)
+        for s, p, q in ((lo, lx, ly), (hi, hx, hy), (mid, hx, ly)):
+            if first:
+                np.multiply(p, q, out=s)
+            else:
+                s += np.multiply(p, q, out=t)
         mid += np.multiply(lx, hy, out=t)
-        hi += np.multiply(hx, hy, out=t)
     mid += np.right_shift(lo, _LIMB, out=t)
     hi += np.right_shift(mid, _LIMB, out=t)
     rest = np.bitwise_and(np.bitwise_or(mid, lo, out=t), _LIMB_MASK, out=t) != 0

@@ -658,16 +658,21 @@ def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
 
 def test_bound_tests_are_strict_on_the_disk_rim():
     """(5, 20, -4) has e2 == 0 (weights (2/7, 9/14, 1/14), on the rim) and
-    passes the coordinate tests, so only the disk and cone tests reject it."""
+    passes the coordinate tests, so only the disk and cone tests reject it.
+    (-1, -1, -1) has e2 == 3 > 0 and T + 3c_j == -6, so only the coordinate
+    bounds reject it."""
     import numpy as np
 
-    def first_offender(*r):
-        return bv._first_offender(np.array(r, dtype=object), np.empty((10, len(r)), dtype=object))
+    def first_offender(*r, dtype=object):
+        return bv._first_offender(np.array(r, dtype=dtype), np.empty((12, len(r)), dtype=dtype))
 
     assert e2((5, 20, -4)) == 0
     assert first_offender((1, 1, 1), (41, 7, 7)) is None
     assert first_offender((1, 1, 1), (5, 20, -4), (1, 0, 0)) == 1
     assert first_offender((1, 0, 0)) == 0  # c_0 == T: weight 2/3
+    assert e2((-1, -1, -1)) == 3
+    for dtype in ("int64", object):
+        assert first_offender((1, 1, 1), (-1, -1, -1), dtype=dtype) == 1
 
 
 def test_scan_bounds_true_family_matches_reference():
@@ -727,7 +732,7 @@ def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
     assert bv.scan_bounds(7) is None
     rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype=dtype)
     before = rows.copy()
-    assert bv._first_offender(rows, np.empty((10, len(rows)), dtype)) is not None
+    assert bv._first_offender(rows, np.empty((12, len(rows)), dtype)) is not None
     assert rows.tolist() == before.tolist()
     assert all(calls) and all(len(seen) > 6 for seen in blocks)
     for fam, copy in blocks[0] + blocks[1]:
