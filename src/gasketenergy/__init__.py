@@ -24,15 +24,15 @@ BINS_MAX = 100_000
 EDGE_DEPTH_MAX = 16
 #: Deepest ``bvector --level`` scan: 3^12 rows, 11.5 s and 237 MB.
 BVECTOR_LEVEL_MAX = 12
-#: Deepest ``dynamics`` level: ``ifs orbit --iters 16`` 2.2 s, ``angular`` 0.45 s, ``enumerate_level`` 30 s.
+#: Deepest ``dynamics`` level: ``ifs orbit --iters 16`` 2.2 s, ``angular`` 0.45 s, ``enumerate_level`` 5.8 s.
 LEVEL_LIMIT = 16
 #: Deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB.
 NEGATIVE_DEPTH_MAX = 12
 #: Deepest ``scan_extrema``: 0.025 s on int64 rows, 0.7 s on Python ints.
 EXTREMA_DEPTH_MAX = 12
-#: Deepest ``scan_bounds``: its last int64 level (13^15 < 2**59), 0.68 s.
+#: Deepest ``scan_bounds``: its last int64 level (13^15 < 2**59), 0.63 s.
 BOUNDS_LEVEL_MAX = 15
-#: Deepest ``monotone_left_right``: 2^12 bottom-edge cells, 0.014 s.
+#: Deepest ``monotone_left_right``: 2^12 bottom-edge cells, 0.004 s.
 MONOTONE_LEVEL_MAX = 12
 #: Deepest ``operator_norm_scan``: its last int64 level (53**10 < 2**59), 0.14 s.
 NORM_LEVEL_MAX = 10

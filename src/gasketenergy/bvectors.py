@@ -209,30 +209,17 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _e2_positive(c0, c1, c2, buf):
-    """Elementwise ``c0*c1 + c2*(c0 + c1) > 0`` (that is, ``e2 > 0``) by ``core.limb_sign``, with
-    c0 + c1 in ``buf[0]``, left there, and the limbs in the next eight rows of the caller's scratch
-    ``buf``: exact on ``object`` arrays and on ``int64`` arrays with every |c_j| < 2**59, so that
-    |c0 + c1| < 2**60."""
-    import numpy as np
-
-    return limb_sign(c0, c1, c2, np.add(c0, c1, out=buf[0, :len(c0)]), buf[1:]) > 0
-
-
 def _first_offender(rows, buf) -> Optional[int]:
-    """Index of the first row of block ``rows`` (``core.subtree_levels``) failing a ``scan_bounds``
-    test, or None.  The three coordinates are copied once into contiguous rows of ``buf``, which the
-    e2 test and the bounds read; the six coordinate tests run as T + 3 min_j c_j > 0 and
-    max_j c_j < T.  Twelve rows of ``buf`` in all."""
+    """Index of the first row of block ``rows`` (``core.subtree_levels``) with e2 <= 0 or T <= 0,
+    the ``scan_bounds`` verdict, or None.  The coordinates go once into rows 0-2 of the caller's
+    ``core.scratch`` ``buf``, and c0 + c1, then T, into row 3: one ``limb_sign`` pass on
+    e2 = c0*c1 + c2*(c0 + c1), exact on ``object`` arrays and on ``int64`` with every |c_j| < 2**59."""
     import numpy as np
 
-    n = len(rows)
-    cols, (total, low, high) = buf[:3, :n], buf[3:6, :n]
+    cols, total = buf[:3, :len(rows)], buf[3, :len(rows)]
     np.copyto(cols, rows.T)
-    bad = ~_e2_positive(*cols, buf[3:])
-    total += cols[2]  # c0 + c1 from the e2 test
-    bad |= np.add(total, np.multiply(np.min(cols, axis=0, out=low), 3, out=low), out=low) <= 0
-    bad |= np.max(cols, axis=0, out=high) >= total
+    bad = limb_sign(*cols, np.add(cols[0], cols[1], out=total), buf) <= 0
+    bad |= np.add(total, cols[2], out=total) <= 0
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -248,7 +235,12 @@ def scan_bounds(max_level: int) -> Optional[str]:
     In column-sum form the disk test and the column-sum cone test (the one
     that feeds the induction behind the bounds) coincide: sum (3c_j - T)^2
     == 6 T^2 - 18 e2 with e2 = c_0c_1 + c_1c_2 + c_0c_2, so both read
-    e2 > 0, and it is evaluated once.  Each mass generator scales e2 by
+    e2 > 0.  The disk is the incircle of the hexagon 0 < b_j < 2/3, so with
+    T > 0 it decides the coordinate bounds: the u_j = 3c_j - T sum to 0, so
+    3u_j^2 <= 2 sum u^2 = 2(6T^2 - 18 e2) < 12 T^2, and |u_j| < 2T gives
+    T + 3c_j > 0 and c_j < T.  Conversely the tests T + 3c_j > 0 add up to
+    6T > 0.  So a word fails iff e2 <= 0 or T <= 0, the two tests that
+    ``_first_offender`` evaluates.  Each mass generator scales e2 by
     exactly 9 (M_j A M_j^T == 9 A for its matrix A), so every level-m row
     has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
     what makes the scan a check.
@@ -268,7 +260,7 @@ def scan_bounds(max_level: int) -> Optional[str]:
     hits = []
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         if not depth:  # the root block: the call's one scratch
-            buf = scratch(12, max_level + 1, 1, rows.dtype)
+            buf = scratch(4, max_level + 1, 1, rows.dtype)
         i = _first_offender(rows, buf)
         if i is not None:
             hits.append(lex_word(start + i, depth))

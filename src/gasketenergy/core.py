@@ -283,12 +283,13 @@ _LIMB_MASK = (1 << _LIMB) - 1
 
 
 def scratch(rows: int, levels: int, per_row: int, dtype):
-    """A new ``(rows, n)`` array of ``dtype`` for one scan of ``subtree_levels(..., levels)``:
-    ``n`` is ``per_row`` entries for each row of the widest block that walk yields,
-    min(3**(levels - 1), 3 * ``BLOCK_ROWS``), with ``BLOCK_ROWS`` read when called."""
+    """A new ``(rows + 8, n)`` array of ``dtype`` for one scan of ``subtree_levels(..., levels)``:
+    the caller's ``rows``, then the eight ``limb_sign`` takes from its end.  ``n`` is ``per_row``
+    entries for each row of the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
+    with ``BLOCK_ROWS`` read when called."""
     import numpy as np
 
-    return np.empty((rows, per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)), dtype)
+    return np.empty((rows + 8, per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)), dtype)
 
 
 def limb_sign(a, b, c, d, buf):
@@ -308,17 +309,17 @@ def limb_sign(a, b, c, d, buf):
     less than 2**33, so no sum leaves ``int64``.  After them the low 30 bits
     of ``mid`` and ``lo`` are all that is left below ``hi * 2**60``, so the
     sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
-    nonzero.  Limbs and sums go into eight rows of the caller's scratch ``buf``
-    (``core.scratch``), at least ``len(a)`` wide; ``object`` arrays ignore it.
-    The sums start from the pair ``(a, b)``'s products, so no row is read
-    before this call writes it.
+    nonzero.  Limbs and sums go into the last eight rows of the caller's
+    scratch ``buf`` (``core.scratch``; rows before them are the caller's), at
+    least ``len(a)`` wide; ``object`` arrays ignore it.  The sums start from
+    the pair ``(a, b)``'s products, so no row is read before this call writes it.
     """
     if a.dtype == object:
         v = a * b + c * d
         return (v > 0).astype("int8") - (v < 0)
     import numpy as np
 
-    ha, la, hb, lb, lo, mid, hi, t = buf[:8, :len(a)]
+    ha, la, hb, lb, lo, mid, hi, t = buf[-8:, :len(a)]
     for x, y, first in ((a, b, True), (c, d, False)):  # an int factor splits into two ints
         (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else
                               (np.right_shift(v, _LIMB, out=h), np.bitwise_and(v, _LIMB_MASK, out=l))

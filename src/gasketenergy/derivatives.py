@@ -248,8 +248,8 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     Subcells come from the block walk ``core.subtree_levels`` in the dtype it
     proves (``int64`` below 2**59, Python ints otherwise).  Each block's
     midpoint ratios go into the one ``core.scratch`` array the call makes at
-    the root block and meet the running extremum in one ``core.limb_sign``
-    pass; see ``_least``.
+    the root block and meet each running extremum in one ``core.limb_sign``
+    pass; see ``_best``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
@@ -260,16 +260,14 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
 
     r0, q0 = _cell_rows(c, word)
     # running extrema as (numerator, positive denominator, canonical key),
-    # seeded with the midpoint of the cell's edge {0, 1}; the maximum is
-    # kept as the least of the negated values
-    lo = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
-    hi = (-lo[0], lo[1], lo[2])
+    # seeded with the midpoint of the cell's edge {0, 1}
+    lo = hi = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
     for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
         if not d:  # the root block: the call's one scratch, as wide as the widest block
-            buf = scratch(11, depth, 3, rs.dtype)
+            buf = scratch(2, depth, 3, rs.dtype)
         # entry 3 i + e is the midpoint of edge e of the block's cell i, so
         # entries rise in key order
-        num, dnm, neg = buf[:3, :3 * len(rs)]
+        num, dnm = buf[:2, :3 * len(rs)]
         for e, (j, k) in enumerate(_EDGES):
             np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
             np.add(qs[:, j], qs[:, k], out=dnm.reshape(-1, 3)[:, e])
@@ -278,33 +276,34 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
             j, k = _EDGES[i % 3]
             return word + lex_word(start + i // 3, d) + LETTERS[j], k
 
-        lo = _least(lo, num, dnm, key, buf[3:])
-        hi = _least(hi, np.negative(num, out=neg), dnm, key, buf[3:])
+        lo = _best(lo, num, dnm, key, buf, -1)
+        hi = _best(hi, num, dnm, key, buf, 1)
     return ScanResult(
         Fraction(lo[0], lo[1]),
-        Fraction(-hi[0], hi[1]),
+        Fraction(hi[0], hi[1]),
         VertexAddress(*lo[2]),
         VertexAddress(*hi[2]),
     )
 
 
-def _least(best, num, dnm, key, buf):
+def _best(best, num, dnm, key, buf, side):
     """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
-    (every ``dnm > 0``): the least ratio, and among equal ratios the least
-    key, where ``key(i)`` is the key of entry ``i`` and rises with ``i``.
+    (every ``dnm > 0``): the least ratio for ``side`` -1 or the largest for
+    ``side`` 1, and among equal ratios the least key, where ``key(i)`` is
+    the key of entry ``i`` and rises with ``i``.
 
     One ``limb_sign`` pass compares the block with n / d.  If some entries
-    lie below it, the first least of those wins outright; otherwise the
-    first entry equal to it, if any, offers its key.  So few entries lie
-    below (at most 12 a block, about 2 on average) that a plain ``min`` over
-    their exact ratios ranks them, keeping the first of equals.  An
-    all-equal block (the Kusuoka measure) costs the one pass.
+    lie beyond it (sign ``side``), the first most extreme wins outright;
+    else the first entry equal to it, if any, offers its key.  So few lie
+    beyond (at most 12 a block, about 2 on average) that a plain ``min``
+    over their exact ratios times -``side`` ranks them, keeping the first of
+    equals.  An all-equal block (the Kusuoka measure) costs the one pass.
     """
     n, d, k = best
     s = limb_sign(num, d, -n, dnm, buf)  # sign of num / dnm - n / d
-    below = (s < 0).nonzero()[0]
-    if below.size:
-        i = min(below.tolist(), key=lambda i: Fraction(int(num[i]), int(dnm[i])))
+    beyond = (s == side).nonzero()[0]
+    if beyond.size:
+        i = min(beyond.tolist(), key=lambda i: Fraction(-side * int(num[i]), int(dnm[i])))
         return int(num[i]), int(dnm[i]), key(i)
     ties = s == 0
     if ties.any():
@@ -362,24 +361,21 @@ def monotone_left_right(m: int) -> bool:
     """Check the left-to-right growth of the corner-2 mass along the bottom.
 
     Walks the 2^m bottom-edge cells (words over letters {1,2}) level by level
-    in their geometric order and confirms the corner-2 masses never decrease,
-    and that every edge margin is at least the margin of the all-1s word.
+    in their geometric order and confirms the corner-2 masses never decrease.
     Rows on one level share one scale, so integer numerators are compared.
 
-    Neither claim survives deep subdivision: the masses first descend at
-    m = 3, and the margin floor fails from m = 4 on (``edge_margin("1121")``
-    = 242/1125 < ``edge_margin("1111")`` = 392/1125), so the result is True
-    exactly for m <= 2 and the floor never decides it.
+    The claim also floors every edge margin at the all-1s word's; the floor
+    holds through m = 3 and fails from m = 4 on (``edge_margin("1121")`` =
+    242/1125 < ``edge_margin("1111")`` = 392/1125), while the masses descend
+    from m = 3 on, so on the whole domain m = 0..12 the floor never decides
+    the result, True exactly for m <= 2, and it is not walked.
     """
     check_range("m", m, 0, MONOTONE_LEVEL_MAX)
-    masses, margins = [(0, 0, 1)], [_MARGIN_ROW]
+    masses = [(0, 0, 1)]
     for _ in range(m):
         masses = [row_step(r, g) for r in masses for g in MASS_SCALED[1:]]
-        margins = [row_step(r, g) for r in margins for g in REFINE_SCALED[1:]]
     sums = [sum(r) for r in masses]
-    floor = vec_dot(margins[0], _MARGIN_COL)  # the all-1s word comes first
-    return (all(a <= b for a, b in zip(sums, sums[1:]))
-            and all(vec_dot(r, _MARGIN_COL) >= floor for r in margins))
+    return all(a <= b for a, b in zip(sums, sums[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,7 @@ def enumerate_level(m: int) -> Iterator[tuple[float, float, float]]:
     check_range("level", m, 0, LEVEL_LIMIT)
     for leaves, _ in _leaves(_blocks(_DISK_STEP, _ORIGIN, m)):
         t, x, y = _word_order(leaves, min(m, _TASK_LEVELS))  # each task's levels
-        for p in zip((x / t).tolist(), (y / t).tolist()):
-            yield DiskPoint(*p).to_b()
+        yield from zip(*(b.tolist() for b in DiskPoint(x / t, y / t).to_b()))
 
 
 def _count_tasks(count, tasks: list) -> np.ndarray:

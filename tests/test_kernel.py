@@ -580,7 +580,8 @@ def test_limb_sign_test_matches_python_ints(dtype):
 
     rows = limb_rows(random.Random(2_345))
     c = np.array(rows, dtype=dtype)
-    got = bv._e2_positive(c[:, 0], c[:, 1], c[:, 2], np.empty((9, len(c)), dtype))
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    got = core.limb_sign(c0, c1, c2, c0 + c1, np.empty((9, len(c)), dtype)) > 0
     want = [e2(row) > 0 for row in rows]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
@@ -627,21 +628,25 @@ SENTINEL = -(2**62) + 12_345
 
 def test_limb_sign_reuses_one_scratch_across_lengths():
     """One scratch, sentinel-filled before each call, through calls that
-    shrink and then grow: each answer is the Python-int sign, and nothing
-    past the call's length is written."""
+    shrink and then grow: each answer is the Python-int sign, nothing past
+    the call's length is written, and in a scratch laid out as
+    ``core.scratch`` lays it out, two caller rows ahead of the last eight,
+    the caller's rows keep the sentinel."""
     import numpy as np
 
     quads = limb_quads(random.Random(6_061))
-    buf = np.empty((8, len(quads)), dtype="int64")
-    for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
-        part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
-        a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
-        for args, products in (((a, b, c, d), (p * q + r * t for p, q, r, t in part)),
-                               ((a, 3, -5, d), (p * 3 - 5 * t for p, _, _, t in part))):
-            buf.fill(SENTINEL)
-            got = core.limb_sign(*args, buf)
-            assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
-            assert (buf[:, len(part):] == SENTINEL).all(), m
+    for caller_rows in (0, 2):
+        buf = np.empty((caller_rows + 8, len(quads)), dtype="int64")
+        for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
+            part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
+            a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
+            for args, products in (((a, b, c, d), (p * q + r * t for p, q, r, t in part)),
+                                   ((a, 3, -5, d), (p * 3 - 5 * t for p, _, _, t in part))):
+                buf.fill(SENTINEL)
+                got = core.limb_sign(*args, buf)
+                assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
+                assert (buf[:, len(part):] == SENTINEL).all(), m
+                assert (buf[:caller_rows] == SENTINEL).all(), m
 
 
 def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
@@ -659,8 +664,9 @@ def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
 def test_bound_tests_are_strict_on_the_disk_rim():
     """(5, 20, -4) has e2 == 0 (weights (2/7, 9/14, 1/14), on the rim) and
     passes the coordinate tests, so only the disk and cone tests reject it.
-    (-1, -1, -1) has e2 == 3 > 0 and T + 3c_j == -6, so only the coordinate
-    bounds reject it."""
+    (-1, -1, -1) has e2 == 3 > 0 and T + 3c_j == -6, so of the three tests
+    only the coordinate bounds reject it; the scan rejects it by its total
+    test, T == -3 <= 0."""
     import numpy as np
 
     def first_offender(*r, dtype=object):
@@ -673,6 +679,55 @@ def test_bound_tests_are_strict_on_the_disk_rim():
     assert e2((-1, -1, -1)) == 3
     for dtype in ("int64", object):
         assert first_offender((1, 1, 1), (-1, -1, -1), dtype=dtype) == 1
+
+
+def three_tests_fail(row):
+    """Whether ``row`` fails one of ``reference_scan_bounds``' three tests, in Python ints."""
+    total = sum(row)
+    return (any(total + 3 * cj <= 0 or cj >= total for cj in row)
+            or sum((3 * cj - total) ** 2 for cj in row) >= 6 * total * total
+            or e2(row) <= 0)
+
+
+def bound_rows(top):
+    """Integer rows with every |c_j| <= ``top``: free rows, multiples of the
+    negative-total row (-1, -1, -1), of the rim rows like (5, 20, -4)
+    (e2 == 0) and of the barycenter and a corner, and rows within one unit
+    of the rim."""
+    coord = st.integers(-top, top)
+    shapes = [(-1, -1, -1), (5, 20, -4), (20, -4, 5), (-4, 5, 20), (1, 1, 1), (1, 0, 0), (0, 0, 0)]
+    multiples = st.builds(lambda r, k, s: tuple(s * (x << k) for x in r),
+                          st.sampled_from(shapes), st.integers(0, top.bit_length() - 6), st.sampled_from((-1, 1)))
+    near_rim = st.builds(lambda a, b, d: (a, b, d - a * b // (a + b)),
+                         st.integers(1, top), st.integers(1, top), st.integers(-1, 1))
+    return st.one_of(st.tuples(coord, coord, coord), multiples, near_rim)
+
+
+@pytest.mark.parametrize("dtype, top", [("int64", 2**58), ("object", 2**80)], ids=["int64", "object"])
+@given(data=st.data())
+def test_first_offender_decides_the_three_tests_by_the_disk_and_the_total(dtype, top, data):
+    """``_first_offender`` tests only e2 > 0 and T > 0, yet on every row its
+    verdict is that of the three inequalities, each row alone and a block's
+    first offender; ``int64`` rows stay below 2**59, object rows go past it."""
+    import numpy as np
+
+    rows = data.draw(st.lists(bound_rows(top), min_size=1, max_size=30))
+    want = [three_tests_fail(row) for row in rows]
+    block = np.array(rows, dtype=dtype)
+    buf = np.empty((12, len(rows)), dtype)
+    assert [bv._first_offender(block[i:i + 1], buf) is not None for i in range(len(rows))] == want
+    assert bv._first_offender(block, buf) == (want.index(True) if any(want) else None)
+
+
+@given(bound_rows(2**80))
+def test_positive_disk_and_total_bound_every_coordinate(row):
+    """The lemma behind ``scan_bounds``: T > 0 and e2 > 0 give
+    |3c_j - T| < 2T, that is T + 3c_j > 0 and c_j < T; and the three
+    tests pass exactly when T > 0 and e2 > 0."""
+    total = sum(row)
+    if total > 0 and e2(row) > 0:
+        assert all(abs(3 * cj - total) < 2 * total for cj in row)
+    assert (not three_tests_fail(row)) == (total > 0 and e2(row) > 0)
 
 
 def test_scan_bounds_true_family_matches_reference():
@@ -777,20 +832,22 @@ def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block)
 
 @pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
 def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch, block):
-    """Each scan call makes exactly one ``core.scratch`` array, and its width
-    is the widest block the call's walk yields, times the three edge
-    midpoints of a row for ``scan_extrema``."""
+    """Each scan call makes exactly one ``core.scratch`` array: the scan's
+    own rows plus the eight of ``core.limb_sign``, as wide as the widest
+    block the call's walk yields, times the three edge midpoints of a row
+    for ``scan_extrema``."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     made = poison_fresh_scratch(monkeypatch)
     blocks = {dv.scan_extrema: snapshot_blocks(monkeypatch, dv), bv.scan_bounds: snapshot_blocks(monkeypatch, bv)}
     cases = [(dv.scan_extrema, (SCAN_MEASURES[-1], "2", depth), 3) for depth in (1, 2, 3, 5, 6, 9, 10)]
     cases += [(bv.scan_bounds, (level,), 1) for level in (0, 1, 2, 4, 5, 8, 11)]
+    own_rows = {dv.scan_extrema: 2, bv.scan_bounds: 4}  # numerators and denominators; coordinates and total
     for scan, args, per_row in cases:
         made.clear()
         blocks[scan].clear()
         scan(*args)
         widest = max(len(fam) for fam, _ in blocks[scan])
-        assert [buf.shape[1] for buf in made] == [per_row * widest], (scan.__name__, args)
+        assert [buf.shape for buf in made] == [(own_rows[scan] + 8, per_row * widest)], (scan.__name__, args)
 
 
 # ---------------------------------------------------------------------------
