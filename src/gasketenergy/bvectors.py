@@ -26,6 +26,7 @@ from typing import Iterator, Optional
 
 from . import BOUNDS_LEVEL_MAX, WORD_MAX_LEN, check_letter, check_range
 from .core import (
+    LIMB_BOUND,
     MASS_SCALED,
     IntRow,
     Vec3,
@@ -34,6 +35,7 @@ from .core import (
     int_row,
     lex_word,
     limb_sign,
+    row_bound,
     row_step,
     row_walk,
     scratch,
@@ -209,16 +211,17 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _first_offender(rows, buf) -> Optional[int]:
+def _first_offender(rows, buf, bound: int = LIMB_BOUND - 1) -> Optional[int]:
     """Index of the first row of block ``rows`` (``core.subtree_levels``) with e2 <= 0 or T <= 0,
     the ``scan_bounds`` verdict, or None.  The coordinates go once into rows 0-2 of the caller's
     ``core.scratch`` ``buf``, and c0 + c1, then T, into row 3: one ``limb_sign`` pass on
-    e2 = c0*c1 + c2*(c0 + c1), exact on ``object`` arrays and on ``int64`` with every |c_j| < 2**59."""
+    e2 = c0*c1 + c2*(c0 + c1), exact on ``object`` arrays and on ``int64`` with every |c_j| and
+    |c0 + c1| at most ``bound`` (below 2**60)."""
     import numpy as np
 
     cols, total = buf[:3, :len(rows)], buf[3, :len(rows)]
     np.copyto(cols, rows.T)
-    bad = limb_sign(*cols, np.add(cols[0], cols[1], out=total), buf) <= 0
+    bad = limb_sign(*cols, np.add(cols[0], cols[1], out=total), buf, bound) <= 0
     bad |= np.add(total, cols[2], out=total) <= 0
     return int(bad.argmax()) if bad.any() else None
 
@@ -248,8 +251,11 @@ def scan_bounds(max_level: int) -> Optional[str]:
     ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
     it proves before any work (``int64`` through ``BOUNDS_LEVEL_MAX`` = 15,
     as 13^15 < 2**59; a larger max_level is refused before the walk), so
-    every answer is exact.  The call makes one ``core.scratch`` array at the
-    root block, as wide as the widest block, and every block reuses it.
+    every answer is exact.  The e2 test's factors are bounded by twice
+    ``core.row_bound`` at max_level (the c0 + c1 factor), so ``limb_sign``
+    runs its certified tier through level 11 and its limbs from level 12 on.
+    The call makes one ``core.scratch`` array at the root block, as wide as
+    the widest block, and every block reuses it.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -257,11 +263,11 @@ def scan_bounds(max_level: int) -> Optional[str]:
     extensions.
     """
     check_range("max_level", max_level, 0, BOUNDS_LEVEL_MAX)
-    hits = []
+    hits, bound = [], 2 * row_bound(((1, 1, 1),), MASS_SCALED, max_level)
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         if not depth:  # the root block: the call's one scratch
             buf = scratch(4, max_level + 1, 1, rows.dtype)
-        i = _first_offender(rows, buf)
+        i = _first_offender(rows, buf, bound)
         if i is not None:
             hits.append(lex_word(start + i, depth))
     return min(hits, default=None)

@@ -19,8 +19,13 @@ computed as the inverse of ``P_i``, never typed in from a hand-made table.
   by one product of ``MASS_STRIDE``, the mass family's ``stride_table``
   built once at import; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
-  of the dtype ``array_dtype`` proves, and ``limb_sign`` compares values on
-  them exactly; numpy is imported only when these run.
+  of the dtype ``array_dtype`` proves from ``row_bound``, and ``limb_sign``
+  compares values on them exactly, in two integer tiers chosen by the
+  caller's ``row_bound`` factor bound B: up to ``SHIFT_BOUND`` (about 2**45)
+  a certified shift-and-wrap test (factors shifted to 31 bits decide every
+  sign they can prove, and below that cut the value fits ``int64``, so its
+  products taken mod 2**64 are exact), above it 30-bit limbs.  numpy is
+  imported only when these run.
 * Addressing: ``check_word``, ``lex_word``, ``VertexAddress``.
 
 Tuples are immutable, so they are safe to share across threads and processes.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import VERTEX_LEVEL_MAX, WORD_MAX_LEN, check_letter, check_range
 
@@ -269,15 +274,21 @@ def array_children(rows, gens: Sequence[IntMat], dtype: str):
     return (np.asarray(rows, dtype=dtype) @ cols).reshape(-1, 3)
 
 
-#: ``limb_sign`` is exact on ``int64`` arrays whose factors all lie strictly
-#: between ``-LIMB_BOUND`` and ``LIMB_BOUND``.
+#: ``limb_sign``'s limb tier is exact on ``int64`` arrays whose factors all
+#: lie strictly between ``-LIMB_BOUND`` and ``LIMB_BOUND``.
 LIMB_BOUND = 2**60
 #: Level arrays run as ``int64`` when every row entry stays below this bound
 #: in absolute value: a sum of two entries is then a valid ``limb_sign``
 #: factor, and the scans form no sum above six entries (< 2**63).  Larger
 #: rows run on ``dtype=object`` arrays of Python ints.
 INT64_ROW_BOUND = LIMB_BOUND // 2
+#: ``limb_sign`` runs its certified shift-and-wrap tier when the caller's
+#: factor bound is at most this (read when called), and its 30-bit limbs
+#: above it: (2**31 - 1) * 2**14, about 2**45, the largest bound whose shift
+#: is at most 14 bits, which keeps the values the tier wraps below 2**62.
+SHIFT_BOUND = (2**31 - 1) << 14
 
+_SHIFT_TOP = 2**31 - 1
 _LIMB = 30
 _LIMB_MASK = (1 << _LIMB) - 1
 
@@ -292,14 +303,89 @@ def scratch(rows: int, levels: int, per_row: int, dtype):
     return np.empty((rows + 8, per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)), dtype)
 
 
-def limb_sign(a, b, c, d, buf):
+def _shift_bits(bound: int) -> Optional[int]:
+    """The certified tier's shift for factors of absolute value at most ``bound``: the least
+    k >= 0 with ``bound`` <= (2**31 - 1) * 2**k, so k <= 14; None above ``SHIFT_BOUND``."""
+    if bound > SHIFT_BOUND:
+        return None
+    k = max(0, bound.bit_length() - 31)
+    return k + (bound > _SHIFT_TOP << k)
+
+
+def shift(x, bound: int, buf, i: int):
+    """``x >> k``, k the certified tier's shift for ``bound``, written into the row of scratch
+    ``buf`` that ``limb_sign`` keeps for its factor ``i``: a factor that several calls share,
+    shifted once and passed in their ``shifted``, which leave that row as it is.  None when
+    ``bound`` takes the limb tier or ``x`` holds Python ints, which need no shift."""
+    k = _shift_bits(bound)
+    if k is None or x.dtype == object:
+        return None
+    import numpy as np
+
+    return np.right_shift(x, k, out=buf[i - 8, :len(x)])
+
+
+def limb_sign(a, b, c, d, buf, bound: int = LIMB_BOUND - 1, shifted=(None,) * 4):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
     ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
     or ints.  ``object`` arrays hold Python ints, which take the products
-    directly.  ``int64`` products need not fit, so each factor splits into
-    limbs ``x = h * 2**30 + l`` with ``0 <= l < 2**30``.  With every
-    |factor| < ``LIMB_BOUND`` = 2**60, |h| <= 2**30 and the limb sums are
+    directly.  On ``int64`` the caller proves |x| <= ``bound`` for every
+    factor x (the scans take it from ``row_bound``, the growth proof behind
+    ``array_dtype``), and the products may not fit.  Up to ``SHIFT_BOUND``
+    (read when called) the certified tier decides the sign:
+
+    * each factor is shifted, x' = x >> k with the least k that gives
+      |x'| <= 2**31 - 1 (k <= 14), so A' = a'b' + c'd' fits in ``int64``;
+    * writing x = 2**k x' + r with 0 <= r < 2**k, the rest
+      ``a*b + c*d - 2**(2k) A'`` is below 2**(2k) (sum|x'| + 2) <= 2**(2k) C
+      in absolute value, C = 4 ceil(``bound`` / 2**k) + 2, so where
+      |A'| >= C the sign is A''s;
+    * elsewhere |a*b + c*d| < 2**(2k + 1) C < 2**(2k + 34) <= 2**62, so the
+      products and their sum taken mod 2**64 (on ``uint64`` views) are the
+      exact value once read back as ``int64``.
+
+    ``shifted`` holds x' for the factors a caller already shifted into their
+    rows (``shift``), which this call leaves as they are; None entries are
+    shifted here.  Above ``SHIFT_BOUND``, and with the default ``bound``
+    (every |factor| < ``LIMB_BOUND`` = 2**60), each factor splits into limbs
+    ``x = h * 2**30 + l`` with ``0 <= l < 2**30`` instead; see
+    ``_limb_sign``.  Either tier writes only the last eight rows of the
+    caller's scratch ``buf`` (``core.scratch``; rows before them are the
+    caller's), at least ``len(a)`` wide, and reads no row that neither this
+    call nor ``shift`` wrote; ``object`` arrays ignore it.
+    """
+    if a.dtype == object:
+        v = a * b + c * d
+        return (v > 0).astype("int8") - (v < 0)
+    k = _shift_bits(bound)
+    rows = buf[-8:, :len(a)]
+    if k is None:
+        return _limb_sign(a, b, c, d, rows)
+    return _wrap_sign((a, b, c, d), rows, k, 4 * -(-bound >> k) + 2, shifted)
+
+
+def _wrap_sign(factors, rows, k: int, cut: int, shifted):
+    """``limb_sign``'s certified tier: sign(A') where |A'| >= ``cut``, else the sign of the wrapped sum."""
+    import numpy as np
+
+    u64 = np.uint64
+    a, b, c, d = (s if s is not None else x >> k if isinstance(x, int) else np.right_shift(x, k, out=row)
+                  for x, s, row in zip(factors, shifted, rows))
+    approx, t, exact, u = rows[4:]
+    np.multiply(a, b, out=approx)
+    approx += np.multiply(c, d, out=t)
+    a, b, c, d = (u64(x % 2**64) if isinstance(x, int) else x.view(u64) for x in factors)
+    wrapped = np.multiply(a, b, out=exact.view(u64))
+    wrapped += np.multiply(c, d, out=u.view(u64))
+    np.copyto(exact, approx, where=np.abs(approx, out=t) >= cut)
+    return np.sign(exact, out=exact).astype("int8")
+
+
+def _limb_sign(a, b, c, d, rows):
+    """``limb_sign``'s limb tier, exact with every |factor| < ``LIMB_BOUND`` = 2**60.
+
+    With x = h * 2**30 + l, |h| <= 2**30 and the limb sums are
 
     * ``lo = l_a l_b + l_c l_d``, below 2**61,
     * ``mid = h_a l_b + l_a h_b + h_c l_d + l_c h_d``, below 2**62,
@@ -309,17 +395,11 @@ def limb_sign(a, b, c, d, buf):
     less than 2**33, so no sum leaves ``int64``.  After them the low 30 bits
     of ``mid`` and ``lo`` are all that is left below ``hi * 2**60``, so the
     sign is ``hi``'s unless ``hi == 0``, and then it is 1 iff either is
-    nonzero.  Limbs and sums go into the last eight rows of the caller's
-    scratch ``buf`` (``core.scratch``; rows before them are the caller's), at
-    least ``len(a)`` wide; ``object`` arrays ignore it.  The sums start from
-    the pair ``(a, b)``'s products, so no row is read before this call writes it.
+    nonzero.  The sums start from the pair ``(a, b)``'s products.
     """
-    if a.dtype == object:
-        v = a * b + c * d
-        return (v > 0).astype("int8") - (v < 0)
     import numpy as np
 
-    ha, la, hb, lb, lo, mid, hi, t = buf[-8:, :len(a)]
+    ha, la, hb, lb, lo, mid, hi, t = rows
     for x, y, first in ((a, b, True), (c, d, False)):  # an int factor splits into two ints
         (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else
                               (np.right_shift(v, _LIMB, out=h), np.bitwise_and(v, _LIMB_MASK, out=l))
@@ -336,18 +416,22 @@ def limb_sign(a, b, c, d, buf):
     return ((hi == 0) & rest) | np.sign(hi, out=hi).astype("int8")
 
 
+def row_bound(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> int:
+    """A bound on the absolute value of every entry and partial sum of ``rows``
+    walked up to ``levels >= 0`` letters by ``gens``: max|row| * g**levels,
+    with g the largest absolute column sum of the generators (at least 1), as
+    one step grows no entry or partial sum by more than a factor g."""
+    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
+    return max(abs(x) for row in rows for x in row) * max(growth, 1) ** levels
+
+
 def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> str:
     """``"int64"`` when ``rows`` walked ``levels >= 0`` letters by ``gens``
     provably keep every entry and partial sum below ``INT64_ROW_BOUND``
-    (read when called), ``"object"`` otherwise.
-
-    The proof is max|row| * g**levels < INT64_ROW_BOUND, with g the largest
-    absolute column sum of the generators: one step grows no entry or
-    partial sum by more than a factor g.
+    (read when called), ``"object"`` otherwise: the proof is
+    ``row_bound(rows, gens, levels)`` < ``INT64_ROW_BOUND``.
     """
-    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
-    top = max(abs(x) for row in rows for x in row)
-    return "int64" if top * max(growth, 1) ** levels < INT64_ROW_BOUND else "object"
+    return "int64" if row_bound(rows, gens, levels) < INT64_ROW_BOUND else "object"
 
 
 #: Rows stepped per ``array_children`` call of ``subtree_levels``: a yielded

@@ -43,9 +43,11 @@ from .core import (
     lex_word,
     limb_sign,
     mat_scale,
+    row_bound,
     row_step,
     row_walk,
     scratch,
+    shift,
     subtree_levels,
     vec_dot,
     word_matrix,
@@ -249,7 +251,11 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     proves (``int64`` below 2**59, Python ints otherwise).  Each block's
     midpoint ratios go into the one ``core.scratch`` array the call makes at
     the root block and meet each running extremum in one ``core.limb_sign``
-    pass; see ``_best``.
+    pass; see ``_best``.  Every numerator and denominator, the running
+    extrema's too, is a sum of two row entries at most ``depth - 1`` letters
+    down, so twice ``core.row_bound`` bounds them all: the one ``limb_sign``
+    bound of the call.  On its certified tier each block's ratios are shifted
+    once (``core.shift``) for both extrema.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
@@ -259,6 +265,7 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     import numpy as np
 
     r0, q0 = _cell_rows(c, word)
+    bound = 2 * row_bound((r0, q0), MASS_SCALED, depth - 1)
     # running extrema as (numerator, positive denominator, canonical key),
     # seeded with the midpoint of the cell's edge {0, 1}
     lo = hi = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
@@ -271,13 +278,17 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
         for e, (j, k) in enumerate(_EDGES):
             np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
             np.add(qs[:, j], qs[:, k], out=dnm.reshape(-1, 3)[:, e])
+        shifted = (shift(num, bound, buf, 0), None, None, shift(dnm, bound, buf, 3))
 
         def key(i: int) -> tuple[str, int]:
             j, k = _EDGES[i % 3]
             return word + lex_word(start + i // 3, d) + LETTERS[j], k
 
-        lo = _best(lo, num, dnm, key, buf, -1)
-        hi = _best(hi, num, dnm, key, buf, 1)
+        def versus(n: int, m: int):  # the sign of num / dnm - n / m, entry by entry
+            return limb_sign(num, m, -n, dnm, buf, bound, shifted)
+
+        lo = _best(lo, num, dnm, key, versus, -1)
+        hi = _best(hi, num, dnm, key, versus, 1)
     return ScanResult(
         Fraction(lo[0], lo[1]),
         Fraction(hi[0], hi[1]),
@@ -286,13 +297,14 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     )
 
 
-def _best(best, num, dnm, key, buf, side):
+def _best(best, num, dnm, key, versus, side):
     """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
     (every ``dnm > 0``): the least ratio for ``side`` -1 or the largest for
     ``side`` 1, and among equal ratios the least key, where ``key(i)`` is
     the key of entry ``i`` and rises with ``i``.
 
-    One ``limb_sign`` pass compares the block with n / d.  If some entries
+    One pass, ``versus(n, d)``, the ``int8`` signs of num / dnm - n / d by
+    ``limb_sign``, compares the block with n / d.  If some entries
     lie beyond it (sign ``side``), the first most extreme wins outright;
     else the first entry equal to it, if any, offers its key.  So few lie
     beyond (at most 12 a block, about 2 on average) that a plain ``min``
@@ -300,7 +312,7 @@ def _best(best, num, dnm, key, buf, side):
     equals.  An all-equal block (the Kusuoka measure) costs the one pass.
     """
     n, d, k = best
-    s = limb_sign(num, d, -n, dnm, buf)  # sign of num / dnm - n / d
+    s = versus(n, d)
     beyond = (s == side).nonzero()[0]
     if beyond.size:
         i = min(beyond.tolist(), key=lambda i: Fraction(-side * int(num[i]), int(dnm[i])))

@@ -649,6 +649,139 @@ def test_limb_sign_reuses_one_scratch_across_lengths():
                 assert (buf[:caller_rows] == SENTINEL).all(), m
 
 
+#: Factor bounds on both sides of the certified tier's limit: no shift (k = 0), the first
+#: shifts, one where bits(bound) - 31 would leave -(bound) shifted to -2**31 (so k = 2),
+#: a mid-range shift, the limit itself (k = 14) and the first bound past it.
+TIER_BOUNDS = [9, 2**31 - 1, 2**31, 2**32 - 1, 2**40 + 5, core.SHIFT_BOUND, core.SHIFT_BOUND + 1]
+
+
+def wrap_quads(rng, top):
+    """Factor quadruples (a, b, c, d) with every |x| <= ``top``: the extremes, exact
+    zeros, pairs that cancel to within a unit (a*b close to -c*d), pairs (a, b, a, s - b)
+    whose value a*s crosses the certified tier's cut as s grows, and free pairs, whose
+    products leave ``int64`` once ``top`` is past 2**31.5."""
+    quads = [(0, 0, 0, 0), (top, top, -top, top), (top, top, top, top), (-top, -top, -top, -top),
+             (-top, top, top, top), (top, -top, 0, 5 % top), (-top, -top, top, top)]
+    for _ in range(1_500):
+        a, b, c = (rng.randint(-top, top) for _ in range(3))
+        quads += [(a, b, -b, a), (a, b, -a, b), (a, 0, 0, b), (a, b, c, rng.randint(-top, top))]
+        if c:
+            d = -(a * b) // c
+            quads += [(a, b, c, d + delta) for delta in (-1, 0, 1) if abs(d + delta) <= top]
+        s = rng.choice((-1, 1)) * (rng.getrandbits(rng.randrange(top.bit_length())) + 1)
+        if abs(s - b) <= top:
+            quads.append((a, b, a, s - b))
+    return quads
+
+
+def tier_spy(monkeypatch):
+    """Count the calls of each ``limb_sign`` tier, by the name of its kernel."""
+    calls = {"_wrap_sign": 0, "_limb_sign": 0}
+    for name in calls:
+        def spy(*args, real=getattr(core, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(core, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("bound", TIER_BOUNDS)
+@pytest.mark.parametrize("limit", ["default", "zero"])
+def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
+    """With every |factor| <= ``bound`` the sign is the Python-int sign on either
+    tier: the certified tier up to ``SHIFT_BOUND``, the limbs past it and with the
+    limit patched to 0, for array factors, for the int b and c ``scan_extrema``
+    passes, and for factors the caller shifted (``core.shift``).  In a sentinel-
+    filled scratch with two caller rows ahead of the last eight and a margin, only
+    the last eight rows up to the call's length change."""
+    import numpy as np
+
+    if limit == "zero":
+        monkeypatch.setattr(core, "SHIFT_BOUND", 0)
+    calls = tier_spy(monkeypatch)
+    quads = wrap_quads(random.Random(bound % 1_000_003), bound)
+    n = len(quads)
+    a, b, c, d = (np.array(col, dtype="int64") for col in zip(*quads))
+    ints = [(bound, -bound), (-bound, bound - 1), (1, -bound), (bound, 0), (-(bound // 3), bound // 7)]
+    buf = np.full((10, n + 5), SENTINEL)
+    cases = [((a, b, c, d), False, quads)]
+    cases += [((a, p, q, d), False, [(x, p, q, t) for x, _, _, t in quads]) for p, q in ints]
+    cases += [((a, b, c, d), True, quads), ((a, 5, -bound, d), True, [(x, 5, -bound, t) for x, _, _, t in quads])]
+    made = 0
+    for args, pre, want in cases:
+        buf.fill(SENTINEL)
+        shifted = (core.shift(args[0], bound, buf, 0), None, None, core.shift(args[3], bound, buf, 3))
+        kept = buf.copy()
+        for _ in range(2 if pre else 1):  # a second call reads the shared shifts again
+            got = core.limb_sign(*args, buf, bound, shifted if pre else (None,) * 4)
+            made += 1
+            assert got.dtype == np.int8
+            assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in want)]
+            assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
+            assert all((buf[i] == kept[i]).all() for i in (2, 5) if pre and shifted[0] is not None)
+    assert {0} < {(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)} == {-1, 0, 1}
+    certified = limit == "default" and bound <= core.SHIFT_BOUND
+    assert calls == {"_wrap_sign": made if certified else 0, "_limb_sign": 0 if certified else made}
+
+
+def test_shift_bits_is_the_least_shift_under_the_limit():
+    """k keeps every shifted factor within 2**31 - 1 and is the least that does,
+    up to 14 at ``SHIFT_BOUND``; past it there is no shift, and ``core.shift``
+    leaves the factor to the limbs."""
+    import numpy as np
+
+    for bound in (1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1, 2**40 + 5, core.SHIFT_BOUND):
+        k = core._shift_bits(bound)
+        assert -(-bound >> k) <= 2**31 - 1 and (k == 0 or -(-bound >> (k - 1)) > 2**31 - 1), bound
+    assert core._shift_bits(core.SHIFT_BOUND) == 14 and core._shift_bits(core.SHIFT_BOUND + 1) is None
+    x = np.array([5, -5], dtype="int64")
+    buf = np.zeros((9, 2), "int64")
+    assert core.shift(x, core.SHIFT_BOUND + 1, buf, 0) is None
+    assert core.shift(x.astype(object), 9, buf.astype(object), 0) is None
+    assert core.shift(x, 2**31, buf, 3).tolist() == [2, -3]  # k = 1, into limb_sign's row for factor 3
+    assert buf[4].tolist() == [2, -3] and not buf[:4].any() and not buf[5:].any()
+
+
+def tier_scans(rng):
+    """``scan_bounds`` at levels 1-11 on the true family and to its first offender on
+    each planted family, and ``scan_extrema`` at depths 3-10 on seeded cells."""
+    out = [bv.scan_bounds(level) for level in range(1, 12)]
+    for gens, first, _ in PLANTED:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bv, "MASS_SCALED", gens)
+            out.append(bv.scan_bounds(len(first)))
+    cells = seeded_positive(rng, 4) + [(Fraction(7, 3), Fraction(4, 3), Fraction(2)), KUSUOKA]
+    for depth in range(3, 11):
+        out += [dv.scan_extrema(c, word, depth) for c in cells for word in ("", "21")]
+    return out
+
+
+def test_scans_agree_on_both_limb_sign_tiers(monkeypatch):
+    """The scans return the same results with ``SHIFT_BOUND`` patched to 0, where
+    every ``int64`` call runs on limbs, as on the certified tier, which the
+    unpatched run takes for most calls."""
+    calls = tier_spy(monkeypatch)
+    certified = tier_scans(random.Random(8_128))
+    assert calls["_wrap_sign"] > 10 * calls["_limb_sign"]
+    monkeypatch.setattr(core, "SHIFT_BOUND", 0)
+    calls.update(_wrap_sign=0, _limb_sign=0)
+    assert tier_scans(random.Random(8_128)) == certified
+    assert calls["_wrap_sign"] == 0 and calls["_limb_sign"] > 0
+    assert certified[:11] == [None] * 11 and certified[11:14] == [first for _, first, _ in PLANTED]
+
+
+def test_scan_bounds_takes_the_certified_tier_through_level_11(monkeypatch):
+    """Twice ``row_bound`` at level 11, 2 * 13**11 < 2**42, is under ``SHIFT_BOUND``;
+    at level 13, 2 * 13**13 > 2**49 is past it, so every block runs on limbs."""
+    calls = tier_spy(monkeypatch)
+    assert bv.scan_bounds(11) is None
+    assert calls["_wrap_sign"] > 0 and calls["_limb_sign"] == 0
+    calls.update(_wrap_sign=0)
+    assert bv.scan_bounds(13) is None
+    assert calls["_wrap_sign"] == 0 and calls["_limb_sign"] > 0
+
+
 def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
     # 13**15 < 2**59: scan_bounds' level cap, 15, is its last int64 level
