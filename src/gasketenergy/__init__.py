@@ -47,15 +47,16 @@ SUITE_NAMES = ("core", "harmonic", "measures", "derivatives", "bvectors", "dynam
 
 
 def check_range(name: str, value: int, lo: int, hi: int) -> int:
-    """``value``, or a ``ValueError`` naming ``name`` unless ``lo <= value <= hi``."""
-    if not lo <= value <= hi:
+    """``value``, or a ``ValueError`` naming ``name`` unless it is an ``int`` (not a ``bool``) with
+    ``lo <= value <= hi``."""
+    if type(value) is not int or not lo <= value <= hi:
         raise ValueError(f"{name} must be between {lo} and {hi}, got {value}")
     return value
 
 
 def check_letter(name: str, value: int) -> int:
-    """``value``, or a ``ValueError`` naming ``name`` unless it is a letter (or corner) 0, 1 or 2."""
-    if value not in (0, 1, 2):
+    """``value``, or a ``ValueError`` naming ``name`` unless it is a letter (or corner), the ``int`` 0, 1 or 2."""
+    if type(value) is not int or value not in (0, 1, 2):
         raise ValueError(f"{name} must be 0, 1 or 2, got {value!r}")
     return value
 

@@ -26,7 +26,6 @@ from typing import Iterator, Optional
 
 from . import BOUNDS_LEVEL_MAX, WORD_MAX_LEN, check_letter, check_range
 from .core import (
-    LIMB_BOUND,
     MASS_SCALED,
     IntRow,
     Vec3,
@@ -35,7 +34,6 @@ from .core import (
     int_row,
     lex_word,
     limb_sign,
-    row_bound,
     row_step,
     row_walk,
     scratch,
@@ -211,12 +209,12 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _first_offender(rows, buf, bound: int = LIMB_BOUND - 1) -> Optional[int]:
+def _first_offender(rows, buf, bound: int) -> Optional[int]:
     """Index of the first row of block ``rows`` (``core.subtree_levels``) with e2 <= 0 or T <= 0,
     the ``scan_bounds`` verdict, or None.  The coordinates go once into rows 0-2 of the caller's
     ``core.scratch`` ``buf``, and c0 + c1, then T, into row 3: one ``limb_sign`` pass on
     e2 = c0*c1 + c2*(c0 + c1), exact on ``object`` arrays and on ``int64`` with every |c_j| and
-    |c0 + c1| at most ``bound`` (below 2**60)."""
+    |c0 + c1| at most ``bound`` (``core.scratch``'s)."""
     import numpy as np
 
     cols, total = buf[:3, :len(rows)], buf[3, :len(rows)]
@@ -251,11 +249,11 @@ def scan_bounds(max_level: int) -> Optional[str]:
     ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
     it proves before any work (``int64`` through ``BOUNDS_LEVEL_MAX`` = 15,
     as 13^15 < 2**59; a larger max_level is refused before the walk), so
-    every answer is exact.  The e2 test's factors are bounded by twice
-    ``core.row_bound`` at max_level (the c0 + c1 factor), so ``limb_sign``
+    every answer is exact.  ``core.scratch``, handed the walk once before
+    it starts, gives the call its one scratch array, as wide as the widest
+    block, which every block reuses, and its one ``limb_sign`` bound on the
+    e2 test's factors (the c0 + c1 factor is the largest), so ``limb_sign``
     runs its certified tier through level 11 and its limbs from level 12 on.
-    The call makes one ``core.scratch`` array at the root block, as wide as
-    the widest block, and every block reuses it.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the
@@ -263,10 +261,8 @@ def scan_bounds(max_level: int) -> Optional[str]:
     extensions.
     """
     check_range("max_level", max_level, 0, BOUNDS_LEVEL_MAX)
-    hits, bound = [], 2 * row_bound(((1, 1, 1),), MASS_SCALED, max_level)
+    hits, (buf, bound) = [], scratch(((1, 1, 1),), MASS_SCALED, max_level + 1, 4, 1)
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
-        if not depth:  # the root block: the call's one scratch
-            buf = scratch(4, max_level + 1, 1, rows.dtype)
         i = _first_offender(rows, buf, bound)
         if i is not None:
             hits.append(lex_word(start + i, depth))

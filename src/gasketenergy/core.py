@@ -20,11 +20,12 @@ computed as the inverse of ``P_i``, never typed in from a hand-made table.
   built once at import; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
   of the dtype ``array_dtype`` proves from ``row_bound``, and ``limb_sign``
-  compares values on them exactly, in two integer tiers chosen by the
-  caller's ``row_bound`` factor bound B: up to ``SHIFT_BOUND`` (about 2**45)
-  a certified shift-and-wrap test (factors shifted to 31 bits decide every
-  sign they can prove, and below that cut the value fits ``int64``, so its
-  products taken mod 2**64 are exact), above it 30-bit limbs.  numpy is
+  compares values on them exactly.  A scan hands ``scratch`` its walk once
+  and gets back its one scratch array and its one factor bound B, and
+  ``limb_sign`` picks its integer tier from B: up to ``SHIFT_BOUND`` (about
+  2**45) a certified shift-and-wrap test (factors shifted to 31 bits decide
+  every sign they can prove, and below that cut the value fits ``int64``, so
+  its products taken mod 2**64 are exact), above it 30-bit limbs.  numpy is
   imported only when these run.
 * Addressing: ``check_word``, ``lex_word``, ``VertexAddress``.
 
@@ -293,16 +294,6 @@ _LIMB = 30
 _LIMB_MASK = (1 << _LIMB) - 1
 
 
-def scratch(rows: int, levels: int, per_row: int, dtype):
-    """A new ``(rows + 8, n)`` array of ``dtype`` for one scan of ``subtree_levels(..., levels)``:
-    the caller's ``rows``, then the eight ``limb_sign`` takes from its end.  ``n`` is ``per_row``
-    entries for each row of the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
-    with ``BLOCK_ROWS`` read when called."""
-    import numpy as np
-
-    return np.empty((rows + 8, per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)), dtype)
-
-
 def _shift_bits(bound: int) -> Optional[int]:
     """The certified tier's shift for factors of absolute value at most ``bound``: the least
     k >= 0 with ``bound`` <= (2**31 - 1) * 2**k, so k <= 14; None above ``SHIFT_BOUND``."""
@@ -312,28 +303,15 @@ def _shift_bits(bound: int) -> Optional[int]:
     return k + (bound > _SHIFT_TOP << k)
 
 
-def shift(x, bound: int, buf, i: int):
-    """``x >> k``, k the certified tier's shift for ``bound``, written into the row of scratch
-    ``buf`` that ``limb_sign`` keeps for its factor ``i``: a factor that several calls share,
-    shifted once and passed in their ``shifted``, which leave that row as it is.  None when
-    ``bound`` takes the limb tier or ``x`` holds Python ints, which need no shift."""
-    k = _shift_bits(bound)
-    if k is None or x.dtype == object:
-        return None
-    import numpy as np
-
-    return np.right_shift(x, k, out=buf[i - 8, :len(x)])
-
-
-def limb_sign(a, b, c, d, buf, bound: int = LIMB_BOUND - 1, shifted=(None,) * 4):
+def limb_sign(a, b, c, d, buf, bound: int):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
     ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
     or ints.  ``object`` arrays hold Python ints, which take the products
-    directly.  On ``int64`` the caller proves |x| <= ``bound`` for every
-    factor x (the scans take it from ``row_bound``, the growth proof behind
-    ``array_dtype``), and the products may not fit.  Up to ``SHIFT_BOUND``
-    (read when called) the certified tier decides the sign:
+    directly.  On ``int64`` the caller proves |x| <= ``bound`` < ``LIMB_BOUND``
+    = 2**60 for every factor x (the scans take it from ``scratch``), and the
+    products may not fit.  Up to ``SHIFT_BOUND`` (read when called) the
+    certified tier decides the sign:
 
     * each factor is shifted, x' = x >> k with the least k that gives
       |x'| <= 2**31 - 1 (k <= 14), so A' = a'b' + c'd' fits in ``int64``;
@@ -345,15 +323,11 @@ def limb_sign(a, b, c, d, buf, bound: int = LIMB_BOUND - 1, shifted=(None,) * 4)
       products and their sum taken mod 2**64 (on ``uint64`` views) are the
       exact value once read back as ``int64``.
 
-    ``shifted`` holds x' for the factors a caller already shifted into their
-    rows (``shift``), which this call leaves as they are; None entries are
-    shifted here.  Above ``SHIFT_BOUND``, and with the default ``bound``
-    (every |factor| < ``LIMB_BOUND`` = 2**60), each factor splits into limbs
-    ``x = h * 2**30 + l`` with ``0 <= l < 2**30`` instead; see
-    ``_limb_sign``.  Either tier writes only the last eight rows of the
-    caller's scratch ``buf`` (``core.scratch``; rows before them are the
-    caller's), at least ``len(a)`` wide, and reads no row that neither this
-    call nor ``shift`` wrote; ``object`` arrays ignore it.
+    Above ``SHIFT_BOUND`` each factor splits into limbs ``x = h * 2**30 + l``
+    with ``0 <= l < 2**30`` instead; see ``_limb_sign``.  Either tier writes
+    only the last eight rows of the caller's scratch ``buf`` (``scratch``;
+    rows before them are the caller's), at least ``len(a)`` wide, and reads
+    no row it did not write; ``object`` arrays ignore it.
     """
     if a.dtype == object:
         v = a * b + c * d
@@ -362,16 +336,15 @@ def limb_sign(a, b, c, d, buf, bound: int = LIMB_BOUND - 1, shifted=(None,) * 4)
     rows = buf[-8:, :len(a)]
     if k is None:
         return _limb_sign(a, b, c, d, rows)
-    return _wrap_sign((a, b, c, d), rows, k, 4 * -(-bound >> k) + 2, shifted)
+    return _wrap_sign((a, b, c, d), rows, k, 4 * -(-bound >> k) + 2)
 
 
-def _wrap_sign(factors, rows, k: int, cut: int, shifted):
+def _wrap_sign(factors, rows, k: int, cut: int):
     """``limb_sign``'s certified tier: sign(A') where |A'| >= ``cut``, else the sign of the wrapped sum."""
     import numpy as np
 
     u64 = np.uint64
-    a, b, c, d = (s if s is not None else x >> k if isinstance(x, int) else np.right_shift(x, k, out=row)
-                  for x, s, row in zip(factors, shifted, rows))
+    a, b, c, d = (x >> k if isinstance(x, int) else np.right_shift(x, k, out=row) for x, row in zip(factors, rows))
     approx, t, exact, u = rows[4:]
     np.multiply(a, b, out=approx)
     approx += np.multiply(c, d, out=t)
@@ -437,6 +410,21 @@ def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> 
 #: Rows stepped per ``array_children`` call of ``subtree_levels``: a yielded
 #: block holds at most ``3 * BLOCK_ROWS`` rows per family, whatever the depth.
 BLOCK_ROWS = 3**7
+
+
+def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: int, per_row: int):
+    """``(buf, bound)`` for one scan of ``subtree_levels(rows, levels, gens)``, ``levels >= 1``.
+
+    ``buf`` is the scan's one scratch, a new ``(own + 8, n)`` array in the walk's dtype: the
+    caller's ``own`` rows, then the eight ``limb_sign`` takes from its end.  ``n`` is ``per_row``
+    entries for each row of the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
+    with ``BLOCK_ROWS`` read when called.  ``bound`` is the scan's ``limb_sign`` bound, twice
+    ``row_bound(rows, gens, levels - 1)``, which bounds every entry the walk yields and every
+    sum of two of them."""
+    import numpy as np
+
+    dtype, width = array_dtype(rows, gens, levels - 1), per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)
+    return np.empty((own + 8, width), dtype), 2 * row_bound(rows, gens, levels - 1)
 
 
 def subtree_levels(rows: Sequence[IntRow], levels: int,

@@ -43,11 +43,9 @@ from .core import (
     lex_word,
     limb_sign,
     mat_scale,
-    row_bound,
     row_step,
     row_walk,
     scratch,
-    shift,
     subtree_levels,
     vec_dot,
     word_matrix,
@@ -248,14 +246,13 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
 
     Subcells come from the block walk ``core.subtree_levels`` in the dtype it
-    proves (``int64`` below 2**59, Python ints otherwise).  Each block's
-    midpoint ratios go into the one ``core.scratch`` array the call makes at
-    the root block and meet each running extremum in one ``core.limb_sign``
-    pass; see ``_best``.  Every numerator and denominator, the running
-    extrema's too, is a sum of two row entries at most ``depth - 1`` letters
-    down, so twice ``core.row_bound`` bounds them all: the one ``limb_sign``
-    bound of the call.  On its certified tier each block's ratios are shifted
-    once (``core.shift``) for both extrema.
+    proves (``int64`` below 2**59, Python ints otherwise).  ``core.scratch``,
+    handed the walk once before it starts, gives the call its one scratch
+    array and its one ``core.limb_sign`` bound: every numerator and
+    denominator, the running extrema's too, is a sum of two row entries at
+    most ``depth - 1`` letters down.  Each block's midpoint ratios go into
+    the scratch and meet each running extremum in one ``limb_sign`` pass;
+    see ``_best``.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
@@ -265,30 +262,24 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     import numpy as np
 
     r0, q0 = _cell_rows(c, word)
-    bound = 2 * row_bound((r0, q0), MASS_SCALED, depth - 1)
+    buf, bound = scratch((r0, q0), MASS_SCALED, depth, 2, 3)
     # running extrema as (numerator, positive denominator, canonical key),
     # seeded with the midpoint of the cell's edge {0, 1}
     lo = hi = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
     for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
-        if not d:  # the root block: the call's one scratch, as wide as the widest block
-            buf = scratch(2, depth, 3, rs.dtype)
         # entry 3 i + e is the midpoint of edge e of the block's cell i, so
         # entries rise in key order
         num, dnm = buf[:2, :3 * len(rs)]
         for e, (j, k) in enumerate(_EDGES):
             np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
             np.add(qs[:, j], qs[:, k], out=dnm.reshape(-1, 3)[:, e])
-        shifted = (shift(num, bound, buf, 0), None, None, shift(dnm, bound, buf, 3))
 
         def key(i: int) -> tuple[str, int]:
             j, k = _EDGES[i % 3]
             return word + lex_word(start + i // 3, d) + LETTERS[j], k
 
-        def versus(n: int, m: int):  # the sign of num / dnm - n / m, entry by entry
-            return limb_sign(num, m, -n, dnm, buf, bound, shifted)
-
-        lo = _best(lo, num, dnm, key, versus, -1)
-        hi = _best(hi, num, dnm, key, versus, 1)
+        lo = _best(lo, num, dnm, key, buf, bound, -1)
+        hi = _best(hi, num, dnm, key, buf, bound, 1)
     return ScanResult(
         Fraction(lo[0], lo[1]),
         Fraction(hi[0], hi[1]),
@@ -297,22 +288,23 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     )
 
 
-def _best(best, num, dnm, key, versus, side):
+def _best(best, num, dnm, key, buf, bound, side):
     """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
     (every ``dnm > 0``): the least ratio for ``side`` -1 or the largest for
     ``side`` 1, and among equal ratios the least key, where ``key(i)`` is
     the key of entry ``i`` and rises with ``i``.
 
-    One pass, ``versus(n, d)``, the ``int8`` signs of num / dnm - n / d by
-    ``limb_sign``, compares the block with n / d.  If some entries
-    lie beyond it (sign ``side``), the first most extreme wins outright;
-    else the first entry equal to it, if any, offers its key.  So few lie
-    beyond (at most 12 a block, about 2 on average) that a plain ``min``
-    over their exact ratios times -``side`` ranks them, keeping the first of
-    equals.  An all-equal block (the Kusuoka measure) costs the one pass.
+    One ``limb_sign`` pass on the scan's scratch ``buf`` and ``bound``, the
+    ``int8`` signs of num * d - n * dnm, that is of num / dnm - n / d,
+    compares the block with n / d.  If some entries lie beyond it (sign
+    ``side``), the first most extreme wins outright; else the first entry
+    equal to it, if any, offers its key.  So few lie beyond (at most 12 a
+    block, about 2 on average) that a plain ``min`` over their exact ratios
+    times -``side`` ranks them, keeping the first of equals.  An all-equal
+    block (the Kusuoka measure) costs the one pass.
     """
     n, d, k = best
-    s = versus(n, d)
+    s = limb_sign(num, d, -n, dnm, buf, bound)
     beyond = (s == side).nonzero()[0]
     if beyond.size:
         i = min(beyond.tolist(), key=lambda i: Fraction(-side * int(num[i]), int(dnm[i])))

@@ -305,7 +305,7 @@ def _check_arc(arc: str) -> float:
 def _check_sizes(level_name: str, m: int, name: str, bins: int, jobs: int) -> None:
     check_range(level_name, m, 0, LEVEL_LIMIT)
     check_range(name, bins, 1, BINS_MAX)
-    if jobs < 1:
+    if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 

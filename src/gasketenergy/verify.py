@@ -418,7 +418,7 @@ def run_suites(suite: str, max_depth: int = 4, echo: Callable[[str], None] = pri
     CPUs than one, ``all`` runs in min(6, CPU count) processes and echoes suite by suite."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    if max_depth < 1:
+    if type(max_depth) is not int or max_depth < 1:
         raise ValueError(f"--max-depth must be at least 1, got {max_depth}")
     names = list(SUITES) if suite == "all" else [suite]
     workers = worker_count(len(SUITES), len(names), os.cpu_count())

@@ -239,6 +239,52 @@ def test_check_letter_returns_the_letter_or_names_it_in_one_form():
         assert str(exc.value) == f"axis must be 0, 1 or 2, got {v!r}"
 
 
+def _size_and_letter_calls():
+    """(call, message) pairs that pass a non-``int`` size or letter, each in its range by value."""
+    from gasketenergy import bvectors, derivatives, dynamics, harmonic, measures, verify
+
+    h, c, v = (Fraction(1), Fraction(0), Fraction(2)), (Fraction(1), Fraction(1), Fraction(1)), VertexAddress("0", 1)
+    return {
+        "enumerate_bvectors": (lambda: bvectors.enumerate_bvectors(2.5), "level must be between 0 and 64, got 2.5"),
+        "level_routes": (lambda: bvectors.level_routes(1.5), "level must be between 0 and 64, got 1.5"),
+        "harmonic_vertex_values": (lambda: harmonic.harmonic_vertex_values(h, 2.5),
+                                   f"level must be between 0 and {VERTEX_LEVEL_MAX}, got 2.5"),
+        "operator_norm_scan": (lambda: derivatives.operator_norm_scan(1.5), "m must be between 0 and 10, got 1.5"),
+        "corner-float": (lambda: VertexAddress("01", 1.0), "corner must be 0, 1 or 2, got 1.0"),
+        "corner-bool": (lambda: VertexAddress("01", True), "corner must be 0, 1 or 2, got True"),
+        "axis_gap": (lambda: derivatives.axis_gap(c, "", 1.0), "axis must be 0, 1 or 2, got 1.0"),
+        "circle_map": (lambda: dynamics.circle_map(1.0, 0.5), "letter must be 0, 1 or 2, got 1.0"),
+        "apply_B": (lambda: dynamics.apply_B(1.0, (0.0, 0.0)), "letter must be 0, 1 or 2, got 1.0"),
+        "refine_step": (lambda: measures.refine_step((1, 1, 1), 1.0), "letter must be 0, 1 or 2, got 1.0"),
+        "satisfies_skew_condition": (lambda: harmonic.satisfies_skew_condition(h, 1.0),
+                                     "axis must be 0, 1 or 2, got 1.0"),
+        "basis_ratio": (lambda: derivatives.basis_ratio(1.0, v), "corner must be 0, 1 or 2, got 1.0"),
+        "all_vertices": (lambda: all_vertices(1.5), f"level must be between 0 and {VERTEX_LEVEL_MAX}, got 1.5"),
+        "angular_histogram": (lambda: dynamics.angular_histogram(2.5), "level must be between 0 and 16, got 2.5"),
+        "monotone_left_right": (lambda: derivatives.monotone_left_right(2.5), "m must be between 0 and 12, got 2.5"),
+        "scan_bounds": (lambda: bvectors.scan_bounds(2.5), "max_level must be between 0 and 15, got 2.5"),
+        "scan_bounds-fraction": (lambda: bvectors.scan_bounds(Fraction(2)), "max_level must be between 0 and 15, got 2"),
+        "jobs": (lambda: dynamics.angular_histogram(3, jobs=1.0), "jobs must be at least 1, got 1.0"),
+        "max-depth": (lambda: verify.run_suites("core", max_depth=2.0, echo=print),
+                      "--max-depth must be at least 1, got 2.0"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_size_and_letter_calls()))
+def test_sizes_and_letters_must_be_integers(monkeypatch, name):
+    """A ``float``, ``bool`` or ``Fraction`` size or letter is refused at the call, with the
+    message an out-of-range ``int`` gets, even where its value lies in range.  The tree walk
+    is patched to fail, so a size that slips past its check cannot run forever."""
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(core, "_walk", no_walk)
+    call, message = _size_and_letter_calls()[name]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_all_vertices_are_canonical():
     for v in all_vertices(3):
         assert v.canonical() == v

@@ -7,8 +7,9 @@ than the integer ones.  The one allowed site is the body of
 ``measures.decompose_positive``, whose irrational branch takes a float
 square root.
 
-No module but ``core`` names the array step, the dtype proof, its bound or
-the block size: the scans take all of them from ``core.subtree_levels``.
+No module but ``core`` names the array step, the dtype proof, its bounds,
+``limb_sign``'s tier bounds or the block size: the scans take all of them
+from ``core.subtree_levels`` and ``core.scratch``.
 
 ``harmonic`` names none of the row kernel or the generator families, so the
 harmonic oracle shares no arithmetic with the routes ``verify`` checks it
@@ -86,7 +87,8 @@ def test_guard_sees_each_kind_of_site():
     assert len(float_sites(ast.parse(source), "core")) == 6
 
 
-WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS"}
+WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS", "row_bound", "LIMB_BOUND",
+              "SHIFT_BOUND"}
 
 
 def names_in(tree: ast.AST) -> set[str]:
@@ -114,11 +116,11 @@ def test_only_core_names_the_walk_knobs(module):
 
 def test_walk_guard_sees_each_kind_of_name():
     source = (
-        "from .core import array_children as step\n"
+        "from .core import array_children as step, row_bound\n"
         "import gasketenergy.core as core\n"
-        "n = core.BLOCK_ROWS\n"
+        "n = core.BLOCK_ROWS + core.LIMB_BOUND\n"
         "INT64_ROW_BOUND = 7\n"
-        "def array_dtype(): pass\n"
+        "def array_dtype(bound=SHIFT_BOUND): pass\n"
         "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
     )
     assert walk_names(ast.parse(source)) == WALK_NAMES

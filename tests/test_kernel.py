@@ -269,6 +269,43 @@ def test_cone_form_is_invariant_up_to_nine():
         )
 
 
+def test_mass_generators_sum_the_plus_form_to_ninety_nine():
+    """sum_j M_j (J + I) M_j^T == 99 (J + I), J the all-ones matrix."""
+    plus = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+    images = [mat_mul(mat_mul(m, plus), transpose(m)) for m in MASS_SCALED]
+    assert tuple(tuple(sum(g[i][j] for g in images) for j in range(3)) for i in range(3)) == tuple(
+        tuple(99 * x for x in row) for row in plus
+    )
+
+
+def b_step_walks(n):
+    """Every word of at most ``n`` letters, with its ``_b_step_int`` row from (1, 1, 1)."""
+    walks, level = {}, {"": (1, 1, 1)}
+    for _ in range(n + 1):
+        walks.update(level)
+        level = {w + ch: bv._b_step_int(p, j) for w, p in level.items() for j, ch in enumerate(LETTERS)}
+    return walks
+
+
+def test_b_step_walks_keep_their_form_at_three_times_nine_to_the_length():
+    """Q(p) = 2 e2(p) - sum p_i^2 == 3 * 9^|w| on every ``_b_step_int`` walk
+    from (1, 1, 1) through length 6."""
+    walks = b_step_walks(6)
+    assert len(walks) == (3**7 - 1) // 2
+    for w, p in walks.items():
+        assert 2 * e2(p) - sum(x * x for x in p) == 3 * 9 ** len(w), w
+
+
+def test_b_step_totals_are_reversal_invariant_column_sum_totals():
+    """T_w = sum p_w of the ``_b_step_int`` walk equals T of the reversed word
+    and the total of ``row_walk((1, 1, 1), w)``, through length 6: C(w) ==
+    C(reversed w), though the rows themselves differ."""
+    walks = b_step_walks(6)
+    for w, p in walks.items():
+        assert sum(p) == sum(walks[w[::-1]]) == sum(row_walk((1, 1, 1), w)), w
+    assert walks["01"] != walks["10"] and walks["01"] != row_walk((1, 1, 1), "01")
+
+
 def test_column_sum_rows_have_e2_three_times_nine_to_the_level():
     rows = [(1, 1, 1)]
     for m in range(9):
@@ -581,7 +618,7 @@ def test_limb_sign_test_matches_python_ints(dtype):
     rows = limb_rows(random.Random(2_345))
     c = np.array(rows, dtype=dtype)
     c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
-    got = core.limb_sign(c0, c1, c2, c0 + c1, np.empty((9, len(c)), dtype)) > 0
+    got = core.limb_sign(c0, c1, c2, c0 + c1, np.empty((9, len(c)), dtype), core.LIMB_BOUND - 1) > 0
     want = [e2(row) > 0 for row in rows]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
@@ -615,12 +652,12 @@ def test_limb_sign_matches_python_ints_at_its_bound(dtype):
     quads = limb_quads(random.Random(6_061))
     a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*quads))
     buf = np.empty((8, len(quads)), dtype)
-    got = core.limb_sign(a, b, c, d, buf)
+    got = core.limb_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
     want = [(x > 0) - (x < 0) for x in (p * q + r * t for p, q, r, t in quads)]
     assert got.dtype == np.int8 and got.tolist() == want
     assert {-1, 0, 1} <= set(want) and max(abs(x) for q in quads for x in q) == core.LIMB_BOUND - 1
     # one scalar pair, as the scans pass the running extremum
-    assert core.limb_sign(a, 3, -5, d, buf).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
+    assert core.limb_sign(a, 3, -5, d, buf, core.LIMB_BOUND - 1).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
 
 
 SENTINEL = -(2**62) + 12_345
@@ -643,7 +680,7 @@ def test_limb_sign_reuses_one_scratch_across_lengths():
             for args, products in (((a, b, c, d), (p * q + r * t for p, q, r, t in part)),
                                    ((a, 3, -5, d), (p * 3 - 5 * t for p, _, _, t in part))):
                 buf.fill(SENTINEL)
-                got = core.limb_sign(*args, buf)
+                got = core.limb_sign(*args, buf, core.LIMB_BOUND - 1)
                 assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
                 assert (buf[:, len(part):] == SENTINEL).all(), m
                 assert (buf[:caller_rows] == SENTINEL).all(), m
@@ -691,10 +728,9 @@ def tier_spy(monkeypatch):
 def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     """With every |factor| <= ``bound`` the sign is the Python-int sign on either
     tier: the certified tier up to ``SHIFT_BOUND``, the limbs past it and with the
-    limit patched to 0, for array factors, for the int b and c ``scan_extrema``
-    passes, and for factors the caller shifted (``core.shift``).  In a sentinel-
-    filled scratch with two caller rows ahead of the last eight and a margin, only
-    the last eight rows up to the call's length change."""
+    limit patched to 0, for array factors and for the int b and c ``scan_extrema``
+    passes.  In a sentinel-filled scratch with two caller rows ahead of the last
+    eight and a margin, only the last eight rows up to the call's length change."""
     import numpy as np
 
     if limit == "zero":
@@ -703,44 +739,28 @@ def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     quads = wrap_quads(random.Random(bound % 1_000_003), bound)
     n = len(quads)
     a, b, c, d = (np.array(col, dtype="int64") for col in zip(*quads))
-    ints = [(bound, -bound), (-bound, bound - 1), (1, -bound), (bound, 0), (-(bound // 3), bound // 7)]
+    ints = [(bound, -bound), (-bound, bound - 1), (1, -bound), (bound, 0), (-(bound // 3), bound // 7), (5, -bound)]
     buf = np.full((10, n + 5), SENTINEL)
-    cases = [((a, b, c, d), False, quads)]
-    cases += [((a, p, q, d), False, [(x, p, q, t) for x, _, _, t in quads]) for p, q in ints]
-    cases += [((a, b, c, d), True, quads), ((a, 5, -bound, d), True, [(x, 5, -bound, t) for x, _, _, t in quads])]
-    made = 0
-    for args, pre, want in cases:
+    cases = [((a, b, c, d), quads)]
+    cases += [((a, p, q, d), [(x, p, q, t) for x, _, _, t in quads]) for p, q in ints]
+    for args, want in cases:
         buf.fill(SENTINEL)
-        shifted = (core.shift(args[0], bound, buf, 0), None, None, core.shift(args[3], bound, buf, 3))
-        kept = buf.copy()
-        for _ in range(2 if pre else 1):  # a second call reads the shared shifts again
-            got = core.limb_sign(*args, buf, bound, shifted if pre else (None,) * 4)
-            made += 1
-            assert got.dtype == np.int8
-            assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in want)]
-            assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
-            assert all((buf[i] == kept[i]).all() for i in (2, 5) if pre and shifted[0] is not None)
+        got = core.limb_sign(*args, buf, bound)
+        assert got.dtype == np.int8
+        assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in want)]
+        assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
     assert {0} < {(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)} == {-1, 0, 1}
     certified = limit == "default" and bound <= core.SHIFT_BOUND
-    assert calls == {"_wrap_sign": made if certified else 0, "_limb_sign": 0 if certified else made}
+    assert calls == {"_wrap_sign": len(cases) if certified else 0, "_limb_sign": 0 if certified else len(cases)}
 
 
 def test_shift_bits_is_the_least_shift_under_the_limit():
     """k keeps every shifted factor within 2**31 - 1 and is the least that does,
-    up to 14 at ``SHIFT_BOUND``; past it there is no shift, and ``core.shift``
-    leaves the factor to the limbs."""
-    import numpy as np
-
+    up to 14 at ``SHIFT_BOUND``; past it there is no shift."""
     for bound in (1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1, 2**40 + 5, core.SHIFT_BOUND):
         k = core._shift_bits(bound)
         assert -(-bound >> k) <= 2**31 - 1 and (k == 0 or -(-bound >> (k - 1)) > 2**31 - 1), bound
     assert core._shift_bits(core.SHIFT_BOUND) == 14 and core._shift_bits(core.SHIFT_BOUND + 1) is None
-    x = np.array([5, -5], dtype="int64")
-    buf = np.zeros((9, 2), "int64")
-    assert core.shift(x, core.SHIFT_BOUND + 1, buf, 0) is None
-    assert core.shift(x.astype(object), 9, buf.astype(object), 0) is None
-    assert core.shift(x, 2**31, buf, 3).tolist() == [2, -3]  # k = 1, into limb_sign's row for factor 3
-    assert buf[4].tolist() == [2, -3] and not buf[:4].any() and not buf[5:].any()
 
 
 def tier_scans(rng):
@@ -803,7 +823,7 @@ def test_bound_tests_are_strict_on_the_disk_rim():
     import numpy as np
 
     def first_offender(*r, dtype=object):
-        return bv._first_offender(np.array(r, dtype=dtype), np.empty((12, len(r)), dtype=dtype))
+        return bv._first_offender(np.array(r, dtype=dtype), np.empty((12, len(r)), dtype=dtype), core.LIMB_BOUND - 1)
 
     assert e2((5, 20, -4)) == 0
     assert first_offender((1, 1, 1), (41, 7, 7)) is None
@@ -848,8 +868,9 @@ def test_first_offender_decides_the_three_tests_by_the_disk_and_the_total(dtype,
     want = [three_tests_fail(row) for row in rows]
     block = np.array(rows, dtype=dtype)
     buf = np.empty((12, len(rows)), dtype)
-    assert [bv._first_offender(block[i:i + 1], buf) is not None for i in range(len(rows))] == want
-    assert bv._first_offender(block, buf) == (want.index(True) if any(want) else None)
+    bound = core.LIMB_BOUND - 1
+    assert [bv._first_offender(block[i:i + 1], buf, bound) is not None for i in range(len(rows))] == want
+    assert bv._first_offender(block, buf, bound) == (want.index(True) if any(want) else None)
 
 
 @given(bound_rows(2**80))
@@ -920,7 +941,7 @@ def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
     assert bv.scan_bounds(7) is None
     rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype=dtype)
     before = rows.copy()
-    assert bv._first_offender(rows, np.empty((12, len(rows)), dtype)) is not None
+    assert bv._first_offender(rows, np.empty((12, len(rows)), dtype), core.LIMB_BOUND - 1) is not None
     assert rows.tolist() == before.tolist()
     assert all(calls) and all(len(seen) > 6 for seen in blocks)
     for fam, copy in blocks[0] + blocks[1]:
@@ -933,11 +954,11 @@ def poison_fresh_scratch(monkeypatch):
     list of the arrays made."""
     real, made = core.scratch, []
 
-    def scratch(rows, levels, per_row, dtype):
-        out = real(rows, levels, per_row, dtype)
-        out.fill(SENTINEL)
-        made.append(out)
-        return out
+    def scratch(rows, gens, levels, own, per_row):
+        buf, bound = real(rows, gens, levels, own, per_row)
+        buf.fill(SENTINEL)
+        made.append(buf)
+        return buf, bound
 
     for module in (core, dv, bv):
         monkeypatch.setattr(module, "scratch", scratch)
@@ -981,6 +1002,19 @@ def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch,
         scan(*args)
         widest = max(len(fam) for fam, _ in blocks[scan])
         assert [buf.shape for buf in made] == [(own_rows[scan] + 8, per_row * widest)], (scan.__name__, args)
+
+
+def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
+    """``core.scratch`` gives a scan the dtype its walk yields and its one
+    ``limb_sign`` bound, twice ``row_bound`` at the walk's deepest level."""
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
+    rows, seen = ((2, -7, 1), (3, 3, 3)), set()
+    for levels in range(1, 6):
+        buf, bound = core.scratch(rows, MASS_SCALED, levels, 2, 3)
+        walked = {str(fam.dtype) for _, _, level in subtree_levels(rows, levels) for fam in level}
+        assert walked == {str(buf.dtype)} and bound == 2 * 7 * 13 ** (levels - 1), levels
+        seen |= walked
+    assert seen == {"int64", "object"}
 
 
 # ---------------------------------------------------------------------------
