@@ -26,15 +26,17 @@ EDGE_DEPTH_MAX = 16
 BVECTOR_LEVEL_MAX = 12
 #: Deepest ``dynamics`` level: ``ifs orbit --iters 16`` 2.2 s, ``angular`` 0.45 s, ``enumerate_level`` 5.8 s.
 LEVEL_LIMIT = 16
-#: Deepest ``find_negative_cell`` search: 3^12 rows, about 1 s and 160 MB.
+#: Deepest ``find_negative_cell`` search: at most 3^12 rows (1.5 s and 162 MB without the prune); pruned,
+#: 300 seeded near-boundary triples took at most 0.02 s and 0.2 MB traced.
 NEGATIVE_DEPTH_MAX = 12
 #: Deepest ``scan_extrema``: 0.025 s on int64 rows, 0.7 s on Python ints.
 EXTREMA_DEPTH_MAX = 12
-#: Deepest ``scan_bounds``: its last int64 level (13^15 < 2**59), 0.63 s.
+#: Deepest ``scan_bounds``: 0.63-0.75 s (``int64`` holds through level 17, so time sets the cap).
 BOUNDS_LEVEL_MAX = 15
 #: Deepest ``monotone_left_right``: 2^12 bottom-edge cells, 0.004 s.
 MONOTONE_LEVEL_MAX = 12
-#: Deepest ``operator_norm_scan``: its last int64 level (53**10 < 2**59), 0.14 s.
+#: Deepest ``operator_norm_scan``: its last int64 level (partial sums within 53 * 4920625**2 * 53 < 2**56;
+#: 4920625**2 * 109325 > 2**61 at 11), 0.01 s.
 NORM_LEVEL_MAX = 10
 #: Deepest vertex set of ``all_vertices``, ``harmonic_vertex_values`` or ``graph_energy``: 0.9 s.
 VERTEX_LEVEL_MAX = 10

@@ -247,13 +247,13 @@ def scan_bounds(max_level: int) -> Optional[str]:
     what makes the scan a check.
 
     ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
-    it proves before any work (``int64`` through ``BOUNDS_LEVEL_MAX`` = 15,
-    as 13^15 < 2**59; a larger max_level is refused before the walk), so
-    every answer is exact.  ``core.scratch``, handed the walk once before
-    it starts, gives the call its one scratch array, as wide as the widest
-    block, which every block reuses, and its one ``limb_sign`` bound on the
+    it proves before any work (``int64`` through level 17, past the cap
+    ``BOUNDS_LEVEL_MAX`` = 15; a larger max_level is refused before the
+    walk), so every answer is exact.  ``core.scratch``, handed the walk once
+    before it starts, gives the call its one scratch array, as wide as the
+    widest block, which every block reuses, and its one ``limb_sign`` bound on the
     e2 test's factors (the c0 + c1 factor is the largest), so ``limb_sign``
-    runs its certified tier through level 11 and its limbs from level 12 on.
+    runs its certified tier through level 13 and its limbs from level 14 on.
 
     Returns the lexicographically first offending word, or None when every
     word passes: the least of each block's first offender, which is the

@@ -34,6 +34,7 @@ Tuples are immutable, so they are safe to share across threads and processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -271,8 +272,17 @@ def array_children(rows, gens: Sequence[IntMat], dtype: str):
     """
     import numpy as np
 
+    return (np.asarray(rows, dtype=dtype) @ _columns(tuple(gens), dtype)).reshape(-1, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(gens: tuple, dtype: str):
+    """``array_children``'s read-only ``(3, 3 * len(gens))`` generator columns, built once per family and dtype."""
+    import numpy as np
+
     cols = np.array([[g[i][j] for g in gens for j in range(3)] for i in range(3)], dtype=dtype)
-    return (np.asarray(rows, dtype=dtype) @ cols).reshape(-1, 3)
+    cols.flags.writeable = False
+    return cols
 
 
 #: ``limb_sign``'s limb tier is exact on ``int64`` arrays whose factors all
@@ -389,22 +399,38 @@ def _limb_sign(a, b, c, d, rows):
     return ((hi == 0) & rest) | np.sign(hi, out=hi).astype("int8")
 
 
+@functools.lru_cache(maxsize=None)
+def _growth(gens: tuple) -> tuple[int, ...]:
+    """``(g_0, ..., g_STRIDE)``: g_k is the largest absolute column sum of any product of at most k
+    of ``gens``, from their ``stride_table`` (1, 13, 121, 1093, 9841 for ``MASS_SCALED``)."""
+    table = stride_table(gens)
+    return tuple(max(sum(abs(m[i][j]) for i in range(3)) for w, m in table.items() if len(w) <= k for j in range(3))
+                 for k in range(STRIDE + 1))
+
+
 def row_bound(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> int:
-    """A bound on the absolute value of every entry and partial sum of ``rows``
-    walked up to ``levels >= 0`` letters by ``gens``: max|row| * g**levels,
-    with g the largest absolute column sum of the generators (at least 1), as
-    one step grows no entry or partial sum by more than a factor g."""
-    growth = max(sum(abs(g[i][j]) for i in range(3)) for g in gens for j in range(3))
-    return max(abs(x) for row in rows for x in row) * max(growth, 1) ** levels
+    """A bound on the absolute value of every entry of ``rows`` walked up to
+    ``levels >= 0`` letters by ``gens``: max|row| * g_4**(levels // 4) * g_(levels % 4),
+    with g_k from ``_growth``.  A row times a product P has entries at most max|row|
+    times P's largest absolute column sum, an induced norm, so submultiplicative;
+    an n-letter product is ``n // 4`` products of four letters and one of the rest,
+    and the g_k never fall, so the bound at ``levels`` covers every shorter walk."""
+    g = _growth(tuple(gens))
+    return max(abs(x) for row in rows for x in row) * g[STRIDE] ** (levels // STRIDE) * g[levels % STRIDE]
 
 
-def array_dtype(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> str:
+def array_dtype(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> str:
     """``"int64"`` when ``rows`` walked ``levels >= 0`` letters by ``gens``
     provably keep every entry and partial sum below ``INT64_ROW_BOUND``
-    (read when called), ``"object"`` otherwise: the proof is
-    ``row_bound(rows, gens, levels)`` < ``INT64_ROW_BOUND``.
+    (read when called), ``"object"`` otherwise.  The entries are proved by
+    ``row_bound(rows, gens, levels)``.  A partial sum of the step into level
+    n takes some of a row's three products with one generator column, so it
+    is at most g_1 = ``_growth(gens)[1]`` times ``row_bound`` at n - 1 <= ``levels - 1``.
     """
-    return "int64" if row_bound(rows, gens, levels) < INT64_ROW_BOUND else "object"
+    bound = row_bound(rows, gens, levels)
+    if levels:
+        bound = max(bound, _growth(tuple(gens))[1] * row_bound(rows, gens, levels - 1))
+    return "int64" if bound < INT64_ROW_BOUND else "object"
 
 
 #: Rows stepped per ``array_children`` call of ``subtree_levels``: a yielded

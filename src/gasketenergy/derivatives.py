@@ -429,8 +429,10 @@ def operator_norm_scan(m: int) -> Fraction:
     generators along the reversed word, and every word is walked, so one
     block walk of ``core.subtree_levels`` over the transposes, with the three
     unit rows as its families, gives the max from its leaf level.  The
-    transposes' largest absolute column sum is 53, so the walk proves
-    ``int64`` through m = ``NORM_LEVEL_MAX`` = 10 (53**10 < 2**59).
+    transposes' products of up to four letters have largest absolute column
+    sums 53, 2425, 109325 and 4920625, so the walk proves ``int64`` through
+    m = ``NORM_LEVEL_MAX`` = 10 (its partial sums stay within
+    53 * 4920625**2 * 53 < 2**56) and not at 11 (4920625**2 * 109325 > 2**61).
     """
     check_range("m", m, 0, NORM_LEVEL_MAX)
     best = 0

@@ -197,23 +197,41 @@ def find_negative_cell(c: MeasureCoeffs, max_depth: int = 10) -> Optional[str]:
     and raises ``ValueError`` for ``max_depth`` outside 0..``NEGATIVE_DEPTH_MAX``.
     The cone is tested once, at the root: each scaled mass generator multiplies
     ``cone_value`` by 9 (M_j A M_j^T == 9 A), so every cell shares its sign and
-    a positive measure has no negative cell.  Else each level is walked whole as
-    bare ``subtree_row`` rows, and ``lex_word`` spells only the first negative one.
+    a positive measure has no negative cell.  Else each level is walked as bare
+    ``subtree_row`` rows with their word indices, and ``lex_word`` spells only
+    the first negative one.
+
+    The walk prunes: a child with row r, s = sum r_i (>= 0, or the walk would
+    have returned) and 3 sum r_i^2 - s^2 >= -6 e2 9^``max_depth``, e2 the root
+    row's ``cone_value``, is not expanded, as no cell below it down to
+    ``max_depth`` is negative.  The proof: the mass of cell ``wu`` has the sign
+    of r_w . b, with b = p / T, p = P_u 1 the ``bvectors._b_step_int`` walk of
+    u reversed from (1, 1, 1) (each step is p -> M_j p) and T = sum p.  As
+    M_j^T (J - 2I) M_j = 9 (J - 2I), J the all-ones matrix, 1 - 6 rho^2 =
+    9^(|u| + 1) / T^2 with rho = |b - (1/3, 1/3, 1/3)|, and T' = T + 12 p_j < 9T
+    (as b_j < 2/3) gives T <= 3 9^|u|, so every weight at most k levels down
+    has rho^2 <= (1 - 9^-k) / 6.  Over that disk the least r . b is
+    s/3 - sqrt(Q (1 - 9^-k) / 6), Q = sum (r_i - s/3)^2.  As s^2/9 - Q/6 =
+    e2(r)/3 and e2(r_w) = 9^|w| e2, it is >= 0 iff 3Q = 3 sum r_i^2 - s^2 >=
+    -6 e2 9^(|w| + k), and k = ``max_depth`` - |w| reaches ``max_depth``.
     """
     check_range("max_depth", max_depth, 0, NEGATIVE_DEPTH_MAX)
-    level = [row := int_row(c)[0]]
+    level = [(0, row := int_row(c)[0])]
     if sum(row) < 0:
         return ""
-    if cone_value(row) >= 0:
+    if (e2 := cone_value(row)) >= 0:
         return None
+    floor = -6 * e2 * 9**max_depth
     for depth in range(1, max_depth + 1):
         below = []
-        for row in level:
-            for g in MASS_SCALED:
+        for i, row in level:
+            for j, g in enumerate(MASS_SCALED, 3 * i):
                 r = row_step(row, g)
-                if r[0] + r[1] + r[2] < 0:
-                    return lex_word(len(below), depth)
-                below.append(r)
+                s = r[0] + r[1] + r[2]
+                if s < 0:
+                    return lex_word(j, depth)
+                if 3 * (r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) - s * s < floor:
+                    below.append((j, r))
         level = below
     return None
 

@@ -578,7 +578,7 @@ def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
 
 def test_scan_bounds_runs_int64_under_the_budget(monkeypatch):
     dtypes = recorded_dtypes(monkeypatch)
-    assert bv.scan_bounds(12) is None  # 13**12 < 2**59
+    assert bv.scan_bounds(12) is None  # 13 * 9841**2 * 1093 < 2**41
     assert dtypes == {"int64"}
 
 
@@ -791,24 +791,52 @@ def test_scans_agree_on_both_limb_sign_tiers(monkeypatch):
     assert certified[:11] == [None] * 11 and certified[11:14] == [first for _, first, _ in PLANTED]
 
 
-def test_scan_bounds_takes_the_certified_tier_through_level_11(monkeypatch):
-    """Twice ``row_bound`` at level 11, 2 * 13**11 < 2**42, is under ``SHIFT_BOUND``;
-    at level 13, 2 * 13**13 > 2**49 is past it, so every block runs on limbs."""
+def test_scan_bounds_takes_the_certified_tier_through_level_13(monkeypatch):
+    """Twice ``row_bound`` at level 13, 2 * 9841**3 * 13 < 2**45, is under ``SHIFT_BOUND``;
+    at level 14, 2 * 9841**3 * 121 > 2**47 is past it, so every block runs on limbs."""
+    assert 2 * 9841**3 * 13 <= core.SHIFT_BOUND < 2 * 9841**3 * 121
     calls = tier_spy(monkeypatch)
-    assert bv.scan_bounds(11) is None
+    assert bv.scan_bounds(13) is None
     assert calls["_wrap_sign"] > 0 and calls["_limb_sign"] == 0
     calls.update(_wrap_sign=0)
-    assert bv.scan_bounds(13) is None
+    assert bv.scan_bounds(14) is None
     assert calls["_wrap_sign"] == 0 and calls["_limb_sign"] > 0
+
+
+#: The mass family's stride growth: the largest absolute column sum of a k-letter product, k = 0..4.
+STRIDE_GROWTH = (1, 13, 121, 1093, 9841)
+
+
+def test_row_bound_covers_every_product_through_8_letters():
+    """``row_bound`` is at least every entry of every product of up to 8
+    letters, times max|row|, and every row walked that far; through 4 letters
+    it is the closed form (3 * 9**k - 1) / 2 times max|row|."""
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    products = [rows]
+    for n in range(1, 9):
+        products = [tuple(row_step(r, g) for r in m) for m in products for g in MASS_SCALED]
+        assert max(abs(x) for m in products for r in m for x in r) <= core.row_bound(rows, MASS_SCALED, n), n
+        column = max(sum(abs(r[j]) for r in m) for m in products for j in range(3))
+        assert column <= core.row_bound(((1, 1, 1),), MASS_SCALED, n), n
+        for row in ((3, -7, 2), (5, 5, -1)):
+            walked = [row_walk(row, w) for w in words_of(n)]
+            assert max(abs(x) for r in walked for x in r) <= core.row_bound((row,), MASS_SCALED, n), (row, n)
+    for k, g in enumerate(STRIDE_GROWTH):
+        assert g == (3 * 9**k - 1) // 2
+        for row in ((1, 1, 1), (3, -7, 2), (-4, 0, 1)):
+            assert core.row_bound((row,), MASS_SCALED, k) == g * max(map(abs, row))
+    assert core.row_bound(((2, -7, 1),), MASS_SCALED, 11) == 7 * 9841**2 * 1093
 
 
 def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
-    # 13**15 < 2**59: scan_bounds' level cap, 15, is its last int64 level
-    assert core.array_dtype(one, MASS_SCALED, BOUNDS_LEVEL_MAX) == "int64"
-    assert core.array_dtype(one, MASS_SCALED, BOUNDS_LEVEL_MAX + 1) == "object"
+    # 9841**4 * 13 < 2**57 (and 13 * row_bound at 16 is the same): 17 letters are int64;
+    # 9841**4 * 121 > 2**59 at 18.  scan_bounds' level cap, 15, sits below the last int64 level.
+    assert [core.array_dtype(one, MASS_SCALED, n) for n in (BOUNDS_LEVEL_MAX, 16, 17, 18)] == ["int64"] * 3 + ["object"]
     assert core.array_dtype(one, MASS_SCALED, 13) == "int64"  # scan_bounds(13)
-    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 10) == "object"  # 75**10 > 2**59
+    # the refine family's stride growth is 1, 75, 3525, 159375, 7175625
+    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 10) == "int64"  # 75 * 7175625**2 * 75 < 2**59
+    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 11) == "object"  # 7175625**2 * 159375 > 2**62
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 7)
     assert core.array_dtype(((2, -7, 1),), MASS_SCALED, 0) == "object"
     assert core.array_dtype(((2, -6, 1),), MASS_SCALED, 0) == "int64"
@@ -1012,7 +1040,7 @@ def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
     for levels in range(1, 6):
         buf, bound = core.scratch(rows, MASS_SCALED, levels, 2, 3)
         walked = {str(fam.dtype) for _, _, level in subtree_levels(rows, levels) for fam in level}
-        assert walked == {str(buf.dtype)} and bound == 2 * 7 * 13 ** (levels - 1), levels
+        assert walked == {str(buf.dtype)} and bound == 2 * 7 * STRIDE_GROWTH[levels - 1], levels
         seen |= walked
     assert seen == {"int64", "object"}
 
@@ -1100,9 +1128,8 @@ def reference_monotone_left_right(m):
 
 
 def test_operator_norm_scan_equals_reference(monkeypatch):
-    """Up to the cap m = 10 the walk over the transposes (column sums up to
-    53, 53**10 < 2**59) steps in int64; the untransposed family
-    (75**10 > 2**59) would need Python ints at m = 10."""
+    """Up to the cap m = 10 the walk over the transposes (stride growth 1, 53,
+    2425, 109325, 4920625; 53 * 4920625**2 * 53 < 2**56) steps in int64."""
     dtypes = recorded_dtypes(monkeypatch)
     for m in range(11):
         assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m

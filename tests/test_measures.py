@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gasketenergy import measures
-from gasketenergy.core import REFINE_GENERATORS, mat_vec
+from gasketenergy.core import MASS_SCALED, REFINE_GENERATORS, int_row, lex_word, mat_vec, row_step, row_walk
 from gasketenergy.harmonic import BASIS, Harmonic, cell_energy, measure_coeffs
 from gasketenergy.measures import (
     KUSUOKA,
@@ -189,6 +189,18 @@ def nudged_skew_boundary():
             yield corner, tuple(x - sum(c0) / 10**6 for x in c0)
 
 
+def near_boundary(rng, n):
+    """Energy measures of random harmonics, on the cone boundary, nudged outside it
+    by sum/10^k for k = 2..8: their first negative cells lie at many depths."""
+    out = []
+    for _ in range(n):
+        h = Harmonic(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)))
+        c0 = measure_coeffs(h, h)
+        if sum(c0):
+            out.append(tuple(x - sum(c0) / 10 ** rng.randint(2, 8) for x in c0))
+    return out
+
+
 def test_find_negative_cell_is_the_first_negative_word_by_length():
     depths = [0, 1, 2, 3, 4, 5] * 34
     for c, depth in zip(seeded_exterior(204), depths):
@@ -203,27 +215,124 @@ def test_find_negative_cell_reaches_the_skew_boundary_corner_cells():
         assert first_negative_cell(c, 6) is None
 
 
-def test_find_negative_cell_steps_each_child_once_up_to_the_hit(monkeypatch):
+def unpruned_negative_cell(c, max_depth):
+    """The search as it was before its prune: every cell of every level
+    stepped as a bare integer row, the first negative one spelled by its index."""
+    level = [row := int_row(c)[0]]
+    if sum(row) < 0:
+        return ""
+    if cone_value(row) >= 0:
+        return None
+    for depth in range(1, max_depth + 1):
+        below = []
+        for row in level:
+            for g in MASS_SCALED:
+                r = row_step(row, g)
+                if sum(r) < 0:
+                    return lex_word(len(below), depth)
+                below.append(r)
+        level = below
+    return None
+
+
+def pruned_walk(c, max_depth):
+    """The prune written out on words: ``(witness, steps)``, the search's
+    answer and the number of rows it steps up to the hit, a child w being
+    expanded iff 3 sum r_i^2 - s^2 < -6 e2 9^``max_depth`` for its row r."""
+    root = int_row(c)[0]
+    if sum(root) < 0 or cone_value(root) >= 0:
+        return ("" if sum(root) < 0 else None), 0
+    level, steps, floor = [""], 0, -6 * cone_value(root) * 9**max_depth
+    for depth in range(1, max_depth + 1):
+        below = []
+        for word in level:
+            for child in (word + ch for ch in "012"):
+                steps += 1
+                r = row_walk(root, child)
+                s = sum(r)
+                if s < 0:
+                    return child, steps
+                if 3 * sum(x * x for x in r) - s * s < floor:
+                    below.append(child)
+        level = below
+    return None, steps
+
+
+def spy_steps(monkeypatch):
+    """Record every ``(row, generator)`` the search steps, in order."""
     calls, step = [], measures.row_step
 
     def counted(row, g):
-        calls.append(g)
+        calls.append((row, g))
         return step(row, g)
 
     monkeypatch.setattr(measures, "row_step", counted)
+    return calls
+
+
+def test_find_negative_cell_steps_each_child_once_up_to_the_hit(monkeypatch):
+    """The search steps no row twice, and as many rows as the word-by-word
+    prune: every expanded child's children, up to the hit."""
+    calls = spy_steps(monkeypatch)
     skew = [c for _, c in nudged_skew_boundary()]
-    for c in seeded_exterior(24) + skew[:6] + [tuple(-x for x in KUSUOKA)]:
+    cases = [(c, 10) for c in seeded_exterior(24) + skew[:6] + [tuple(-x for x in KUSUOKA)]] + [(skew[0], 6)]
+    for c, depth in cases:
         calls.clear()
-        w = find_negative_cell(c, max_depth=10)
-        d, i = len(w), int(w or "0", 3)
-        assert len(calls) == (3 ** d - 3) // 2 + i + 1, (c, w)
-    calls.clear()
-    assert find_negative_cell(skew[0], max_depth=6) is None
-    assert len(calls) == (3 ** 7 - 3) // 2
+        w, steps = pruned_walk(c, depth)
+        assert find_negative_cell(c, max_depth=depth) == w
+        assert len(calls) == len(set(calls)) == steps, (c, depth)
+    assert w is None and steps < (3 ** 7 - 3) // 2  # the unpruned walk makes all 1,092 cells of levels 1-6
     for c in (KUSUOKA, E0, (Fraction(2), Fraction(1), Fraction(1))):
         calls.clear()
         assert find_negative_cell(c, max_depth=10) is None
         assert calls == []
+
+
+def pruned_cells(monkeypatch, c, max_depth):
+    """``(witness, pruned)``: ``find_negative_cell``'s answer and the cells it
+    made but did not expand, read from the rows it stepped.  A cell made at the
+    hit's depth, or one level up after the hit's parent, was left by the early
+    exit, not the prune, so it is not counted."""
+    calls = spy_steps(monkeypatch)
+    hit = find_negative_cell(c, max_depth=max_depth)
+    stepped, root = set(calls), int_row(c)[0]
+    cut = (len(hit) - 1, hit[:-1]) if hit is not None else (max_depth, "")
+    pruned, level = [], [""]
+    while level:
+        made = [w + ch for w in level for ch, g in zip("012", MASS_SCALED) if (row_walk(root, w), g) in stepped]
+        level = [w for w in made if (row_walk(root, w), MASS_SCALED[0]) in stepped]
+        pruned += [w for w in made if w not in level and (len(w), w) < cut]
+    return hit, pruned
+
+
+def test_pruned_cells_have_no_negative_descendant(monkeypatch):
+    """Brute force below every cell the search stops expanding: no descendant
+    down to ``max_depth`` is negative.  Some witnesses lie at ``max_depth``
+    itself, where a prune proved only 9^(``max_depth`` - 1) deep would stop
+    above them."""
+    cases = [(c, 3 + i % 4) for i, c in enumerate(seeded_exterior(40))]
+    cases += [(c, 6) for c in near_boundary(random.Random(6_021), 30)]
+    checked, at_floor = 0, 0
+    for c, depth in cases:
+        with monkeypatch.context() as patch:
+            hit, pruned = pruned_cells(patch, c, depth)
+        at_floor += hit is not None and len(hit) == depth
+        for w in pruned:
+            below = (w + "".join(u) for n in range(1, depth - len(w) + 1) for u in itertools.product("012", repeat=n))
+            assert all(measure_of_cell(c, u) >= 0 for u in below), (c, depth, w)
+        checked += len(pruned)
+    assert checked > 100 and at_floor > 5, (checked, at_floor)
+
+
+def test_find_negative_cell_equals_the_unpruned_walk():
+    """The prune changes no answer: seeded exterior triples and nudged boundary
+    triples, at depths 0 to 10, against the walk without it."""
+    cases = seeded_exterior(420) + near_boundary(random.Random(1_729), 300)
+    depths = [0, 3, 6, 8, 10]
+    assert len(cases) >= 700
+    for i, c in enumerate(cases):
+        depth = depths[i % 5]
+        assert find_negative_cell(c, max_depth=depth) == unpruned_negative_cell(c, depth), (c, depth)
 
 
 def test_decompose_uniform_measure_exactly():
