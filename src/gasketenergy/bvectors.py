@@ -156,16 +156,6 @@ def weighted_average_gap(c: MeasureCoeffs, word: str) -> Fraction:
     return average - corners
 
 
-def a_values(b: BVector) -> Vec3:
-    """Affine re-coordinates a_j = 2(b_j - 1/6); unit sum, squared sum < 1."""
-    return tuple(2 * (x - Fraction(1, 6)) for x in b)  # type: ignore[return-value]
-
-
-def kusuoka_ratio(a_j: Fraction) -> Fraction:
-    """Child-to-parent Kusuoka mass ratio from one re-coordinate: (2/5)(a_j + 1/2)."""
-    return Fraction(2, 5) * (a_j + Fraction(1, 2))
-
-
 def closed_form_b(m: int) -> BVector:
     """Weight triple of the all-0s word of length m, in closed form.
 

@@ -94,10 +94,6 @@ def vec_sum(u: Vec3) -> Fraction:
     return u[0] + u[1] + u[2]
 
 
-def mat_vec(m: Mat3, v: Vec3) -> Vec3:
-    return (vec_dot(m[0], v), vec_dot(m[1], v), vec_dot(m[2], v))
-
-
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     """Matrix product; exact on ``Fraction`` and on plain ``int`` entries."""
     return tuple(

@@ -14,8 +14,8 @@ exact routes that share no arithmetic:
 The ``derivative`` command and ``verify`` compare the two.  Also here: the
 vertex scan over a cell's interior (on the block walk of
 ``core.subtree_levels``), the decay of cell masses toward a vertex (with its
-two-rate classification), the edge restriction profile, the left-to-right
-edge monotonicity check, and the Laplacian rescaling factors.
+two-rate classification), the edge restriction profile and the
+left-to-right edge monotonicity check.
 """
 
 from __future__ import annotations
@@ -451,31 +451,3 @@ def rank1_deviation(j: int, n: int) -> Fraction:
         sum(abs(scaled[r][c] - RANK1_LIMITS[j][r][c]) for r in range(3))
         for c in range(3)
     )
-
-
-# ---------------------------------------------------------------------------
-# Laplacian rescaling factors
-# ---------------------------------------------------------------------------
-
-def q_factor(i: int, vertex: VertexAddress, printed_variant: bool = False) -> Fraction:
-    """One-letter rescaling factor of the measure Laplacian at a vertex.
-
-    The derivation-consistent constant term is 1/25; ``printed_variant``
-    switches to the 1/15 variant that circulates in statements of the result
-    (the two differ by exactly 2/75).
-    """
-    check_letter("letter", i)
-    const = Fraction(1, 15) if printed_variant else Fraction(1, 25)
-    return const + Fraction(12, 25) * basis_ratio(i, vertex)
-
-
-def q_word(word: str, vertex: VertexAddress, printed_variant: bool = False) -> Fraction:
-    """Word rescaling factor: product of one-letter factors, each evaluated
-    at the vertex pushed forward by the remaining suffix."""
-    check_word(word)
-    out = Fraction(1)
-    for t, ch in enumerate(word):
-        suffix = word[t + 1:]
-        moved = VertexAddress(suffix + vertex.word, vertex.corner)
-        out *= q_factor(int(ch), moved, printed_variant)
-    return out

@@ -90,9 +90,6 @@ class DiskPoint(NamedTuple):
         d = self.y / (2.0 * _SQRT3)
         return (b0, half_rest + d, half_rest - d)
 
-    def to_polar(self) -> tuple[float, float]:
-        return (math.hypot(self.x, self.y) * DISK_RADIUS_B, math.atan2(self.y, self.x))
-
     @property
     def radius(self) -> float:
         """Unit-disk radius (1 on the boundary)."""
@@ -151,11 +148,6 @@ def _wrap(t: float) -> float:
 def circle_map(j: int, theta: float) -> float:
     """Boundary restriction of the letter-j map, as an angle in (-pi, pi]."""
     return _wrap(float(_circle_map_array(check_letter("letter", j), theta)))
-
-
-def circle_map_inverse(j: int, alpha: float) -> float:
-    """Inverse boundary map, as an angle in (-pi, pi]."""
-    return _wrap(float(_circle_map_array(check_letter("letter", j), alpha, _HALF_STEP_INVERSE)))
 
 
 def circle_map_deriv(j: int, theta: float) -> float:

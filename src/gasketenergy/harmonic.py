@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import VERTEX_LEVEL_MAX, check_letter, check_range
-from .core import (IntRow, Vec3, VertexAddress, check_word, int_row, lex_word, parse_rational,
-                   format_rational, vec_sum, walk_level)
+from .core import IntRow, Vec3, VertexAddress, check_word, int_row, lex_word, vec_sum, walk_level
 
 
 class Harmonic(NamedTuple):
@@ -41,18 +40,6 @@ BASIS: tuple[Harmonic, Harmonic, Harmonic] = (
     Harmonic.of(0, 1, 0),
     Harmonic.of(0, 0, 1),
 )
-
-
-def parse_harmonic(text: str) -> Harmonic:
-    """Parse the text form ``"v0,v1,v2"`` (rational literals)."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"harmonic text form needs three comma-separated values, got {text!r}")
-    return Harmonic(*(parse_rational(p) for p in parts))
-
-
-def format_harmonic(h: Harmonic) -> str:
-    return ",".join(format_rational(v) for v in h)
 
 
 def _one_level_int(x: IntRow, letter: int) -> IntRow:
@@ -84,12 +71,6 @@ def extend_to_cell(h: Harmonic, word: str) -> Harmonic:
     """
     x, s = _cell_row(h, word)
     return Harmonic(Fraction(x[0], s), Fraction(x[1], s), Fraction(x[2], s))
-
-
-def vertex_value(h: Harmonic, vertex: VertexAddress) -> Fraction:
-    """Exact value of ``h`` at an addressed vertex (any representation)."""
-    x, s = _cell_row(h, vertex.word)
-    return Fraction(x[vertex.corner], s)
 
 
 def level0_energy(h: Harmonic) -> Fraction:
@@ -156,12 +137,6 @@ def cell_energy(h: Harmonic, word: str) -> Fraction:
     return Fraction(energy * 5 ** len(word), s * s * 3 ** len(word))
 
 
-def oscillation(h: Harmonic, word: str) -> Fraction:
-    """Max minus min over the addressed cell (attained on its boundary)."""
-    b = extend_to_cell(h, word)
-    return max(b) - min(b)
-
-
 # ---------------------------------------------------------------------------
 # energy-measure coefficients
 # ---------------------------------------------------------------------------
@@ -180,22 +155,6 @@ def measure_coeffs(u: Harmonic, v: Harmonic) -> Vec3:
     return tuple(Fraction(2 * p[i] * q[i] - p[i] * (q[j] + q[k]) - q[i] * (p[j] + p[k])
                           + p[j] * q[k] + p[k] * q[j], 2 * du * dv)
                  for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))  # type: ignore[return-value]
-
-
-def complement_coeffs(h: Harmonic) -> Vec3:
-    """Coefficients of the energy measure of the orthogonal partner of ``h``.
-
-    The partner function itself generally has irrational boundary values, so
-    it is never materialized; only its measure coefficients are needed and
-    those are exact: (energy/3) times the uniform triple, minus the measure
-    coefficients of ``h``.  Constant input has no partner direction and is
-    rejected.
-    """
-    if h.is_constant():
-        raise ValueError("complement is undefined for constant functions")
-    e3 = level0_energy(h) / 3
-    own = measure_coeffs(h, h)
-    return (e3 - own[0], e3 - own[1], e3 - own[2])
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,10 @@ def total_mass(c: MeasureCoeffs) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def subtree_row(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
-    """``subtree_coeffs`` as an integer row and its scale: ``(row, scale)``
-    with ``subtree_coeffs(c, word) == row / scale``."""
+    """Coefficients describing the measure inside the addressed cell, as an
+    integer row and its scale: the triple ``r = row / scale`` with
+    ``r . basis_masses(u) = measure_of_cell(c, word + u)`` for every suffix
+    ``u`` -- i.e. the transpose word product applied to ``c``."""
     check_word(word)
     row, den = int_row(c)
     return row_walk(row, word), den * MASS_DEN ** len(word)
@@ -81,16 +83,6 @@ def subtree_row(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
 def basis_masses(word: str) -> Vec3:
     """Masses the three corner measures give to the addressed cell."""
     return tuple(measure_of_cell(e, word) for e in BASIS_COEFFS)  # type: ignore[return-value]
-
-
-def subtree_coeffs(c: MeasureCoeffs, word: str) -> MeasureCoeffs:
-    """Coefficients describing the measure inside the addressed cell.
-
-    The triple ``r`` with ``r . basis_masses(u) = measure_of_cell(c, word + u)``
-    for every suffix ``u`` -- i.e. the transpose word product applied to ``c``.
-    """
-    row, scale = subtree_row(c, word)
-    return tuple(Fraction(x, scale) for x in row)  # type: ignore[return-value]
 
 
 def measure_of_cell(c: MeasureCoeffs, word: str) -> Fraction:
@@ -129,14 +121,9 @@ def children_row_via_refine(c: MeasureCoeffs, word: str) -> tuple[IntRow, int]:
     return x, scale * REFINE_DEN ** len(word)
 
 
-def refine_step(x: IntRow, j: int) -> IntRow:
-    """One letter of the refine recursion: letter j's scaled refine
-    generator times the column ``x``."""
-    return _refine_step(x, check_letter("letter", j))
-
-
 def _refine_step(x: IntRow, j: int) -> IntRow:
-    """``refine_step`` unchecked, for the per-node loops whose letters come from checked words."""
+    """One letter of the refine recursion: letter j's scaled refine generator
+    times the column ``x``, unchecked, for loops whose letters come from checked words."""
     (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = REFINE_SCALED[j]
     x0, x1, x2 = x
     return (

@@ -9,7 +9,6 @@ from gasketenergy import WORD_MAX_LEN
 from gasketenergy.bvectors import (
     _from_child_masses,
     _from_column_sums,
-    a_values,
     b_from_kusuoka,
     b_from_mass,
     b_from_word,
@@ -17,7 +16,6 @@ from gasketenergy.bvectors import (
     closed_form_b,
     disk_radius_sq,
     enumerate_bvectors,
-    kusuoka_ratio,
     level_routes,
     rows_agree,
     scan_bounds,
@@ -129,15 +127,6 @@ def test_sharpness_radius_increases_toward_the_disk_rim():
         if prev is not None:
             assert r > prev
         prev = r
-
-
-def test_a_values_and_kusuoka_ratio_frozen():
-    b = (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5))
-    a = a_values(b)
-    assert a == (Fraction(13, 15), Fraction(1, 15), Fraction(1, 15))
-    assert kusuoka_ratio(a[0]) == Fraction(41, 75)
-    assert kusuoka_ratio(a[1]) == Fraction(17, 75)
-    assert sum(kusuoka_ratio(x) for x in a) == 1
 
 
 @given(

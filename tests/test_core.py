@@ -22,7 +22,6 @@ from gasketenergy.core import (
     check_word,
     format_rational,
     mat_mul,
-    mat_vec,
     parse_rational,
     word_matrix,
 )
@@ -241,7 +240,7 @@ def test_check_letter_returns_the_letter_or_names_it_in_one_form():
 
 def _size_and_letter_calls():
     """(call, message) pairs that pass a non-``int`` size or letter, each in its range by value."""
-    from gasketenergy import bvectors, derivatives, dynamics, harmonic, measures, verify
+    from gasketenergy import bvectors, derivatives, dynamics, harmonic, verify
 
     h, c, v = (Fraction(1), Fraction(0), Fraction(2)), (Fraction(1), Fraction(1), Fraction(1)), VertexAddress("0", 1)
     return {
@@ -255,7 +254,6 @@ def _size_and_letter_calls():
         "axis_gap": (lambda: derivatives.axis_gap(c, "", 1.0), "axis must be 0, 1 or 2, got 1.0"),
         "circle_map": (lambda: dynamics.circle_map(1.0, 0.5), "letter must be 0, 1 or 2, got 1.0"),
         "apply_B": (lambda: dynamics.apply_B(1.0, (0.0, 0.0)), "letter must be 0, 1 or 2, got 1.0"),
-        "refine_step": (lambda: measures.refine_step((1, 1, 1), 1.0), "letter must be 0, 1 or 2, got 1.0"),
         "satisfies_skew_condition": (lambda: harmonic.satisfies_skew_condition(h, 1.0),
                                      "axis must be 0, 1 or 2, got 1.0"),
         "basis_ratio": (lambda: derivatives.basis_ratio(1.0, v), "corner must be 0, 1 or 2, got 1.0"),
@@ -295,6 +293,6 @@ def test_mass_word_matrix_shrinks_total(word):
     """The total mass row (1,1,1) is reproduced by summing the three
     subdivided generators, so repeated words keep totals bounded."""
     m = word_matrix("mass", word)
-    total = mat_vec(m, (Fraction(2), Fraction(2), Fraction(2)))
+    total = [2 * sum(row) for row in m]
     assert sum(total) <= 6
     assert sum(total) > 0

@@ -21,8 +21,6 @@ from gasketenergy.derivatives import (
     edge_profile,
     monotone_left_right,
     operator_norm_scan,
-    q_factor,
-    q_word,
     rank1_deviation,
     rn_derivative,
     rn_derivative_via_mass,
@@ -358,11 +356,3 @@ def test_rank1_powers_converge():
         assert all(b <= a for a, b in zip(deviations, deviations[1:]))
         assert deviations[-1] < Fraction(1, 1000)
 
-
-def test_q_factor_frozen():
-    assert q_factor(0, VertexAddress("", 0)) == Fraction(9, 25)
-    assert q_factor(0, VertexAddress("", 1)) == Fraction(3, 25)
-    assert q_factor(0, VertexAddress("1", 2)) == Fraction(1, 25)
-    assert q_factor(0, VertexAddress("", 0), printed_variant=True) == Fraction(29, 75)
-    assert q_factor(0, VertexAddress("1", 2), printed_variant=True) == Fraction(1, 15)
-    assert q_word("01", VertexAddress("", 0)) == Fraction(21, 625)

@@ -32,10 +32,9 @@ def test_disk_coordinates_round_trip():
 @given(disk_radii, angles)
 def test_polar_round_trip(r, t):
     p = dy.DiskPoint.from_polar(r, t)
-    rr, tt = p.to_polar()
-    assert math.isclose(rr, r, abs_tol=1e-12)
+    assert math.isclose(p.radius * dy.DISK_RADIUS_B, r, abs_tol=1e-12)
     if r > 1e-9:
-        assert abs(dy._wrap(tt - t)) < 1e-9
+        assert abs(dy._wrap(math.atan2(p.y, p.x) - t)) < 1e-9
 
 
 def test_letter_zero_map_frozen():
@@ -68,7 +67,10 @@ def test_circle_map_frozen_value():
 
 @given(angles, letters)
 def test_circle_map_inverse_round_trip(t, j):
-    assert abs(dy._wrap(dy.circle_map_inverse(j, dy.circle_map(j, t)) - t)) < 1e-12
+    """``_HALF_STEP_INVERSE``, the table ``invariant_density_residual`` pulls back by,
+    undoes the forward map."""
+    back = dy._circle_map_array(j, dy._circle_map_array(j, t), dy._HALF_STEP_INVERSE)
+    assert abs(dy._wrap(float(back) - t)) < 1e-12
 
 
 @given(angles, letters)
@@ -402,6 +404,20 @@ def test_disk_tables_are_the_exact_weight_steps_in_disk_coordinates():
         assert np.array_equal(step, step.T)
         assert np.abs(a @ b @ a_inv - step).max() < 1e-15
 
+
+
+def test_disk_maps_are_isometries_of_the_klein_model():
+    """``_DISK_STEP[0]`` is 3 times the Lorentz boost with cosh 5/3 and sinh 4/3, and
+    every letter matrix M keeps the Lorentz form up to its scale, M^T eta M = 9 eta
+    with eta = diag(1, -1, -1): exactly for letter 0, to 1e-14 for the rotated two."""
+    cosh, sinh = Fraction(5, 3), Fraction(4, 3)
+    assert cosh ** 2 - sinh ** 2 == 1
+    boost = ((cosh, sinh, 0), (sinh, cosh, 0), (0, 0, 1))
+    assert [[Fraction(x) for x in row] for row in dy._DISK_STEP[0]] == [[3 * x for x in row] for row in boost]
+    eta = np.diag([1.0, -1.0, -1.0])
+    for j, tol in ((0, 0.0), (1, 1e-14), (2, 1e-14)):
+        m = np.array(dy._DISK_STEP[j])
+        assert np.abs(m.T @ eta @ m - 9 * eta).max() <= tol, j
 
 def poison_fresh_scratch(monkeypatch):
     """Fill every scratch ``dynamics._scratch`` makes with values no count can

@@ -23,9 +23,14 @@ every suite yields only ``_check`` verdicts.
 Only the package root defines a size cap or words a range message, and no
 module tests a letter itself: the others take ``check_range`` and
 ``check_letter`` from the root.
+
+Every public function earns a caller: another function of the package, the
+README's code, a benchmarked op or an acceptance test names it, unless it is
+one of the ``REFERENCES`` that tests compare against.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,6 +40,7 @@ from gasketenergy import harmonic
 from gasketenergy.cli import main
 
 SRC = Path(gasketenergy.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 EXACT_MODULES = ("core", "harmonic", "measures", "derivatives", "bvectors")
 INTEGER_MATH = {"lcm", "gcd", "isqrt"}
 ALLOWED = {("measures", "decompose_positive")}
@@ -91,17 +97,22 @@ WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS", 
               "SHIFT_BOUND"}
 
 
-def names_in(tree: ast.AST) -> set[str]:
-    """Every name that ``tree`` uses, imports, assigns or defines."""
+def named_lines(tree: ast.AST) -> set[tuple[str, int]]:
+    """``(name, line)`` for each name, attribute and imported name that ``tree`` uses."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            found.add((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, (ast.alias, ast.FunctionDef)):
-            found.add(node.name)
+            found.add((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            found.add((node.name.rsplit(".", 1)[-1], node.lineno))
     return found
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name that ``tree`` uses, imports, assigns or defines."""
+    return {name for name, _ in named_lines(tree)} | {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
 
 def walk_names(tree: ast.AST) -> set[str]:
@@ -168,8 +179,7 @@ def test_harmonic_oracle_names_no_kernel_or_generator():
 
 
 STRIDED_NAMES = {"row_walk", "stride_table", "STRIDE", "MASS_STRIDE"}
-ORACLE_LOOPS = (("measures", "children_row_via_refine"), ("measures", "refine_step"),
-                ("measures", "_refine_step"),
+ORACLE_LOOPS = (("measures", "children_row_via_refine"), ("measures", "_refine_step"),
                 ("bvectors", "b_from_word"), ("bvectors", "_b_step_int"), ("core", "word_matrix"))
 
 
@@ -190,13 +200,84 @@ def test_oracle_loops_name_no_strided_walk(module, function):
 
 def test_strided_guard_sees_each_name():
     source = (
-        "def refine_step(x, j):\n"
+        "def _refine_step(x, j):\n"
         "    table = core.stride_table(REFINE_SCALED, core.STRIDE)\n"
         "    return row_walk(x, str(j), table) or core.MASS_STRIDE\n"
         "def other(): return row_walk\n"
     )
-    assert strided_names(source, "refine_step") == STRIDED_NAMES
-    assert strided_names(source.replace("row_walk(x", "step(x"), "refine_step") == STRIDED_NAMES - {"row_walk"}
+    assert strided_names(source, "_refine_step") == STRIDED_NAMES
+    assert strided_names(source.replace("row_walk(x", "step(x"), "_refine_step") == STRIDED_NAMES - {"row_walk"}
+
+
+#: Public functions that only tests call, kept as the references those tests compare against.
+REFERENCES = {
+    "bvectors.b_step": "tests/test_dynamics.py::test_disk_map_is_conjugate_to_the_weight_step",
+    "dynamics.DiskPoint.from_b": "tests/test_dynamics.py::test_disk_map_is_conjugate_to_the_weight_step",
+}
+
+
+def public_defs(tree: ast.Module, module: str) -> dict[str, ast.FunctionDef]:
+    """Each public top-level function and public method of a public class, by its
+    qualified name (``module.function`` or ``module.Class.method``)."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            defs[f"{module}.{node.name}"] = node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            defs.update((f"{module}.{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+    return defs
+
+
+def uncalled(sources: dict[str, str], elsewhere: set[str]) -> list[str]:
+    """The public functions and methods of ``sources`` (module name to text) that no
+    module names outside their own body and that are not in ``elsewhere``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    sites: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for name, line in named_lines(tree):
+            sites.setdefault(name, []).append((module, line))
+    return sorted(qualname for module, tree in trees.items() for qualname, node in public_defs(tree, module).items()
+                  if node.name not in elsewhere and all(m == module and node.lineno <= line <= node.end_lineno
+                                                        for m, line in sites.get(node.name, ())))
+
+
+def names_outside_src() -> set[str]:
+    """The names that the README's code (its blocks and inline spans), perfbench's
+    ``FUNCTIONS`` and the acceptance tests use."""
+    readme = (ROOT / "README.md").read_text()
+    names = {name for span in re.findall(r"`+([^`]+)`+", readme) for name in re.findall(r"[A-Za-z_]\w*", span)}
+    names |= {name for name, _ in named_lines(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))}
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    functions = next(node.value for node in workloads.body if isinstance(node, ast.Assign)
+                     and [ast.unparse(t) for t in node.targets] == ["FUNCTIONS"])
+    return names | {ast.literal_eval(e).rsplit(".", 1)[-1] for e in functions.elts}
+
+
+def test_every_public_function_has_a_caller():
+    """A public function of ``src/`` is named by another function of the package, the
+    README's code, a benchmarked op or an acceptance test; only the references do without."""
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert uncalled(sources, names_outside_src()) == sorted(REFERENCES)
+
+
+def test_caller_guard_sees_each_kind_of_use():
+    sources = {
+        "a": ("def imported(): pass\n"
+              "def recursive(): return recursive()\n"
+              "def _private(): pass\n"
+              "class Point:\n"
+              "    def moved(self): return self.moved\n"
+              "    def read(self): pass\n"
+              "class _Hidden:\n"
+              "    def method(self): pass\n"),
+        "b": ("from .a import imported\n"
+              "x = Point().read\n"
+              "def outside(): pass\n"
+              "s = 'recursive moved outside'  # recursive, moved and outside in a comment\n"),
+    }
+    assert uncalled(sources, {"outside"}) == ["a.Point.moved", "a.recursive"]
+    assert uncalled(sources, set()) == ["a.Point.moved", "a.recursive", "b.outside"]
 
 
 def test_a_wrong_extension_coefficient_fails_the_energy_oracle(capsys, monkeypatch):

@@ -38,7 +38,7 @@ from gasketenergy.core import (
     walk_level,
     word_matrix,
 )
-from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_coeffs
+from gasketenergy.measures import KUSUOKA, is_positive, measure_of_cell, subtree_row
 
 ONE, ZERO = Fraction(1), Fraction(0)
 E = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
@@ -254,10 +254,10 @@ def test_edge_vector_identity():
 def test_midpoint_value_is_read_from_the_parent_rows():
     c = (Fraction(5, 2), Fraction(-1, 3), Fraction(2))
     for word in ["", "1", "02", "2101"]:
-        r, q = subtree_coeffs(c, word), subtree_coeffs(KUSUOKA, word)
+        (r, s), (q, t) = subtree_row(c, word), subtree_row(KUSUOKA, word)
         for j, k in itertools.combinations(range(3), 2):
             v = VertexAddress(word + str(j), k)
-            assert dv.rn_derivative(c, v) == (r[j] + r[k]) / (q[j] + q[k])
+            assert dv.rn_derivative(c, v) == Fraction((r[j] + r[k]) * t, (q[j] + q[k]) * s)
 
 
 def test_cone_form_is_invariant_up_to_nine():
