@@ -29,7 +29,7 @@ LEVEL_LIMIT = 16
 #: Deepest ``find_negative_cell`` search: at most 3^12 rows (1.5 s and 162 MB without the prune); pruned,
 #: 300 seeded near-boundary triples took at most 0.02 s and 0.2 MB traced.
 NEGATIVE_DEPTH_MAX = 12
-#: Deepest ``scan_extrema``: 0.025 s on int64 rows, 0.7 s on Python ints.
+#: Deepest ``scan_extrema``: 0.1-0.2 ms a scan after one build of its circle order (at 12: 0.12-0.16 s, 15 MB).
 EXTREMA_DEPTH_MAX = 12
 #: Deepest ``scan_bounds``: 0.63-0.75 s (``int64`` holds through level 17, so time sets the cap).
 BOUNDS_LEVEL_MAX = 15

@@ -251,7 +251,7 @@ def scan_bounds(max_level: int) -> Optional[str]:
     extensions.
     """
     check_range("max_level", max_level, 0, BOUNDS_LEVEL_MAX)
-    hits, (buf, bound) = [], scratch(((1, 1, 1),), MASS_SCALED, max_level + 1, 4, 1)
+    hits, (buf, bound) = [], scratch(((1, 1, 1),), MASS_SCALED, max_level + 1, 4)
     for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
         i = _first_offender(rows, buf, bound)
         if i is not None:

@@ -186,7 +186,12 @@ IntMat = tuple[IntRow, IntRow, IntRow]
 
 def int_row(v: Vec3) -> tuple[IntRow, int]:
     """Integer numerators of a rational triple over their least common
-    denominator: ``(row, den)`` with ``v == row / den``."""
+    denominator: ``(row, den)`` with ``v == row / den``.  Each entry must be
+    an ``int`` (not a ``bool``) or a ``Fraction``; anything else, a float or a
+    fixed-width numpy integer, raises ``ValueError`` naming it."""
+    for x in v:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValueError(f"coefficient {x!r} is not an int or a Fraction")
     den = math.lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (den // x.denominator) for x in v), den  # type: ignore[return-value]
 
@@ -312,11 +317,11 @@ def _shift_bits(bound: int) -> Optional[int]:
 def limb_sign(a, b, c, d, buf, bound: int):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
-    ``a`` is a numpy array; ``b``, ``c`` and ``d`` are arrays of its length
-    or ints.  ``object`` arrays hold Python ints, which take the products
-    directly.  On ``int64`` the caller proves |x| <= ``bound`` < ``LIMB_BOUND``
-    = 2**60 for every factor x (the scans take it from ``scratch``), and the
-    products may not fit.  Up to ``SHIFT_BOUND`` (read when called) the
+    The four factors are numpy arrays of one length and dtype.  ``object``
+    arrays hold Python ints, which take the products directly.  On ``int64``
+    the caller proves |x| <= ``bound`` < ``LIMB_BOUND`` = 2**60 for every
+    factor x (``scan_bounds`` takes it from ``scratch``), and the products
+    may not fit.  Up to ``SHIFT_BOUND`` (read when called) the
     certified tier decides the sign:
 
     * each factor is shifted, x' = x >> k with the least k that gives
@@ -349,14 +354,13 @@ def _wrap_sign(factors, rows, k: int, cut: int):
     """``limb_sign``'s certified tier: sign(A') where |A'| >= ``cut``, else the sign of the wrapped sum."""
     import numpy as np
 
-    u64 = np.uint64
-    a, b, c, d = (x >> k if isinstance(x, int) else np.right_shift(x, k, out=row) for x, row in zip(factors, rows))
+    a, b, c, d = (np.right_shift(x, k, out=row) for x, row in zip(factors, rows))
     approx, t, exact, u = rows[4:]
     np.multiply(a, b, out=approx)
     approx += np.multiply(c, d, out=t)
-    a, b, c, d = (u64(x % 2**64) if isinstance(x, int) else x.view(u64) for x in factors)
-    wrapped = np.multiply(a, b, out=exact.view(u64))
-    wrapped += np.multiply(c, d, out=u.view(u64))
+    a, b, c, d = (x.view(np.uint64) for x in factors)
+    wrapped = np.multiply(a, b, out=exact.view(np.uint64))
+    wrapped += np.multiply(c, d, out=u.view(np.uint64))
     np.copyto(exact, approx, where=np.abs(approx, out=t) >= cut)
     return np.sign(exact, out=exact).astype("int8")
 
@@ -379,10 +383,9 @@ def _limb_sign(a, b, c, d, rows):
     import numpy as np
 
     ha, la, hb, lb, lo, mid, hi, t = rows
-    for x, y, first in ((a, b, True), (c, d, False)):  # an int factor splits into two ints
-        (hx, lx), (hy, ly) = ((v >> _LIMB, v & _LIMB_MASK) if isinstance(v, int) else
-                              (np.right_shift(v, _LIMB, out=h), np.bitwise_and(v, _LIMB_MASK, out=l))
-                              for v, h, l in ((x, ha, la), (y, hb, lb)))
+    for x, y, first in ((a, b, True), (c, d, False)):
+        hx, lx = np.right_shift(x, _LIMB, out=ha), np.bitwise_and(x, _LIMB_MASK, out=la)
+        hy, ly = np.right_shift(y, _LIMB, out=hb), np.bitwise_and(y, _LIMB_MASK, out=lb)
         for s, p, q in ((lo, lx, ly), (hi, hx, hy), (mid, hx, ly)):
             if first:
                 np.multiply(p, q, out=s)
@@ -434,18 +437,18 @@ def array_dtype(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> 
 BLOCK_ROWS = 3**7
 
 
-def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: int, per_row: int):
+def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: int):
     """``(buf, bound)`` for one scan of ``subtree_levels(rows, levels, gens)``, ``levels >= 1``.
 
     ``buf`` is the scan's one scratch, a new ``(own + 8, n)`` array in the walk's dtype: the
-    caller's ``own`` rows, then the eight ``limb_sign`` takes from its end.  ``n`` is ``per_row``
-    entries for each row of the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
+    caller's ``own`` rows, then the eight ``limb_sign`` takes from its end.  ``n`` is the number
+    of rows in the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
     with ``BLOCK_ROWS`` read when called.  ``bound`` is the scan's ``limb_sign`` bound, twice
     ``row_bound(rows, gens, levels - 1)``, which bounds every entry the walk yields and every
     sum of two of them."""
     import numpy as np
 
-    dtype, width = array_dtype(rows, gens, levels - 1), per_row * min(3 ** (levels - 1), 3 * BLOCK_ROWS)
+    dtype, width = array_dtype(rows, gens, levels - 1), min(3 ** (levels - 1), 3 * BLOCK_ROWS)
     return np.empty((own + 8, width), dtype), 2 * row_bound(rows, gens, levels - 1)
 
 

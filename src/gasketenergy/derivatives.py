@@ -12,14 +12,15 @@ exact routes that share no arithmetic:
   triples from the refine recursion on integer numerators.
 
 The ``derivative`` command and ``verify`` compare the two.  Also here: the
-vertex scan over a cell's interior (on the block walk of
-``core.subtree_levels``), the decay of cell masses toward a vertex (with its
+vertex scan over a cell's interior (a binary search of one cached circle
+order per depth), the decay of cell masses toward a vertex (with its
 two-rate classification), the edge restriction profile and the
 left-to-right edge monotonicity check.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -40,12 +41,9 @@ from .core import (
     VertexAddress,
     check_word,
     int_row,
-    lex_word,
-    limb_sign,
     mat_scale,
     row_step,
     row_walk,
-    scratch,
     subtree_levels,
     vec_dot,
     word_matrix,
@@ -225,6 +223,9 @@ class ScanResult(NamedTuple):
 #: Edges {j, k} of a cell, j < k; the midpoint of edge {j, k} of cell ``w``
 #: has the canonical address ``w + j : k``.
 _EDGES = ((0, 1), (0, 2), (1, 2))
+#: The root's midpoint columns e_j + e_k, and the mass generators transposed.
+_EDGE_COLUMNS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+_MASS_TRANSPOSED = tuple(tuple(zip(*g)) for g in MASS_SCALED)
 
 
 def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult:
@@ -236,85 +237,142 @@ def scan_extrema(c: MeasureCoeffs, word: str = "", depth: int = 8) -> ScanResult
     only at that excluded corner; over interior vertices the bound is strict).
     Requires a positive measure, 1 <= ``depth`` <= ``EXTREMA_DEPTH_MAX`` and
     ``len(word) + depth`` <= ``WORD_MAX_LEN``, checked before any work.
-    Carried as scaled integer rows; values are compared by
-    cross-multiplication, so the whole scan is exact.  Witnesses are
-    canonical addresses, ties broken lexicographically.
+    Values are compared by cross-multiplying Python ints, so the scan is
+    exact.  Witnesses are canonical addresses, ties broken lexicographically.
 
-    Every interior vertex down to ``depth`` is the midpoint of exactly one
-    edge of exactly one subcell less than ``depth`` levels down, so each is
-    evaluated once, as (r_j + r_k) / (q_j + q_k) from that subcell's rows
-    (see ``_CORNER_WEIGHTS_INT``); rows are never stepped to the leaf level.
+    Every interior vertex down to ``depth`` is the midpoint of edge {j, k} of
+    one subcell ``word`` + u, |u| < ``depth``, with value (r0 . v) / (q0 . v):
+    (r0, q0) = ``_cell_rows(c, word)`` and v = M_u (e_j + e_k), M_u the scaled
+    mass product along u (see ``_CORNER_WEIGHTS_INT``).  The columns v depend
+    on neither ``c`` nor ``word``, so ``_circle`` orders them once per depth,
+    3**depth distinct points around one circle, and ``_peak`` binary-searches
+    that order.  It is exact because
 
-    Subcells come from the block walk ``core.subtree_levels`` in the dtype it
-    proves (``int64`` below 2**59, Python ints otherwise).  ``core.scratch``,
-    handed the walk once before it starts, gives the call its one scratch
-    array and its one ``core.limb_sign`` bound: every numerator and
-    denominator, the running extrema's too, is a sum of two row entries at
-    most ``depth - 1`` letters down.  Each block's midpoint ratios go into
-    the scratch and meet each running extremum in one ``limb_sign`` pass;
-    see ``_best``.
+    * every column lies on the conic 2 sum (3 v_i - S)**2 = 3 S**2, S = sum v,
+      the rim of the weight disk: the root's midpoints do, and each M_j maps
+      the conic onto itself, with det 27 > 0, so keeps its cyclic order;
+    * q0 . v > 0, and the ratio's level sets are lines, which meet the conic
+      at most twice.  So unless r0 and q0 are proportional (a constant ratio,
+      where the least key wins), the ratio rises strictly along one arc and
+      falls strictly along the other: in circle order the values rise once
+      and fall once, and two points share an extreme only as neighbours.
     """
     if not is_positive(c):
         raise ValueError("scan_extrema needs a positive measure")
     check_range("depth", depth, 1, EXTREMA_DEPTH_MAX)  # a cell has no interior vertices at depth 0
     if len(check_word(word)) + depth > WORD_MAX_LEN:  # the deepest vertex has len(word) + depth letters
         raise ValueError(f"word length {len(word)} plus depth {depth} exceeds the cap {WORD_MAX_LEN}")
+    r0, q0 = _cell_rows(c, word)
+    cols, keys = _circle(depth)
+    ratio = functools.cache(lambda i: _evaluate(cols, i, r0, q0))
+    if any(r0[j] * q0[k] != r0[k] * q0[j] for j, k in _EDGES):
+        lo, hi = _peak(ratio, keys, -1), _peak(ratio, keys, 1)
+    else:  # a constant ratio: the least key witnesses both extremes, with one word object
+        lo = hi = int(keys.argmin())
+    low = _witness(word, int(keys[lo]), depth)
+    high = _witness(word, int(keys[hi]), depth) if hi != lo else VertexAddress(*low)
+    return ScanResult(Fraction(*ratio(lo)), Fraction(*ratio(hi)), low, high)
+
+
+def _evaluate(cols, i: int, r: IntRow, q: IntRow) -> tuple[int, int]:
+    """Numerator and positive denominator of the derivative at circle point ``i``."""
+    v = cols[i].tolist()
+    return vec_dot(r, v), vec_dot(q, v)
+
+
+def _peak(ratio, keys, side: int) -> int:
+    """The circle point with the largest ``ratio`` for ``side`` 1 (the least
+    for -1), of two equal ones the lesser key, where the values rise once and
+    fall once around the circle.  A binary search from a point p where they
+    step strictly (p = 1 if points 0 and 1 tie, a top or a bottom pair):
+    rising at p, they climb to the top, fall, and end below p's value; falling
+    at p, they drop below it, climb to the top and fall back to it.  So for
+    t = p + 1 .. p + n - 1 the test below is false before the top and true
+    from its first point on; t = p + n stands for p.
+    """
+    n = len(keys)
+
+    def step(i: int, j: int) -> int:  # the sign of side * (ratio(i) - ratio(j)), indices mod n
+        (a, b), (c, d) = ratio(i % n), ratio(j % n)
+        x = side * (a * d - c * b)
+        return (x > 0) - (x < 0)
+
+    p = int(step(1, 0) == 0)
+    rising = step(p + 1, p) > 0
+    lo, hi = (p + 1, p + n) if rising or not p else (n, n)  # a pair at 0, 1 then a fall is the top
+    while lo < hi:
+        t, above = (lo + hi) // 2, step((lo + hi) // 2, p)
+        if rising and above < 0 or (rising or above >= 0) and step(t + 1, t) <= 0:
+            hi = t
+        else:
+            lo = t + 1
+    t = lo % n
+    return (t + 1) % n if step(t + 1, t) == 0 and keys[(t + 1) % n] < keys[t] else t
+
+
+def _witness(word: str, key: int, depth: int) -> VertexAddress:
+    """The vertex ``word`` + s : k of a ``_circle`` key, the digits of s from 4**depth down, then k."""
+    digits = (key >> 2 * (depth - p) & 3 for p in range(depth))
+    return VertexAddress(word + "".join(LETTERS[x - 1] for x in digits if x), key & 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _circle(depth: int):
+    """``(cols, keys)`` for ``scan_extrema``: the 3**``depth`` distinct points
+    among the columns M_u (e_j + e_k), |u| < ``depth``, in circle order, with
+    the least key of each, as read-only arrays built on first use.
+
+    The key of the midpoint u j : k is the string u j in base-4 digits
+    (letter + 1) from 4**depth down, then k: keys order as addresses do.
+    M_x fixes e_j + e_k for the letter x off the edge, so that midpoint of a
+    cell ux is its parent's; the rest, the root's three and the two edges
+    through x of each cell ux, are 3**depth points (the build checks that no
+    two coincide).  Of a point's spellings u x**m j : k the least is the
+    shallowest, but for the edge {1, 2} (x = 0) the deepest.  The columns are
+    transposes of one ``subtree_levels`` walk of ``_EDGE_COLUMNS`` by
+    ``_MASS_TRANSPOSED``, whose words are the u reversed, so x comes first.
+
+    The order is that of t = (v1 - v2) / v0, with (0, 1, 1), the one point
+    where v0 = 0, last: each line through it meets the conic once more, so t
+    is one-to-one and monotone along the rest.  Every entry is in [0, 2**b),
+    b the bit length of 9**(depth - 1), as the corner measures' derivatives
+    are in [0, 1] and each M_j's largest absolute row sum is 9.  So the
+    chunks floor(t * 2**(s*i)) come by exact ``int64`` long division, s =
+    62 - b bits a chunk; two distinct t differ by at least 1 / (v0 v0') >
+    2**(-2b), so chunks of 2b fractional bits decide the order.  ``int32``
+    holds the columns while 9**(depth - 1) < 2**31.
+    """
     import numpy as np
 
-    r0, q0 = _cell_rows(c, word)
-    buf, bound = scratch((r0, q0), MASS_SCALED, depth, 2, 3)
-    # running extrema as (numerator, positive denominator, canonical key),
-    # seeded with the midpoint of the cell's edge {0, 1}
-    lo = hi = (r0[0] + r0[1], q0[0] + q0[1], (word + "0", 1))
-    for d, start, (rs, qs) in subtree_levels((r0, q0), depth):
-        # entry 3 i + e is the midpoint of edge e of the block's cell i, so
-        # entries rise in key order
-        num, dnm = buf[:2, :3 * len(rs)]
-        for e, (j, k) in enumerate(_EDGES):
-            np.add(rs[:, j], rs[:, k], out=num.reshape(-1, 3)[:, e])
-            np.add(qs[:, j], qs[:, k], out=dnm.reshape(-1, 3)[:, e])
-
-        def key(i: int) -> tuple[str, int]:
-            j, k = _EDGES[i % 3]
-            return word + lex_word(start + i // 3, d) + LETTERS[j], k
-
-        lo = _best(lo, num, dnm, key, buf, bound, -1)
-        hi = _best(hi, num, dnm, key, buf, bound, 1)
-    return ScanResult(
-        Fraction(lo[0], lo[1]),
-        Fraction(hi[0], hi[1]),
-        VertexAddress(*lo[2]),
-        VertexAddress(*hi[2]),
-    )
-
-
-def _best(best, num, dnm, key, buf, bound, side):
-    """``best`` = (n, d, key) updated by one block of ratios ``num / dnm``
-    (every ``dnm > 0``): the least ratio for ``side`` -1 or the largest for
-    ``side`` 1, and among equal ratios the least key, where ``key(i)`` is
-    the key of entry ``i`` and rises with ``i``.
-
-    One ``limb_sign`` pass on the scan's scratch ``buf`` and ``bound``, the
-    ``int8`` signs of num * d - n * dnm, that is of num / dnm - n / d,
-    compares the block with n / d.  If some entries lie beyond it (sign
-    ``side``), the first most extreme wins outright; else the first entry
-    equal to it, if any, offers its key.  So few lie beyond (at most 12 a
-    block, about 2 on average) that a plain ``min`` over their exact ratios
-    times -``side`` ranks them, keeping the first of equals.  An all-equal
-    block (the Kusuoka measure) costs the one pass.
-    """
-    n, d, k = best
-    s = limb_sign(num, d, -n, dnm, buf, bound)
-    beyond = (s == side).nonzero()[0]
-    if beyond.size:
-        i = min(beyond.tolist(), key=lambda i: Fraction(-side * int(num[i]), int(dnm[i])))
-        return int(num[i]), int(dnm[i]), key(i)
-    ties = s == 0
-    if ties.any():
-        tie = key(int(ties.argmax()))
-        if tie < k:
-            return n, d, tie
-    return best
+    n, b = 3**depth, (9 ** (depth - 1)).bit_length()
+    cols, keys = np.empty((n, 3), "int32" if b < 32 else "int64"), np.empty(n, "int32")
+    chunks, at = np.empty((-(-2 * b // (62 - b)), n), "int64"), 0
+    for level, start, fams in subtree_levels(_EDGE_COLUMNS, depth, _MASS_TRANSPOSED):
+        index = np.arange(start, start + len(fams[0]))
+        x, stem = index // 3 ** (level - 1) if level else index - 1, 0 * index  # the root's x is -1
+        for p in range(level):  # letter p of u is digit p of the index from the right
+            index, digit = np.divmod(index, 3)
+            stem = stem + ((digit + 1) << 2 * (depth - p))
+        for (j, k), fam in zip(_EDGES, fams):
+            keep = (x == j) | (x == k) | (x < 0)
+            tail = "0" * (depth - 1 - level) + "1" if j else "0"
+            v = fam[keep].astype("int64")  # an object walk's too, as every entry is below 2**b
+            at, m, rest, den = at + len(v), slice(at, at + len(v)), v[:, 1] - v[:, 2], np.maximum(v[:, 0], 1)
+            cols[m], keys[m] = v, stem[keep] + k + sum((int(ch) + 1) << 2 * (depth - level - i)
+                                                      for i, ch in enumerate(tail))
+            for i in range(len(chunks)):
+                chunks[i, m], rest = np.divmod(rest << (62 - b), den)
+    chunks[0, cols[:, 0] == 0] = np.iinfo("int64").max
+    order = np.argsort(chunks[0])  # the first chunk decides all but a few ties (8 at depth 12)
+    tied = np.diff(chunks[0, order]) == 0
+    tied = np.append(tied, False) | np.insert(tied, 0, False)
+    order[tied] = sub = order[tied][np.lexsort(chunks[::-1, order[tied]])]
+    if (chunks[:, sub[1:]] == chunks[:, sub[:-1]]).all(axis=0).any():
+        raise RuntimeError(f"two midpoint columns of depth {depth} coincide")
+    del chunks
+    table = cols[order], keys[order]
+    table[0].flags.writeable = table[1].flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

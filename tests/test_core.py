@@ -79,6 +79,27 @@ def test_refine_columns_sum_to_letter_vector():
             assert col == (1 if c == j else 0)
 
 
+def test_exact_paths_reject_inexact_coefficients():
+    """``int_row`` takes only ``int`` (not ``bool``) and ``Fraction`` entries: a
+    numpy ``int64`` once wrapped silently, floats raised ``AttributeError`` and
+    a ``bool`` ran.  Each call names the offending entry in a ``ValueError``."""
+    import numpy as np
+
+    from gasketenergy.derivatives import scan_extrema
+    from gasketenergy.measures import find_negative_cell, measure_of_cell
+
+    calls = [(measure_of_cell, ((np.int64(2**62), 0, 0), "0"), "np.int64"),
+             (scan_extrema, ((1.0, 2.0, 3.0), "", 2), "1.0"),
+             (measure_of_cell, ((1.5, 2, 3), "01"), "1.5"),
+             (find_negative_cell, ((1.0, 1, -3), 3), "1.0"),
+             (measure_of_cell, ((True, 2, 3), "01"), "True")]
+    for fn, args, entry in calls:
+        with pytest.raises(ValueError, match=f"coefficient {entry}.* is not an int or a Fraction"):
+            fn(*args)
+    assert measure_of_cell((2**62, 0, 0), "0") == Fraction(27670116110564327424, 5)
+    assert core.int_row((Fraction(1, 2), 3, Fraction(-2, 3))) == ((3, 18, -4), 6)
+
+
 def test_word_matrix_identity_is_identity():
     for fam in ("mass", "refine"):
         m = word_matrix(fam, "")

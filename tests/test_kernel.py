@@ -391,17 +391,64 @@ def seeded_positive(rng, n):
 
 SCAN_MEASURES = E + [KUSUOKA] + seeded_positive(random.Random(4_141), 3)
 SCAN_WORDS = ["", "2", "01", "120"]
+#: On the cone's boundary, with minimum 0 (``DEEP_SCANS``).
+BOUNDARY = (Fraction(2), Fraction(-4, 3), Fraction(4))
+#: Symmetric under swapping corners 1 and 2: two mirror vertices share the
+#: first one's largest value and the second one's least.
+MIRRORED = [(Fraction(3), ONE, ONE), (ONE, Fraction(3), Fraction(3))]
 
 
-@pytest.mark.parametrize("c", SCAN_MEASURES, ids=str)
+@pytest.fixture
+def fresh_circles():
+    """Clear ``scan_extrema``'s cached circle orders before and after a test that
+    patches the kernel, so its tables are built under the patch and no later
+    test reads them."""
+    dv._circle.cache_clear()
+    yield
+    dv._circle.cache_clear()
+
+
+@pytest.mark.parametrize("c", SCAN_MEASURES + [BOUNDARY] + MIRRORED, ids=str)
 def test_scan_extrema_equals_reference(c):
     for word in SCAN_WORDS:
         for depth in range(1, 9):
             assert dv.scan_extrema(c, word, depth) == reference_scan_extrema(c, word, depth), (word, depth)
 
 
+def test_scan_extrema_equals_reference_on_long_words():
+    """Seeded positive cells, the cone boundary (minimum 0), the Kusuoka
+    measure and the mirrored measures on words of up to 40 letters, whose
+    values pass ``int64``."""
+    rng = random.Random(3_838)
+    cells = [(c, "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, 40))))
+             for c in seeded_positive(rng, 12) + [BOUNDARY, KUSUOKA] + MIRRORED]
+    assert max(len(word) for _, word in cells) > 30
+    for c, word in cells:
+        for depth in (1, 2, 5, 6):
+            assert dv.scan_extrema(c, word, depth) == reference_scan_extrema(c, word, depth), (c, word, depth)
+    assert dv.scan_extrema(BOUNDARY, "", 5).minimum == 0
+
+
+def test_mirrored_extremes_are_shared_by_two_points():
+    """Each ``MIRRORED`` extreme is taken at two distinct circle points,
+    neighbours in the order, and the lesser key witnesses it, in the cell
+    ``00``, which the mirror maps to itself."""
+    for depth in (1, 2, 4, 6):
+        cols, keys = dv._circle(depth)
+        for c, shared in zip(MIRRORED, ("maximum", "minimum")):
+            r, q = dv._cell_rows(c, "00")
+            values = [Fraction(*dv._evaluate(cols, i, r, q)) for i in range(len(keys))]
+            got = dv.scan_extrema(c, "00", depth)
+            at = [i for i, x in enumerate(values) if x == getattr(got, shared)]
+            assert len(at) == 2 and (at[1] - at[0]) % len(keys) in (1, len(keys) - 1), (c, depth)
+            witness = got.argmax if shared == "maximum" else got.argmin
+            assert witness == dv._witness("00", min(int(keys[i]) for i in at), depth)
+            assert got == reference_scan_extrema(c, "00", depth)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
-def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, block):
+def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, fresh_circles, block):
+    """The circle orders, built on the block walk, come out the same at every block size."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     for c in (E[0], SCAN_MEASURES[-1], KUSUOKA):
         for depth in (1, 4, 7):
@@ -421,8 +468,9 @@ def recorded_dtypes(monkeypatch):
     return seen
 
 
-def test_scan_extrema_object_path_matches_reference(monkeypatch):
-    """Over the budget (patched down to 13**3) the same scan runs on Python ints."""
+def test_scan_extrema_object_path_matches_reference(monkeypatch, fresh_circles):
+    """Over the budget (patched down to 13**3) the circle orders' walk runs on
+    Python ints from depth 5 on (9**4 > 13**3), and the scans come out the same."""
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
     dtypes = recorded_dtypes(monkeypatch)
     for c in SCAN_MEASURES:
@@ -432,14 +480,15 @@ def test_scan_extrema_object_path_matches_reference(monkeypatch):
     assert dtypes == {"int64", "object"}
 
 
-def test_scan_extrema_budget_covers_both_families(monkeypatch):
-    """(1/7, 0, 0) has rows (1, 0, 0) and Kusuoka rows (7, 7, 7): one level
-    of growth 13 keeps the first under 50 but not the second."""
+def test_scan_extrema_budget_covers_only_the_edge_columns(monkeypatch, fresh_circles):
+    """(1/7, 0, 0) has rows (1, 0, 0) and Kusuoka rows (7, 7, 7), past a
+    budget of 50 after one letter, but the scan walks only the edge columns,
+    whose one level (growth 9) stays under it: the rows never reach an array."""
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 50)
     dtypes = recorded_dtypes(monkeypatch)
     c = (Fraction(1, 7), ZERO, ZERO)
     assert dv.scan_extrema(c, "", 2) == reference_scan_extrema(c, "", 2)
-    assert dtypes == {"object"}
+    assert dtypes == {"int64"}
 
 
 #: ``scan_extrema`` results captured from the list-walk implementation that
@@ -456,7 +505,7 @@ DEEP_SCANS = {
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_SCANS), ids=str)
-def test_deep_scan_extrema_equal_the_captured_results(monkeypatch, case):
+def test_deep_scan_extrema_equal_the_captured_results(monkeypatch, fresh_circles, case):
     c, word, depth = case
     dtypes = recorded_dtypes(monkeypatch)
     lo, hi, argmin, argmax = DEEP_SCANS[case]
@@ -471,6 +520,95 @@ def test_kusuoka_scan_ties_everywhere():
     first = VertexAddress("0", 1)
     assert dv.scan_extrema(KUSUOKA, "", 10) == (ONE, ONE, first, first)
     assert dv.scan_extrema(KUSUOKA, "21", 6) == (ONE, ONE, VertexAddress("210", 1), VertexAddress("210", 1))
+
+
+# ---------------------------------------------------------------------------
+# scan_extrema's circle orders
+# ---------------------------------------------------------------------------
+
+def circle_xy(v):
+    """The column's direction in the plane across (1, 1, 1): (2 v0 - v1 - v2, v1 - v2)."""
+    return 2 * v[0] - v[1] - v[2], v[1] - v[2]
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_circle_orders_are_exact(depth):
+    """Each cached order holds 3**depth points on the conic 2 sum (3v_i - S)**2
+    = 3 S**2, with nonnegative entries, and goes once around it: every step to
+    the next point (the last to the first too) turns strictly counterclockwise
+    by an exact Python-int orientation test, and exactly one step crosses from
+    below the axis Y = 0 to above it."""
+    cols, keys = dv._circle(depth)
+    points = [tuple(v) for v in cols.tolist()]
+    assert len(points) == len(keys) == 3**depth
+    for v in points:
+        total = sum(v)
+        assert min(v) >= 0 and 2 * sum((3 * x - total) ** 2 for x in v) == 3 * total * total, v
+    xy = [circle_xy(v) for v in points]
+    steps = list(zip(xy, xy[1:] + xy[:1]))
+    assert all(x1 * y2 - x2 * y1 > 0 for (x1, y1), (x2, y2) in steps)
+    assert sum(y1 < 0 <= y2 for (_, y1), (_, y2) in steps) == 1
+
+
+def spellings(depth):
+    """``(point, key)`` for every midpoint w j : k with |w| < ``depth``: the
+    point is the column M_w (e_j + e_k) divided by the gcd of its entries."""
+    out = []
+    for n in range(depth):
+        for w in words_of(n):
+            rows = [row_walk(unit, w) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            for j, k in dv._EDGES:
+                v = tuple(row[j] + row[k] for row in rows)  # row i of M_w times e_j + e_k
+                g = math.gcd(*v)
+                out.append((tuple(x // g for x in v), (w + LETTERS[j], k)))
+    return out
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_circle_groups_keep_their_least_key(depth):
+    """Merging the (3**(depth + 1) - 3) / 2 midpoints by their point leaves
+    the table's 3**depth points, and each keeps the least (word, corner) key
+    of its spellings, as the witness decodes it."""
+    least = {}
+    for point, key in spellings(depth):
+        least[point] = min(least.get(point, key), key)
+    cols, keys = dv._circle(depth)
+    table = {}
+    for v, key in zip(cols.tolist(), keys.tolist()):
+        g = math.gcd(*v)
+        witness = dv._witness("", key, depth)
+        table[tuple(x // g for x in v)] = (witness.word, witness.corner)
+    assert table == least and len(table) == 3**depth
+
+
+def test_circle_search_makes_logarithmically_many_evaluations(monkeypatch):
+    """Over 50 seeded cells at depths 8-10 each scan evaluates at most
+    8 ceil(log2 G) circle points, G = 3**depth, and returns the parent scan's
+    witnesses' values (each witness evaluated here by ``rn_derivative``)."""
+    calls = []
+    real = dv._evaluate
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(dv, "_evaluate", spy)
+    rng = random.Random(5_050)
+    cells = [(c, "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, 12)))) for c in seeded_positive(rng, 50)]
+    for i, (c, word) in enumerate(cells):
+        depth = 8 + i % 3
+        calls.clear()
+        got = dv.scan_extrema(c, word, depth)
+        assert 0 < len(calls) <= 8 * math.ceil(math.log2(3**depth)), (c, word, depth, len(calls))
+        assert (dv.rn_derivative(c, got.argmin), dv.rn_derivative(c, got.argmax)) == (got.minimum, got.maximum)
+
+
+def test_circle_tables_are_read_only_and_small():
+    """The cached tables of depths 1-10 cannot be written and hold at most
+    4 MB together."""
+    tables = [dv._circle(depth) for depth in range(1, 11)]
+    assert not any(a.flags.writeable for table in tables for a in table)
+    assert sum(a.nbytes for table in tables for a in table) <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +794,6 @@ def test_limb_sign_matches_python_ints_at_its_bound(dtype):
     want = [(x > 0) - (x < 0) for x in (p * q + r * t for p, q, r, t in quads)]
     assert got.dtype == np.int8 and got.tolist() == want
     assert {-1, 0, 1} <= set(want) and max(abs(x) for q in quads for x in q) == core.LIMB_BOUND - 1
-    # one scalar pair, as the scans pass the running extremum
-    assert core.limb_sign(a, 3, -5, d, buf, core.LIMB_BOUND - 1).tolist() == [(x > 0) - (x < 0) for x in (p * 3 - 5 * t for p, _, _, t in quads)]
 
 
 SENTINEL = -(2**62) + 12_345
@@ -677,13 +813,12 @@ def test_limb_sign_reuses_one_scratch_across_lengths():
         for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
             part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
             a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
-            for args, products in (((a, b, c, d), (p * q + r * t for p, q, r, t in part)),
-                                   ((a, 3, -5, d), (p * 3 - 5 * t for p, _, _, t in part))):
-                buf.fill(SENTINEL)
-                got = core.limb_sign(*args, buf, core.LIMB_BOUND - 1)
-                assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
-                assert (buf[:, len(part):] == SENTINEL).all(), m
-                assert (buf[:caller_rows] == SENTINEL).all(), m
+            buf.fill(SENTINEL)
+            got = core.limb_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
+            products = (p * q + r * t for p, q, r, t in part)
+            assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
+            assert (buf[:, len(part):] == SENTINEL).all(), m
+            assert (buf[:caller_rows] == SENTINEL).all(), m
 
 
 #: Factor bounds on both sides of the certified tier's limit: no shift (k = 0), the first
@@ -728,9 +863,9 @@ def tier_spy(monkeypatch):
 def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     """With every |factor| <= ``bound`` the sign is the Python-int sign on either
     tier: the certified tier up to ``SHIFT_BOUND``, the limbs past it and with the
-    limit patched to 0, for array factors and for the int b and c ``scan_extrema``
-    passes.  In a sentinel-filled scratch with two caller rows ahead of the last
-    eight and a margin, only the last eight rows up to the call's length change."""
+    limit patched to 0.  In a sentinel-filled scratch with two caller rows ahead of
+    the last eight and a margin, only the last eight rows up to the call's length
+    change."""
     import numpy as np
 
     if limit == "zero":
@@ -739,19 +874,14 @@ def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     quads = wrap_quads(random.Random(bound % 1_000_003), bound)
     n = len(quads)
     a, b, c, d = (np.array(col, dtype="int64") for col in zip(*quads))
-    ints = [(bound, -bound), (-bound, bound - 1), (1, -bound), (bound, 0), (-(bound // 3), bound // 7), (5, -bound)]
     buf = np.full((10, n + 5), SENTINEL)
-    cases = [((a, b, c, d), quads)]
-    cases += [((a, p, q, d), [(x, p, q, t) for x, _, _, t in quads]) for p, q in ints]
-    for args, want in cases:
-        buf.fill(SENTINEL)
-        got = core.limb_sign(*args, buf, bound)
-        assert got.dtype == np.int8
-        assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in want)]
-        assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
+    got = core.limb_sign(a, b, c, d, buf, bound)
+    assert got.dtype == np.int8
+    assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)]
+    assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
     assert {0} < {(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)} == {-1, 0, 1}
     certified = limit == "default" and bound <= core.SHIFT_BOUND
-    assert calls == {"_wrap_sign": len(cases) if certified else 0, "_limb_sign": 0 if certified else len(cases)}
+    assert calls == {"_wrap_sign": 1 if certified else 0, "_limb_sign": 0 if certified else 1}
 
 
 def test_shift_bits_is_the_least_shift_under_the_limit():
@@ -765,7 +895,8 @@ def test_shift_bits_is_the_least_shift_under_the_limit():
 
 def tier_scans(rng):
     """``scan_bounds`` at levels 1-11 on the true family and to its first offender on
-    each planted family, and ``scan_extrema`` at depths 3-10 on seeded cells."""
+    each planted family, and ``scan_extrema`` at depths 3-10 on seeded cells (its
+    circle search calls no ``limb_sign``, so its results come along unchanged)."""
     out = [bv.scan_bounds(level) for level in range(1, 12)]
     for gens, first, _ in PLANTED:
         with pytest.MonkeyPatch.context() as patch:
@@ -953,17 +1084,17 @@ def read_only_limb_sign(monkeypatch, module):
 
 
 @pytest.mark.parametrize("bound, dtype", [(2**59, "int64"), (13**3, "object")])
-def test_block_scans_leave_their_inputs_unchanged(monkeypatch, bound, dtype):
+def test_block_scans_leave_their_inputs_unchanged(monkeypatch, fresh_circles, bound, dtype):
     """``subtree_levels`` steps every yielded block again to make its
-    children, so a scan that wrote into a block through an ``out=`` view
-    would corrupt the walk without an error: every block and every
-    ``limb_sign`` factor must read after the scan as it did before."""
+    children, so a scan or a circle build that wrote into a block through an
+    ``out=`` view would corrupt the walk without an error: every block and
+    every ``limb_sign`` factor must read after the scan as it did before."""
     import numpy as np
 
     monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
     monkeypatch.setattr(core, "BLOCK_ROWS", 3**4)
     blocks = [snapshot_blocks(monkeypatch, dv), snapshot_blocks(monkeypatch, bv)]
-    calls = [read_only_limb_sign(monkeypatch, dv), read_only_limb_sign(monkeypatch, bv)]
+    calls = [read_only_limb_sign(monkeypatch, bv)]
     for c in (SCAN_MEASURES[-1], KUSUOKA):
         assert dv.scan_extrema(c, "2", 7) == reference_scan_extrema(c, "2", 7)
     assert bv.scan_bounds(7) is None
@@ -982,22 +1113,23 @@ def poison_fresh_scratch(monkeypatch):
     list of the arrays made."""
     real, made = core.scratch, []
 
-    def scratch(rows, gens, levels, own, per_row):
-        buf, bound = real(rows, gens, levels, own, per_row)
+    def scratch(rows, gens, levels, own):
+        buf, bound = real(rows, gens, levels, own)
         buf.fill(SENTINEL)
         made.append(buf)
         return buf, bound
 
-    for module in (core, dv, bv):
+    for module in (core, bv):
         monkeypatch.setattr(module, "scratch", scratch)
     return made
 
 
 @pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
-def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block):
+def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, fresh_circles, block):
     """The scans' scratch, sentinel-filled when made, is reused across their
-    blocks: the Kusuoka measure's all-tie blocks, the captured deep extrema
-    and the planted deep offenders come out the same at every block size."""
+    blocks: the planted deep offenders come out the same at every block size,
+    and so do the Kusuoka measure's all-tie scan and the captured deep extrema
+    on circle orders built at that block size."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     poison_fresh_scratch(monkeypatch)
     first = VertexAddress("0", 1)
@@ -1013,23 +1145,23 @@ def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, block)
 
 
 @pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
-def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch, block):
-    """Each scan call makes exactly one ``core.scratch`` array: the scan's
-    own rows plus the eight of ``core.limb_sign``, as wide as the widest
-    block the call's walk yields, times the three edge midpoints of a row
-    for ``scan_extrema``."""
+def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch, fresh_circles, block):
+    """Each ``scan_bounds`` call makes exactly one ``core.scratch`` array: its
+    four own rows (coordinates and total) plus the eight of ``core.limb_sign``,
+    as wide as the widest block the call's walk yields.  ``scan_extrema``
+    makes none, its circle build included."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     made = poison_fresh_scratch(monkeypatch)
-    blocks = {dv.scan_extrema: snapshot_blocks(monkeypatch, dv), bv.scan_bounds: snapshot_blocks(monkeypatch, bv)}
-    cases = [(dv.scan_extrema, (SCAN_MEASURES[-1], "2", depth), 3) for depth in (1, 2, 3, 5, 6, 9, 10)]
-    cases += [(bv.scan_bounds, (level,), 1) for level in (0, 1, 2, 4, 5, 8, 11)]
-    own_rows = {dv.scan_extrema: 2, bv.scan_bounds: 4}  # numerators and denominators; coordinates and total
-    for scan, args, per_row in cases:
+    blocks = snapshot_blocks(monkeypatch, bv)
+    for depth in (1, 2, 3, 5, 6, 9, 10):
+        dv.scan_extrema(SCAN_MEASURES[-1], "2", depth)
+    assert made == []
+    for level in (0, 1, 2, 4, 5, 8, 11):
         made.clear()
-        blocks[scan].clear()
-        scan(*args)
-        widest = max(len(fam) for fam, _ in blocks[scan])
-        assert [buf.shape for buf in made] == [(own_rows[scan] + 8, per_row * widest)], (scan.__name__, args)
+        blocks.clear()
+        bv.scan_bounds(level)
+        widest = max(len(fam) for fam, _ in blocks)
+        assert [buf.shape for buf in made] == [(4 + 8, widest)], level
 
 
 def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
@@ -1038,7 +1170,7 @@ def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
     rows, seen = ((2, -7, 1), (3, 3, 3)), set()
     for levels in range(1, 6):
-        buf, bound = core.scratch(rows, MASS_SCALED, levels, 2, 3)
+        buf, bound = core.scratch(rows, MASS_SCALED, levels, 2)
         walked = {str(fam.dtype) for _, _, level in subtree_levels(rows, levels) for fam in level}
         assert walked == {str(buf.dtype)} and bound == 2 * 7 * STRIDE_GROWTH[levels - 1], levels
         seen |= walked
@@ -1066,7 +1198,7 @@ def spy_walk(monkeypatch, module):
     return calls
 
 
-def test_scan_extrema_refuses_an_oversized_scan_before_its_walk(monkeypatch):
+def test_scan_extrema_refuses_an_oversized_scan_before_its_walk(monkeypatch, fresh_circles):
     calls = spy_walk(monkeypatch, dv)
     c = (Fraction(3), ONE, Fraction(2))
     refused = [("", EXTREMA_DEPTH_MAX + 1, f"between 1 and {EXTREMA_DEPTH_MAX}, got {EXTREMA_DEPTH_MAX + 1}"),
