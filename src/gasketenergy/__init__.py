@@ -31,7 +31,7 @@ LEVEL_LIMIT = 16
 NEGATIVE_DEPTH_MAX = 12
 #: Deepest ``scan_extrema``: 0.1-0.2 ms a scan after one build of its circle order (at 12: 0.12-0.16 s, 15 MB).
 EXTREMA_DEPTH_MAX = 12
-#: Deepest ``scan_bounds``: 0.63-0.75 s (``int64`` holds through level 17, so time sets the cap).
+#: Deepest ``scan_bounds``: 0.56-0.76 s (``int64`` holds through level 17, so time sets the cap).
 BOUNDS_LEVEL_MAX = 15
 #: Deepest ``monotone_left_right``: 2^12 bottom-edge cells, 0.004 s.
 MONOTONE_LEVEL_MAX = 12

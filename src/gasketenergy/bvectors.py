@@ -203,8 +203,8 @@ def _first_offender(rows, buf, bound: int) -> Optional[int]:
     """Index of the first row of block ``rows`` (``core.subtree_levels``) with e2 <= 0 or T <= 0,
     the ``scan_bounds`` verdict, or None.  The coordinates go once into rows 0-2 of the caller's
     ``core.scratch`` ``buf``, and c0 + c1, then T, into row 3: one ``limb_sign`` pass on
-    e2 = c0*c1 + c2*(c0 + c1), exact on ``object`` arrays and on ``int64`` with every |c_j| and
-    |c0 + c1| at most ``bound`` (``core.scratch``'s)."""
+    e2 = c0*c1 + c2*(c0 + c1), exact with every |c_j| and |c0 + c1| at most ``bound``
+    (``core.scratch``'s)."""
     import numpy as np
 
     cols, total = buf[:3, :len(rows)], buf[3, :len(rows)]
@@ -236,8 +236,8 @@ def scan_bounds(max_level: int) -> Optional[str]:
     has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
     what makes the scan a check.
 
-    ``core.subtree_levels`` walks the rows as numpy level arrays of the dtype
-    it proves before any work (``int64`` through level 17, past the cap
+    ``core.subtree_levels`` walks the rows as ``int64`` level arrays, which
+    it proves exact before any work (through level 17, past the cap
     ``BOUNDS_LEVEL_MAX`` = 15; a larger max_level is refused before the
     walk), so every answer is exact.  ``core.scratch``, handed the walk once
     before it starts, gives the call its one scratch array, as wide as the

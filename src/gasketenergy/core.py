@@ -18,15 +18,16 @@ computed as the inverse of ``P_i``, never typed in from a hand-made table.
   ``Fraction`` at its end.  ``row_walk`` steps ``STRIDE`` letters at a time
   by one product of ``MASS_STRIDE``, the mass family's ``stride_table``
   built once at import; the tree walk ``walk_level`` runs any step.
-* The block walk ``subtree_levels`` steps runs of subcells as numpy arrays
-  of the dtype ``array_dtype`` proves from ``row_bound``, and ``limb_sign``
-  compares values on them exactly.  A scan hands ``scratch`` its walk once
-  and gets back its one scratch array and its one factor bound B, and
-  ``limb_sign`` picks its integer tier from B: up to ``SHIFT_BOUND`` (about
-  2**45) a certified shift-and-wrap test (factors shifted to 31 bits decide
-  every sign they can prove, and below that cut the value fits ``int64``, so
-  its products taken mod 2**64 are exact), above it 30-bit limbs.  numpy is
-  imported only when these run.
+* The block walk ``subtree_levels`` steps runs of subcells as arrays of one
+  dtype, ``int64``, once ``int64_walk`` has proved from ``row_bound`` that
+  no entry leaves it (a walk past the proof is refused before any work),
+  and ``limb_sign`` compares values on them exactly.  A scan hands
+  ``scratch`` its walk once and gets back its one scratch array and its one
+  factor bound B, and ``limb_sign`` picks its integer tier from B: up to
+  ``SHIFT_BOUND`` (about 2**45) a certified shift-and-wrap test (factors
+  shifted to 31 bits decide every sign they can prove, and below that cut
+  the value fits ``int64``, so its products taken mod 2**64 are exact),
+  above it 30-bit limbs.  numpy is imported only when these run.
 * Addressing: ``check_word``, ``lex_word``, ``VertexAddress``.
 
 Tuples are immutable, so they are safe to share across threads and processes.
@@ -261,27 +262,26 @@ def _walk(m: int, stack: list, step) -> Iterator[tuple[str, Any]]:
             stack += [(word + ch, step(row, j)) for j, ch in ((2, "2"), (1, "1"), (0, "0"))]
 
 
-def array_children(rows, gens: Sequence[IntMat], dtype: str):
+def array_children(rows, gens: Sequence[IntMat]):
     """Every row stepped by every generator: an ``(n, 3)`` array (or a list
-    of rows) in, the ``(len(gens) * n, 3)`` array of children out, row
-    ``i`` stepped by ``gens[j]`` at ``len(gens) * i + j``, by one product.
+    of rows) in, the ``(len(gens) * n, 3)`` ``int64`` array of children out,
+    row ``i`` stepped by ``gens[j]`` at ``len(gens) * i + j``, by one product.
 
-    ``dtype="int64"`` is exact only while no entry or partial sum leaves the
-    ``int64`` range, which ``subtree_levels`` proves by ``array_dtype``
-    before its walk; ``dtype="object"`` holds Python ints and is always
-    exact.  numpy is imported here, so importing this module does not load it.
+    Exact only while no entry or partial sum leaves the ``int64`` range,
+    which ``subtree_levels`` proves by ``int64_walk`` before its walk.
+    numpy is imported here, so importing this module does not load it.
     """
     import numpy as np
 
-    return (np.asarray(rows, dtype=dtype) @ _columns(tuple(gens), dtype)).reshape(-1, 3)
+    return (np.asarray(rows, dtype="int64") @ _columns(tuple(gens))).reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=None)
-def _columns(gens: tuple, dtype: str):
-    """``array_children``'s read-only ``(3, 3 * len(gens))`` generator columns, built once per family and dtype."""
+def _columns(gens: tuple):
+    """``array_children``'s read-only ``(3, 3 * len(gens))`` generator columns, built once per family."""
     import numpy as np
 
-    cols = np.array([[g[i][j] for g in gens for j in range(3)] for i in range(3)], dtype=dtype)
+    cols = np.array([[g[i][j] for g in gens for j in range(3)] for i in range(3)], dtype="int64")
     cols.flags.writeable = False
     return cols
 
@@ -289,10 +289,9 @@ def _columns(gens: tuple, dtype: str):
 #: ``limb_sign``'s limb tier is exact on ``int64`` arrays whose factors all
 #: lie strictly between ``-LIMB_BOUND`` and ``LIMB_BOUND``.
 LIMB_BOUND = 2**60
-#: Level arrays run as ``int64`` when every row entry stays below this bound
-#: in absolute value: a sum of two entries is then a valid ``limb_sign``
-#: factor, and the scans form no sum above six entries (< 2**63).  Larger
-#: rows run on ``dtype=object`` arrays of Python ints.
+#: ``int64_walk`` admits a walk when every row entry stays below this bound
+#: (read when called) in absolute value: a sum of two entries is then a valid
+#: ``limb_sign`` factor, and the scans form no sum above six entries (< 2**63).
 INT64_ROW_BOUND = LIMB_BOUND // 2
 #: ``limb_sign`` runs its certified shift-and-wrap tier when the caller's
 #: factor bound is at most this (read when called), and its 30-bit limbs
@@ -317,12 +316,11 @@ def _shift_bits(bound: int) -> Optional[int]:
 def limb_sign(a, b, c, d, buf, bound: int):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
-    The four factors are numpy arrays of one length and dtype.  ``object``
-    arrays hold Python ints, which take the products directly.  On ``int64``
-    the caller proves |x| <= ``bound`` < ``LIMB_BOUND`` = 2**60 for every
-    factor x (``scan_bounds`` takes it from ``scratch``), and the products
-    may not fit.  Up to ``SHIFT_BOUND`` (read when called) the
-    certified tier decides the sign:
+    The four factors are ``int64`` arrays of one length.  The caller proves
+    |x| <= ``bound`` < ``LIMB_BOUND`` = 2**60 for every factor x
+    (``scan_bounds`` takes it from ``scratch``), and the products may not
+    fit.  Up to ``SHIFT_BOUND`` (read when called) the certified tier
+    decides the sign:
 
     * each factor is shifted, x' = x >> k with the least k that gives
       |x'| <= 2**31 - 1 (k <= 14), so A' = a'b' + c'd' fits in ``int64``;
@@ -338,11 +336,8 @@ def limb_sign(a, b, c, d, buf, bound: int):
     with ``0 <= l < 2**30`` instead; see ``_limb_sign``.  Either tier writes
     only the last eight rows of the caller's scratch ``buf`` (``scratch``;
     rows before them are the caller's), at least ``len(a)`` wide, and reads
-    no row it did not write; ``object`` arrays ignore it.
+    no row it did not write.
     """
-    if a.dtype == object:
-        v = a * b + c * d
-        return (v > 0).astype("int8") - (v < 0)
     k = _shift_bits(bound)
     rows = buf[-8:, :len(a)]
     if k is None:
@@ -418,10 +413,10 @@ def row_bound(rows: Iterable[IntRow], gens: Sequence[IntMat], levels: int) -> in
     return max(abs(x) for row in rows for x in row) * g[STRIDE] ** (levels // STRIDE) * g[levels % STRIDE]
 
 
-def array_dtype(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> str:
-    """``"int64"`` when ``rows`` walked ``levels >= 0`` letters by ``gens``
-    provably keep every entry and partial sum below ``INT64_ROW_BOUND``
-    (read when called), ``"object"`` otherwise.  The entries are proved by
+def int64_walk(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> None:
+    """Prove that ``rows`` walked ``levels >= 0`` letters by ``gens`` keep
+    every entry and partial sum below ``INT64_ROW_BOUND`` (read when called),
+    or raise ``ValueError`` naming the bound.  The entries are proved by
     ``row_bound(rows, gens, levels)``.  A partial sum of the step into level
     n takes some of a row's three products with one generator column, so it
     is at most g_1 = ``_growth(gens)[1]`` times ``row_bound`` at n - 1 <= ``levels - 1``.
@@ -429,7 +424,8 @@ def array_dtype(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> 
     bound = row_bound(rows, gens, levels)
     if levels:
         bound = max(bound, _growth(tuple(gens))[1] * row_bound(rows, gens, levels - 1))
-    return "int64" if bound < INT64_ROW_BOUND else "object"
+    if bound >= INT64_ROW_BOUND:
+        raise ValueError(f"rows walked {levels} letters may reach {bound}, past INT64_ROW_BOUND = {INT64_ROW_BOUND}")
 
 
 #: Rows stepped per ``array_children`` call of ``subtree_levels``: a yielded
@@ -440,7 +436,7 @@ BLOCK_ROWS = 3**7
 def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: int):
     """``(buf, bound)`` for one scan of ``subtree_levels(rows, levels, gens)``, ``levels >= 1``.
 
-    ``buf`` is the scan's one scratch, a new ``(own + 8, n)`` array in the walk's dtype: the
+    ``buf`` is the scan's one scratch, a new ``(own + 8, n)`` ``int64`` array: the
     caller's ``own`` rows, then the eight ``limb_sign`` takes from its end.  ``n`` is the number
     of rows in the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
     with ``BLOCK_ROWS`` read when called.  ``bound`` is the scan's ``limb_sign`` bound, twice
@@ -448,8 +444,8 @@ def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: in
     sum of two of them."""
     import numpy as np
 
-    dtype, width = array_dtype(rows, gens, levels - 1), min(3 ** (levels - 1), 3 * BLOCK_ROWS)
-    return np.empty((own + 8, width), dtype), 2 * row_bound(rows, gens, levels - 1)
+    width = min(3 ** (levels - 1), 3 * BLOCK_ROWS)
+    return np.empty((own + 8, width), "int64"), 2 * row_bound(rows, gens, levels - 1)
 
 
 def subtree_levels(rows: Sequence[IntRow], levels: int,
@@ -460,9 +456,10 @@ def subtree_levels(rows: Sequence[IntRow], levels: int,
     walked along ``lex_word(start + i, depth)``: a block is a run of words
     consecutive in word order on one level, and each word lies in exactly
     one block.  Each ``level[f]``, the root block's too, is an ``(n, 3)``
-    numpy array of the one dtype ``array_dtype`` proves for the deepest
-    level before any work.  Blocks are stepped by ``array_children``, at
-    most ``BLOCK_ROWS`` (read when the walk runs) rows at a time.
+    ``int64`` array.  Before any work ``int64_walk`` proves that ``int64``
+    holds through the deepest level, or the walk raises its ``ValueError``.
+    Blocks are stepped by ``array_children``, at most ``BLOCK_ROWS`` (read
+    when the walk runs) rows at a time.
 
     A level near the root that fits in one call is expanded whole; below
     that the walk goes depth-first, block by block in word order, and holds
@@ -472,8 +469,8 @@ def subtree_levels(rows: Sequence[IntRow], levels: int,
         return
     import numpy as np
 
-    dtype, per = array_dtype(rows, gens, levels - 1), BLOCK_ROWS
-    level = [np.array([r], dtype=dtype) for r in rows]
+    int64_walk(rows, gens, levels - 1)
+    per, level = BLOCK_ROWS, [np.array([r], dtype="int64") for r in rows]
     yield 0, 0, level
     stack = [(0, 0, level)] if levels > 1 else []  # yielded blocks with children still to walk
     while stack:
@@ -481,7 +478,7 @@ def subtree_levels(rows: Sequence[IntRow], levels: int,
         if len(level[0]) > per:
             stack.append((depth, start + per, [fam[per:] for fam in level]))
             level = [fam[:per] for fam in level]
-        kids = [array_children(fam, gens, dtype) for fam in level]
+        kids = [array_children(fam, gens) for fam in level]
         yield depth + 1, 3 * start, kids
         if depth + 2 < levels:
             stack.append((depth + 1, 3 * start, kids))

@@ -356,7 +356,7 @@ def _circle(depth: int):
         for (j, k), fam in zip(_EDGES, fams):
             keep = (x == j) | (x == k) | (x < 0)
             tail = "0" * (depth - 1 - level) + "1" if j else "0"
-            v = fam[keep].astype("int64")  # an object walk's too, as every entry is below 2**b
+            v = fam[keep]
             at, m, rest, den = at + len(v), slice(at, at + len(v)), v[:, 1] - v[:, 2], np.maximum(v[:, 0], 1)
             cols[m], keys[m] = v, stem[keep] + k + sum((int(ch) + 1) << 2 * (depth - level - i)
                                                       for i, ch in enumerate(tail))

@@ -7,9 +7,11 @@ than the integer ones.  The one allowed site is the body of
 ``measures.decompose_positive``, whose irrational branch takes a float
 square root.
 
-No module but ``core`` names the array step, the dtype proof, its bounds,
+No module but ``core`` names the array step, the ``int64`` proof, its bounds,
 ``limb_sign``'s tier bounds or the block size: the scans take all of them
-from ``core.subtree_levels`` and ``core.scratch``.
+from ``core.subtree_levels`` and ``core.scratch``.  The block kernel runs on
+``int64`` alone: ``core``, ``bvectors`` and ``derivatives`` name no
+``object`` dtype.
 
 ``harmonic`` names none of the row kernel or the generator families, so the
 harmonic oracle shares no arithmetic with the routes ``verify`` checks it
@@ -93,7 +95,7 @@ def test_guard_sees_each_kind_of_site():
     assert len(float_sites(ast.parse(source), "core")) == 6
 
 
-WALK_NAMES = {"array_children", "array_dtype", "INT64_ROW_BOUND", "BLOCK_ROWS", "row_bound", "LIMB_BOUND",
+WALK_NAMES = {"array_children", "int64_walk", "INT64_ROW_BOUND", "BLOCK_ROWS", "row_bound", "LIMB_BOUND",
               "SHIFT_BOUND"}
 
 
@@ -131,10 +133,36 @@ def test_walk_guard_sees_each_kind_of_name():
         "import gasketenergy.core as core\n"
         "n = core.BLOCK_ROWS + core.LIMB_BOUND\n"
         "INT64_ROW_BOUND = 7\n"
-        "def array_dtype(bound=SHIFT_BOUND): pass\n"
-        "# BLOCK_ROWS in a comment, and 'array_dtype' in a string\n"
+        "def int64_walk(bound=SHIFT_BOUND): pass\n"
+        "# BLOCK_ROWS in a comment, and 'int64_walk' in a string\n"
     )
     assert walk_names(ast.parse(source)) == WALK_NAMES
+
+
+def object_dtypes(tree: ast.AST) -> list[int]:
+    """Lines where ``tree`` names the ``object`` dtype: the name ``object``
+    (``dtype=object``, ``== object``), ``np.object_`` or the string ``"object"``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "object"
+                  or isinstance(node, ast.Attribute) and node.attr == "object_"
+                  or isinstance(node, ast.Constant) and node.value == "object")
+
+
+@pytest.mark.parametrize("module", ["core", "bvectors", "derivatives"])
+def test_the_block_kernel_names_no_object_dtype(module):
+    assert object_dtypes(ast.parse((SRC / f"{module}.py").read_text())) == []
+
+
+def test_object_guard_sees_each_form():
+    source = (
+        "a = np.empty(3, dtype=object)\n"
+        "b = np.asarray(a, 'object')\n"
+        "if a.dtype == object: pass\n"
+        "c = a.astype(np.object_)\n"
+        "# dtype=object in a comment, and 'an object' in a string\n"
+        "d = 'an object'\n"
+    )
+    assert object_dtypes(ast.parse(source)) == [1, 2, 3, 4]
 
 
 def own_checks(tree: ast.AST) -> set[str]:

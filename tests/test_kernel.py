@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from gasketenergy import bvectors as bv
 from gasketenergy import core
-from gasketenergy import BOUNDS_LEVEL_MAX, EXTREMA_DEPTH_MAX, derivatives as dv
+from gasketenergy import BOUNDS_LEVEL_MAX, EXTREMA_DEPTH_MAX, NORM_LEVEL_MAX, derivatives as dv
 from gasketenergy.core import (
     LETTERS,
     MASS_SCALED,
@@ -203,14 +203,14 @@ def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
     assert firsts == sorted(set(firsts)) and len(firsts) > 5  # more blocks than levels
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("dtype", ["int64"])
 def test_array_children_equal_the_row_step_level(dtype):
     rows = [(3, -1, 2), (0, 7, -5), (1, 1, 1)]
     for gens in (MASS_SCALED, REFINE_SCALED, (MASS_SCALED[2], MASS_SCALED[0])):
-        out = core.array_children(rows, gens, dtype)
+        out = core.array_children(rows, gens)
         assert out.dtype == dtype
         assert [tuple(int(x) for x in row) for row in out] == children(rows, gens)
-        assert [tuple(int(x) for x in row) for row in core.array_children(out, gens, dtype)] \
+        assert [tuple(int(x) for x in row) for row in core.array_children(out, gens)] \
             == children(children(rows, gens), gens)
 
 
@@ -219,10 +219,10 @@ def test_subtree_levels_of_no_levels_is_empty(levels):
     assert list(subtree_levels(((1, 1, 1),), levels)) == []
 
 
-@pytest.mark.parametrize("bound, dtype", [(2**59, "int64"), (13**3, "object")])
+@pytest.mark.parametrize("bound, dtype", [(2**59, "int64")])
 def test_subtree_levels_yields_arrays_of_one_dtype(monkeypatch, bound, dtype):
     """Every block, the root block included, is an ``(n, 3)`` array of the
-    dtype the walk proved for its deepest level."""
+    walk's one dtype."""
     import numpy as np
 
     monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
@@ -455,40 +455,14 @@ def test_scan_extrema_does_not_depend_on_the_block_size(monkeypatch, fresh_circl
             assert dv.scan_extrema(c, "1", depth) == reference_scan_extrema(c, "1", depth)
 
 
-def recorded_dtypes(monkeypatch):
-    """Patch ``core.array_children`` to record the dtype of every step."""
-    seen = set()
-    real = core.array_children
-
-    def spy(rows, gens, dtype):
-        seen.add(dtype)
-        return real(rows, gens, dtype)
-
-    monkeypatch.setattr(core, "array_children", spy)
-    return seen
-
-
-def test_scan_extrema_object_path_matches_reference(monkeypatch, fresh_circles):
-    """Over the budget (patched down to 13**3) the circle orders' walk runs on
-    Python ints from depth 5 on (9**4 > 13**3), and the scans come out the same."""
-    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
-    dtypes = recorded_dtypes(monkeypatch)
-    for c in SCAN_MEASURES:
-        for word in SCAN_WORDS:
-            for depth in range(1, 9):
-                assert dv.scan_extrema(c, word, depth) == reference_scan_extrema(c, word, depth), (c, word, depth)
-    assert dtypes == {"int64", "object"}
-
-
 def test_scan_extrema_budget_covers_only_the_edge_columns(monkeypatch, fresh_circles):
     """(1/7, 0, 0) has rows (1, 0, 0) and Kusuoka rows (7, 7, 7), past a
     budget of 50 after one letter, but the scan walks only the edge columns,
-    whose one level (growth 9) stays under it: the rows never reach an array."""
+    whose one level (growth 9) stays under it: the rows never reach an array,
+    so the walk is not refused."""
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 50)
-    dtypes = recorded_dtypes(monkeypatch)
     c = (Fraction(1, 7), ZERO, ZERO)
     assert dv.scan_extrema(c, "", 2) == reference_scan_extrema(c, "", 2)
-    assert dtypes == {"int64"}
 
 
 #: ``scan_extrema`` results captured from the list-walk implementation that
@@ -505,13 +479,11 @@ DEEP_SCANS = {
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_SCANS), ids=str)
-def test_deep_scan_extrema_equal_the_captured_results(monkeypatch, fresh_circles, case):
+def test_deep_scan_extrema_equal_the_captured_results(case):
     c, word, depth = case
-    dtypes = recorded_dtypes(monkeypatch)
     lo, hi, argmin, argmax = DEEP_SCANS[case]
     got = dv.scan_extrema(tuple(map(Fraction, c)), word, depth)
     assert got == (Fraction(lo), Fraction(hi), VertexAddress.parse(argmin), VertexAddress.parse(argmax))
-    assert dtypes == {"int64"}
 
 
 def test_kusuoka_scan_ties_everywhere():
@@ -714,21 +686,8 @@ def test_scan_bounds_does_not_depend_on_the_block_size(monkeypatch, block):
         assert bv.scan_bounds(level) == reference_scan_bounds(PLANTED_FAMILIES[0], level)
 
 
-def test_scan_bounds_runs_int64_under_the_budget(monkeypatch):
-    dtypes = recorded_dtypes(monkeypatch)
-    assert bv.scan_bounds(12) is None  # 13 * 9841**2 * 1093 < 2**41
-    assert dtypes == {"int64"}
-
-
-@pytest.mark.parametrize("gens", PLANTED_FAMILIES)
-def test_scan_bounds_object_path_matches_reference(monkeypatch, gens):
-    """Over the budget (patched down to 13**2) the same scan runs on Python ints."""
-    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**2)
-    monkeypatch.setattr(bv, "MASS_SCALED", gens)
-    dtypes = recorded_dtypes(monkeypatch)
-    for level in range(11):
-        assert bv.scan_bounds(level) == reference_scan_bounds(gens, level), level
-    assert dtypes == {"int64", "object"}
+def test_scan_bounds_runs_int64_under_the_budget():
+    assert bv.scan_bounds(12) is None  # 13 * 9841**2 * 1093 < 2**41: proved, not refused
 
 
 def limb_rows(rng):
@@ -749,7 +708,7 @@ def limb_rows(rng):
     return [r for r in rows if max(map(abs, r)) < 2**45]
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("dtype", ["int64"])
 def test_limb_sign_test_matches_python_ints(dtype):
     import numpy as np
 
@@ -783,7 +742,7 @@ def limb_quads(rng):
     return [q for q in quads if max(map(abs, q)) <= top]
 
 
-@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("dtype", ["int64"])
 def test_limb_sign_matches_python_ints_at_its_bound(dtype):
     import numpy as np
 
@@ -959,18 +918,50 @@ def test_row_bound_covers_every_product_through_8_letters():
     assert core.row_bound(((2, -7, 1),), MASS_SCALED, 11) == 7 * 9841**2 * 1093
 
 
-def test_array_dtype_proves_the_budget_before_any_work(monkeypatch):
+def test_int64_walk_proves_the_budget_before_any_work(monkeypatch):
     one = ((1, 1, 1),)
     # 9841**4 * 13 < 2**57 (and 13 * row_bound at 16 is the same): 17 letters are int64;
     # 9841**4 * 121 > 2**59 at 18.  scan_bounds' level cap, 15, sits below the last int64 level.
-    assert [core.array_dtype(one, MASS_SCALED, n) for n in (BOUNDS_LEVEL_MAX, 16, 17, 18)] == ["int64"] * 3 + ["object"]
-    assert core.array_dtype(one, MASS_SCALED, 13) == "int64"  # scan_bounds(13)
+    for n in (13, BOUNDS_LEVEL_MAX, 16, 17):
+        core.int64_walk(one, MASS_SCALED, n)
+    with pytest.raises(ValueError, match=f"INT64_ROW_BOUND = {2**59}"):
+        core.int64_walk(one, MASS_SCALED, 18)
     # the refine family's stride growth is 1, 75, 3525, 159375, 7175625
-    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 10) == "int64"  # 75 * 7175625**2 * 75 < 2**59
-    assert core.array_dtype(((1, 0, 0),), core.REFINE_SCALED, 11) == "object"  # 7175625**2 * 159375 > 2**62
+    core.int64_walk(((1, 0, 0),), core.REFINE_SCALED, 10)  # 75 * 7175625**2 * 75 < 2**59
+    with pytest.raises(ValueError, match="INT64_ROW_BOUND"):
+        core.int64_walk(((1, 0, 0),), core.REFINE_SCALED, 11)  # 7175625**2 * 159375 > 2**62
     monkeypatch.setattr(core, "INT64_ROW_BOUND", 7)
-    assert core.array_dtype(((2, -7, 1),), MASS_SCALED, 0) == "object"
-    assert core.array_dtype(((2, -6, 1),), MASS_SCALED, 0) == "int64"
+    with pytest.raises(ValueError, match="may reach 7, past INT64_ROW_BOUND = 7"):
+        core.int64_walk(((2, -7, 1),), MASS_SCALED, 0)
+    core.int64_walk(((2, -6, 1),), MASS_SCALED, 0)
+
+
+def test_each_scan_cap_lies_inside_the_int64_proof():
+    """The proof holds for each scan's walk at its cap, so raising a cap past
+    it fails here instead of in a caller's scan: ``scan_bounds(15)`` walks
+    15 letters of the mass family, the depth-12 circle 11 of the transposes,
+    ``operator_norm_scan(10)`` 10 of the refine transposes.  One more refine
+    letter, or 18 mass letters, is past it."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    core.int64_walk(((1, 1, 1),), MASS_SCALED, BOUNDS_LEVEL_MAX)
+    core.int64_walk(dv._EDGE_COLUMNS, dv._MASS_TRANSPOSED, EXTREMA_DEPTH_MAX - 1)
+    core.int64_walk(units, dv._REFINE_TRANSPOSED, NORM_LEVEL_MAX)
+    for walk in ((units, dv._REFINE_TRANSPOSED, NORM_LEVEL_MAX + 1), (((1, 1, 1),), MASS_SCALED, 18)):
+        with pytest.raises(ValueError, match="INT64_ROW_BOUND"):
+            core.int64_walk(*walk)
+
+
+def test_a_walk_past_the_proof_is_refused_before_any_work(monkeypatch, fresh_circles):
+    """Under a bound patched low, the walk and every scan on it raise the
+    proof's ``ValueError`` before a single ``array_children`` step."""
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 4)
+    steps, real = [], core.array_children
+    monkeypatch.setattr(core, "array_children", lambda *args: steps.append(args) or real(*args))
+    for run in (lambda: next(subtree_levels(((1, 1, 1),), 3)), lambda: bv.scan_bounds(7),
+                lambda: dv.operator_norm_scan(5), lambda: dv.scan_extrema(KUSUOKA, "", 7)):
+        with pytest.raises(ValueError, match="past INT64_ROW_BOUND = 4"):
+            run()
+    assert steps == []
 
 
 def test_bound_tests_are_strict_on_the_disk_rim():
@@ -981,16 +972,15 @@ def test_bound_tests_are_strict_on_the_disk_rim():
     test, T == -3 <= 0."""
     import numpy as np
 
-    def first_offender(*r, dtype=object):
-        return bv._first_offender(np.array(r, dtype=dtype), np.empty((12, len(r)), dtype=dtype), core.LIMB_BOUND - 1)
+    def first_offender(*r):
+        return bv._first_offender(np.array(r, dtype="int64"), np.empty((12, len(r)), "int64"), core.LIMB_BOUND - 1)
 
     assert e2((5, 20, -4)) == 0
     assert first_offender((1, 1, 1), (41, 7, 7)) is None
     assert first_offender((1, 1, 1), (5, 20, -4), (1, 0, 0)) == 1
     assert first_offender((1, 0, 0)) == 0  # c_0 == T: weight 2/3
     assert e2((-1, -1, -1)) == 3
-    for dtype in ("int64", object):
-        assert first_offender((1, 1, 1), (-1, -1, -1), dtype=dtype) == 1
+    assert first_offender((1, 1, 1), (-1, -1, -1)) == 1
 
 
 def three_tests_fail(row):
@@ -1015,12 +1005,12 @@ def bound_rows(top):
     return st.one_of(st.tuples(coord, coord, coord), multiples, near_rim)
 
 
-@pytest.mark.parametrize("dtype, top", [("int64", 2**58), ("object", 2**80)], ids=["int64", "object"])
+@pytest.mark.parametrize("dtype, top", [("int64", 2**58)], ids=["int64"])
 @given(data=st.data())
 def test_first_offender_decides_the_three_tests_by_the_disk_and_the_total(dtype, top, data):
     """``_first_offender`` tests only e2 > 0 and T > 0, yet on every row its
     verdict is that of the three inequalities, each row alone and a block's
-    first offender; ``int64`` rows stay below 2**59, object rows go past it."""
+    first offender; the ``int64`` rows stay below 2**59."""
     import numpy as np
 
     rows = data.draw(st.lists(bound_rows(top), min_size=1, max_size=30))
@@ -1083,7 +1073,7 @@ def read_only_limb_sign(monkeypatch, module):
     return calls
 
 
-@pytest.mark.parametrize("bound, dtype", [(2**59, "int64"), (13**3, "object")])
+@pytest.mark.parametrize("bound, dtype", [(2**59, "int64")])
 def test_block_scans_leave_their_inputs_unchanged(monkeypatch, fresh_circles, bound, dtype):
     """``subtree_levels`` steps every yielded block again to make its
     children, so a scan or a circle build that wrote into a block through an
@@ -1164,17 +1154,14 @@ def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch,
         assert [buf.shape for buf in made] == [(4 + 8, widest)], level
 
 
-def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
+def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound():
     """``core.scratch`` gives a scan the dtype its walk yields and its one
     ``limb_sign`` bound, twice ``row_bound`` at the walk's deepest level."""
-    monkeypatch.setattr(core, "INT64_ROW_BOUND", 13**3)
-    rows, seen = ((2, -7, 1), (3, 3, 3)), set()
+    rows = ((2, -7, 1), (3, 3, 3))
     for levels in range(1, 6):
         buf, bound = core.scratch(rows, MASS_SCALED, levels, 2)
         walked = {str(fam.dtype) for _, _, level in subtree_levels(rows, levels) for fam in level}
-        assert walked == {str(buf.dtype)} and bound == 2 * 7 * STRIDE_GROWTH[levels - 1], levels
-        seen |= walked
-    assert seen == {"int64", "object"}
+        assert walked == {str(buf.dtype)} == {"int64"} and bound == 2 * 7 * STRIDE_GROWTH[levels - 1], levels
 
 
 # ---------------------------------------------------------------------------
@@ -1259,13 +1246,11 @@ def reference_monotone_left_right(m):
     return True
 
 
-def test_operator_norm_scan_equals_reference(monkeypatch):
+def test_operator_norm_scan_equals_reference():
     """Up to the cap m = 10 the walk over the transposes (stride growth 1, 53,
     2425, 109325, 4920625; 53 * 4920625**2 * 53 < 2**56) steps in int64."""
-    dtypes = recorded_dtypes(monkeypatch)
     for m in range(11):
         assert dv.operator_norm_scan(m) == reference_operator_norm_scan(m), m
-    assert dtypes == {"int64"}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
