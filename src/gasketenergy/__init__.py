@@ -1,6 +1,6 @@
 """Exact energy-measure arithmetic on the Sierpinski gasket.
 
-Subpackages by role:
+Modules by role:
 
 - ``core``        exact scalars/vectors/matrices, words, vertex addresses
 - ``harmonic``    harmonic functions from boundary triples, energies

@@ -16,7 +16,7 @@ agreement is one of this package's strongest end-to-end checks.  The
 triples live in a disk of squared radius 1/6 around the barycenter; the
 bounds are strict at every finite word and sharp only in the limit, which
 ``scan_bounds`` verifies wholesale with integer arithmetic on the column-sum
-rows of every word, walked by the shared block walk ``core.subtree_levels``.
+rows of every word, by ``core.first_outside_cone`` on the shared block walk.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from .core import (
     Vec3,
     VertexAddress,
     check_word,
+    first_outside_cone,
     int_row,
-    lex_word,
-    limb_sign,
     row_step,
     row_walk,
-    scratch,
-    subtree_levels,
     walk_level,
 )
 from .measures import KUSUOKA, MeasureCoeffs, _refine_step, level1_from_coeffs, measure_of_cell
@@ -199,21 +196,6 @@ def rows_agree(p: IntRow, c: IntRow, x: IntRow) -> bool:
         6 * t * pj == s * (t + 3 * cj) and 12 * q * pj == s * (15 * xj - q) for pj, cj, xj in zip(p, c, x))
 
 
-def _first_offender(rows, buf, bound: int) -> Optional[int]:
-    """Index of the first row of block ``rows`` (``core.subtree_levels``) with e2 <= 0 or T <= 0,
-    the ``scan_bounds`` verdict, or None.  The coordinates go once into rows 0-2 of the caller's
-    ``core.scratch`` ``buf``, and c0 + c1, then T, into row 3: one ``limb_sign`` pass on
-    e2 = c0*c1 + c2*(c0 + c1), exact with every |c_j| and |c0 + c1| at most ``bound``
-    (``core.scratch``'s)."""
-    import numpy as np
-
-    cols, total = buf[:3, :len(rows)], buf[3, :len(rows)]
-    np.copyto(cols, rows.T)
-    bad = limb_sign(*cols, np.add(cols[0], cols[1], out=total), buf, bound) <= 0
-    bad |= np.add(total, cols[2], out=total) <= 0
-    return int(bad.argmax()) if bad.any() else None
-
-
 def scan_bounds(max_level: int) -> Optional[str]:
     """Exhaustively verify the strict weight bounds up to a level.
 
@@ -231,29 +213,20 @@ def scan_bounds(max_level: int) -> Optional[str]:
     3u_j^2 <= 2 sum u^2 = 2(6T^2 - 18 e2) < 12 T^2, and |u_j| < 2T gives
     T + 3c_j > 0 and c_j < T.  Conversely the tests T + 3c_j > 0 add up to
     6T > 0.  So a word fails iff e2 <= 0 or T <= 0, the two tests that
-    ``_first_offender`` evaluates.  Each mass generator scales e2 by
+    ``core.first_outside_cone`` evaluates.  Each mass generator scales e2 by
     exactly 9 (M_j A M_j^T == 9 A for its matrix A), so every level-m row
     has e2 == 3 * 9^m; the tests are still evaluated on every word, which is
     what makes the scan a check.
 
-    ``core.subtree_levels`` walks the rows as ``int64`` level arrays, which
-    it proves exact before any work (through level 17, past the cap
+    ``core.first_outside_cone`` walks the rows as ``int64`` level arrays,
+    which it proves exact before any work (through level 17, past the cap
     ``BOUNDS_LEVEL_MAX`` = 15; a larger max_level is refused before the
-    walk), so every answer is exact.  ``core.scratch``, handed the walk once
-    before it starts, gives the call its one scratch array, as wide as the
-    widest block, which every block reuses, and its one ``limb_sign`` bound on the
-    e2 test's factors (the c0 + c1 factor is the largest), so ``limb_sign``
-    runs its certified tier through level 13 and its limbs from level 14 on.
-
-    Returns the lexicographically first offending word, or None when every
-    word passes: the least of each block's first offender, which is the
-    lexicographically first offender because a prefix sorts before its
-    extensions.
+    walk), so every answer is exact.  It owns the scan's one scratch array,
+    as wide as the widest block, which every block reuses, and its one
+    bound on the e2 test's factors (the c0 + c1 factor is the largest), so
+    its sign test runs its certified tier through level 13 and its limbs
+    from level 14 on.  It returns the lexicographically first offending
+    word, or None when every word passes.
     """
     check_range("max_level", max_level, 0, BOUNDS_LEVEL_MAX)
-    hits, (buf, bound) = [], scratch(((1, 1, 1),), MASS_SCALED, max_level + 1, 4)
-    for depth, start, (rows,) in subtree_levels(((1, 1, 1),), max_level + 1, MASS_SCALED):
-        i = _first_offender(rows, buf, bound)
-        if i is not None:
-            hits.append(lex_word(start + i, depth))
-    return min(hits, default=None)
+    return first_outside_cone(((1, 1, 1),), max_level + 1, MASS_SCALED)

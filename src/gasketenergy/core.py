@@ -20,14 +20,14 @@ computed as the inverse of ``P_i``, never typed in from a hand-made table.
   built once at import; the tree walk ``walk_level`` runs any step.
 * The block walk ``subtree_levels`` steps runs of subcells as arrays of one
   dtype, ``int64``, once ``int64_walk`` has proved from ``row_bound`` that
-  no entry leaves it (a walk past the proof is refused before any work),
-  and ``limb_sign`` compares values on them exactly.  A scan hands
-  ``scratch`` its walk once and gets back its one scratch array and its one
-  factor bound B, and ``limb_sign`` picks its integer tier from B: up to
-  ``SHIFT_BOUND`` (about 2**45) a certified shift-and-wrap test (factors
-  shifted to 31 bits decide every sign they can prove, and below that cut
-  the value fits ``int64``, so its products taken mod 2**64 are exact),
-  above it 30-bit limbs.  numpy is imported only when these run.
+  no entry leaves it (a walk past the proof is refused before any work).
+  ``first_outside_cone``, the weight-disk scan on it, owns its one scratch
+  array, its one factor bound B and its exact sign test, whose integer
+  tier B picks: up to ``SHIFT_BOUND`` (about 2**45) a certified
+  shift-and-wrap test (factors shifted to 31 bits decide every sign they
+  can prove, and below that cut the value fits ``int64``, so its products
+  taken mod 2**64 are exact), above it 30-bit limbs.  numpy is imported
+  only when these run.
 * Addressing: ``check_word``, ``lex_word``, ``VertexAddress``.
 
 Tuples are immutable, so they are safe to share across threads and processes.
@@ -212,10 +212,10 @@ def row_step(row: IntRow, g: IntMat) -> IntRow:
 STRIDE = 4
 
 
-def stride_table(gens: Sequence[IntMat], k: int = STRIDE) -> dict[str, IntMat]:
-    """The product of ``gens`` along each word of at most ``k`` letters, keyed by the word."""
+def stride_table(gens: Sequence[IntMat]) -> dict[str, IntMat]:
+    """The product of ``gens`` along each word of at most ``STRIDE`` letters, keyed by the word."""
     table = level = {"": ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-    for _ in range(k):
+    for _ in range(STRIDE):
         level = {w + ch: tuple(row_step(r, g) for r in m)  # type: ignore[misc]
                  for w, m in level.items() for ch, g in zip(LETTERS, gens)}
         table = {**table, **level}
@@ -286,14 +286,14 @@ def _columns(gens: tuple):
     return cols
 
 
-#: ``limb_sign``'s limb tier is exact on ``int64`` arrays whose factors all
+#: ``_pair_sign``'s limb tier is exact on ``int64`` arrays whose factors all
 #: lie strictly between ``-LIMB_BOUND`` and ``LIMB_BOUND``.
 LIMB_BOUND = 2**60
 #: ``int64_walk`` admits a walk when every row entry stays below this bound
 #: (read when called) in absolute value: a sum of two entries is then a valid
-#: ``limb_sign`` factor, and the scans form no sum above six entries (< 2**63).
+#: ``_pair_sign`` factor, and the scans form no sum above six entries (< 2**63).
 INT64_ROW_BOUND = LIMB_BOUND // 2
-#: ``limb_sign`` runs its certified shift-and-wrap tier when the caller's
+#: ``_pair_sign`` runs its certified shift-and-wrap tier when the caller's
 #: factor bound is at most this (read when called), and its 30-bit limbs
 #: above it: (2**31 - 1) * 2**14, about 2**45, the largest bound whose shift
 #: is at most 14 bits, which keeps the values the tier wraps below 2**62.
@@ -313,14 +313,13 @@ def _shift_bits(bound: int) -> Optional[int]:
     return k + (bound > _SHIFT_TOP << k)
 
 
-def limb_sign(a, b, c, d, buf, bound: int):
+def _pair_sign(a, b, c, d, rows, bound: int):
     """Elementwise sign of ``a*b + c*d`` as an ``int8`` array of -1, 0, 1.
 
     The four factors are ``int64`` arrays of one length.  The caller proves
-    |x| <= ``bound`` < ``LIMB_BOUND`` = 2**60 for every factor x
-    (``scan_bounds`` takes it from ``scratch``), and the products may not
-    fit.  Up to ``SHIFT_BOUND`` (read when called) the certified tier
-    decides the sign:
+    |x| <= ``bound`` < ``LIMB_BOUND`` = 2**60 for every factor x, and the
+    products may not fit.  Up to ``SHIFT_BOUND`` (read when called) the
+    certified tier decides the sign:
 
     * each factor is shifted, x' = x >> k with the least k that gives
       |x'| <= 2**31 - 1 (k <= 14), so A' = a'b' + c'd' fits in ``int64``;
@@ -333,20 +332,19 @@ def limb_sign(a, b, c, d, buf, bound: int):
       exact value once read back as ``int64``.
 
     Above ``SHIFT_BOUND`` each factor splits into limbs ``x = h * 2**30 + l``
-    with ``0 <= l < 2**30`` instead; see ``_limb_sign``.  Either tier writes
-    only the last eight rows of the caller's scratch ``buf`` (``scratch``;
-    rows before them are the caller's), at least ``len(a)`` wide, and reads
-    no row it did not write.
+    with ``0 <= l < 2**30`` instead; see ``_limb_sign``.  Either tier works
+    in the eight ``int64`` rows ``rows``, at least ``len(a)`` wide: it writes
+    none of their entries past ``len(a)`` and reads none it did not write.
     """
     k = _shift_bits(bound)
-    rows = buf[-8:, :len(a)]
+    rows = rows[:, :len(a)]
     if k is None:
         return _limb_sign(a, b, c, d, rows)
     return _wrap_sign((a, b, c, d), rows, k, 4 * -(-bound >> k) + 2)
 
 
 def _wrap_sign(factors, rows, k: int, cut: int):
-    """``limb_sign``'s certified tier: sign(A') where |A'| >= ``cut``, else the sign of the wrapped sum."""
+    """``_pair_sign``'s certified tier: sign(A') where |A'| >= ``cut``, else the sign of the wrapped sum."""
     import numpy as np
 
     a, b, c, d = (np.right_shift(x, k, out=row) for x, row in zip(factors, rows))
@@ -361,7 +359,7 @@ def _wrap_sign(factors, rows, k: int, cut: int):
 
 
 def _limb_sign(a, b, c, d, rows):
-    """``limb_sign``'s limb tier, exact with every |factor| < ``LIMB_BOUND`` = 2**60.
+    """``_pair_sign``'s limb tier, exact with every |factor| < ``LIMB_BOUND`` = 2**60.
 
     With x = h * 2**30 + l, |h| <= 2**30 and the limb sums are
 
@@ -433,21 +431,6 @@ def int64_walk(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int) -> N
 BLOCK_ROWS = 3**7
 
 
-def scratch(rows: Sequence[IntRow], gens: Sequence[IntMat], levels: int, own: int):
-    """``(buf, bound)`` for one scan of ``subtree_levels(rows, levels, gens)``, ``levels >= 1``.
-
-    ``buf`` is the scan's one scratch, a new ``(own + 8, n)`` ``int64`` array: the
-    caller's ``own`` rows, then the eight ``limb_sign`` takes from its end.  ``n`` is the number
-    of rows in the widest block that walk yields, min(3**(levels - 1), 3 * ``BLOCK_ROWS``),
-    with ``BLOCK_ROWS`` read when called.  ``bound`` is the scan's ``limb_sign`` bound, twice
-    ``row_bound(rows, gens, levels - 1)``, which bounds every entry the walk yields and every
-    sum of two of them."""
-    import numpy as np
-
-    width = min(3 ** (levels - 1), 3 * BLOCK_ROWS)
-    return np.empty((own + 8, width), "int64"), 2 * row_bound(rows, gens, levels - 1)
-
-
 def subtree_levels(rows: Sequence[IntRow], levels: int,
                    gens: Sequence[IntMat] = MASS_SCALED) -> Iterator[tuple[int, int, list]]:
     """Block walk over the words ``u`` with ``len(u) < levels``.
@@ -482,6 +465,42 @@ def subtree_levels(rows: Sequence[IntRow], levels: int,
         yield depth + 1, 3 * start, kids
         if depth + 2 < levels:
             stack.append((depth + 1, 3 * start, kids))
+
+
+def first_outside_cone(rows: Sequence[IntRow], levels: int, gens: Sequence[IntMat]) -> Optional[str]:
+    """The lexicographically first word u, ``len(u) < levels``, whose row (``rows``' one root
+    row walked along u by ``gens``) has e2 = c0*c1 + c1*c2 + c0*c2 <= 0 or total T <= 0, or
+    None when every row lies strictly inside that cone; ``levels >= 1``.
+
+    Before its walk, ``subtree_levels(rows, levels, gens)``, the call makes its one ``(12, n)``
+    ``int64`` scratch, which every block reuses, n = min(3**(levels - 1), 3 * ``BLOCK_ROWS``)
+    the widest block's rows, and takes B = 2 * ``row_bound(rows, gens, levels - 1)``, which
+    bounds every entry walked and every sum of two, and so picks ``_pair_sign``'s tier.  The least
+    of the blocks' first offenders is the first overall: a prefix sorts before its extensions.
+    """
+    import numpy as np
+
+    buf = np.empty((12, min(3 ** (levels - 1), 3 * BLOCK_ROWS)), "int64")
+    bound, hits = 2 * row_bound(rows, gens, levels - 1), []
+    for depth, start, (block,) in subtree_levels(rows, levels, gens):
+        i = _first_offender(block, buf, bound)
+        if i is not None:
+            hits.append(lex_word(start + i, depth))
+    return min(hits, default=None)
+
+
+def _first_offender(block, buf, bound: int) -> Optional[int]:
+    """Index of the first row of ``block`` with e2 <= 0 or T <= 0, or None.  The coordinates go
+    once into rows 0-2 of ``first_outside_cone``'s scratch ``buf`` and c0 + c1, then T, into
+    row 3; rows 4-11 take one ``_pair_sign`` pass on e2 = c0*c1 + c2*(c0 + c1), exact with every
+    |c_j| and |c0 + c1| at most ``bound``."""
+    import numpy as np
+
+    cols, total = buf[:3, :len(block)], buf[3, :len(block)]
+    np.copyto(cols, block.T)
+    bad = _pair_sign(*cols, np.add(cols[0], cols[1], out=total), buf[4:], bound) <= 0
+    bad |= np.add(total, cols[2], out=total) <= 0
+    return int(bad.argmax()) if bad.any() else None
 
 
 _FAMILIES: Mapping[str, tuple[Mat3, Mat3, Mat3]] = {

@@ -320,7 +320,9 @@ def _witness(word: str, key: int, depth: int) -> VertexAddress:
 def _circle(depth: int):
     """``(cols, keys)`` for ``scan_extrema``: the 3**``depth`` distinct points
     among the columns M_u (e_j + e_k), |u| < ``depth``, in circle order, with
-    the least key of each, as read-only arrays built on first use.
+    the least key of each, as read-only arrays built on first use.  Each
+    depth's table stays resident for the process (15 MB at depth 12, 5 MB at
+    11, under 1 MB below), the price of building it once for every scan.
 
     The key of the midpoint u j : k is the string u j in base-4 digits
     (letter + 1) from 4**depth down, then k: keys order as addresses do.

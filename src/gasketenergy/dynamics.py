@@ -398,10 +398,13 @@ def boundary_orbit_histogram(seeds: Sequence[tuple[float, float]] = DEFAULT_SEED
     Seeds must sit on the boundary circle (1e-9 tolerance).  Angles are
     folded into the reporting arc by the rotation (and, for the sixth,
     reflection) symmetries of the map family, so a seed anywhere on the
-    circle lands in the report.
+    circle lands in the report.  The work is len(seeds) * 3**iters points,
+    so at most len(``DEFAULT_SEEDS``) * 3**(``LEVEL_LIMIT`` - iters) seeds,
+    the work of the largest default orbit, are taken before any work.
     """
     span = _check_arc(arc)
     _check_sizes("iters", iters, "bins", bins, jobs)
+    check_range("len(seeds)", len(seeds), 0, len(DEFAULT_SEEDS) * 3 ** (LEVEL_LIMIT - iters))
     for sx, sy in seeds:
         if not abs(sx * sx + sy * sy - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"seed ({sx}, {sy}) is not on the boundary circle")

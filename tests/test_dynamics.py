@@ -261,6 +261,22 @@ def test_orbit_counts_and_parallel_determinism():
     assert a == b
 
 
+def test_orbit_refuses_more_seeds_than_the_largest_orbits_work_before_any_work(monkeypatch):
+    """len(seeds) * 3**iters is the work, so past len(DEFAULT_SEEDS) * 3**(LEVEL_LIMIT - iters)
+    seeds the call raises before ``_count`` (which allocates the frontier) is reached."""
+    calls = []
+    monkeypatch.setattr(dy, "_count", lambda *args: calls.append(args) or np.zeros(4, np.int64))
+    for iters in (dy.LEVEL_LIMIT, 14, 10):
+        bound = len(dy.DEFAULT_SEEDS) * 3 ** (dy.LEVEL_LIMIT - iters)
+        with pytest.raises(ValueError, match=f"len\\(seeds\\) must be between 0 and {bound}, got {bound + 1}"):
+            dy.boundary_orbit_histogram(seeds=((0.0, 1.0),) * (bound + 1), iters=iters, bins=4)
+        assert calls == []
+        dy.boundary_orbit_histogram(seeds=((0.0, 1.0),) * bound, iters=iters, bins=4)  # the bound itself runs
+        assert len(calls) == 1 and calls.pop()[1].shape == (2, bound)
+    monkeypatch.undo()
+    assert dy.boundary_orbit_histogram(seeds=(), iters=3, bins=4).counts == (0, 0, 0, 0)
+
+
 def test_orbit_rejects_interior_seed():
     with pytest.raises(ValueError):
         dy.boundary_orbit_histogram(seeds=((0.2, 0.2),), iters=1, bins=4)

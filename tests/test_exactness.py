@@ -8,10 +8,11 @@ than the integer ones.  The one allowed site is the body of
 square root.
 
 No module but ``core`` names the array step, the ``int64`` proof, its bounds,
-``limb_sign``'s tier bounds or the block size: the scans take all of them
-from ``core.subtree_levels`` and ``core.scratch``.  The block kernel runs on
-``int64`` alone: ``core``, ``bvectors`` and ``derivatives`` name no
-``object`` dtype.
+the sign test's tier bounds or the block size: the scans take all of them
+from ``core.subtree_levels`` and ``core.first_outside_cone``.  The block
+kernel runs on ``int64`` alone: ``core``, ``bvectors`` and ``derivatives``
+name no ``object`` dtype.  Of the exact modules only ``core``'s functions and
+``derivatives._circle`` import numpy, so the kernel stays in ``core``.
 
 ``harmonic`` names none of the row kernel or the generator families, so the
 harmonic oracle shares no arithmetic with the routes ``verify`` checks it
@@ -163,6 +164,42 @@ def test_object_guard_sees_each_form():
         "d = 'an object'\n"
     )
     assert object_dtypes(ast.parse(source)) == [1, 2, 3, 4]
+
+
+#: The one function outside ``core`` that may import numpy, as ``(module, function)``.
+NUMPY_BODIES = {("derivatives", "_circle")}
+
+
+def numpy_imports(tree: ast.AST, module: str) -> list[int]:
+    """Lines where ``tree`` imports numpy (``import numpy``, ``import numpy as np``,
+    ``from numpy import ...``) outside a function of ``core`` and the ``NUMPY_BODIES``."""
+    allowed = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and (module == "core" or (module, f.name) in NUMPY_BODIES) for n in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in allowed and (
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"))
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_only_the_kernel_imports_numpy(module):
+    assert numpy_imports(ast.parse((SRC / f"{module}.py").read_text()), module) == []
+
+
+def test_numpy_guard_sees_each_form():
+    source = (
+        "import numpy\n"
+        "def _circle(depth):\n"
+        "    import numpy as np\n"
+        "    from numpy import empty\n"
+        "def scan(rows):\n"
+        "    import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "# import numpy in a comment, and 'from numpy import sign' in a string\n"
+        "s = 'import numpy'\n"
+    )
+    assert numpy_imports(ast.parse(source), "derivatives") == [1, 6, 7]
+    assert numpy_imports(ast.parse(source), "core") == [1, 7]
+    assert numpy_imports(ast.parse(source), "bvectors") == [1, 3, 4, 6, 7]
 
 
 def own_checks(tree: ast.AST) -> set[str]:

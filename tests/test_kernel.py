@@ -165,8 +165,8 @@ def test_row_walk_takes_one_step_per_stride_and_builds_nothing(monkeypatch):
 def test_stride_table_keys_are_the_words():
     """A chunk is looked up as itself: ``int(chunk, 3)`` would read "0_12",
     " 012" or a full-width digit as a letter word."""
-    table = core.stride_table(MASS_SCALED, 4)
-    assert sorted(table) == sorted(w for n in range(5) for w in words_of(n))
+    table = core.stride_table(MASS_SCALED)
+    assert sorted(table) == sorted(w for n in range(core.STRIDE + 1) for w in words_of(n))
     for chunk in ("0_12", " 012", "01\uff12", "0123", "3"):
         assert chunk not in table
 
@@ -203,12 +203,11 @@ def test_subtree_levels_visits_block_roots_in_word_order(monkeypatch):
     assert firsts == sorted(set(firsts)) and len(firsts) > 5  # more blocks than levels
 
 
-@pytest.mark.parametrize("dtype", ["int64"])
-def test_array_children_equal_the_row_step_level(dtype):
+def test_array_children_equal_the_row_step_level():
     rows = [(3, -1, 2), (0, 7, -5), (1, 1, 1)]
     for gens in (MASS_SCALED, REFINE_SCALED, (MASS_SCALED[2], MASS_SCALED[0])):
         out = core.array_children(rows, gens)
-        assert out.dtype == dtype
+        assert out.dtype == "int64"
         assert [tuple(int(x) for x in row) for row in out] == children(rows, gens)
         assert [tuple(int(x) for x in row) for row in core.array_children(out, gens)] \
             == children(children(rows, gens), gens)
@@ -219,19 +218,18 @@ def test_subtree_levels_of_no_levels_is_empty(levels):
     assert list(subtree_levels(((1, 1, 1),), levels)) == []
 
 
-@pytest.mark.parametrize("bound, dtype", [(2**59, "int64")])
-def test_subtree_levels_yields_arrays_of_one_dtype(monkeypatch, bound, dtype):
+def test_subtree_levels_yields_arrays_of_one_dtype(monkeypatch):
     """Every block, the root block included, is an ``(n, 3)`` array of the
-    walk's one dtype."""
+    walk's one dtype, ``int64``."""
     import numpy as np
 
-    monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 2**59)
     monkeypatch.setattr(core, "BLOCK_ROWS", 4)
     blocks = list(subtree_levels(((3, -1, 2), (1, 1, 1)), 6))
     assert blocks[0][0] == 0 and len(blocks) > 6
     for _, _, level in blocks:
         for fam in level:
-            assert isinstance(fam, np.ndarray) and fam.dtype == dtype and fam.shape[1:] == (3,)
+            assert isinstance(fam, np.ndarray) and fam.dtype == "int64" and fam.shape[1:] == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +706,14 @@ def limb_rows(rng):
     return [r for r in rows if max(map(abs, r)) < 2**45]
 
 
-@pytest.mark.parametrize("dtype", ["int64"])
-def test_limb_sign_test_matches_python_ints(dtype):
+def test_limb_sign_test_matches_python_ints():
+    """The e2 test on ``core._pair_sign``'s limbs, against Python ints."""
     import numpy as np
 
     rows = limb_rows(random.Random(2_345))
-    c = np.array(rows, dtype=dtype)
+    c = np.array(rows, dtype="int64")
     c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
-    got = core.limb_sign(c0, c1, c2, c0 + c1, np.empty((9, len(c)), dtype), core.LIMB_BOUND - 1) > 0
+    got = core._pair_sign(c0, c1, c2, c0 + c1, np.empty((8, len(c)), "int64"), core.LIMB_BOUND - 1) > 0
     want = [e2(row) > 0 for row in rows]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want) and any(e2(row) == 0 for row in rows)
@@ -742,14 +740,13 @@ def limb_quads(rng):
     return [q for q in quads if max(map(abs, q)) <= top]
 
 
-@pytest.mark.parametrize("dtype", ["int64"])
-def test_limb_sign_matches_python_ints_at_its_bound(dtype):
+def test_limb_sign_matches_python_ints_at_its_bound():
     import numpy as np
 
     quads = limb_quads(random.Random(6_061))
-    a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*quads))
-    buf = np.empty((8, len(quads)), dtype)
-    got = core.limb_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
+    a, b, c, d = (np.array(col, dtype="int64") for col in zip(*quads))
+    buf = np.empty((8, len(quads)), "int64")
+    got = core._pair_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
     want = [(x > 0) - (x < 0) for x in (p * q + r * t for p, q, r, t in quads)]
     assert got.dtype == np.int8 and got.tolist() == want
     assert {-1, 0, 1} <= set(want) and max(abs(x) for q in quads for x in q) == core.LIMB_BOUND - 1
@@ -759,25 +756,21 @@ SENTINEL = -(2**62) + 12_345
 
 
 def test_limb_sign_reuses_one_scratch_across_lengths():
-    """One scratch, sentinel-filled before each call, through calls that
-    shrink and then grow: each answer is the Python-int sign, nothing past
-    the call's length is written, and in a scratch laid out as
-    ``core.scratch`` lays it out, two caller rows ahead of the last eight,
-    the caller's rows keep the sentinel."""
+    """One eight-row scratch, sentinel-filled before each ``core._pair_sign``
+    call, through calls that shrink and then grow: each answer is the
+    Python-int sign, and nothing past the call's length is written."""
     import numpy as np
 
     quads = limb_quads(random.Random(6_061))
-    for caller_rows in (0, 2):
-        buf = np.empty((caller_rows + 8, len(quads)), dtype="int64")
-        for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
-            part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
-            a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
-            buf.fill(SENTINEL)
-            got = core.limb_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
-            products = (p * q + r * t for p, q, r, t in part)
-            assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
-            assert (buf[:, len(part):] == SENTINEL).all(), m
-            assert (buf[:caller_rows] == SENTINEL).all(), m
+    buf = np.empty((8, len(quads)), dtype="int64")
+    for m in (len(quads), 5_000, 300, 7, 1, 40, 2_000, len(quads) - 1):
+        part = quads[m // 3:m // 3 + m] if m < len(quads) else quads
+        a, b, c, d = (np.array(col, dtype="int64") for col in zip(*part))
+        buf.fill(SENTINEL)
+        got = core._pair_sign(a, b, c, d, buf, core.LIMB_BOUND - 1)
+        products = (p * q + r * t for p, q, r, t in part)
+        assert got.dtype == np.int8 and got.tolist() == [(x > 0) - (x < 0) for x in products], m
+        assert (buf[:, len(part):] == SENTINEL).all(), m
 
 
 #: Factor bounds on both sides of the certified tier's limit: no shift (k = 0), the first
@@ -806,7 +799,7 @@ def wrap_quads(rng, top):
 
 
 def tier_spy(monkeypatch):
-    """Count the calls of each ``limb_sign`` tier, by the name of its kernel."""
+    """Count the calls of each ``core._pair_sign`` tier, by the name of its kernel."""
     calls = {"_wrap_sign": 0, "_limb_sign": 0}
     for name in calls:
         def spy(*args, real=getattr(core, name), name=name):
@@ -822,9 +815,8 @@ def tier_spy(monkeypatch):
 def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     """With every |factor| <= ``bound`` the sign is the Python-int sign on either
     tier: the certified tier up to ``SHIFT_BOUND``, the limbs past it and with the
-    limit patched to 0.  In a sentinel-filled scratch with two caller rows ahead of
-    the last eight and a margin, only the last eight rows up to the call's length
-    change."""
+    limit patched to 0.  In a sentinel-filled eight-row scratch with a margin,
+    nothing past the call's length changes."""
     import numpy as np
 
     if limit == "zero":
@@ -833,11 +825,11 @@ def test_limb_sign_tiers_match_python_ints(monkeypatch, bound, limit):
     quads = wrap_quads(random.Random(bound % 1_000_003), bound)
     n = len(quads)
     a, b, c, d = (np.array(col, dtype="int64") for col in zip(*quads))
-    buf = np.full((10, n + 5), SENTINEL)
-    got = core.limb_sign(a, b, c, d, buf, bound)
+    buf = np.full((8, n + 5), SENTINEL)
+    got = core._pair_sign(a, b, c, d, buf, bound)
     assert got.dtype == np.int8
     assert got.tolist() == [(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)]
-    assert (buf[:2] == SENTINEL).all() and (buf[:, n:] == SENTINEL).all()
+    assert (buf[:, n:] == SENTINEL).all()
     assert {0} < {(v > 0) - (v < 0) for v in (x * y + z * t for x, y, z, t in quads)} == {-1, 0, 1}
     certified = limit == "default" and bound <= core.SHIFT_BOUND
     assert calls == {"_wrap_sign": 1 if certified else 0, "_limb_sign": 0 if certified else 1}
@@ -855,7 +847,7 @@ def test_shift_bits_is_the_least_shift_under_the_limit():
 def tier_scans(rng):
     """``scan_bounds`` at levels 1-11 on the true family and to its first offender on
     each planted family, and ``scan_extrema`` at depths 3-10 on seeded cells (its
-    circle search calls no ``limb_sign``, so its results come along unchanged)."""
+    circle search takes no sign tier, so its results come along unchanged)."""
     out = [bv.scan_bounds(level) for level in range(1, 12)]
     for gens, first, _ in PLANTED:
         with pytest.MonkeyPatch.context() as patch:
@@ -973,7 +965,7 @@ def test_bound_tests_are_strict_on_the_disk_rim():
     import numpy as np
 
     def first_offender(*r):
-        return bv._first_offender(np.array(r, dtype="int64"), np.empty((12, len(r)), "int64"), core.LIMB_BOUND - 1)
+        return core._first_offender(np.array(r, dtype="int64"), np.empty((12, len(r)), "int64"), core.LIMB_BOUND - 1)
 
     assert e2((5, 20, -4)) == 0
     assert first_offender((1, 1, 1), (41, 7, 7)) is None
@@ -1005,21 +997,20 @@ def bound_rows(top):
     return st.one_of(st.tuples(coord, coord, coord), multiples, near_rim)
 
 
-@pytest.mark.parametrize("dtype, top", [("int64", 2**58)], ids=["int64"])
 @given(data=st.data())
-def test_first_offender_decides_the_three_tests_by_the_disk_and_the_total(dtype, top, data):
-    """``_first_offender`` tests only e2 > 0 and T > 0, yet on every row its
+def test_first_offender_decides_the_three_tests_by_the_disk_and_the_total(data):
+    """``core._first_offender`` tests only e2 > 0 and T > 0, yet on every row its
     verdict is that of the three inequalities, each row alone and a block's
     first offender; the ``int64`` rows stay below 2**59."""
     import numpy as np
 
-    rows = data.draw(st.lists(bound_rows(top), min_size=1, max_size=30))
+    rows = data.draw(st.lists(bound_rows(2**58), min_size=1, max_size=30))
     want = [three_tests_fail(row) for row in rows]
-    block = np.array(rows, dtype=dtype)
-    buf = np.empty((12, len(rows)), dtype)
+    block = np.array(rows, dtype="int64")
+    buf = np.empty((12, len(rows)), "int64")
     bound = core.LIMB_BOUND - 1
-    assert [bv._first_offender(block[i:i + 1], buf, bound) is not None for i in range(len(rows))] == want
-    assert bv._first_offender(block, buf, bound) == (want.index(True) if any(want) else None)
+    assert [core._first_offender(block[i:i + 1], buf, bound) is not None for i in range(len(rows))] == want
+    assert core._first_offender(block, buf, bound) == (want.index(True) if any(want) else None)
 
 
 @given(bound_rows(2**80))
@@ -1057,60 +1048,59 @@ def snapshot_blocks(monkeypatch, module):
     return seen
 
 
-def read_only_limb_sign(monkeypatch, module):
-    """Patch ``module.limb_sign`` to assert that each call leaves its four
+def read_only_pair_sign(monkeypatch):
+    """Patch ``core._pair_sign`` to assert that each call leaves its four
     factors as it found them; returns the list of call lengths."""
-    calls = []
+    calls, real = [], core._pair_sign
 
     def spy(*args):
         before = [x.tolist() if hasattr(x, "tolist") else x for x in args[:4]]
-        out = core.limb_sign(*args)
+        out = real(*args)
         assert [x.tolist() if hasattr(x, "tolist") else x for x in args[:4]] == before
         calls.append(len(args[0]))
         return out
 
-    monkeypatch.setattr(module, "limb_sign", spy)
+    monkeypatch.setattr(core, "_pair_sign", spy)
     return calls
 
 
-@pytest.mark.parametrize("bound, dtype", [(2**59, "int64")])
-def test_block_scans_leave_their_inputs_unchanged(monkeypatch, fresh_circles, bound, dtype):
+def test_block_scans_leave_their_inputs_unchanged(monkeypatch, fresh_circles):
     """``subtree_levels`` steps every yielded block again to make its
     children, so a scan or a circle build that wrote into a block through an
     ``out=`` view would corrupt the walk without an error: every block and
-    every ``limb_sign`` factor must read after the scan as it did before."""
+    every sign-test factor must read after the scan as it did before."""
     import numpy as np
 
-    monkeypatch.setattr(core, "INT64_ROW_BOUND", bound)
+    monkeypatch.setattr(core, "INT64_ROW_BOUND", 2**59)
     monkeypatch.setattr(core, "BLOCK_ROWS", 3**4)
-    blocks = [snapshot_blocks(monkeypatch, dv), snapshot_blocks(monkeypatch, bv)]
-    calls = [read_only_limb_sign(monkeypatch, bv)]
+    blocks = [snapshot_blocks(monkeypatch, dv), snapshot_blocks(monkeypatch, core)]
+    calls = [read_only_pair_sign(monkeypatch)]
     for c in (SCAN_MEASURES[-1], KUSUOKA):
         assert dv.scan_extrema(c, "2", 7) == reference_scan_extrema(c, "2", 7)
     assert bv.scan_bounds(7) is None
-    rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype=dtype)
+    rows = np.array(limb_rows(random.Random(7))[:500] + [(5, 20, -4)], dtype="int64")
     before = rows.copy()
-    assert bv._first_offender(rows, np.empty((12, len(rows)), dtype), core.LIMB_BOUND - 1) is not None
+    assert core._first_offender(rows, np.empty((12, len(rows)), "int64"), core.LIMB_BOUND - 1) is not None
     assert rows.tolist() == before.tolist()
     assert all(calls) and all(len(seen) > 6 for seen in blocks)
     for fam, copy in blocks[0] + blocks[1]:
-        assert fam.dtype == dtype and fam.tolist() == copy.tolist()
+        assert fam.dtype == "int64" and fam.tolist() == copy.tolist()
 
 
 def poison_fresh_scratch(monkeypatch):
-    """Fill every scratch array ``core.scratch`` makes with a sentinel, so a
-    scan that reads scratch before writing it shows; returns the growing
-    list of the arrays made."""
-    real, made = core.scratch, []
+    """Fill each scratch array that ``core.first_outside_cone`` hands its
+    block test with a sentinel when the test first sees it, before any block
+    is written into it, so a scan that reads scratch before writing it
+    shows; returns the growing list of the arrays seen."""
+    real, made = core._first_offender, []
 
-    def scratch(rows, gens, levels, own):
-        buf, bound = real(rows, gens, levels, own)
-        buf.fill(SENTINEL)
-        made.append(buf)
-        return buf, bound
+    def first_offender(block, buf, bound):
+        if not any(buf is seen for seen in made):
+            buf.fill(SENTINEL)
+            made.append(buf)
+        return real(block, buf, bound)
 
-    for module in (core, bv):
-        monkeypatch.setattr(module, "scratch", scratch)
+    monkeypatch.setattr(core, "_first_offender", first_offender)
     return made
 
 
@@ -1136,13 +1126,13 @@ def test_block_scans_reuse_their_scratch_at_every_block_size(monkeypatch, fresh_
 
 @pytest.mark.parametrize("block", [3**2, 3**4, 3**7])
 def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch, fresh_circles, block):
-    """Each ``scan_bounds`` call makes exactly one ``core.scratch`` array: its
-    four own rows (coordinates and total) plus the eight of ``core.limb_sign``,
+    """Each ``scan_bounds`` call makes exactly one scratch array: four rows
+    for the coordinates and the total plus the eight of ``core._pair_sign``,
     as wide as the widest block the call's walk yields.  ``scan_extrema``
     makes none, its circle build included."""
     monkeypatch.setattr(core, "BLOCK_ROWS", block)
     made = poison_fresh_scratch(monkeypatch)
-    blocks = snapshot_blocks(monkeypatch, bv)
+    blocks = snapshot_blocks(monkeypatch, core)
     for depth in (1, 2, 3, 5, 6, 9, 10):
         dv.scan_extrema(SCAN_MEASURES[-1], "2", depth)
     assert made == []
@@ -1154,14 +1144,20 @@ def test_block_scans_make_one_scratch_as_wide_as_their_widest_block(monkeypatch,
         assert [buf.shape for buf in made] == [(4 + 8, widest)], level
 
 
-def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound():
-    """``core.scratch`` gives a scan the dtype its walk yields and its one
-    ``limb_sign`` bound, twice ``row_bound`` at the walk's deepest level."""
-    rows = ((2, -7, 1), (3, 3, 3))
-    for levels in range(1, 6):
-        buf, bound = core.scratch(rows, MASS_SCALED, levels, 2)
-        walked = {str(fam.dtype) for _, _, level in subtree_levels(rows, levels) for fam in level}
-        assert walked == {str(buf.dtype)} == {"int64"} and bound == 2 * 7 * STRIDE_GROWTH[levels - 1], levels
+def test_scratch_takes_the_walks_dtype_and_twice_its_row_bound(monkeypatch):
+    """``core.first_outside_cone`` hands every block test a scratch of the
+    dtype its walk yields and its one factor bound, twice ``row_bound`` at
+    the walk's deepest level."""
+    seen, real = [], core._first_offender
+    monkeypatch.setattr(core, "_first_offender",
+                        lambda block, buf, bound: seen.append((str(buf.dtype), bound)) or real(block, buf, bound))
+    for row, top in (((2, -7, 1), 7), ((3, 3, 3), 3)):
+        for levels in range(1, 6):
+            seen.clear()
+            core.first_outside_cone((row,), levels, MASS_SCALED)
+            walked = {str(fam.dtype) for _, _, level in subtree_levels((row,), levels) for fam in level}
+            assert walked == {dtype for dtype, _ in seen} == {"int64"}, (row, levels)
+            assert {bound for _, bound in seen} == {2 * top * STRIDE_GROWTH[levels - 1]}, (row, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1203,7 +1199,7 @@ def test_scan_extrema_refuses_an_oversized_scan_before_its_walk(monkeypatch, fre
 
 
 def test_scan_bounds_refuses_an_oversized_level_before_its_walk(monkeypatch):
-    calls = spy_walk(monkeypatch, bv)
+    calls = spy_walk(monkeypatch, core)
     for level in (BOUNDS_LEVEL_MAX + 1, 10**9, -1):
         with pytest.raises(ValueError, match=f"between 0 and {BOUNDS_LEVEL_MAX}, got {level}"):
             bv.scan_bounds(level)
